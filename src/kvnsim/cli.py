@@ -24,17 +24,13 @@ from . import __version__
 from .config import (
     CompareRun,
     ConfigError,
-    EnsembleRun,
     FlowRun,
     FockRun,
-    PerturbationRun,
     ScenarioConfig,
-    VlasovRun,
     canonical_json,
     parse_config,
 )
 from .ensemble import (
-    EnsembleSettings,
     ensemble_vs_vlasov,
     histogram_density,
     integrate_nbody,
@@ -65,11 +61,14 @@ from .fock import (
     embed_product_state,
     propagate,
 )
-from .perturbation import PerturbationSettings, perturbative_density, residual_vs_vlasov
+from .perturbation import perturbative_density, residual_vs_vlasov
 from .phase_space import density_from_function
 from .vlasov import vlasov_solve
 
 _RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError, Warning)
+# Fock runs write the Liouvillian only up to this sector dimension, because a
+# .kvno file holds one 32-byte record per nonzero entry.
+OPERATOR_WRITE_MAX_DIM = 2000
 
 
 def _check(name: str, value: float, low: float | None, high: float | None) -> dict:
@@ -104,9 +103,8 @@ def _run_flow(cfg: ScenarioConfig, out_dir: str, base_dir: str):
 
 
 def _run_vlasov(cfg: ScenarioConfig, out_dir: str, base_dir: str):
-    settings: VlasovRun = cfg.settings
     init = density_from_function(cfg.grid, cfg.density)
-    snaps = vlasov_solve(init, cfg.t_final, cfg.spec, settings.vlasov,
+    snaps = vlasov_solve(init, cfg.t_final, cfg.spec, cfg.settings,
                          snapshot_times=list(cfg.snapshots))
     files = []
     for k, snap in enumerate(snaps):
@@ -123,17 +121,10 @@ def _run_vlasov(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     return files, checks, []
 
 
-def _perturbation_settings(run: PerturbationRun, cfg: ScenarioConfig) -> PerturbationSettings:
-    aux = run.aux_grid if run.aux_grid is not None else cfg.grid
-    return PerturbationSettings(aux_grid=aux, flow=run.flow, quadrature=run.quadrature,
-                                n_s=run.n_s, h_p=run.h_p)
-
-
 def _run_perturbation(cfg: ScenarioConfig, out_dir: str, base_dir: str):
-    settings = _perturbation_settings(cfg.settings, cfg)
     files = []
     for k, t in enumerate(cfg.snapshots):
-        field = perturbative_density(cfg.grid, t, cfg.density, cfg.spec, settings)
+        field = perturbative_density(cfg.grid, t, cfg.density, cfg.spec, cfg.settings)
         field_path = os.path.join(out_dir, f"field_{k:04d}.kvnf")
         write_field(field_path, field)
         marg_path = os.path.join(out_dir, f"marginal_{k:04d}.csv")
@@ -164,14 +155,9 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     if norm <= 0:
         raise ValueError("initial density vanishes on the grid")
     orbital = (orbital / norm).reshape(-1)
-    if settings.n_particles == 1:
-        psi = orbital
-    elif settings.n_particles == 2:
-        psi = np.outer(orbital, orbital)
-    else:
-        raise NotImplementedError("fock runs support one or two particles")
+    psi = orbital if settings.n_particles == 1 else np.outer(orbital, orbital)
     state0 = embed_product_state(psi, basis, modes)
-    state1 = propagate(state0, op, cfg.t_final, dense_cutoff=settings.dense_cutoff)
+    state1 = propagate(state0, op, cfg.t_final)
     dens = density_expectation(state1, modes)
     dens.time = cfg.t_final
 
@@ -183,7 +169,7 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     marg_path = os.path.join(out_dir, "marginal.csv")
     write_marginal_csv(marg_path, dens)
     files += [state_path, field_path, marg_path]
-    if dim <= settings.dense_cutoff:
+    if dim <= OPERATOR_WRITE_MAX_DIM:
         op_path = os.path.join(out_dir, "liouvillian.kvno")
         write_fock_operator(op_path, op, grid)
         files.append(op_path)
@@ -195,12 +181,9 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
 
 
 def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
-    settings: EnsembleRun = cfg.settings
-    ens = EnsembleSettings(dt=settings.dt, seed=cfg.seed,
-                           coupling_scaling=settings.coupling_scaling,
-                           n_particles=settings.n_particles)
-    points = sample_initial(cfg.density, settings.n_particles, cfg.seed)
-    moved = integrate_nbody(points, cfg.t_final, cfg.spec, ens)
+    settings = cfg.settings
+    points = sample_initial(cfg.density, settings.n_particles, settings.seed)
+    moved = integrate_nbody(points, cfg.t_final, cfg.spec, settings)
     hist = histogram_density(moved, cfg.grid)
     hist.time = cfg.t_final
 
@@ -229,10 +212,9 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     settings: CompareRun = cfg.settings
     files, checks, seeds = [], [], []
     if settings.targets == ("perturbation", "vlasov"):
-        pert = _perturbation_settings(settings.perturbation, cfg)
         table = residual_vs_vlasov(cfg.t_final, cfg.density, cfg.spec,
-                                   list(settings.strengths), cfg.grid, pert,
-                                   settings.vlasov.vlasov)
+                                   list(settings.strengths), cfg.grid, settings.perturbation,
+                                   settings.vlasov)
         path = os.path.join(out_dir, "residual_table.csv")
         write_table_csv(path, table)
         files.append(path)
@@ -243,13 +225,9 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
                 checks.append(_check(f"strength_ratio_{i}", errs[i] / errs[i + 1], 3.0, 5.0))
             checks.append(_check("fitted_order", table.fitted_order, 1.7, 2.3))
     else:
-        ens = settings.ensemble or EnsembleRun()
-        ens_settings = EnsembleSettings(dt=ens.dt, seed=cfg.seed,
-                                        coupling_scaling=ens.coupling_scaling,
-                                        n_particles=ens.n_particles)
+        ens = settings.ensemble
         table = ensemble_vs_vlasov(cfg.density, cfg.spec, cfg.grid, cfg.t_final,
-                                   list(settings.n_list), ens_settings,
-                                   settings.vlasov.vlasov)
+                                   list(settings.n_list), ens, settings.vlasov)
         path = os.path.join(out_dir, "convergence_table.csv")
         write_table_csv(path, table)
         meta_path = os.path.join(out_dir, "convergence_meta.json")
@@ -413,9 +391,18 @@ def _render_report(report: dict) -> str:
 # entry point
 # --------------------------------------------------------------------------
 
-def _load_config(path: str, strict: bool = True) -> ScenarioConfig:
+def _load_config(path: str, seed: int | None = None) -> ScenarioConfig:
+    """Read and validate a config file; ``seed`` replaces its seed before validation."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), strict=strict)
+        text = fh.read()
+    if seed is not None:
+        try:
+            raw = json.loads(text)
+        except ValueError:
+            raw = None  # parse_config reports the decoding error
+        if isinstance(raw, dict):
+            text = json.dumps(dict(raw, seed=seed))
+    return parse_config(text)
 
 
 def main(argv=None) -> int:
@@ -447,30 +434,21 @@ def main(argv=None) -> int:
         print(f"kvnsim {__version__}")
         return 0
 
-    if args.command == "validate":
+    if args.command in ("validate", "run"):
         try:
-            cfg = _load_config(args.config)
+            cfg = _load_config(args.config, getattr(args, "seed", None))
         except ConfigError as exc:
             print(str(exc), file=sys.stderr)
             return 1
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 1
+
+    if args.command == "validate":
         print(f"config ok: method={cfg.method}, output_dir={cfg.output_dir}")
         return 0
 
     if args.command == "run":
-        try:
-            cfg = _load_config(args.config)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 1
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.raw["seed"] = args.seed
         out_dir = args.out if args.out is not None else cfg.output_dir
         base_dir = os.path.dirname(os.path.abspath(args.config))
         if args.strict:

@@ -1,20 +1,24 @@
 """Scenario configuration: a strict, human-writable JSON format.
 
 A config names a problem (potentials, mass), a grid, an initial density, a
-method, times, and method-specific settings.  Validation collects every
-error (with a path to the offending key) instead of stopping at the first;
-unknown keys are rejected so typos cannot silently change a run.
+method, times, and method-specific settings.  Parsing builds the library
+settings objects directly.  Validation collects every error (with a path to
+the offending key) instead of stopping at the first; unknown keys are
+rejected so typos cannot silently change a run.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .densities import GaussianDensity, GaussianMixture
+from .ensemble import EnsembleSettings
 from .flow import FlowSettings
+from .fock import DEFAULT_DIMENSION_CAP
+from .perturbation import PerturbationSettings
 from .phase_space import (
     CosinePair,
     CosinePotential,
@@ -32,6 +36,7 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "canonical_json"]
 
 METHODS = ("flow", "vlasov", "perturbation", "fock", "ensemble", "compare")
 GRID_KEYS = {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "periodic_q", "periodic_p"}
+FLOW_KEYS = {"dt", "exact_shortcut"}
 
 
 class ConfigError(ValueError):
@@ -42,49 +47,33 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in errors))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowRun:
+    """Flow-method keys that no library settings class owns."""
+
     flow: FlowSettings
     points_csv: str
-    n_snapshots: int = 11
+    n_snapshots: int
 
 
-@dataclass
-class VlasovRun:
-    vlasov: VlasovSettings
-
-
-@dataclass
-class PerturbationRun:
-    flow: FlowSettings
-    quadrature: str = "gauss-legendre"
-    n_s: int = 16
-    h_p: float = 1e-4
-    aux_grid: PhaseGrid | None = None  # defaults to the run grid
-
-
-@dataclass
+@dataclass(frozen=True)
 class FockRun:
-    n_particles: int = 1
-    dimension_cap: int = 200_000
-    dense_cutoff: int = 2000
+    """Fock-method keys; the runner builds the sector from them."""
+
+    n_particles: int
+    dimension_cap: int
 
 
-@dataclass
-class EnsembleRun:
-    dt: float = 0.01
-    n_particles: int = 1000
-    coupling_scaling: str = "mean-field"
-
-
-@dataclass
+@dataclass(frozen=True)
 class CompareRun:
-    targets: tuple[str, str] = ("perturbation", "vlasov")
-    strengths: tuple[float, ...] = ()
-    n_list: tuple[int, ...] = ()
-    perturbation: PerturbationRun | None = None
-    vlasov: VlasovRun | None = None
-    ensemble: EnsembleRun | None = None
+    """Comparison targets and sweeps, with the library settings of each side."""
+
+    targets: tuple[str, str]
+    strengths: tuple[float, ...]
+    n_list: tuple[int, ...]
+    perturbation: PerturbationSettings | None
+    vlasov: VlasovSettings | None
+    ensemble: EnsembleSettings | None
 
 
 @dataclass
@@ -106,11 +95,28 @@ def canonical_json(raw: dict) -> str:
     return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer"}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _as_number(value) -> float | None:
+    """A JSON number as a finite float, or None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 class _Validator:
-    def __init__(self, strict: bool = True):
-        self.strict = strict
+    def __init__(self):
         self.errors: list[str] = []
-        self.ignored: list[str] = []
 
     def error(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
@@ -118,58 +124,52 @@ class _Validator:
     def check_unknown(self, path: str, d: dict, known: set[str]):
         for key in d:
             if key not in known:
-                full = f"{path}.{key}" if path else key
-                if self.strict:
-                    self.error(full, "unknown key")
-                else:
-                    self.ignored.append(full)
+                self.error(_join(path, key), "unknown key")
 
     def get(self, path: str, d: dict, key: str, typ, default=None, required=False):
         if key not in d:
             if required:
-                self.error(f"{path}.{key}" if path else key, "missing required key")
+                self.error(_join(path, key), "missing required key")
             return default
         value = d[key]
-        if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if typ is float and isinstance(value, bool):
-            self.error(f"{path}.{key}" if path else key, "expected a number")
-            return default
-        if not isinstance(value, typ):
-            self.error(f"{path}.{key}" if path else key,
-                       f"expected {getattr(typ, '__name__', typ)}, got {type(value).__name__}")
+        if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+            self.error(_join(path, key), f"expected {_TYPE_NAMES[typ]}")
             return default
         return value
 
     def get_number(self, path, d, key, default=None, required=False,
-                   minimum=None, maximum=None, strict_min=False):
-        value = self.get(path, d, key, float, default=default, required=required)
-        if value is None:
+                   minimum=None, strict_min=False):
+        if key not in d:
+            if required:
+                self.error(_join(path, key), "missing required key")
             return default
-        full = f"{path}.{key}" if path else key
+        value = _as_number(d[key])
+        if value is None:
+            self.error(_join(path, key), "expected a finite number")
+            return default
         if minimum is not None:
             if strict_min and not value > minimum:
-                self.error(full, f"must be > {minimum}")
+                self.error(_join(path, key), f"must be > {minimum}")
                 return default
             if not strict_min and value < minimum:
-                self.error(full, f"must be >= {minimum}")
+                self.error(_join(path, key), f"must be >= {minimum}")
                 return default
-        if maximum is not None and value > maximum:
-            self.error(full, f"must be <= {maximum}")
-            return default
-        return float(value)
+        return value
 
     def get_int(self, path, d, key, default=None, required=False, minimum=None):
         value = self.get(path, d, key, int, default=default, required=required)
-        if isinstance(value, bool):
-            self.error(f"{path}.{key}" if path else key, "expected an integer")
+        if value is not None and minimum is not None and value < minimum:
+            self.error(_join(path, key), f"must be >= {minimum}")
             return default
-        if value is None:
-            return default
-        if minimum is not None and value < minimum:
-            self.error(f"{path}.{key}" if path else key, f"must be >= {minimum}")
-            return default
-        return int(value)
+        return value
+
+    def build(self, path: str, cls, **kwargs):
+        """Construct a library object; its ValueError becomes an error at ``path``."""
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            self.error(path, str(exc))
+            return None
 
 
 def _parse_external(v: _Validator, path: str, d: dict):
@@ -185,7 +185,7 @@ def _parse_external(v: _Validator, path: str, d: dict):
         v.check_unknown(path, d, {"type", "a", "b"})
         a = v.get_number(path, d, "a", default=0.0)
         b = v.get_number(path, d, "b", required=True)
-        return QuarticPotential(a=a or 0.0, b=b if b is not None else 0.0)
+        return QuarticPotential(a=a, b=b if b is not None else 0.0)
     if kind == "cosine":
         v.check_unknown(path, d, {"type", "wavenumber", "amplitude"})
         k = v.get_number(path, d, "wavenumber", required=True, minimum=0.0, strict_min=True)
@@ -238,8 +238,7 @@ def _parse_grid(v: _Validator, path: str, d: dict) -> PhaseGrid | None:
     if p_max <= p_min:
         v.error(f"{path}.p_max", "bounds must be ordered (p_max > p_min)")
         return None
-    return PhaseGrid(q_min, q_max, p_min, p_max, n_q, n_p,
-                     bool(periodic_q), bool(periodic_p))
+    return PhaseGrid(q_min, q_max, p_min, p_max, n_q, n_p, periodic_q, periodic_p)
 
 
 def _parse_gaussian(v: _Validator, path: str, d: dict) -> GaussianDensity | None:
@@ -250,8 +249,6 @@ def _parse_gaussian(v: _Validator, path: str, d: dict) -> GaussianDensity | None
     qs = v.get_number(path, d, "q_sigma", default=1.0, minimum=0.0, strict_min=True)
     ps = v.get_number(path, d, "p_sigma", default=1.0, minimum=0.0, strict_min=True)
     mass = v.get_number(path, d, "mass", default=1.0, minimum=0.0)
-    if None in (qc, pc, qs, ps, mass):
-        return None
     return GaussianDensity(qc, pc, qs, ps, mass)
 
 
@@ -271,158 +268,149 @@ def _parse_density(v: _Validator, path: str, d: dict):
             if not isinstance(comp, dict):
                 v.error(f"{path}.components[{i}]", "expected an object")
                 continue
-            comp = dict(comp)
-            comp.setdefault("type", "gaussian")
-            if comp.get("type") != "gaussian":
+            if comp.get("type", "gaussian") != "gaussian":
                 v.error(f"{path}.components[{i}].type", "mixture components must be gaussian")
                 continue
-            g = _parse_gaussian(v, f"{path}.components[{i}]", comp)
-            if g is not None:
-                parsed.append(g)
-        for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or isinstance(w, bool) or w < 0:
+            parsed.append(_parse_gaussian(v, f"{path}.components[{i}]", comp))
+        numbers = [_as_number(w) for w in weights]
+        for i, w in enumerate(numbers):
+            if w is None or w < 0:
                 v.error(f"{path}.weights[{i}]", "must be a number >= 0")
                 return None
         if not parsed or len(parsed) != len(weights):
             return None
-        return GaussianMixture(components=tuple(parsed), weights=tuple(float(w) for w in weights))
+        return v.build(path, GaussianMixture, components=tuple(parsed), weights=tuple(numbers))
     v.error(f"{path}.type", f"unknown density type {kind!r}")
     return None
 
 
 def _parse_flow_settings(v: _Validator, path: str, d: dict) -> FlowSettings:
-    v.check_unknown(path, d, {"dt", "exact_shortcut", "integrator"})
-    dt = v.get_number(path, d, "dt", default=1e-3, minimum=0.0, strict_min=True) or 1e-3
-    shortcut = bool(v.get(path, d, "exact_shortcut", bool, default=False))
-    integ = v.get(path, d, "integrator", str, default="velocity-verlet")
-    if integ != "velocity-verlet":
-        v.error(f"{path}.integrator", f"unknown integrator {integ!r}")
-        integ = "velocity-verlet"
-    return FlowSettings(dt=dt, integrator=integ, exact_shortcut=shortcut)
+    dt = v.get_number(path, d, "dt", default=1e-3, minimum=0.0, strict_min=True)
+    shortcut = v.get(path, d, "exact_shortcut", bool, default=False)
+    return FlowSettings(dt=dt, exact_shortcut=shortcut)
 
 
 def _parse_vlasov_settings(v: _Validator, path: str, d: dict) -> VlasovSettings | None:
     v.check_unknown(path, d, {"dt", "interpolation"})
     dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
     interp = v.get(path, d, "interpolation", str, default="cubic-spline")
-    if interp not in ("cubic-spline", "linear"):
-        v.error(f"{path}.interpolation", f"unknown interpolation {interp!r}")
-        interp = "cubic-spline"
-    if not dt:
+    if dt is None:
         return None
-    return VlasovSettings(dt=dt, interpolation=interp)
+    return v.build(path, VlasovSettings, dt=dt, interpolation=interp)
 
 
-def _parse_perturbation_settings(v: _Validator, path: str, d: dict) -> PerturbationRun:
-    known = {"quadrature", "n_s", "h_p", "flow", "aux_grid"}
-    v.check_unknown(path, d, known)
+def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
+                                 grid: PhaseGrid | None) -> PerturbationSettings | None:
+    v.check_unknown(path, d, {"quadrature", "n_s", "h_p", "flow", "aux_grid"})
     quad = v.get(path, d, "quadrature", str, default="gauss-legendre")
-    if quad not in ("gauss-legendre", "trapezoid"):
-        v.error(f"{path}.quadrature", f"unknown quadrature {quad!r}")
-        quad = "gauss-legendre"
-    n_s = v.get_int(path, d, "n_s", default=16, minimum=2) or 16
-    h_p = v.get_number(path, d, "h_p", default=1e-4, minimum=0.0, strict_min=True) or 1e-4
-    flow_d = v.get(path, d, "flow", dict, default={}) or {}
-    flow = _parse_flow_settings(v, f"{path}.flow", dict(flow_d))
-    aux = None
-    if "aux_grid" in d:
-        aux_d = v.get(path, d, "aux_grid", dict, default=None)
-        if aux_d is not None:
-            aux = _parse_grid(v, f"{path}.aux_grid", dict(aux_d))
-    return PerturbationRun(flow=flow, quadrature=quad, n_s=n_s, h_p=h_p, aux_grid=aux)
+    n_s = v.get_int(path, d, "n_s", default=16, minimum=2)
+    h_p = v.get_number(path, d, "h_p", default=1e-4, minimum=0.0, strict_min=True)
+    flow_d = v.get(path, d, "flow", dict, default={})
+    v.check_unknown(f"{path}.flow", flow_d, FLOW_KEYS)
+    flow = _parse_flow_settings(v, f"{path}.flow", flow_d)
+    aux = grid
+    aux_d = v.get(path, d, "aux_grid", dict)
+    if aux_d is not None:
+        aux = _parse_grid(v, f"{path}.aux_grid", aux_d)
+    return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, quadrature=quad,
+                   n_s=n_s, h_p=h_p)
 
 
-def _parse_ensemble_settings(v: _Validator, path: str, d: dict) -> EnsembleRun:
-    known = {"dt", "n_particles", "coupling_scaling"}
-    v.check_unknown(path, d, known)
-    dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True) or 0.01
-    n = v.get_int(path, d, "n_particles", required=True, minimum=1) or 1000
+def _parse_ensemble_settings(v: _Validator, path: str, d: dict,
+                             seed: int) -> EnsembleSettings | None:
+    v.check_unknown(path, d, {"dt", "n_particles", "coupling_scaling"})
+    dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
+    n = v.get_int(path, d, "n_particles", required=True, minimum=1)
     scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
-    if scaling not in ("mean-field", "bare"):
-        v.error(f"{path}.coupling_scaling", f"unknown coupling scaling {scaling!r}")
-        scaling = "mean-field"
-    return EnsembleRun(dt=dt, n_particles=n, coupling_scaling=scaling)
+    if dt is None or n is None:
+        return None
+    return v.build(path, EnsembleSettings, dt=dt, seed=seed, coupling_scaling=scaling,
+                   n_particles=n)
 
 
-def _parse_settings(v: _Validator, method: str, d: dict):
+def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid | None,
+                            seed: int) -> CompareRun:
+    known = {"targets", "strengths", "n_list", "perturbation", "vlasov", "ensemble"}
+    v.check_unknown(path, d, known)
+    targets = tuple(v.get(path, d, "targets", list, default=["perturbation", "vlasov"]))
+    if targets not in (("perturbation", "vlasov"), ("ensemble", "vlasov")):
+        v.error(f"{path}.targets",
+                'must be ["perturbation", "vlasov"] or ["ensemble", "vlasov"]')
+        targets = ("perturbation", "vlasov")
+    strengths = []
+    for i, x in enumerate(v.get(path, d, "strengths", list, default=[])):
+        s = _as_number(x)
+        if s is None or s < 0:
+            v.error(f"{path}.strengths[{i}]", "must be a number >= 0")
+        else:
+            strengths.append(s)
+    n_list = []
+    for i, x in enumerate(v.get(path, d, "n_list", list, default=[])):
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+            v.error(f"{path}.n_list[{i}]", "must be an integer >= 1")
+        else:
+            n_list.append(x)
+    pert = _parse_perturbation_settings(
+        v, f"{path}.perturbation", v.get(path, d, "perturbation", dict, default={}), grid)
+    vl_d = v.get(path, d, "vlasov", dict)
+    vl = _parse_vlasov_settings(v, f"{path}.vlasov", vl_d) if vl_d is not None else None
+    ens_d = v.get(path, d, "ensemble", dict)
+    if ens_d is not None:
+        ens = _parse_ensemble_settings(v, f"{path}.ensemble", ens_d, seed)
+    else:
+        ens = EnsembleSettings(dt=0.01, seed=seed)
+    if targets == ("perturbation", "vlasov") and not strengths:
+        v.error(f"{path}.strengths", "required for the perturbation-vlasov comparison")
+    if targets == ("ensemble", "vlasov") and not n_list:
+        v.error(f"{path}.n_list", "required for the ensemble-vlasov comparison")
+    if vl_d is None:
+        v.error(f"{path}.vlasov", "solver settings are required for comparisons")
+    return CompareRun(targets=targets, strengths=tuple(strengths), n_list=tuple(n_list),
+                      perturbation=pert, vlasov=vl, ensemble=ens)
+
+
+def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None, seed: int):
     path = "settings"
     if method == "flow":
-        known = {"dt", "exact_shortcut", "integrator", "points_csv", "n_snapshots"}
-        v.check_unknown(path, d, known)
-        flow = _parse_flow_settings(v, path, {k: d[k] for k in d
-                                              if k in ("dt", "exact_shortcut", "integrator")})
+        v.check_unknown(path, d, FLOW_KEYS | {"points_csv", "n_snapshots"})
+        flow = _parse_flow_settings(v, path, d)
         points = v.get(path, d, "points_csv", str, required=True) or ""
-        n_snap = v.get_int(path, d, "n_snapshots", default=11, minimum=2) or 11
+        n_snap = v.get_int(path, d, "n_snapshots", default=11, minimum=2)
         return FlowRun(flow=flow, points_csv=points, n_snapshots=n_snap)
     if method == "vlasov":
-        vs = _parse_vlasov_settings(v, path, d)
-        return VlasovRun(vlasov=vs) if vs else None
+        return _parse_vlasov_settings(v, path, d)
     if method == "perturbation":
-        return _parse_perturbation_settings(v, path, d)
+        return _parse_perturbation_settings(v, path, d, grid)
     if method == "fock":
-        known = {"n_particles", "dimension_cap", "dense_cutoff"}
-        v.check_unknown(path, d, known)
-        n = v.get_int(path, d, "n_particles", default=1, minimum=1) or 1
-        cap = v.get_int(path, d, "dimension_cap", default=200_000, minimum=1) or 200_000
-        cutoff = v.get_int(path, d, "dense_cutoff", default=2000, minimum=1) or 2000
-        return FockRun(n_particles=n, dimension_cap=cap, dense_cutoff=cutoff)
+        v.check_unknown(path, d, {"n_particles", "dimension_cap"})
+        n = v.get_int(path, d, "n_particles", default=1)
+        if n not in (1, 2):
+            v.error(f"{path}.n_particles", "must be 1 or 2")
+        cap = v.get_int(path, d, "dimension_cap", default=DEFAULT_DIMENSION_CAP, minimum=1)
+        return FockRun(n_particles=n, dimension_cap=cap)
     if method == "ensemble":
-        return _parse_ensemble_settings(v, path, d)
-    if method == "compare":
-        known = {"targets", "strengths", "n_list", "perturbation", "vlasov", "ensemble"}
-        v.check_unknown(path, d, known)
-        targets = v.get(path, d, "targets", list, default=["perturbation", "vlasov"])
-        targets = tuple(targets or ())
-        if targets not in (("perturbation", "vlasov"), ("ensemble", "vlasov")):
-            v.error(f"{path}.targets",
-                    'must be ["perturbation", "vlasov"] or ["ensemble", "vlasov"]')
-            targets = ("perturbation", "vlasov")
-        strengths = tuple(float(x) for x in (v.get(path, d, "strengths", list, default=[]) or [])
-                          if isinstance(x, (int, float)) and not isinstance(x, bool))
-        n_list = tuple(int(x) for x in (v.get(path, d, "n_list", list, default=[]) or [])
-                       if isinstance(x, int) and not isinstance(x, bool))
-        pert = _parse_perturbation_settings(
-            v, f"{path}.perturbation", dict(v.get(path, d, "perturbation", dict, default={}) or {}))
-        vl_d = v.get(path, d, "vlasov", dict, default=None)
-        vl = None
-        if vl_d is not None:
-            vs = _parse_vlasov_settings(v, f"{path}.vlasov", dict(vl_d))
-            vl = VlasovRun(vlasov=vs) if vs else None
-        ens = None
-        if "ensemble" in d:
-            ens_d = v.get(path, d, "ensemble", dict, default={}) or {}
-            ens = _parse_ensemble_settings(v, f"{path}.ensemble", dict(ens_d))
-        if targets == ("perturbation", "vlasov") and not strengths:
-            v.error(f"{path}.strengths", "required for the perturbation-vlasov comparison")
-        if targets == ("ensemble", "vlasov") and not n_list:
-            v.error(f"{path}.n_list", "required for the ensemble-vlasov comparison")
-        if vl is None:
-            v.error(f"{path}.vlasov", "solver settings are required for comparisons")
-        return CompareRun(targets=targets, strengths=strengths, n_list=n_list,
-                          perturbation=pert, vlasov=vl, ensemble=ens)
-    return None
+        return _parse_ensemble_settings(v, path, d, seed)
+    return _parse_compare_settings(v, path, d, grid, seed)
 
 
 _GRIDLESS = {"flow"}
 _NEEDS_DENSITY = {"vlasov", "perturbation", "fock", "ensemble", "compare"}
 
 
-def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
+def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a JSON scenario config.
 
-    Raises ConfigError carrying every problem found, each prefixed with the
-    path of the offending key.  In strict mode (the default and the
-    documented one) unknown keys are rejected; with ``strict=False`` they
-    are skipped and a UserWarning is emitted per key.
+    Raises ConfigError, and nothing else, carrying every problem found, each
+    prefixed with the path of the offending key.  Unknown keys are rejected.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"(json): {exc}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["(root): config must be a JSON object"])
 
-    v = _Validator(strict=strict)
+    v = _Validator()
     top_known = {"method", "output_dir", "seed", "problem", "grid",
                  "initial_density", "times", "settings"}
     v.check_unknown("", raw, top_known)
@@ -435,64 +423,54 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
     output_dir = v.get("", raw, "output_dir", str, default="kvnsim_run")
     seed = v.get_int("", raw, "seed", default=0, minimum=0)
 
-    problem = v.get("", raw, "problem", dict, default={}) or {}
+    problem = v.get("", raw, "problem", dict, default={})
     v.check_unknown("problem", problem, {"mass", "external_potential", "pair_potential"})
     mass = v.get_number("problem", problem, "mass", default=1.0, minimum=0.0, strict_min=True)
     ext = _parse_external(v, "problem.external_potential",
-                          dict(problem.get("external_potential", {"type": "free"})))
+                          v.get("problem", problem, "external_potential", dict, default={}))
     pair = _parse_pair(v, "problem.pair_potential",
-                       dict(problem.get("pair_potential", {"type": "none"})))
-    spec = ProblemSpec(mass=mass or 1.0, external=ext, pair=pair)
+                       v.get("problem", problem, "pair_potential", dict, default={}))
+    spec = ProblemSpec(mass=mass, external=ext, pair=pair)
 
     grid = None
-    if method not in _GRIDLESS:
-        grid_d = v.get("", raw, "grid", dict, required=method is not None)
-        if grid_d is not None:
-            grid = _parse_grid(v, "grid", dict(grid_d))
-    elif "grid" in raw and isinstance(raw["grid"], dict):
-        grid = _parse_grid(v, "grid", dict(raw["grid"]))
+    grid_d = v.get("", raw, "grid", dict,
+                   required=method is not None and method not in _GRIDLESS)
+    if grid_d is not None:
+        grid = _parse_grid(v, "grid", grid_d)
 
     density = None
-    if method in _NEEDS_DENSITY:
-        dens_d = v.get("", raw, "initial_density", dict, required=True)
-        if dens_d is not None:
-            density = _parse_density(v, "initial_density", dict(dens_d))
-    elif "initial_density" in raw and isinstance(raw["initial_density"], dict):
-        density = _parse_density(v, "initial_density", dict(raw["initial_density"]))
+    dens_d = v.get("", raw, "initial_density", dict, required=method in _NEEDS_DENSITY)
+    if dens_d is not None:
+        density = _parse_density(v, "initial_density", dens_d)
 
-    times = v.get("", raw, "times", dict, default={"t_final": 0.0}) or {"t_final": 0.0}
+    times = v.get("", raw, "times", dict, default={}) or {"t_final": 0.0}
     v.check_unknown("times", times, {"t_final", "snapshots"})
     t_final = v.get_number("times", times, "t_final", required=True, minimum=0.0)
     if t_final is None:
         t_final = 0.0
     snaps = times.get("snapshots")
-    if snaps is None:
-        snapshots = (t_final,)
-    elif isinstance(snaps, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in snaps):
-        snapshots = tuple(float(x) for x in snaps)
+    numbers = [_as_number(x) for x in snaps] if isinstance(snaps, list) else [None]
+    snapshots = (t_final,)
+    if snaps is not None and None in numbers:
+        v.error("times.snapshots", "must be a list of finite numbers")
+    elif snaps is not None:
+        snapshots = tuple(numbers)
         for i, s in enumerate(snapshots):
             if s < 0 or s > t_final:
                 v.error(f"times.snapshots[{i}]", "must lie in [0, t_final]")
-    else:
-        v.error("times.snapshots", "must be a list of numbers")
-        snapshots = (t_final,)
 
     settings = None
     if method is not None:
-        settings_d = raw.get("settings", {})
-        if not isinstance(settings_d, dict):
-            v.error("settings", "expected an object")
-        else:
-            settings = _parse_settings(v, method, dict(settings_d))
+        settings_d = v.get("", raw, "settings", dict, default={})
+        settings = _parse_settings(v, method, settings_d, grid, seed)
 
     # cross-field checks
     if grid is not None and isinstance(ext, CosinePotential) and method != "flow":
         if not grid.periodic_q:
             v.error("grid.periodic_q", "cosine external potential requires a periodic q-domain")
         else:
-            cycles = ext.wavenumber * grid.q_length / (2.0 * 3.141592653589793)
-            if abs(cycles - round(cycles)) > 1e-9:
+            cycles = ext.wavenumber * grid.q_length / (2.0 * math.pi)
+            if not (math.isfinite(cycles) and abs(cycles - round(cycles)) <= 1e-9):
                 v.error("grid.q_max",
                         "q-domain length must be a whole number of cosine periods")
     if method == "fock" and grid is not None and not (grid.periodic_q and grid.periodic_p):
@@ -500,13 +478,11 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
 
     if v.errors:
         raise ConfigError(v.errors)
-    for key in v.ignored:
-        warnings.warn(f"ignoring unknown config key {key}", stacklevel=2)
     assert method is not None and settings is not None
     return ScenarioConfig(
         method=method,
         output_dir=output_dir or "kvnsim_run",
-        seed=seed if seed is not None else 0,
+        seed=seed,
         spec=spec,
         grid=grid,
         density=density,

@@ -27,14 +27,11 @@ __all__ = [
 @dataclass(frozen=True)
 class FlowSettings:
     dt: float = 1e-3
-    integrator: str = "velocity-verlet"
     exact_shortcut: bool = False
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.integrator != "velocity-verlet":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
 def _split_steps(t: float, dt: float) -> tuple[int, float, float]:

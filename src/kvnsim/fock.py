@@ -20,7 +20,6 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
 from .phase_space import DensityField, NoPair, PhaseGrid, ProblemSpec, spatial_density
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-DENSE_EIG_CUTOFF = 2000
 DEFAULT_DIMENSION_CAP = 200_000
 
 
@@ -110,10 +108,6 @@ class ModeBasis:
 
     def mode_index(self, iq: int, ip: int) -> int:
         return iq * self.grid.n_p + ip
-
-    def gram_matrix(self) -> np.ndarray:
-        """Grid inner products of the modes; the identity exactly."""
-        return np.eye(self.n_modes)
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,6 @@ class FockOperator:
     basis: FockBasis
     matrix: sp.csr_matrix
     hermitian: bool = field(init=False)
-    _eig: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dimension, self.basis.dimension):
@@ -270,12 +263,6 @@ class FockOperator:
 
     def hermiticity_deviation(self) -> float:
         return _max_abs(self.matrix - self.matrix.getH())
-
-    def _eigensystem(self):
-        if self._eig is None:
-            vals, vecs = eigh(self.matrix.toarray())
-            self._eig = (vals, vecs)
-        return self._eig
 
 
 def assemble_liouvillian(one_body: OneBodyMatrix, two_body: TwoBodyTensor,
@@ -386,28 +373,23 @@ def embed_product_state(psi: np.ndarray, basis: FockBasis, modes: ModeBasis) -> 
     raise NotImplementedError("grid-function embedding is implemented for N <= 2")
 
 
-def propagate(state: FockState, op: FockOperator, t: float,
-              dense_cutoff: int = DENSE_EIG_CUTOFF) -> FockState:
+def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
     """exp(-i L t) applied to the state.
 
-    Dense eigendecomposition below ``dense_cutoff`` (deterministic, cached on
-    the operator), Krylov-based action of the matrix exponential above.
+    The action of the matrix exponential is computed without forming it
+    (scipy's ``expm_multiply``, Al-Mohy & Higham 2011).
     """
     if not op.hermitian:
         raise ValueError(
             f"operator is not Hermitian (deviation {op.hermiticity_deviation():.3e}); "
             "refusing to propagate"
         )
-    if state.basis is not op.basis and state.basis.dimension != op.basis.dimension:
+    sector = (state.basis.n_modes, state.basis.n_particles)
+    if sector != (op.basis.n_modes, op.basis.n_particles):
         raise ValueError("state and operator bases do not match")
     if t == 0.0:
         return FockState(state.basis, state.amplitudes.copy())
-    if op.basis.dimension <= dense_cutoff:
-        vals, vecs = op._eigensystem()
-        phases = np.exp(-1j * vals * t)
-        amp = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
-    else:
-        amp = expm_multiply((-1j * t) * op.matrix, state.amplitudes)
+    amp = expm_multiply((-1j * t) * op.matrix, state.amplitudes)
     return FockState(state.basis, amp)
 
 

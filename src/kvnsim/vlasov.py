@@ -28,18 +28,12 @@ class CFLViolation(ValueError):
 class VlasovSettings:
     dt: float
     interpolation: str = "cubic-spline"
-    splitting: str = "strang"
-    force_update: str = "half-step-frozen"
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if self.interpolation not in ("cubic-spline", "linear"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if self.splitting != "strang":
-            raise ValueError(f"unknown splitting {self.splitting!r}")
-        if self.force_update != "half-step-frozen":
-            raise ValueError(f"unknown force update {self.force_update!r}")
 
 
 def _ppoly_eval_columns(pp, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, parse_config
@@ -25,7 +27,7 @@ def test_minimal_config_fills_defaults():
     assert isinstance(cfg.spec.external, type(cfg.spec.external))
     assert isinstance(cfg.spec.pair, NoPair)
     assert cfg.snapshots == (0.1,)
-    assert cfg.settings.vlasov.interpolation == "cubic-spline"
+    assert cfg.settings.interpolation == "cubic-spline"
 
 
 def test_config_error_collection_with_paths():
@@ -55,9 +57,6 @@ def test_non_strict_mode_warns_on_unknown_keys():
     raw["extra_key"] = 42
     with pytest.raises(ConfigError):
         parse_config(json.dumps(raw))
-    with pytest.warns(UserWarning, match="extra_key"):
-        cfg = parse_config(json.dumps(raw), strict=False)
-    assert cfg.method == "vlasov"
 
 
 def test_cosine_potential_requires_commensurate_periodic_domain():
@@ -274,3 +273,158 @@ def test_cli_compare_ensemble_table_with_sidecar(tmp_path):
     meta = json.loads((out / "convergence_meta.json").read_text())
     assert meta["seed"] == 5
     assert meta["coupling_scaling"] == "mean-field"
+
+
+# --------------------------------------------------------------------------
+# parser robustness: only ConfigError, every refusal at its key path
+# --------------------------------------------------------------------------
+
+def config_errors(raw) -> list[str]:
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw if isinstance(raw, str) else json.dumps(raw))
+    return err.value.errors
+
+
+@pytest.mark.parametrize("value", ["harmonic", 5, None, [1, 2]])
+def test_non_object_potential_is_a_config_error(value):
+    raw = dict(MINIMAL_VLASOV, problem={"external_potential": value})
+    assert config_errors(raw) == ["problem.external_potential: expected an object"]
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_are_config_errors(text):
+    raw = json.dumps(MINIMAL_VLASOV).replace('"q_min": -8', f'"q_min": {text}')
+    assert config_errors(raw) == ["grid.q_min: expected a finite number"]
+
+
+def test_library_settings_errors_carry_the_block_path():
+    raw = json.loads(json.dumps(MINIMAL_VLASOV))
+    raw["method"] = "compare"
+    raw["settings"] = {"strengths": [0.1], "vlasov": {"dt": 0.01, "interpolation": "quintic"},
+                       "perturbation": {"quadrature": "simpson"}}
+    assert config_errors(raw) == [
+        "settings.perturbation: unknown quadrature 'simpson'",
+        "settings.vlasov: unknown interpolation 'quintic'",
+    ]
+
+
+def test_compare_sweep_entries_are_checked_one_by_one():
+    raw = json.loads(json.dumps(MINIMAL_VLASOV))
+    raw["method"] = "compare"
+    raw["settings"] = {"strengths": ["a", 0.1, True, -0.5], "vlasov": {"dt": 0.01}}
+    assert config_errors(raw) == [
+        "settings.strengths[0]: must be a number >= 0",
+        "settings.strengths[2]: must be a number >= 0",
+        "settings.strengths[3]: must be a number >= 0",
+    ]
+    raw["settings"] = {"targets": ["ensemble", "vlasov"], "n_list": [10, 2.5, 0, False, "3"],
+                       "vlasov": {"dt": 0.01}}
+    assert config_errors(raw) == [f"settings.n_list[{i}]: must be an integer >= 1"
+                                  for i in (1, 2, 3, 4)]
+
+
+def test_cli_validate_refuses_unsupported_fock_particle_number(tmp_path, capsys):
+    payload = {
+        "method": "fock",
+        "grid": {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
+                 "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True},
+        "initial_density": {"type": "gaussian"},
+        "times": {"t_final": 0.1},
+        "settings": {"n_particles": 3},
+    }
+    assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
+    assert "settings.n_particles: must be 1 or 2" in capsys.readouterr().err
+
+
+def test_cli_seed_override_is_validated(tmp_path, capsys):
+    payload = dict(MINIMAL_VLASOV, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--seed", "-1"]) == 1
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.sampled_from([10**400, -1, 0, 1, 2, 3, 0.5, "gaussian", "harmonic",
+                                  "cosine", "mixture", "quartic", "perturbation", "vlasov",
+                                  "ensemble"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+TOP_KEYS = ("method", "output_dir", "seed", "problem", "grid", "initial_density", "times",
+            "settings")
+
+PERIODIC_GRID = {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
+                 "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True}
+VALID_CONFIGS = [
+    MINIMAL_VLASOV,
+    {"method": "flow", "problem": {"external_potential": {"type": "quartic", "a": 0.5, "b": 1}},
+     "times": {"t_final": 1.0}, "settings": {"points_csv": "pts.csv", "n_snapshots": 3}},
+    dict(MINIMAL_VLASOV, method="perturbation",
+         settings={"n_s": 8, "quadrature": "trapezoid", "flow": {"dt": 0.01},
+                   "aux_grid": MINIMAL_VLASOV["grid"]}),
+    dict(MINIMAL_VLASOV, method="fock", grid=PERIODIC_GRID,
+         problem={"external_potential": {"type": "cosine", "wavenumber": 1, "amplitude": 0.4},
+                  "pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
+         settings={"n_particles": 2, "dimension_cap": 1000}),
+    dict(MINIMAL_VLASOV, method="ensemble", seed=3,
+         initial_density={"type": "mixture", "weights": [1, 2],
+                          "components": [{"q_center": -1}, {"type": "gaussian", "q_center": 1}]},
+         settings={"dt": 0.05, "n_particles": 50, "coupling_scaling": "bare"}),
+    dict(MINIMAL_VLASOV, method="compare",
+         problem={"pair_potential": {"type": "cosine", "strength": 0.1, "wavenumber": 1}},
+         settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
+                   "ensemble": {"dt": 0.05, "n_particles": 10}, "vlasov": {"dt": 0.02}}),
+    dict(MINIMAL_VLASOV, method="compare", times={"t_final": 0.2, "snapshots": [0.1, 0.2]},
+         settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},
+                   "vlasov": {"dt": 0.01}}),
+]
+
+
+def parse_or_config_error(text: str) -> None:
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("raw", VALID_CONFIGS)
+def test_property_test_seed_configs_are_valid(raw):
+    assert parse_config(json.dumps(raw)).method == raw["method"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=40) | JSON_VALUES.map(json.dumps)
+       | st.fixed_dictionaries({}, optional={k: JSON_VALUES for k in TOP_KEYS}).map(json.dumps))
+def test_parse_config_raises_only_config_error_on_arbitrary_json(text):
+    parse_or_config_error(text)
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_config_raises_only_config_error_on_mutated_configs(data):
+    raw = json.loads(json.dumps(data.draw(st.sampled_from(VALID_CONFIGS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(raw))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    parse_or_config_error(json.dumps(raw))

@@ -28,8 +28,6 @@ DT3 = FlowSettings(dt=1e-3)
 def test_settings_validation():
     with pytest.raises(ValueError):
         FlowSettings(dt=0.0)
-    with pytest.raises(ValueError):
-        FlowSettings(dt=1e-3, integrator="rk4")
 
 
 def test_free_streaming_exact():

@@ -25,8 +25,6 @@ def test_settings_validation():
         VlasovSettings(dt=0.0)
     with pytest.raises(ValueError):
         VlasovSettings(dt=0.01, interpolation="quintic")
-    with pytest.raises(ValueError):
-        VlasovSettings(dt=0.01, splitting="lie")
 
 
 def test_free_streaming_matches_analytic_shift():
