@@ -62,9 +62,10 @@ _STATE_MAGIC = b"KVNQ"
 _OP_MAGIC = b"KVNO"
 _VERSION = 1
 
-_GRID_STRUCT = struct.Struct("<IIBBxx4d")       # 44 bytes
 _FIELD_HEADER = struct.Struct("<4sI" + "IIBBxx4d" + "d4x")  # 64 bytes
 _FOCK_HEADER = struct.Struct("<4sIIIQQ" + "IIBBxx4d")       # 76 bytes
+_OP_RECORD = np.dtype([("row", "<u8"), ("col", "<u8"), ("value", "<c16")])
+_MAX_BASIS_ENTRIES = 1 << 24
 
 
 def _grid_tuple(grid: PhaseGrid):
@@ -78,6 +79,30 @@ def _grid_from_tuple(t) -> PhaseGrid:
                      bool(per_q), bool(per_p))
 
 
+def _read(path, header: struct.Struct, magic: bytes, what: str, payload_bytes):
+    """Header fields after magic and version, and a payload of exactly payload_bytes(*fields)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < header.size or raw[:8] != struct.pack("<4sI", magic, _VERSION):
+        raise ValueError(f"{path}: not a version-{_VERSION} {what} file ({len(raw)} bytes)")
+    fields = header.unpack_from(raw, 0)[2:]
+    payload = memoryview(raw)[header.size:]
+    if len(payload) != payload_bytes(*fields):
+        raise ValueError(f"{path}: {len(payload)} payload bytes, "
+                         f"the header implies {payload_bytes(*fields)}")
+    return fields, payload
+
+
+def _fock_basis(path, n_particles: int, n_modes: int, dim: int) -> FockBasis:
+    """The header's sector, refused unless consistent and under _MAX_BASIS_ENTRIES integers."""
+    if not (n_modes >= 1 and n_particles >= 1
+            and (dim + n_modes) * n_particles <= _MAX_BASIS_ENTRIES
+            and dim == FockBasis.sector_dimension(n_modes, n_particles)):
+        raise ValueError(f"{path}: header dimension {dim} with {n_particles} particles in "
+                         f"{n_modes} modes is not a sector, or too large to read")
+    return FockBasis(n_modes=n_modes, n_particles=n_particles)
+
+
 def write_field(path, density: DensityField) -> None:
     grid = density.grid
     t = np.nan if density.time is None else float(density.time)
@@ -87,15 +112,11 @@ def write_field(path, density: DensityField) -> None:
 
 
 def read_field(path) -> DensityField:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, version, *rest = _FIELD_HEADER.unpack_from(raw, 0)
-    if magic != _FIELD_MAGIC or version != _VERSION:
-        raise ValueError(f"{path}: not a version-{_VERSION} density-field file")
-    grid = _grid_from_tuple(rest[:8])
-    t = rest[8]
-    values = np.frombuffer(raw, dtype="<f8", offset=_FIELD_HEADER.size)
-    values = values.reshape(grid.n_q, grid.n_p).astype(float)
+    fields, payload = _read(path, _FIELD_HEADER, _FIELD_MAGIC, "density-field",
+                            lambda n_q, n_p, *_: 8 * n_q * n_p)
+    grid = _grid_from_tuple(fields[:8])
+    t = fields[8]
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.n_q, grid.n_p).astype(float)
     return DensityField(grid, values, time=None if np.isnan(t) else float(t))
 
 
@@ -103,22 +124,15 @@ def write_fock_state(path, state: FockState, grid: PhaseGrid) -> None:
     basis = state.basis
     header = _FOCK_HEADER.pack(_STATE_MAGIC, _VERSION, basis.n_particles,
                                basis.n_modes, basis.dimension, 0, *_grid_tuple(grid))
-    pairs = np.empty((basis.dimension, 2), dtype="<f8")
-    pairs[:, 0] = state.amplitudes.real
-    pairs[:, 1] = state.amplitudes.imag
-    atomic_write_bytes(path, header + pairs.tobytes())
+    atomic_write_bytes(path, header + state.amplitudes.astype("<c16").tobytes())
 
 
 def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, version, n_particles, n_modes, dim, _, *g = _FOCK_HEADER.unpack_from(raw, 0)
-    if magic != _STATE_MAGIC or version != _VERSION:
-        raise ValueError(f"{path}: not a version-{_VERSION} state file")
+    (n_particles, n_modes, dim, _, *g), payload = _read(
+        path, _FOCK_HEADER, _STATE_MAGIC, "state", lambda n, m, dim, *_: 16 * dim)
     grid = _grid_from_tuple(g)
-    pairs = np.frombuffer(raw, dtype="<f8", offset=_FOCK_HEADER.size).reshape(dim, 2)
-    basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
-    return FockState(basis, pairs[:, 0] + 1j * pairs[:, 1]), grid
+    basis = _fock_basis(path, n_particles, n_modes, dim)
+    return FockState(basis, np.frombuffer(payload, dtype="<c16").copy()), grid
 
 
 def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
@@ -127,31 +141,21 @@ def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
     order = np.lexsort((coo.col, coo.row))
     header = _FOCK_HEADER.pack(_OP_MAGIC, _VERSION, basis.n_particles, basis.n_modes,
                                basis.dimension, coo.nnz, *_grid_tuple(grid))
-    records = np.empty(coo.nnz, dtype=[("row", "<u8"), ("col", "<u8"),
-                                       ("re", "<f8"), ("im", "<f8")])
-    records["row"] = coo.row[order]
-    records["col"] = coo.col[order]
-    records["re"] = coo.data[order].real
-    records["im"] = coo.data[order].imag
+    records = np.rec.fromarrays([coo.row[order], coo.col[order], coo.data[order]],
+                                dtype=_OP_RECORD)
     atomic_write_bytes(path, header + records.tobytes())
 
 
 def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, version, n_particles, n_modes, dim, nnz, *g = _FOCK_HEADER.unpack_from(raw, 0)
-    if magic != _OP_MAGIC or version != _VERSION:
-        raise ValueError(f"{path}: not a version-{_VERSION} operator file")
+    (n_particles, n_modes, dim, _, *g), payload = _read(
+        path, _FOCK_HEADER, _OP_MAGIC, "operator", lambda n, m, d, nnz, *_: 32 * nnz)
     grid = _grid_from_tuple(g)
-    records = np.frombuffer(raw, dtype=[("row", "<u8"), ("col", "<u8"),
-                                        ("re", "<f8"), ("im", "<f8")],
-                            offset=_FOCK_HEADER.size, count=nnz)
+    basis = _fock_basis(path, n_particles, n_modes, dim)
+    records = np.frombuffer(payload, dtype=_OP_RECORD)
     matrix = sp.coo_matrix(
-        (records["re"] + 1j * records["im"],
-         (records["row"].astype(np.int64), records["col"].astype(np.int64))),
+        (records["value"], (records["row"].astype(np.int64), records["col"].astype(np.int64))),
         shape=(dim, dim),
     ).tocsr()
-    basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
     return FockOperator(basis, matrix), grid
 
 

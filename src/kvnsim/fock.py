@@ -15,7 +15,7 @@ Bose statistics only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -191,38 +191,55 @@ def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> TwoBodyTensor:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis of the fixed-N bosonic sector over M modes.
+    """Fixed-N bosonic sector over M modes, one state per sorted mode-index tuple.
 
-    States are ordered by the lexicographically sorted mode-index tuples of
-    the particles, which fixes a bijective index map.
+    ``modes[s]`` lists the modes of the N particles of state s in ascending
+    order, and the rows follow the lexicographic order of
+    ``combinations_with_replacement(range(M), N)``.  A tuple's row is its rank
+    in that order, computed from multiset counts as in the combinatorial
+    number system (Knuth, TAOCP 4A, 7.2.1.3); no state lookup table is kept.
     """
 
     n_modes: int
     n_particles: int
-    occupations: np.ndarray = field(init=False, repr=False)
-    _index: dict = field(init=False, repr=False)
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
+    _multisets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
-        occs = []
-        for combo in combinations_with_replacement(range(self.n_modes), self.n_particles):
-            occ = np.zeros(self.n_modes, dtype=np.int64)
-            for i in combo:
-                occ[i] += 1
-            occs.append(occ)
-        occupations = np.array(occs, dtype=np.int64)
-        object.__setattr__(self, "occupations", occupations)
-        object.__setattr__(
-            self, "_index", {tuple(row): k for k, row in enumerate(occupations)}
-        )
+        M, N = self.n_modes, self.n_particles
+        flat = chain.from_iterable(combinations_with_replacement(range(M), N))
+        object.__setattr__(self, "modes", np.fromiter(flat, np.int64).reshape(-1, N))
+        # multisets[c, r]: size-r multisets of the modes c..M-1, C(M - c + r - 1, r)
+        multisets = np.ones((M, N + 1), dtype=np.int64)
+        for r in range(1, N + 1):
+            multisets[::-1, r] = np.cumsum(multisets[::-1, r - 1])
+        object.__setattr__(self, "_multisets", multisets)
 
     @property
     def dimension(self) -> int:
-        return self.occupations.shape[0]
+        return self.modes.shape[0]
+
+    @property
+    def occupations(self) -> np.ndarray:
+        """(dim x M) occupation numbers, built from ``modes`` on each access."""
+        return _tally(self.modes, self.n_modes)
+
+    def _rank(self, modes: np.ndarray) -> np.ndarray:
+        """Row of each sorted tuple in ``modes`` (shape (..., N))."""
+        below = np.concatenate([np.zeros_like(modes[..., :1]), modes[..., :-1]], axis=-1)
+        size = np.arange(self.n_particles, 0, -1)
+        # tuples that agree before slot j and hold a mode in [below_j, modes_j) there
+        return (self._multisets[below, size] - self._multisets[modes, size]).sum(axis=-1)
 
     def index_of(self, occupation) -> int:
-        return self._index[tuple(int(n) for n in occupation)]
+        occ = np.asarray(occupation)
+        M, N = self.n_modes, self.n_particles
+        if occ.shape != (M,) or occ.dtype.kind not in "iuf" \
+                or not np.all((occ >= 0) & (occ <= N) & (occ == np.floor(occ))) or occ.sum() != N:
+            raise ValueError(f"expected {M} non-negative integer occupations summing to {N}")
+        return int(self._rank(np.repeat(np.arange(M), occ.astype(np.int64))))
 
     @staticmethod
     def sector_dimension(n_modes: int, n_particles: int) -> int:
@@ -265,6 +282,33 @@ class FockOperator:
         return _max_abs(self.matrix - self.matrix.getH())
 
 
+def _tally(values: np.ndarray, n: int) -> np.ndarray:
+    """(rows x n) count of each value in [0, n) per row of ``values``."""
+    flat = (np.arange(len(values))[:, None] * n + values).ravel()
+    return np.bincount(flat, minlength=len(values) * n).reshape(len(values), n)
+
+
+def _hops(basis: FockBasis, stencil: sp.spmatrix):
+    """Every move a+_i a_k of an M x M stencil over every basis state, as
+    (target row, source col, i, stencil value, sqrt(n_k (n_i - delta_ik + 1)))."""
+    modes = basis.modes
+    # a source moves each distinct occupied mode k once, from its first slot
+    col, slot = np.nonzero(np.diff(modes, axis=1, prepend=-1))
+    k = modes[col, slot]
+    csc = stencil.tocsc()
+    per = np.diff(csc.indptr)[k]
+    entry = np.repeat(csc.indptr[k] - np.cumsum(per) + per, per) + np.arange(per.sum())
+    col, slot, k = np.repeat(col, per), np.repeat(slot, per), np.repeat(k, per)
+    i = csc.indices[entry]
+    target = modes[col]
+    n_k = np.count_nonzero(target == k[:, None], axis=1)
+    n_i = np.count_nonzero(target == i[:, None], axis=1)
+    factor = np.sqrt(n_k * (n_i - (i == k) + 1))
+    target[np.arange(len(col)), slot] = i
+    row = basis._rank(np.sort(target, axis=1))
+    return row, col, i, csc.data[entry], factor
+
+
 def assemble_liouvillian(one_body: OneBodyMatrix, two_body: TwoBodyTensor,
                          basis: FockBasis,
                          dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
@@ -274,6 +318,9 @@ def assemble_liouvillian(one_body: OneBodyMatrix, two_body: TwoBodyTensor,
     with no extra prefactor on the pair term: that convention makes the N=2
     sector reproduce the first-quantized two-particle generator
     h(x) + h(x') + g(x,x') + g(x',x) exactly, which is the normative test.
+    Both terms go through one kernel of hops a+_i a_k over all states: the
+    one-body term with value h_ik, the pair term with d_ik W(s, q-column of
+    i), d the momentum stencil and W(s, a) = -sum_a' grad v(q_a - q_a') n_s(a').
     Total occupation is conserved move by move, so [L, N] = 0 exactly.
     """
     M = basis.n_modes
@@ -281,59 +328,20 @@ def assemble_liouvillian(one_body: OneBodyMatrix, two_body: TwoBodyTensor,
         raise ValueError("one-body matrix size does not match the basis modes")
     dim = basis.dimension
     if dim > dimension_cap:
-        raise DimensionCapError(
-            f"sector dimension {dim} exceeds the cap {dimension_cap}"
-        )
-    occ = basis.occupations
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    diag = np.zeros(dim, dtype=complex)
-
-    h = one_body.matrix.tocoo()
-    for i, k, hik in zip(h.row, h.col, h.data):
-        if i == k:
-            diag += hik * occ[:, i]
-            continue
-        sources = np.nonzero(occ[:, k] > 0)[0]
-        for s in sources:
-            n_k = occ[s, k]
-            n_i = occ[s, i]
-            target = occ[s].copy()
-            target[k] -= 1
-            target[i] += 1
-            r = basis.index_of(target)
-            rows.append(r)
-            cols.append(int(s))
-            vals.append(hik * np.sqrt(n_k * (n_i + 1)))
-
+        raise DimensionCapError(f"sector dimension {dim} exceeds the cap {dimension_cap}")
+    row, col, _, hik, factor = _hops(basis, one_body.matrix)
+    moves = [(row, col, hik * factor)]
     if not two_body.is_empty:
-        grid_nq = two_body.gradv_q.shape[0]
-        n_p = M // grid_nq
-        # occupation per q-column, and the pair-weight field W(s, a)
-        occ_q = occ.reshape(dim, grid_nq, n_p).sum(axis=2)
-        w_field = -occ_q @ two_body.gradv_q.T  # W(s, a) = -sum_a' gradv[a,a'] n_s(a')
-        iq_of_mode = np.repeat(np.arange(grid_nq), n_p)
-        dp1 = two_body.momentum_stencil.tocoo()
-        for i, k, dval in zip(dp1.row, dp1.col, dp1.data):
-            if i == k:
-                continue
-            a_i = iq_of_mode[i]
-            sources = np.nonzero(occ[:, k] > 0)[0]
-            for s in sources:
-                n_k = occ[s, k]
-                n_i = occ[s, i]
-                target = occ[s].copy()
-                target[k] -= 1
-                target[i] += 1
-                r = basis.index_of(target)
-                rows.append(r)
-                cols.append(int(s))
-                vals.append(dval * w_field[s, a_i] * np.sqrt(n_k * (n_i + 1)))
-
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
-    matrix = matrix + sp.diags(diag)
-    return FockOperator(basis=basis, matrix=matrix.tocsr())
+        n_q = two_body.gradv_q.shape[0]
+        n_p = M // n_q
+        # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), from the particles per q-column
+        w_field = -_tally(basis.modes // n_p, n_q) @ two_body.gradv_q.T
+        row, col, i, dik, factor = _hops(basis, two_body.momentum_stencil)
+        moves.append((row, col, (dik * w_field[col, i // n_p]) * factor))
+    row, col, val = (np.concatenate(part) for part in zip(*moves))
+    matrix = sp.coo_matrix((val, (row, col)), shape=(dim, dim), dtype=complex).tocsr()
+    matrix.eliminate_zeros()
+    return FockOperator(basis=basis, matrix=matrix)
 
 
 def embed_product_state(psi: np.ndarray, basis: FockBasis, modes: ModeBasis) -> FockState:
@@ -360,16 +368,9 @@ def embed_product_state(psi: np.ndarray, basis: FockBasis, modes: ModeBasis) -> 
         scale = np.max(np.abs(psi))
         if scale > 0 and np.max(np.abs(psi - psi.T)) > 1e-12 * scale:
             raise ValueError("two-particle grid function must be exchange symmetric")
-        coeff = psi * vol
-        amp = np.zeros(basis.dimension, dtype=complex)
-        occ = basis.occupations
-        for s in range(basis.dimension):
-            nz = np.nonzero(occ[s])[0]
-            if nz.size == 1:
-                amp[s] = coeff[nz[0], nz[0]]
-            else:
-                amp[s] = np.sqrt(2.0) * coeff[nz[0], nz[1]]
-        return FockState(basis, amp)
+        a, b = basis.modes.T
+        coeff = (psi * vol)[a, b]
+        return FockState(basis, np.where(a == b, coeff, np.sqrt(2.0) * coeff))
     raise NotImplementedError("grid-function embedding is implemented for N <= 2")
 
 
@@ -430,12 +431,6 @@ class QuantumVlasovResult:
     @property
     def max_residual(self) -> float:
         return float(np.max(np.abs(self.residual)))
-
-    @property
-    def residual_exact_dt(self) -> np.ndarray:
-        """Residual with the commutator time derivative instead of the fd one."""
-        return (self.dt_term_exact + self.transport_term
-                + self.force_external_term + self.force_pair_term)
 
     @property
     def dt_component(self) -> np.ndarray:

@@ -1,5 +1,12 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kvnsim.densities import GaussianDensity
 from kvnsim.fileio import (
     RunManifest,
@@ -14,9 +21,17 @@ from kvnsim.fileio import (
     write_points_csv,
     write_table_csv,
 )
-from kvnsim.fock import FockBasis, FockState, assemble_liouvillian, build_one_body, build_two_body
+from kvnsim.fock import (
+    FockBasis,
+    FockOperator,
+    FockState,
+    assemble_liouvillian,
+    build_one_body,
+    build_two_body,
+)
 from kvnsim.perturbation import ConvergenceTable
 from kvnsim.phase_space import (
+    DensityField,
     GaussianPair,
     HarmonicPotential,
     PhaseGrid,
@@ -110,3 +125,151 @@ def test_manifest_round_trip_and_checksums(tmp_path):
     assert back.seeds == [3]
     assert back.files[0]["path"] == "data.csv"
     assert back.files[0]["sha256"] == sha256_of(art)
+
+
+def _valid_files(tmp_path):
+    """One small valid file per binary format, keyed by its reader."""
+    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 4, 4, periodic_q=True, periodic_p=True)
+    spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
+                       pair=GaussianPair(strength=0.2, width=0.9))
+    basis = FockBasis(n_modes=16, n_particles=2)
+    paths = {read_field: tmp_path / "f.kvnf", read_fock_state: tmp_path / "s.kvnq",
+             read_fock_operator: tmp_path / "o.kvno"}
+    write_field(paths[read_field],
+                density_from_function(grid, GaussianDensity(0, 0, 0.5, 0.4), warn=False))
+    write_fock_state(paths[read_fock_state], FockState(basis, np.arange(136.0) + 1j), grid)
+    write_fock_operator(paths[read_fock_operator],
+                        assemble_liouvillian(build_one_body(grid, spec),
+                                             build_two_body(grid, spec), basis), grid)
+    return paths
+
+
+READERS = [read_field, read_fock_state, read_fock_operator]
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+def test_binary_readers_refuse_short_truncated_and_oversized_files(tmp_path, reader):
+    path = _valid_files(tmp_path)[reader]
+    raw = path.read_bytes()
+    reader(path)
+    for bad in (raw[:20], raw[:-8], raw + b"\x00" * 64):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="not a version-1|payload bytes"):
+            reader(path)
+
+
+def _patched(raw: bytes, fmt: str, offset: int, value) -> bytes:
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def test_field_reader_refuses_wrong_dimensions(tmp_path):
+    path = _valid_files(tmp_path)[read_field]
+    raw = path.read_bytes()
+    path.write_bytes(_patched(raw, "<I", 8, 8))            # n_q 4 -> 8
+    with pytest.raises(ValueError, match="payload bytes"):
+        read_field(path)
+
+
+def test_fock_state_reader_refuses_wrong_dimensions(tmp_path):
+    path = _valid_files(tmp_path)[read_fock_state]
+    raw = path.read_bytes()
+    # the payload matches the header dimension, which is not the sector's
+    path.write_bytes(_patched(raw, "<Q", 16, 137) + b"\x00" * 16)
+    with pytest.raises(ValueError, match="dimension 137 with 2 particles in 16 modes"):
+        read_fock_state(path)
+    path.write_bytes(_patched(raw, "<I", 8, 0))             # n_particles 0
+    with pytest.raises(ValueError, match="with 0 particles"):
+        read_fock_state(path)
+    # a consistent header whose basis would hold ~2**32 integers
+    huge = _patched(_patched(raw, "<I", 12, 1), "<I", 8, 2**32 - 1)
+    path.write_bytes(_patched(huge, "<Q", 16, 1)[:76 + 16])
+    with pytest.raises(ValueError, match="too large"):
+        read_fock_state(path)
+
+
+def test_fock_operator_reader_refuses_wrong_dimensions(tmp_path):
+    path = _valid_files(tmp_path)[read_fock_operator]
+    raw = path.read_bytes()
+    path.write_bytes(_patched(raw, "<Q", 16, 135))
+    with pytest.raises(ValueError, match="dimension 135 with 2 particles"):
+        read_fock_operator(path)
+    # modes and particles far too large to enumerate, with a made-up dimension
+    huge = _patched(_patched(raw, "<I", 8, 2**31), "<I", 12, 2**31)
+    path.write_bytes(_patched(huge, "<Q", 16, 2**63))
+    with pytest.raises(ValueError, match="not a sector"):
+        read_fock_operator(path)
+
+
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def grids(draw):
+    q_min, p_min = draw(FINITE), draw(FINITE)
+    return PhaseGrid(q_min, q_min + draw(st.floats(0.1, 50)), p_min,
+                     p_min + draw(st.floats(0.1, 50)), draw(st.integers(4, 7)),
+                     draw(st.integers(4, 7)), draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1),
+       time=st.none() | st.floats(-1e6, 1e6, allow_nan=False))
+def test_field_round_trip_property(grid, seed, time):
+    values = np.random.default_rng(seed).exponential(size=(grid.n_q, grid.n_p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.kvnf")
+        write_field(path, DensityField(grid, values, time=time))
+        back = read_field(path)
+    assert back.grid == grid and back.time == time
+    assert back.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids(), n_modes=st.integers(1, 12), n_particles=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_fock_state_and_operator_round_trip_property(grid, n_modes, n_particles, seed):
+    basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    shape = (basis.dimension, basis.dimension)
+    dense = np.where(rng.random(shape) < 0.1, rng.normal(size=shape) * (1 - 2j), 0)
+    op = FockOperator(basis, sp.csr_matrix(dense))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_fock_state(os.path.join(tmp, "s.kvnq"), FockState(basis, amp), grid)
+        write_fock_operator(os.path.join(tmp, "o.kvno"), op, grid)
+        state, state_grid = read_fock_state(os.path.join(tmp, "s.kvnq"))
+        back, op_grid = read_fock_operator(os.path.join(tmp, "o.kvno"))
+    assert state_grid == op_grid == grid
+    assert (state.basis, back.basis) == (basis, basis)
+    assert state.amplitudes.tobytes() == amp.tobytes()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.matrix, name), getattr(op.matrix, name))
+
+
+@pytest.fixture(scope="module")
+def valid_bytes(tmp_path_factory):
+    paths = _valid_files(tmp_path_factory.mktemp("valid"))
+    return {reader: path.read_bytes() for reader, path in paths.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_binary_readers_raise_only_value_error_on_damaged_files(valid_bytes, data):
+    """Truncate a valid file and/or overwrite bytes of its header and first records."""
+    reader = data.draw(st.sampled_from(READERS), label="reader")
+    raw = bytearray(valid_bytes[reader])
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    for _ in range(data.draw(st.integers(0, 4)) if raw else 0):
+        pos = data.draw(st.integers(0, min(len(raw), 160) - 1), label="position")
+        raw[pos] = data.draw(st.integers(0, 255), label="byte")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "damaged")
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw))
+        try:
+            reader(path)
+        except ValueError:
+            pass

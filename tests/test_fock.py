@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,7 @@ from kvnsim.fock import (
     FockOperator,
     FockState,
     ModeBasis,
+    OneBodyMatrix,
     assemble_liouvillian,
     build_one_body,
     build_two_body,
@@ -121,6 +124,35 @@ def test_fock_basis_dimensions_and_index():
     for k in (0, 17, 34):
         assert basis.index_of(basis.occupations[k]) == k
     assert np.all(basis.occupations.sum(axis=1) == 3)
+    for M, N in [(1, 1), (1, 4), (7, 1), (5, 3), (16, 2), (3, 6), (6, 4)]:
+        basis = FockBasis(n_modes=M, n_particles=N)
+        assert basis.dimension == FockBasis.sector_dimension(M, N)
+        expected = list(combinations_with_replacement(range(M), N))
+        assert basis.modes.tolist() == [list(t) for t in expected]
+        occ = basis.occupations
+        assert occ.shape == (basis.dimension, M) and np.all(occ.sum(axis=1) == N)
+        assert [basis.index_of(row) for row in occ] == list(range(basis.dimension))
+    # integral floats and plain lists rank like integer arrays
+    assert FockBasis(n_modes=4, n_particles=2).index_of([1, 0, 0, 1.0]) == 3
+
+
+@pytest.mark.parametrize("occupation", [
+    [1, 1, 0],                  # too short
+    [1, 1, 0, 0, 0],            # too long
+    [[1, 1, 0, 0]],             # wrong shape
+    [3, -1, 0, 0],              # negative entry
+    [1.5, 0.5, 0, 0],           # non-integer entries with the right total
+    [np.nan, 2, 0, 0],
+    [1, 0, 0, 0],               # total below n_particles
+    [1, 1, 1, 0],               # total above n_particles
+    [2**62, 2**62, 2**62, 2**62 + 2],   # sums to 2 modulo 2**64
+    ["1", "1", "0", "0"],
+], ids=["short", "long", "2d", "negative", "fractional", "nan", "too-few", "too-many",
+        "wraps", "strings"])
+def test_fock_basis_index_of_rejects_unrankable_occupations(occupation):
+    basis = FockBasis(n_modes=4, n_particles=2)
+    with pytest.raises(ValueError, match="occupations"):
+        basis.index_of(occupation)
 
 
 def test_assemble_single_particle_sector_equals_one_body():
@@ -155,12 +187,22 @@ def test_assemble_dimension_cap():
 
 
 def test_assemble_against_generic_contraction_oracle():
-    """Apply the raw normal-ordered tensor contraction state by state."""
+    for n_particles, on_site in [(2, False), (3, False), (3, True)]:
+        _check_against_contraction_oracle(n_particles, on_site)
+
+
+def _check_against_contraction_oracle(n_particles, on_site):
+    """Apply the raw normal-ordered tensor contraction state by state.
+
+    ``on_site`` adds a real diagonal to the one-body matrix, so that the
+    i == k moves (weight n_k) are exercised too."""
     grid = periodic_grid(4, 4)
     one = build_one_body(grid, INTERACTING)
     two = build_two_body(grid, INTERACTING)
     M = 16
-    basis = FockBasis(n_modes=M, n_particles=2)
+    if on_site:
+        one = OneBodyMatrix((one.matrix + sp.diags(np.linspace(-1.0, 1.0, M))).tocsr())
+    basis = FockBasis(n_modes=M, n_particles=n_particles)
     L = assemble_liouvillian(one, two, basis)
 
     def annihilate(occ, amp, k):
