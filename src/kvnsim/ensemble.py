@@ -19,7 +19,14 @@ import numpy as np
 
 from .densities import CatalogDensity, GaussianDensity, GaussianMixture
 from .flow import _verlet_steps
-from .phase_space import CosinePair, DensityField, NoPair, PhaseGrid, ProblemSpec
+from .phase_space import (
+    CosinePair,
+    DensityField,
+    NoPair,
+    PhaseGrid,
+    ProblemSpec,
+    density_from_function,
+)
 from .vlasov import VlasovSettings, vlasov_solve
 from .perturbation import ConvergenceTable, _fit_order
 
@@ -108,24 +115,16 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     interacting = not isinstance(spec.pair, NoPair)
     if interacting and n < 2:
         raise ValueError("interacting runs need at least two particles")
-    scale = 1.0 if not interacting else (
-        1.0 / (n - 1) if settings.coupling_scaling == "mean-field" else 1.0
-    )
+    scale = 1.0 / (n - 1) if interacting and settings.coupling_scaling == "mean-field" else 1.0
     n_steps = int(round(T / settings.dt))
     if abs(n_steps * settings.dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("T must be an integer multiple of dt")
-    q, p = pts[:, 0], pts[:, 1]
-    m = spec.mass
-    dt = settings.dt
-    if not interacting:
-        q, p = _verlet_steps(q, p, n_steps, dt, spec)
-        return np.column_stack([q, p])
-    g = spec.external_gradient(q) - _pair_forces(q, spec, scale)
-    for _ in range(n_steps):
-        p = p - 0.5 * dt * g
-        q = q + dt * p / m
-        g = spec.external_gradient(q) - _pair_forces(q, spec, scale)
-        p = p - 0.5 * dt * g
+
+    def gradient(q):
+        return spec.external_gradient(q) - _pair_forces(q, spec, scale)
+
+    q, p = _verlet_steps(pts[:, 0], pts[:, 1], n_steps, settings.dt, spec.mass,
+                         gradient if interacting else spec.external_gradient)
     return np.column_stack([q, p])
 
 
@@ -160,8 +159,6 @@ def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGr
     the fitted order is the slope of log(distance) against log(n), so -1/2
     is the expected value.
     """
-    from .phase_space import density_from_function
-
     init = density_from_function(grid, density, warn=False)
     reference = vlasov_solve(init, T, spec, vlasov_settings, snapshot_times=[T])[-1]
     rows = []

@@ -224,13 +224,19 @@ def sha256_of(path) -> str:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write via a uniquely named temp file beside ``path``, then rename it."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -46,15 +46,15 @@ def _split_steps(t: float, dt: float) -> tuple[int, float, float]:
     return n, at - n * dt, sign
 
 
-def _verlet_steps(q: np.ndarray, p: np.ndarray, n: int, dt: float, spec: ProblemSpec):
-    m = spec.mass
+def _verlet_steps(q: np.ndarray, p: np.ndarray, n: int, dt: float, m: float, gradient):
+    """n kick-drift-kick steps of mass m under the potential gradient(q)."""
     if n <= 0:
         return q, p
-    g = spec.external_gradient(q)
+    g = gradient(q)
     for _ in range(n):
         p = p - 0.5 * dt * g
         q = q + dt * p / m
-        g = spec.external_gradient(q)
+        g = gradient(q)
         p = p - 0.5 * dt * g
     return q, p
 
@@ -88,9 +88,9 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
         q, p = _exact_flow(q, p, t, spec)
     else:
         n, rem, sign = _split_steps(t, settings.dt)
-        q, p = _verlet_steps(q, p, n, sign * settings.dt, spec)
+        q, p = _verlet_steps(q, p, n, sign * settings.dt, spec.mass, spec.external_gradient)
         if rem > 0.0:
-            q, p = _verlet_steps(q, p, 1, sign * rem, spec)
+            q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
     out = np.column_stack([q, p])
     return out[0] if squeeze else out
 

@@ -272,14 +272,16 @@ class FockOperator:
     basis: FockBasis
     matrix: sp.csr_matrix
     hermitian: bool = field(init=False)
+    _deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dimension, self.basis.dimension):
             raise ValueError("matrix shape does not match the basis dimension")
-        self.hermitian = _max_abs(self.matrix - self.matrix.getH()) <= HERMITICITY_TOL
+        self._deviation = _max_abs(self.matrix - self.matrix.getH())
+        self.hermitian = self._deviation <= HERMITICITY_TOL
 
     def hermiticity_deviation(self) -> float:
-        return _max_abs(self.matrix - self.matrix.getH())
+        return self._deviation
 
 
 def _tally(values: np.ndarray, n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kvnsim.densities import GaussianDensity
 from kvnsim.fileio import (
     RunManifest,
+    atomic_write_bytes,
     read_field,
     read_fock_operator,
     read_fock_state,
@@ -111,6 +112,19 @@ def test_table_csv_footer(tmp_path):
     assert lines[0] == "strength,linf_error"
     assert lines[-1].startswith("fitted_order,")
     assert float(lines[-1].split(",")[1]) == 2.0
+
+
+def test_atomic_write_uses_a_unique_temp_file(tmp_path):
+    # a leftover at the old fixed temp name (here a directory) must not block the write
+    path = tmp_path / "out.bin"
+    (tmp_path / "out.bin.tmp").mkdir()
+    atomic_write_bytes(path, b"first")
+    atomic_write_bytes(path, b"second")
+    assert path.read_bytes() == b"second"
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, "not bytes")
+    assert path.read_bytes() == b"second"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.bin.tmp"]
 
 
 def test_manifest_round_trip_and_checksums(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from kvnsim.densities import GaussianDensity
 from kvnsim.phase_space import (
@@ -10,7 +11,13 @@ from kvnsim.phase_space import (
     ProblemSpec,
     density_from_function,
 )
-from kvnsim.vlasov import CFLViolation, VlasovSettings, vlasov_solve, vlasov_step
+from kvnsim.vlasov import (
+    CFLViolation,
+    VlasovSettings,
+    _advect_columns,
+    vlasov_solve,
+    vlasov_step,
+)
 
 FREE = ProblemSpec()
 STANDARD_GAUSSIAN = GaussianDensity(0.0, 0.0, 1.0, 1.0)
@@ -107,6 +114,16 @@ def test_cfl_violation_rejected():
         vlasov_step(f0, FREE, VlasovSettings(dt=3.0))
 
 
+def test_p_kick_violation_rejected():
+    # a stiff trap kicks the outer q-columns by more than the whole p-extent
+    grid = PhaseGrid(-8, 8, -3, 3, 32, 32)
+    f0 = density_from_function(grid, GaussianDensity(0, 0, 0.8, 0.4), warn=False)
+    spec = ProblemSpec(external=HarmonicPotential(omega=10.0))
+    with pytest.raises(CFLViolation, match="p-domain"):
+        vlasov_step(f0, spec, VlasovSettings(dt=0.01))
+    vlasov_step(f0, spec, VlasovSettings(dt=0.001))
+
+
 def test_refuses_momentum_boundary_mass():
     grid = PhaseGrid(-8, 8, -3, 3, 32, 32)  # p-domain too tight for sigma_p=1
     f0 = density_from_function(grid, STANDARD_GAUSSIAN, warn=False)
@@ -137,3 +154,48 @@ def test_negative_undershoot_clipped_and_counted():
     assert snap.clip_count > 0
     assert snap.values.min() >= DensityField.NEGATIVE_TOL
     assert abs(snap.mass - f0.mass) / f0.mass < 1e-8
+
+
+def _kernel_case(seed, n=48, m=7, delta=0.1):
+    rng = np.random.default_rng(seed)
+    nodes = (np.arange(n) + 0.5) * delta
+    return rng.random((n, m)), nodes, delta, n * delta
+
+
+def test_periodic_cubic_sweep_matches_periodic_cubic_spline():
+    values, nodes, delta, length = _kernel_case(0)
+    shifts = np.random.default_rng(1).uniform(-2.5, 2.5, values.shape[1])
+    out = _advect_columns(values, delta, shifts, periodic=True, cubic=True)
+    ext_nodes = np.append(nodes, nodes[0] + length)
+    for j, shift in enumerate(shifts):
+        spline = CubicSpline(ext_nodes, np.append(values[:, j], values[0, j]),
+                             bc_type="periodic")
+        x = nodes[0] + np.mod(nodes - shift - nodes[0], length)
+        assert np.max(np.abs(out[:, j] - spline(x))) <= 1e-12
+
+
+def test_periodic_linear_sweep_matches_periodic_interp():
+    values, nodes, delta, length = _kernel_case(2)
+    shifts = np.random.default_rng(3).uniform(-2.5, 2.5, values.shape[1])
+    out = _advect_columns(values, delta, shifts, periodic=True, cubic=False)
+    for j, shift in enumerate(shifts):
+        expected = np.interp(nodes - shift, nodes, values[:, j], period=length)
+        assert np.max(np.abs(out[:, j] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("cubic", [True, False])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_integer_shifts_move_whole_cells(periodic, cubic):
+    values, _, delta, _ = _kernel_case(4)
+    n = values.shape[0]
+    cells = np.array([-50, -13, -1, 0, 1, 5, 47])
+    out = _advect_columns(values, delta, cells * delta, periodic=periodic, cubic=cubic)
+    for j, k in enumerate(cells):
+        if periodic:
+            expected = np.roll(values[:, j], k)
+        else:
+            expected = np.zeros(n)
+            src = np.arange(n) - k
+            keep = (src >= 0) & (src < n)
+            expected[keep] = values[src[keep], j]
+        assert np.max(np.abs(out[:, j] - expected)) <= 1e-14
