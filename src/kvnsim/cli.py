@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -71,14 +72,19 @@ _RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError
 OPERATOR_WRITE_MAX_DIM = 2000
 
 
+def _in_window(value, low, high) -> bool:
+    """A finite number within [low, high] (a None bound is open); anything else fails."""
+    try:
+        return bool(math.isfinite(value) and (low is None or value >= low)
+                    and (high is None or value <= high))
+    except (TypeError, OverflowError):
+        return False
+
+
 def _check(name: str, value: float, low: float | None, high: float | None) -> dict:
-    passed = True
-    if low is not None and value < low:
-        passed = False
-    if high is not None and value > high:
-        passed = False
-    return {"name": name, "value": float(value), "low": low, "high": high,
-            "passed": bool(passed)}
+    value = float(value)
+    return {"name": name, "value": value, "low": low, "high": high,
+            "passed": _in_window(value, low, high)}
 
 
 def _write_json(path, payload) -> None:
@@ -332,14 +338,23 @@ def build_report(run_dirs) -> dict:
         checks = []
         checks_path = os.path.join(run_dir, "checks.json")
         if os.path.exists(checks_path):
-            with open(checks_path, "r", encoding="utf-8") as fh:
-                checks = json.load(fh)
+            try:
+                with open(checks_path, "r", encoding="utf-8") as fh:
+                    checks = json.load(fh)
+            except (OSError, ValueError):
+                checks = None
+        if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
+            report["problems"].append(f"{run_dir}: checks.json is unreadable or not a list")
+            report["all_passed"] = False
+            checks = []
         entry["checks"] = checks
         for c in checks:
-            if not c.get("passed", False):
+            # the stored flag is not trusted: re-check the value against its window
+            c["passed"] = _in_window(c.get("value"), c.get("low"), c.get("high"))
+            if not c["passed"]:
                 report["all_passed"] = False
                 report["problems"].append(
-                    f"{run_dir}: check {c['name']} out of tolerance (value {c['value']})"
+                    f"{run_dir}: check {c.get('name')} out of tolerance (value {c.get('value')})"
                 )
         tables = {}
         for name in sorted(os.listdir(run_dir)):
@@ -370,7 +385,9 @@ def _render_report(report: dict) -> str:
             if c.get("high") is not None:
                 window.append(f"<= {c['high']}")
             bounds = " and ".join(window) if window else "informational"
-            lines.append(f"  {c['name']}: {c['value']:.6g} ({bounds}) [{status}]")
+            value = c.get("value")
+            shown = f"{value:.6g}" if isinstance(value, (int, float)) else repr(value)
+            lines.append(f"  {c.get('name')}: {shown} ({bounds}) [{status}]")
         for name, table in entry.get("tables", {}).items():
             lines.append(f"  table {name}:")
             for row in table["rows"]:

@@ -301,8 +301,7 @@ def _parse_vlasov_settings(v: _Validator, path: str, d: dict) -> VlasovSettings 
 
 def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
                                  grid: PhaseGrid | None) -> PerturbationSettings | None:
-    v.check_unknown(path, d, {"quadrature", "n_s", "h_p", "flow", "aux_grid"})
-    quad = v.get(path, d, "quadrature", str, default="gauss-legendre")
+    v.check_unknown(path, d, {"n_s", "h_p", "flow", "aux_grid"})
     n_s = v.get_int(path, d, "n_s", default=16, minimum=2)
     h_p = v.get_number(path, d, "h_p", default=1e-4, minimum=0.0, strict_min=True)
     flow_d = v.get(path, d, "flow", dict, default={})
@@ -312,8 +311,7 @@ def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
     aux_d = v.get(path, d, "aux_grid", dict)
     if aux_d is not None:
         aux = _parse_grid(v, f"{path}.aux_grid", aux_d)
-    return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, quadrature=quad,
-                   n_s=n_s, h_p=h_p)
+    return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, n_s=n_s, h_p=h_p)
 
 
 def _parse_ensemble_settings(v: _Validator, path: str, d: dict,

@@ -28,7 +28,7 @@ from .phase_space import (
     density_from_function,
 )
 from .vlasov import VlasovSettings, vlasov_solve
-from .perturbation import ConvergenceTable, _fit_order
+from .perturbation import ConvergenceTable
 
 __all__ = [
     "EnsembleSettings",
@@ -168,6 +168,5 @@ def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGr
         hist = histogram_density(moved, grid)
         dist = float(np.sum(np.abs(hist.values - reference.values)) * grid.cell_volume)
         rows.append((float(n), dist))
-    order = _fit_order(*zip(*rows)) if len(rows) >= 2 else float("nan")
     rows.sort(key=lambda r: r[0])
-    return ConvergenceTable(parameter="n_samples", rows=tuple(rows), fitted_order=order)
+    return ConvergenceTable(parameter="n_samples", rows=tuple(rows))

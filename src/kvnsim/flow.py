@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import FreePotential, HarmonicPotential, PhasePoint, ProblemSpec
+from .phase_space import FreePotential, HarmonicPotential, ProblemSpec
 
 __all__ = [
     "FlowSettings",
-    "flow_map",
     "flow_map_points",
     "flow_jacobian",
     "group_property_residual",
@@ -70,17 +69,25 @@ def _exact_flow(q: np.ndarray, p: np.ndarray, t: float, spec: ProblemSpec):
     raise ValueError("exact shortcut is only available for free and harmonic potentials")
 
 
+def _as_points(points) -> np.ndarray:
+    """A (2,) point or an (n, 2) array of points as floats; other shapes raise."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise ValueError(f"points must be a (2,) or (n, 2) array of (q, p), got shape {pts.shape}")
+    return pts
+
+
 def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
                     settings: FlowSettings) -> np.ndarray:
-    """Flow an (n, 2) array of (q, p) points by a signed time t.
+    """Flow a (2,) point or an (n, 2) array of (q, p) points by a signed time t.
 
-    |t| that is not a multiple of dt is handled by a final partial step;
-    group-property tests should use aligned times, for which composed and
-    direct step sequences are identical.
+    The result has the shape of ``points``.  |t| that is not a multiple of dt
+    is handled by a final partial step; group-property tests should use
+    aligned times, for which composed and direct step sequences are identical.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    pts = np.array(points, dtype=float, copy=True)
+    pts = _as_points(points)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     q, p = pts[:, 0], pts[:, 1]
@@ -95,20 +102,12 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
     return out[0] if squeeze else out
 
 
-def flow_map(x: PhasePoint, t: float, spec: ProblemSpec, settings: FlowSettings) -> PhasePoint:
-    """Phi_t(x): solution at time t of the characteristic equations through x."""
-    if x.dimension != 1:
-        raise ValueError("the flow solver supports d=1 only")
-    out = flow_map_points(np.array([[x.q[0], x.p[0]]]), t, spec, settings)
-    return PhasePoint(q=out[0, :1], p=out[0, 1:])
-
-
-def flow_jacobian(x: PhasePoint, t: float, spec: ProblemSpec, settings: FlowSettings,
+def flow_jacobian(x: np.ndarray, t: float, spec: ProblemSpec, settings: FlowSettings,
                   h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference Jacobian D Phi_t(x) as a 2x2 matrix (d=1)."""
+    """Central finite-difference Jacobian D Phi_t(x) at a (2,) point x = (q, p)."""
     if not h > 0:
         raise ValueError("fd step h must be > 0")
-    base = np.array([x.q[0], x.p[0]])
+    base = np.asarray(x, dtype=float)
     probes = np.vstack([
         base + [h, 0], base - [h, 0],
         base + [0, h], base - [0, h],
@@ -120,12 +119,11 @@ def flow_jacobian(x: PhasePoint, t: float, spec: ProblemSpec, settings: FlowSett
     return jac
 
 
-def group_property_residual(x: PhasePoint, s: float, t: float, spec: ProblemSpec,
+def group_property_residual(x: np.ndarray, s: float, t: float, spec: ProblemSpec,
                             settings: FlowSettings) -> float:
-    """|| Phi_t(Phi_s(x)) - Phi_{t+s}(x) ||_2."""
-    pt = np.array([x.q[0], x.p[0]])
-    composed = flow_map_points(flow_map_points(pt, s, spec, settings), t, spec, settings)
-    direct = flow_map_points(pt, t + s, spec, settings)
+    """|| Phi_t(Phi_s(x)) - Phi_{t+s}(x) ||_2 at a (2,) point x = (q, p)."""
+    composed = flow_map_points(flow_map_points(x, s, spec, settings), t, spec, settings)
+    direct = flow_map_points(x, t + s, spec, settings)
     return float(np.linalg.norm(composed - direct))
 
 

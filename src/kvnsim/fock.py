@@ -22,7 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .phase_space import DensityField, NoPair, PhaseGrid, ProblemSpec, spatial_density
+from .phase_space import (
+    DensityField,
+    NoPair,
+    PhaseGrid,
+    ProblemSpec,
+    mean_field_force,
+    pair_gradient_table,
+)
 
 __all__ = [
     "ModeBasis",
@@ -94,21 +101,6 @@ class ModeBasis:
     def iq_of_mode(self) -> np.ndarray:
         return np.repeat(np.arange(self.grid.n_q), self.grid.n_p)
 
-    @property
-    def ip_of_mode(self) -> np.ndarray:
-        return np.tile(np.arange(self.grid.n_p), self.grid.n_q)
-
-    @property
-    def q_of_mode(self) -> np.ndarray:
-        return self.grid.q_centers[self.iq_of_mode]
-
-    @property
-    def p_of_mode(self) -> np.ndarray:
-        return self.grid.p_centers[self.ip_of_mode]
-
-    def mode_index(self, iq: int, ip: int) -> int:
-        return iq * self.grid.n_p + ip
-
 
 @dataclass(frozen=True)
 class OneBodyMatrix:
@@ -177,9 +169,7 @@ def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> TwoBodyTensor:
             gradv_q=np.zeros((grid.n_q, grid.n_q)),
             momentum_stencil=dp1,
         )
-    q = grid.q_centers
-    disp = grid.wrap_displacement(q[:, None] - q[None, :])
-    gradv_q = spec.pair.gradient(disp)
+    gradv_q = pair_gradient_table(grid, spec.pair)
     modes = ModeBasis(grid)
     iq = modes.iq_of_mode
     weights = -gradv_q[iq[:, None], iq[None, :]].ravel()
@@ -471,8 +461,7 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, modes: ModeBasis
     if isinstance(spec.pair, NoPair):
         pair_term = np.zeros(shape)
     else:
-        q = grid.q_centers
-        gradv_q = spec.pair.gradient(grid.wrap_displacement(q[:, None] - q[None, :]))
+        gradv_q = pair_gradient_table(grid, spec.pair)
         weights = np.abs(at.amplitudes) ** 2
         occ = at.basis.occupations
         corr = (occ * weights[:, None]).T @ occ  # <n_j n_i>
@@ -511,10 +500,10 @@ def kernel_hermiticity_report(modes: ModeBasis, spec: ProblemSpec,
     """
     grid = modes.grid
     _require_periodic(grid)
-    q = grid.q_centers
-    gradv_q = spec.pair.gradient(grid.wrap_displacement(q[:, None] - q[None, :]))
-    n_ref = spatial_density(density_ref)
-    f_vals = -spec.external_gradient(q) - grid.dq * (gradv_q @ n_ref)
+    if density_ref.grid != grid:
+        raise ValueError("the reference density must live on the modes' grid")
+    gradv_q = pair_gradient_table(grid, spec.pair)
+    f_vals = mean_field_force(density_ref, spec)
     f_diag = sp.diags(np.repeat(f_vals, grid.n_p)).tocsr()
     f_dev = _max_abs(f_diag - f_diag.getH())
 

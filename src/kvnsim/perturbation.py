@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowSettings, flow_map_points
+from .flow import FlowSettings, _as_points, flow_map_points
 from .phase_space import (
     DensityField,
     NoPair,
     PhaseGrid,
-    PhasePoint,
     ProblemSpec,
     density_from_function,
 )
@@ -34,11 +33,8 @@ from .vlasov import VlasovSettings, vlasov_solve
 __all__ = [
     "PerturbationSettings",
     "AuxGridError",
-    "transported_density",
     "transported_density_points",
-    "interaction_source",
     "interaction_source_points",
-    "first_order_correction",
     "first_order_correction_points",
     "perturbative_density",
     "residual_vs_vlasov",
@@ -60,13 +56,10 @@ class PerturbationSettings:
 
     aux_grid: PhaseGrid
     flow: FlowSettings = field(default_factory=lambda: FlowSettings(dt=1e-3))
-    quadrature: str = "gauss-legendre"
     n_s: int = 16
     h_p: float = 1e-4
 
     def __post_init__(self):
-        if self.quadrature not in ("gauss-legendre", "trapezoid"):
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.n_s < 2:
             raise ValueError("n_s must be >= 2")
         if not self.h_p > 0:
@@ -75,19 +68,11 @@ class PerturbationSettings:
 
 def transported_density_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                                flow_settings: FlowSettings) -> np.ndarray:
-    """Zeroth-order density at an (n, 2) array of points."""
+    """Zeroth-order density rho_init(Phi_{-t}(x)) at a (2,) point or an (n, 2)
+    array of points, as a 1-d array of one value per point."""
     back = flow_map_points(points, -t, spec, flow_settings)
     back = np.atleast_2d(back)
     return np.asarray(rho_init(back[:, 0], back[:, 1]), dtype=float)
-
-
-def transported_density(x: PhasePoint, t: float, rho_init, spec: ProblemSpec,
-                        flow_settings: FlowSettings) -> float:
-    """Initial density evaluated at the backward-flowed point."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pts = np.array([[x.q[0], x.p[0]]])
-    return float(transported_density_points(pts, t, rho_init, spec, flow_settings)[0])
 
 
 def _momentum_gradient(points: np.ndarray, t: float, rho_init, spec, settings) -> np.ndarray:
@@ -129,59 +114,31 @@ def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: Pertur
 def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                               settings: PerturbationSettings,
                               pair_integral=None) -> np.ndarray:
-    """Source values at an (n, 2) array of points."""
+    """Source values at a (2,) point or an (n, 2) array of points."""
+    pts = np.atleast_2d(_as_points(points))
     if isinstance(spec.pair, NoPair):
-        return np.zeros(np.atleast_2d(points).shape[0])
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.zeros(pts.shape[0])
     if pair_integral is None:
         pair_integral = _pair_force_integral(t, rho_init, spec, settings)
     grad_p = _momentum_gradient(pts, t, rho_init, spec, settings)
     return grad_p * pair_integral(pts[:, 0])
 
 
-def interaction_source(x: PhasePoint, t: float, rho_init, spec: ProblemSpec,
-                       settings: PerturbationSettings) -> float:
-    """First-order source at a single phase point."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pts = np.array([[x.q[0], x.p[0]]])
-    return float(interaction_source_points(pts, t, rho_init, spec, settings)[0])
-
-
-def _time_nodes(t: float, settings: PerturbationSettings):
-    if settings.quadrature == "gauss-legendre":
-        nodes, weights = np.polynomial.legendre.leggauss(settings.n_s)
-        return 0.5 * t * (nodes + 1.0), 0.5 * t * weights
-    nodes = np.linspace(0.0, t, settings.n_s)
-    weights = np.full(settings.n_s, t / (settings.n_s - 1))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return nodes, weights
-
-
 def first_order_correction_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                                   settings: PerturbationSettings) -> np.ndarray:
-    """First-order density correction at an (n, 2) array of points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """First-order density correction at a (2,) point or an (n, 2) array of points:
+    the source integrated along each backward characteristic by Gauss-Legendre."""
+    pts = np.atleast_2d(_as_points(points))
     if t == 0.0 or isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
-    nodes, weights = _time_nodes(t, settings)
+    nodes, weights = np.polynomial.legendre.leggauss(settings.n_s)
     out = np.zeros(pts.shape[0])
-    for s, w in zip(nodes, weights):
+    for s, w in zip(0.5 * t * (nodes + 1.0), 0.5 * t * weights):
         traced = np.atleast_2d(flow_map_points(pts, s - t, spec, settings.flow))
         pair_integral = _pair_force_integral(s, rho_init, spec, settings)
         out += w * interaction_source_points(traced, s, rho_init, spec, settings,
                                              pair_integral=pair_integral)
     return out
-
-
-def first_order_correction(x: PhasePoint, t: float, rho_init, spec: ProblemSpec,
-                           settings: PerturbationSettings) -> float:
-    """Quadrature of the source along the backward characteristic through x."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pts = np.array([[x.q[0], x.p[0]]])
-    return float(first_order_correction_points(pts, t, rho_init, spec, settings)[0])
 
 
 def perturbative_density(grid: PhaseGrid, t: float, rho_init, spec: ProblemSpec,
@@ -198,24 +155,30 @@ def perturbative_density(grid: PhaseGrid, t: float, rho_init, spec: ProblemSpec,
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Error-vs-parameter sweep and its fitted log-log slope."""
+    """Error-vs-parameter sweep and its fitted log-log slope.
+
+    ``fitted_order`` is the least-squares slope of log(error) against
+    log(parameter) over the rows whose parameter is > 0, taken in row order;
+    it is NaN when fewer than two such rows exist.
+    """
 
     parameter: str
     rows: tuple[tuple[float, float], ...]  # (parameter value, error)
-    fitted_order: float
+    fitted_order: float = field(init=False)
+
+    def __post_init__(self):
+        fit = [row for row in self.rows if row[0] > 0]
+        order = float("nan")
+        if len(fit) >= 2:
+            log_param, log_err = np.log(np.asarray(fit, dtype=float)).T
+            order = float(np.polyfit(log_param, log_err, 1)[0])
+        object.__setattr__(self, "fitted_order", order)
 
     @property
     def ratios(self) -> list[float]:
         """Ratios of consecutive errors in row order (decreasing error expected)."""
         errs = [e for _, e in self.rows]
         return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-
-
-def _fit_order(params, errors) -> float:
-    lp = np.log(np.asarray(params, dtype=float))
-    le = np.log(np.asarray(errors, dtype=float))
-    slope = np.polyfit(lp, le, 1)[0]
-    return float(slope)
 
 
 def residual_vs_vlasov(t: float, rho_init, spec: ProblemSpec, eps_list,
@@ -238,7 +201,5 @@ def residual_vs_vlasov(t: float, rho_init, spec: ProblemSpec, eps_list,
         solved = vlasov_solve(init, t, spec_eps, vlasov_settings, snapshot_times=[t])[-1]
         linf = float(np.max(np.abs(pert.values - solved.values)))
         rows.append((float(eps), linf))
-    nonzero = [(e, err) for e, err in rows if e > 0]
-    order = _fit_order(*zip(*nonzero)) if len(nonzero) >= 2 else float("nan")
     rows.sort(key=lambda r: -r[0])
-    return ConvergenceTable(parameter="strength", rows=tuple(rows), fitted_order=order)
+    return ConvergenceTable(parameter="strength", rows=tuple(rows))

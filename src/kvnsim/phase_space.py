@@ -1,19 +1,19 @@
 """Phase-space types: potentials, grids, density fields, mean-field force.
 
-Everything here is dimensionless (code units, m=1 by default). d=1 is the
-fully supported dimension; the types carry ``dimension`` so higher d can be
-added later, but the solvers reject d > 1.
+Everything here is dimensionless (code units, m=1 by default) and the
+phase space is two-dimensional, x = (q, p); a point is a length-2 array and
+a batch of points an (n, 2) array.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "PhasePoint",
     "FreePotential",
     "HarmonicPotential",
     "QuarticPotential",
@@ -26,38 +26,12 @@ __all__ = [
     "DensityField",
     "GridResolutionWarning",
     "BoundaryMassWarning",
-    "eval_force_external",
     "spatial_density",
+    "pair_gradient_table",
     "mean_field_force",
     "density_from_function",
     "boundary_mass_fraction",
 ]
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point x = (q, p) in 2d-dimensional phase space."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        if q.shape != p.shape or q.ndim != 1:
-            raise ValueError("q and p must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("phase point components must be finite")
-
-    @property
-    def dimension(self) -> int:
-        return self.q.size
-
-    def as_array(self) -> np.ndarray:
-        """Flat (q, p) array of length 2d."""
-        return np.concatenate([self.q, self.p])
 
 
 # --------------------------------------------------------------------------
@@ -216,16 +190,10 @@ class ProblemSpec:
     mass: float = 1.0
     external: PotentialSpec = field(default_factory=FreePotential)
     pair: PairPotentialSpec = field(default_factory=NoPair)
-    dimension: int = 1
 
     def __post_init__(self):
         if not self.mass > 0:
             raise ValueError("mass must be > 0")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-    def external_value(self, q):
-        return self.external.value(q, self.mass)
 
     def external_gradient(self, q):
         return self.external.gradient(q, self.mass)
@@ -240,7 +208,7 @@ class ProblemSpec:
             pair = GaussianPair(strength=strength, width=self.pair.width)
         else:
             pair = CosinePair(strength=strength, wavenumber=self.pair.wavenumber)
-        return ProblemSpec(self.mass, self.external, pair, self.dimension)
+        return ProblemSpec(self.mass, self.external, pair)
 
 
 # --------------------------------------------------------------------------
@@ -372,14 +340,19 @@ class DensityField:
 # operations
 # --------------------------------------------------------------------------
 
-def eval_force_external(spec: ProblemSpec, q) -> np.ndarray:
-    """External force -grad U(q) from the closed form."""
-    return -spec.external_gradient(q)
-
-
 def spatial_density(density: DensityField) -> np.ndarray:
     """q-marginal n(q) = sum_p rho(q, p) dp on the grid's q-axis."""
     return density.values.sum(axis=1) * density.grid.dp
+
+
+@lru_cache(maxsize=8)
+def pair_gradient_table(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
+    """Read-only table grad v(q_a - q_b) over the q-centers, minimum-image wrapped
+    on periodic grids; built once per (grid, pair) and shared by every caller."""
+    q = grid.q_centers
+    table = pair.gradient(grid.wrap_displacement(q[:, None] - q[None, :]))
+    table.flags.writeable = False
+    return table
 
 
 def mean_field_force(density: DensityField, spec: ProblemSpec) -> np.ndarray:
@@ -402,10 +375,8 @@ def mean_field_force(density: DensityField, spec: ProblemSpec) -> np.ndarray:
     if isinstance(spec.pair, NoPair):
         return force
     n = spatial_density(density)
-    disp = grid.wrap_displacement(q[:, None] - q[None, :])
     # direct O(n_q^2) convolution; fixed-order reduction keeps this bit-exact
-    force = force - grid.dq * (spec.pair.gradient(disp) @ n)
-    return force
+    return force - grid.dq * (pair_gradient_table(grid, spec.pair) @ n)
 
 
 def boundary_mass_fraction(density: DensityField) -> float:

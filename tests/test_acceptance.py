@@ -32,7 +32,6 @@ from kvnsim.phase_space import (
     GaussianPair,
     HarmonicPotential,
     PhaseGrid,
-    PhasePoint,
     ProblemSpec,
     QuarticPotential,
     density_from_function,
@@ -198,7 +197,7 @@ def test_c5_flow_map_structure():
                  ProblemSpec(external=HarmonicPotential(omega=1.0)),
                  ProblemSpec(external=QuarticPotential(a=0.0, b=1.0)),
                  ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.5))):
-        x = PhasePoint(np.array([0.3]), np.array([0.4]))
+        x = np.array([0.3, 0.4])
         jac = flow_jacobian(x, 1.0, spec, settings, h=1e-5)
         dets.append(abs(np.linalg.det(jac) - 1.0))
         groups.append(group_property_residual(x, 0.5, 0.5, spec, settings))

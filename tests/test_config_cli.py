@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -213,6 +214,39 @@ def test_cli_report_pass_fail_and_tamper(tmp_path, capsys):
     assert any("checksum" in p for p in summary["problems"])
 
 
+def test_cli_report_rechecks_tolerances_instead_of_trusting_the_flag(tmp_path, capsys):
+    run_dir = tmp_path / "run1"
+    payload = dict(MINIMAL_VLASOV, output_dir=str(run_dir))
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 0
+    checks_path = run_dir / "checks.json"
+    checks = {c["name"]: c for c in json.loads(checks_path.read_text())}
+    drift = checks["vlasov_mass_drift_rel"]
+    drift["value"] = 10.0 * drift["high"]  # out of its window, still flagged as passed
+    checks["vlasov_clip_count"]["value"] = "n/a"  # no finite number at all
+    assert all(c["passed"] for c in checks.values())
+    checks_path.write_text(json.dumps(list(checks.values())))
+    # re-hash the manifest so that only the tolerances are wrong
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    (rec,) = [r for r in manifest["files"] if r["path"] == "checks.json"]
+    rec["sha256"] = hashlib.sha256(checks_path.read_bytes()).hexdigest()
+    rec["bytes"] = checks_path.stat().st_size
+    manifest_path.write_text(json.dumps(manifest))
+
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 3
+    out = capsys.readouterr().out
+    assert "check vlasov_mass_drift_rel out of tolerance" in out
+    assert "check vlasov_clip_count out of tolerance" in out
+    assert "checksum" not in out
+
+    checks_path.write_text(json.dumps({"not": "a list"}))
+    rec["sha256"] = hashlib.sha256(checks_path.read_bytes()).hexdigest()
+    rec["bytes"] = checks_path.stat().st_size
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 3
+    assert "checks.json is unreadable or not a list" in capsys.readouterr().out
+
+
 def test_cli_report_lists_missing_manifest_not_fatal(tmp_path):
     (tmp_path / "empty").mkdir()
     assert main(["report", str(tmp_path / "empty"), "--out", str(tmp_path / "rep")]) == 0
@@ -303,7 +337,7 @@ def test_library_settings_errors_carry_the_block_path():
     raw["settings"] = {"strengths": [0.1], "vlasov": {"dt": 0.01, "interpolation": "quintic"},
                        "perturbation": {"quadrature": "simpson"}}
     assert config_errors(raw) == [
-        "settings.perturbation: unknown quadrature 'simpson'",
+        "settings.perturbation.quadrature: unknown key",
         "settings.vlasov: unknown interpolation 'quintic'",
     ]
 
@@ -364,7 +398,7 @@ VALID_CONFIGS = [
     {"method": "flow", "problem": {"external_potential": {"type": "quartic", "a": 0.5, "b": 1}},
      "times": {"t_final": 1.0}, "settings": {"points_csv": "pts.csv", "n_snapshots": 3}},
     dict(MINIMAL_VLASOV, method="perturbation",
-         settings={"n_s": 8, "quadrature": "trapezoid", "flow": {"dt": 0.01},
+         settings={"n_s": 8, "flow": {"dt": 0.01},
                    "aux_grid": MINIMAL_VLASOV["grid"]}),
     dict(MINIMAL_VLASOV, method="fock", grid=PERIODIC_GRID,
          problem={"external_potential": {"type": "cosine", "wavenumber": 1, "amplitude": 0.4},

@@ -72,7 +72,7 @@ def test_two_body_energy_conservation_bare_coupling():
         q, p = pts[:, 0], pts[:, 1]
         pair = 0.5 * (np.sum(spec.pair.value(q[:, None] - q[None, :]))
                       - q.size * spec.pair.value(0.0))
-        return np.sum(p**2 / 2 + spec.external_value(q)) + pair
+        return np.sum(p**2 / 2 + spec.external.value(q, spec.mass)) + pair
 
     pts = np.array([[0.8, 0.3], [-0.5, -0.2]])
     settings = EnsembleSettings(dt=1e-3, seed=0, coupling_scaling="bare")

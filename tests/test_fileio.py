@@ -104,14 +104,14 @@ def test_points_csv_round_trip(tmp_path):
 
 
 def test_table_csv_footer(tmp_path):
-    table = ConvergenceTable(parameter="strength",
-                            rows=((0.2, 1e-3), (0.1, 2.5e-4)), fitted_order=2.0)
+    table = ConvergenceTable(parameter="strength", rows=((0.2, 1e-3), (0.1, 2.5e-4)))
+    assert abs(table.fitted_order - 2.0) < 1e-12
     path = tmp_path / "residual_table.csv"
     write_table_csv(path, table)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "strength,linf_error"
     assert lines[-1].startswith("fitted_order,")
-    assert float(lines[-1].split(",")[1]) == 2.0
+    assert float(lines[-1].split(",")[1]) == table.fitted_order
 
 
 def test_atomic_write_uses_a_unique_temp_file(tmp_path):

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kvnsim.densities import GaussianDensity
 from kvnsim.flow import (
     FlowSettings,
     flow_jacobian,
-    flow_map,
     flow_map_points,
     flow_trajectory,
     group_property_residual,
 )
+from kvnsim.perturbation import (
+    PerturbationSettings,
+    first_order_correction_points,
+    transported_density_points,
+)
 from kvnsim.phase_space import (
     CosinePotential,
+    GaussianPair,
     HarmonicPotential,
-    PhasePoint,
+    PhaseGrid,
     ProblemSpec,
     QuarticPotential,
 )
@@ -31,15 +39,14 @@ def test_settings_validation():
 
 
 def test_free_streaming_exact():
-    out = flow_map(PhasePoint(np.array([0.0]), np.array([1.0])), 2.0, FREE, DT3)
-    assert_allclose(out.q, [2.0])
-    assert_allclose(out.p, [1.0])
+    out = flow_map_points(np.array([0.0, 1.0]), 2.0, FREE, DT3)
+    assert_allclose(out, [2.0, 1.0])
 
 
 def test_harmonic_quarter_turn():
-    out = flow_map(PhasePoint(np.array([1.0]), np.array([0.0])), np.pi / 2, HARMONIC, DT3)
-    assert abs(out.q[0]) < 1e-6
-    assert abs(out.p[0] + 1.0) < 1e-6
+    out = flow_map_points(np.array([1.0, 0.0]), np.pi / 2, HARMONIC, DT3)
+    assert abs(out[0]) < 1e-6
+    assert abs(out[1] + 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("spec", [FREE, HARMONIC, QUARTIC, COSINE])
@@ -52,22 +59,22 @@ def test_reversibility_round_trip(spec):
 
 
 def test_jacobian_free_is_unit_shear():
-    x = PhasePoint(np.array([0.2]), np.array([-0.4]))
+    x = np.array([0.2, -0.4])
     jac = flow_jacobian(x, 3.0, FREE, DT3)
     assert_allclose(jac, [[1.0, 3.0], [0.0, 1.0]], atol=1e-9)
     assert abs(np.linalg.det(jac) - 1.0) < 1e-9
 
 
 def test_jacobian_volume_preservation_harmonic():
-    x = PhasePoint(np.array([1.0]), np.array([1.0]))
+    x = np.array([1.0, 1.0])
     jac = flow_jacobian(x, 1.0, HARMONIC, DT3, h=1e-5)
     assert abs(np.linalg.det(jac) - 1.0) < 1e-6
 
 
 def test_jacobian_identity_at_t0():
-    x = PhasePoint(np.array([0.7]), np.array([-0.2]))
-    out = flow_map(x, 0.0, QUARTIC, DT3)
-    assert np.array_equal(out.as_array(), x.as_array())
+    x = np.array([0.7, -0.2])
+    out = flow_map_points(x, 0.0, QUARTIC, DT3)
+    assert np.array_equal(out, x)
     # the fd estimate of the identity carries probe rounding of order eps/h
     jac = flow_jacobian(x, 0.0, QUARTIC, DT3)
     assert_allclose(jac, np.eye(2), atol=1e-10)
@@ -76,24 +83,24 @@ def test_jacobian_identity_at_t0():
 
 @pytest.mark.parametrize("spec", [FREE, HARMONIC, QUARTIC, COSINE])
 def test_volume_preservation_catalog(spec):
-    x = PhasePoint(np.array([0.5]), np.array([0.8]))
+    x = np.array([0.5, 0.8])
     jac = flow_jacobian(x, 2.0, spec, DT3, h=1e-5)
     assert abs(np.linalg.det(jac) - 1.0) < 1e-6
 
 
 def test_group_property_free_exact():
-    x = PhasePoint(np.array([0.1]), np.array([0.9]))
+    x = np.array([0.1, 0.9])
     assert group_property_residual(x, 1.0, 2.0, FREE, DT3) == 0.0
 
 
 def test_group_property_aligned_steps():
-    x = PhasePoint(np.array([1.0]), np.array([0.0]))
+    x = np.array([1.0, 0.0])
     assert group_property_residual(x, 0.5, 0.5, HARMONIC, DT3) < 1e-12
     assert group_property_residual(x, 0.25, 0.75, QUARTIC, DT3) < 1e-12
 
 
 def test_group_property_inverse_is_reversibility():
-    x = PhasePoint(np.array([0.3]), np.array([0.4]))
+    x = np.array([0.3, 0.4])
     assert group_property_residual(x, 1.0, -1.0, QUARTIC, DT3) < 1e-10
 
 
@@ -144,7 +151,36 @@ def test_flow_trajectory_shape_and_consistency():
     assert_allclose(traj[2], direct, atol=1e-12)
 
 
-def test_rejects_higher_dimension():
-    x = PhasePoint(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="d=1"):
-        flow_map(x, 1.0, FREE, DT3)
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from([FREE, HARMONIC, QUARTIC, COSINE]),
+       q=st.floats(-2.0, 2.0), p=st.floats(-2.0, 2.0), steps=st.integers(-2000, 2000))
+def test_flow_reversibility_and_volume_property(spec, q, p, steps):
+    # C5's windows at random points and dt-aligned times |t| <= 2
+    x = np.array([q, p])
+    t = steps * DT3.dt
+    back = flow_map_points(flow_map_points(x, t, spec, DT3), -t, spec, DT3)
+    assert np.max(np.abs(back - x)) < 1e-10
+    jac = flow_jacobian(x, t, spec, DT3, h=1e-5)
+    assert abs(np.linalg.det(jac) - 1.0) < 1e-6
+
+
+RHO0 = GaussianDensity(0.6, 0.0, 0.7, 0.7)
+INTERACTING = ProblemSpec(external=HarmonicPotential(omega=1.0),
+                          pair=GaussianPair(strength=0.1, width=0.8))
+PERT = PerturbationSettings(aux_grid=PhaseGrid(-6, 6, -6, 6, 32, 32), n_s=4)
+POINT_CONSUMERS = {
+    "flow": lambda pts: flow_map_points(pts, 0.5, FREE, DT3),
+    "transported": lambda pts: transported_density_points(pts, 0.5, RHO0, HARMONIC, DT3),
+    "correction": lambda pts: first_order_correction_points(pts, 0.5, RHO0, INTERACTING, PERT),
+    "correction-t0": lambda pts: first_order_correction_points(pts, 0.0, RHO0, INTERACTING, PERT),
+    "correction-no-pair": lambda pts: first_order_correction_points(pts, 0.5, RHO0, HARMONIC,
+                                                                    PERT),
+}
+
+
+@pytest.mark.parametrize("consumer", POINT_CONSUMERS)
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 1), (2, 2, 2), ()],
+                         ids=["3", "4x3", "4x1", "2x2x2", "scalar"])
+def test_rejects_points_that_are_not_q_p_pairs(consumer, shape):
+    with pytest.raises(ValueError, match="points must be a"):
+        POINT_CONSUMERS[consumer](np.zeros(shape))

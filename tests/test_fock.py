@@ -59,9 +59,9 @@ def test_mode_basis_maps_and_gram():
     grid = periodic_grid(4, 5)
     modes = ModeBasis(grid)
     assert modes.n_modes == 20
-    assert modes.mode_index(2, 3) == 13
-    assert modes.q_of_mode[13] == grid.q_centers[2]
-    assert modes.p_of_mode[13] == grid.p_centers[3]
+    # mode i = iq * n_p + ip covers cell (iq, ip)
+    assert modes.iq_of_mode[13] == 2
+    assert np.array_equal(modes.iq_of_mode, np.repeat(np.arange(4), 5))
 
 
 def test_one_body_requires_periodic_grid():
@@ -81,8 +81,8 @@ def test_one_body_free_zero_rows_at_p0():
     # p-centers include p = 0 for an odd row count over a symmetric domain
     grid = PhaseGrid(-np.pi, np.pi, -2.5, 2.5, 4, 5, periodic_q=True, periodic_p=True)
     h = build_one_body(grid, ProblemSpec()).matrix.toarray()
-    modes = ModeBasis(grid)
-    zero_rows = np.where(modes.p_of_mode == 0.0)[0]
+    _, P = grid.meshgrid()  # row-major cells, in mode order
+    zero_rows = np.where(P.ravel() == 0.0)[0]
     assert zero_rows.size == 4
     assert np.all(h[zero_rows, :] == 0.0)
 
@@ -511,3 +511,6 @@ def test_kernel_hermiticity_report():
     rep0 = kernel_hermiticity_report(modes, ProblemSpec(), dens)
     assert rep0.force_hermiticity == 0.0
     assert rep0.drag_antihermiticity == 0.0
+
+    with pytest.raises(ValueError, match="grid"):
+        kernel_hermiticity_report(ModeBasis(periodic_grid(8, 6)), spec, dens)

@@ -7,18 +7,16 @@ from kvnsim.flow import FlowSettings
 from kvnsim.perturbation import (
     AuxGridError,
     PerturbationSettings,
-    first_order_correction,
-    interaction_source,
+    first_order_correction_points,
+    interaction_source_points,
     perturbative_density,
     residual_vs_vlasov,
-    transported_density,
     transported_density_points,
 )
 from kvnsim.phase_space import (
     GaussianPair,
     HarmonicPotential,
     PhaseGrid,
-    PhasePoint,
     ProblemSpec,
 )
 from kvnsim.vlasov import VlasovSettings
@@ -33,7 +31,7 @@ SETTINGS = PerturbationSettings(aux_grid=AUX, flow=FLOW_EXACT, n_s=16, h_p=1e-4)
 
 
 def point(q, p):
-    return PhasePoint(np.array([float(q)]), np.array([float(p)]))
+    return np.array([float(q), float(p)])
 
 
 def test_settings_validation():
@@ -41,18 +39,18 @@ def test_settings_validation():
         PerturbationSettings(aux_grid=AUX, n_s=1)
     with pytest.raises(ValueError):
         PerturbationSettings(aux_grid=AUX, h_p=0.0)
-    with pytest.raises(ValueError):
-        PerturbationSettings(aux_grid=AUX, quadrature="simpson")
+    with pytest.raises(TypeError):
+        PerturbationSettings(aux_grid=AUX, quadrature="gauss-legendre")
 
 
 def test_transported_density_t0():
     x = point(1.2, -0.3)
-    assert transported_density(x, 0.0, RHO0, HARMONIC, FLOW_EXACT) == RHO0(1.2, -0.3)
+    assert transported_density_points(x, 0.0, RHO0, HARMONIC, FLOW_EXACT)[0] == RHO0(1.2, -0.3)
 
 
 def test_transported_density_free_streaming_spot_value():
     x = point(1.0, 1.0)
-    got = transported_density(x, 1.0, RHO0, ProblemSpec(), FlowSettings(dt=1e-3))
+    got = transported_density_points(x, 1.0, RHO0, ProblemSpec(), FlowSettings(dt=1e-3))[0]
     assert_allclose(got, RHO0(0.0, 1.0), rtol=1e-12)
 
 
@@ -60,20 +58,20 @@ def test_transported_density_harmonic_rotation_oracle():
     # Verlet path against the closed-form back-rotation
     x = point(1.0, 0.5)
     t = 0.8
-    got = transported_density(x, t, RHO0, HARMONIC, FlowSettings(dt=1e-3))
+    got = transported_density_points(x, t, RHO0, HARMONIC, FlowSettings(dt=1e-3))[0]
     c, s = np.cos(t), np.sin(t)
     expected = RHO0(1.0 * c - 0.5 * s, 0.5 * c + 1.0 * s)
     assert abs(got - expected) / expected < 1e-6
 
 
 def test_source_vanishes_without_pair_potential():
-    assert interaction_source(point(1.0, 1.0), 0.5, RHO0, HARMONIC, SETTINGS) == 0.0
+    assert interaction_source_points(point(1.0, 1.0), 0.5, RHO0, HARMONIC, SETTINGS)[0] == 0.0
 
 
 def test_source_vanishes_at_momentum_extremum():
     # at t=0 the p-derivative of the transported density vanishes at p = p_center
     x = point(0.6, 0.0)
-    f = interaction_source(x, 0.0, RHO0, INTERACTING, SETTINGS)
+    f = interaction_source_points(x, 0.0, RHO0, INTERACTING, SETTINGS)[0]
     scale = RHO0(0.6, 0.0)
     assert abs(f) < 1e-8 * scale
 
@@ -98,7 +96,7 @@ def _source_oracle(x, t, rho_init, spec, h_p, aux):
 def test_source_probe_point_against_refined_oracle():
     x = (1.1, -0.4)
     t = 0.5
-    got = interaction_source(point(*x), t, RHO0, INTERACTING, SETTINGS)
+    got = interaction_source_points(point(*x), t, RHO0, INTERACTING, SETTINGS)[0]
     fine_aux = PhaseGrid(-6, 6, -6, 6, 1280, 1280)
     oracle = _source_oracle(x, t, RHO0, INTERACTING, h_p=1e-5, aux=fine_aux)
     assert abs(got - oracle) / abs(oracle) < 1e-3
@@ -106,33 +104,22 @@ def test_source_probe_point_against_refined_oracle():
 
 def test_first_order_correction_trivial_zeroes():
     x = point(1.0, 0.3)
-    assert first_order_correction(x, 0.0, RHO0, INTERACTING, SETTINGS) == 0.0
-    assert first_order_correction(x, 0.5, RHO0, HARMONIC, SETTINGS) == 0.0
+    assert first_order_correction_points(x, 0.0, RHO0, INTERACTING, SETTINGS)[0] == 0.0
+    assert first_order_correction_points(x, 0.5, RHO0, HARMONIC, SETTINGS)[0] == 0.0
 
 
 def test_first_order_correction_quadrature_refinement():
     x = point(1.0, 1.0)
-    coarse = first_order_correction(x, 0.5, RHO0, INTERACTING, SETTINGS)
+    coarse = first_order_correction_points(x, 0.5, RHO0, INTERACTING, SETTINGS)[0]
     fine_settings = PerturbationSettings(aux_grid=AUX, flow=FLOW_EXACT, n_s=32, h_p=1e-4)
-    fine = first_order_correction(x, 0.5, RHO0, INTERACTING, fine_settings)
+    fine = first_order_correction_points(x, 0.5, RHO0, INTERACTING, fine_settings)[0]
     assert abs(fine - coarse) / abs(fine) < 1e-4
-
-
-def test_first_order_correction_trapezoid_agrees():
-    x = point(1.0, 1.0)
-    gl = first_order_correction(x, 0.5, RHO0, INTERACTING, SETTINGS)
-    trap = PerturbationSettings(aux_grid=AUX, flow=FLOW_EXACT, quadrature="trapezoid",
-                                n_s=201, h_p=1e-4)
-    tz = first_order_correction(x, 0.5, RHO0, INTERACTING, trap)
-    assert abs(tz - gl) / abs(gl) < 1e-4
 
 
 def test_correction_is_exactly_linear_in_strength():
     grid = PhaseGrid(-6, 6, -6, 6, 24, 24)
     Q, P = grid.meshgrid()
     pts = np.column_stack([Q.ravel(), P.ravel()])
-    from kvnsim.perturbation import first_order_correction_points
-
     r1 = first_order_correction_points(pts, 0.5, RHO0, INTERACTING, SETTINGS)
     r2 = first_order_correction_points(
         pts, 0.5, RHO0, INTERACTING.with_pair_strength(0.2), SETTINGS)
@@ -169,7 +156,7 @@ def test_aux_grid_too_small_raises_diagnostic():
     tiny_aux = PhaseGrid(-1, 1, -1, 1, 16, 16)  # misses most of the density
     settings = PerturbationSettings(aux_grid=tiny_aux, flow=FLOW_EXACT)
     with pytest.raises(AuxGridError, match="marginal mass"):
-        interaction_source(point(0.5, 0.5), 0.3, RHO0, INTERACTING, settings)
+        interaction_source_points(point(0.5, 0.5), 0.3, RHO0, INTERACTING, settings)
 
 
 def test_solver_matches_transported_density_without_coupling():

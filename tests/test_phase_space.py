@@ -14,11 +14,9 @@ from kvnsim.phase_space import (
     HarmonicPotential,
     NoPair,
     PhaseGrid,
-    PhasePoint,
     ProblemSpec,
     QuarticPotential,
     density_from_function,
-    eval_force_external,
     mean_field_force,
     spatial_density,
 )
@@ -32,22 +30,12 @@ ALL_POTENTIALS = [
 ALL_PAIRS = [NoPair(), GaussianPair(0.3, 0.8), CosinePair(0.3, 1.5)]
 
 
-def test_phase_point_validation():
-    x = PhasePoint(np.array([1.0]), np.array([2.0]))
-    assert x.dimension == 1
-    assert_allclose(x.as_array(), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        PhasePoint(np.array([1.0, 2.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        PhasePoint(np.array([np.inf]), np.array([0.0]))
-
-
 def test_force_external_catalog_values():
-    assert eval_force_external(ProblemSpec(), 0.7) == 0.0
+    assert -ProblemSpec().external_gradient(0.7) == 0.0
     spec_h = ProblemSpec(external=HarmonicPotential(omega=1.0))
-    assert eval_force_external(spec_h, 2.0) == -2.0
+    assert -spec_h.external_gradient(2.0) == -2.0
     spec_q = ProblemSpec(external=QuarticPotential(a=0.0, b=1.0))
-    assert eval_force_external(spec_q, 1.5) == -4.0 * 1.5**3
+    assert -spec_q.external_gradient(1.5) == -4.0 * 1.5**3
 
 
 @pytest.mark.parametrize("pot", ALL_POTENTIALS)
@@ -130,7 +118,7 @@ def test_mean_field_force_no_pair_is_external_bitwise():
     f = density_from_function(grid, GaussianDensity(0, 0, 0.5, 0.5), warn=False)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0))
     assert np.array_equal(mean_field_force(f, spec),
-                          eval_force_external(spec, grid.q_centers))
+                          -spec.external_gradient(grid.q_centers))
 
 
 def test_mean_field_force_uniform_density_periodic_cosine():
@@ -173,7 +161,7 @@ def test_mean_field_force_scaling_in_density():
                        pair=GaussianPair(strength=0.4, width=0.8))
     lam = 3.0
     scaled = DensityField(grid, lam * f.values)
-    ext = eval_force_external(spec, grid.q_centers)
+    ext = -spec.external_gradient(grid.q_centers)
     pair_once = mean_field_force(f, spec) - ext
     pair_scaled = mean_field_force(scaled, spec) - ext
     assert_allclose(pair_scaled, lam * pair_once, rtol=1e-12, atol=1e-15)
