@@ -108,6 +108,8 @@ def flow_jacobian(x: np.ndarray, t: float, spec: ProblemSpec, settings: FlowSett
     if not h > 0:
         raise ValueError("fd step h must be > 0")
     base = np.asarray(x, dtype=float)
+    if base.shape != (2,):
+        raise ValueError(f"x must be a (2,) point (q, p), got shape {base.shape}")
     probes = np.vstack([
         base + [h, 0], base - [h, 0],
         base + [0, h], base - [0, h],

@@ -71,6 +71,11 @@ def test_jacobian_volume_preservation_harmonic():
     assert abs(np.linalg.det(jac) - 1.0) < 1e-6
 
 
+def test_jacobian_takes_a_single_point():
+    with pytest.raises(ValueError, match="x must be a"):
+        flow_jacobian(np.zeros((3, 2)), 1.0, FREE, DT3)
+
+
 def test_jacobian_identity_at_t0():
     x = np.array([0.7, -0.2])
     out = flow_map_points(x, 0.0, QUARTIC, DT3)
