@@ -29,6 +29,7 @@ from .phase_space import (
     PhaseGrid,
     ProblemSpec,
     QuarticPotential,
+    pair_is_periodic,
 )
 from .vlasov import VlasovSettings
 
@@ -473,6 +474,13 @@ def parse_config(text: str) -> ScenarioConfig:
                         "q-domain length must be a whole number of cosine periods")
     if method == "fock" and grid is not None and not (grid.periodic_q and grid.periodic_p):
         v.error("grid", "the fock method needs periodic_q and periodic_p set")
+    uses_ensemble = (method == "ensemble"
+                     or getattr(settings, "targets", None) == ("ensemble", "vlasov"))
+    if (uses_ensemble and grid is not None and grid.periodic_q
+            and not pair_is_periodic(pair, grid.q_length)):
+        v.error("problem.pair_potential",
+                "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
+                "with a whole number of periods over the q-length")
 
     if v.errors:
         raise ConfigError(v.errors)

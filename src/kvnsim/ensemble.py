@@ -18,19 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import CatalogDensity, GaussianDensity, GaussianMixture
-from .flow import _verlet_steps
+from .flow import _point_rows, _verlet_steps
 from .phase_space import (
-    CosinePair,
     DensityField,
     NoPair,
     PhaseGrid,
     ProblemSpec,
     density_from_function,
+    pair_force_sum,
+    pair_is_periodic,
+    pair_sum_evaluations,
 )
 from .vlasov import VlasovSettings, vlasov_solve
 from .perturbation import ConvergenceTable
 
 __all__ = [
+    "EnsembleCostError",
     "EnsembleSettings",
     "sample_initial",
     "integrate_nbody",
@@ -38,7 +41,13 @@ __all__ = [
     "ensemble_vs_vlasov",
 ]
 
-_PAIR_CHUNK = 256
+# Pair-kernel evaluations one integration may plan (force passes x the
+# evaluations of one pass); the direct path evaluates N^2 per pass.
+MAX_PAIR_EVALUATIONS = 10**9
+
+
+class EnsembleCostError(ValueError):
+    """The planned pair-force work exceeds MAX_PAIR_EVALUATIONS."""
 
 
 @dataclass(frozen=True)
@@ -75,30 +84,11 @@ def sample_initial(density, n: int, seed: int) -> np.ndarray:
 
 
 def _pair_forces(q: np.ndarray, spec: ProblemSpec, scale: float) -> np.ndarray:
-    """Scaled pair force on every particle; fixed-order reductions.
+    """Scaled pair force on every particle, from the shared pair-sum kernel.
 
-    The cosine kernel is evaluated through its exact angle-difference
-    factorization (an algebraic identity, not an approximation), which keeps
-    the cost linear; other kernels use the direct pairwise sum in chunks.
     The parity of the pair potential makes the self term vanish identically.
     """
-    pair = spec.pair
-    if isinstance(pair, NoPair) or scale == 0.0:
-        return np.zeros_like(q)
-    if isinstance(pair, CosinePair):
-        k = pair.wavenumber
-        s, c = np.sin(k * q), np.cos(k * q)
-        total_s, total_c = s.sum(), c.sum()
-        # sum_j grad v(q_i - q_j) = -eps k (sin(k q_i) sum_j cos(k q_j)
-        #                                   - cos(k q_i) sum_j sin(k q_j))
-        grad_sum = -pair.strength * k * (s * total_c - c * total_s)
-        return -scale * grad_sum
-    force = np.zeros_like(q)
-    for start in range(0, q.size, _PAIR_CHUNK):
-        block = q[start:start + _PAIR_CHUNK]
-        grad = pair.gradient(block[:, None] - q[None, :])
-        force[start:start + _PAIR_CHUNK] = -scale * grad.sum(axis=1)
-    return force
+    return -scale * pair_force_sum(q, q, np.ones_like(q), spec.pair)
 
 
 def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
@@ -106,11 +96,13 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     """Velocity Verlet on the full interacting system up to time T.
 
     With no pair potential every particle follows the single-particle flow
-    map exactly (identical integrator and step sequence).
+    map exactly (identical integrator and step sequence).  Positions are never
+    wrapped and pair displacements are raw q differences, so a periodic q-axis
+    is only meaningful for pairs that ``pair_is_periodic`` accepts.  Runs whose
+    planned pair work (from the initial positions) exceeds
+    MAX_PAIR_EVALUATIONS raise EnsembleCostError before any step.
     """
-    pts = np.array(points, dtype=float, copy=True)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array of (q, p) rows")
+    pts = _point_rows(points)
     n = pts.shape[0]
     interacting = not isinstance(spec.pair, NoPair)
     if interacting and n < 2:
@@ -119,6 +111,12 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     n_steps = int(round(T / settings.dt))
     if abs(n_steps * settings.dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("T must be an integer multiple of dt")
+    planned = (n_steps + 1) * pair_sum_evaluations(pts[:, 0], pts[:, 0], spec.pair)
+    if planned > MAX_PAIR_EVALUATIONS:
+        raise EnsembleCostError(
+            f"{n_steps + 1} force passes of {n} particles plan {planned:.3g} pair-kernel "
+            f"evaluations, above the cap of {MAX_PAIR_EVALUATIONS:.0e}; "
+            "use fewer particles or steps")
 
     def gradient(q):
         return spec.external_gradient(q) - _pair_forces(q, spec, scale)
@@ -134,8 +132,8 @@ def histogram_density(points: np.ndarray, grid: PhaseGrid) -> DensityField:
     Out-of-domain points are dropped (q is wrapped first on periodic grids);
     if more than 1% fall outside, the field's warning flag is set.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
+    pts = _point_rows(points)
+    if pts.shape[0] == 0:
         return DensityField(grid, np.zeros((grid.n_q, grid.n_p)))
     n = pts.shape[0]
     q, p = pts[:, 0], pts[:, 1]
@@ -159,6 +157,11 @@ def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGr
     the fitted order is the slope of log(distance) against log(n), so -1/2
     is the expected value.
     """
+    if grid.periodic_q and not pair_is_periodic(spec.pair, grid.q_length):
+        raise ValueError(
+            "on a periodic q-domain the ensemble needs no pair potential or a cosine "
+            "pair with a whole number of periods over the q-length: particles use raw "
+            "q differences, the grid solver minimum-image ones")
     init = density_from_function(grid, density, warn=False)
     reference = vlasov_solve(init, T, spec, vlasov_settings, snapshot_times=[T])[-1]
     rows = []

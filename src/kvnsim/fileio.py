@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .flow import _point_rows
 from .fock import FockBasis, FockOperator, FockState
 from .phase_space import DensityField, PhaseGrid
 
@@ -168,7 +169,7 @@ def _fmt(x: float) -> str:
 
 
 def write_points_csv(path, points: np.ndarray) -> None:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _point_rows(points)
     lines = ["q,p"]
     lines += [f"{_fmt(q)},{_fmt(p)}" for q, p in pts]
     atomic_write_text(path, "\n".join(lines) + "\n")

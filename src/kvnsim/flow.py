@@ -77,6 +77,14 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _point_rows(points) -> np.ndarray:
+    """An (n, 2) array of points as floats; every other shape raises."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must be an (n, 2) array of (q, p), got shape {pts.shape}")
+    return pts
+
+
 def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
                     settings: FlowSettings) -> np.ndarray:
     """Flow a (2,) point or an (n, 2) array of (q, p) points by a signed time t.

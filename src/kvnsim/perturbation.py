@@ -17,6 +17,7 @@ this module exists to cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .phase_space import (
     PhaseGrid,
     ProblemSpec,
     density_from_function,
+    pair_force_sum,
 )
 from .vlasov import VlasovSettings, vlasov_solve
 
@@ -85,7 +87,8 @@ def _momentum_gradient(points: np.ndarray, t: float, rho_init, spec, settings) -
 
 
 def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: PerturbationSettings):
-    """Return I(q) = sum_k n0(q_k, t) grad v(q - q_k) dq on the aux grid.
+    """Return I(q) = sum_k n0(q_k, t) grad v(q - q_k) dq over the aux grid's
+    q-centers, as the shared pair-sum kernel bound to those sources.
 
     The marginal n0 is built by pushing the analytic initial density backward
     onto the dedicated auxiliary grid (midpoint quadrature in p)."""
@@ -101,14 +104,8 @@ def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: Pertur
             f"marginal mass {mass:.6g} deviates from the initial mass {ref:.6g} "
             "by more than 1e-3 relative; refine or enlarge the auxiliary grid"
         )
-    weighted = marginal * aux.dq
-    qa = aux.q_centers
-
-    def integral(q: np.ndarray) -> np.ndarray:
-        disp = aux.wrap_displacement(np.asarray(q)[:, None] - qa[None, :])
-        return spec.pair.gradient(disp) @ weighted
-
-    return integral
+    return partial(pair_force_sum, sources=aux.q_centers, weights=marginal * aux.dq,
+                   pair=spec.pair, grid=aux)
 
 
 def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,

@@ -7,6 +7,7 @@ a batch of points an (n, 2) array.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -28,6 +29,9 @@ __all__ = [
     "BoundaryMassWarning",
     "spatial_density",
     "pair_gradient_table",
+    "pair_is_periodic",
+    "pair_force_sum",
+    "pair_sum_evaluations",
     "mean_field_force",
     "density_from_function",
     "boundary_mass_fraction",
@@ -353,6 +357,152 @@ def pair_gradient_table(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
     table = pair.gradient(grid.wrap_displacement(q[:, None] - q[None, :]))
     table.flags.writeable = False
     return table
+
+
+def pair_is_periodic(pair: PairPotentialSpec, length: float) -> bool:
+    """True when grad v(q + length) = grad v(q) for every q: no pair, or a
+    cosine pair with a whole number of periods over ``length``.  For such a
+    pair the minimum-image wrap on a q-axis of that length changes nothing."""
+    if isinstance(pair, NoPair):
+        return True
+    if not isinstance(pair, CosinePair):
+        return False
+    cycles = pair.wavenumber * length / (2.0 * math.pi)
+    return math.isfinite(cycles) and round(cycles) >= 1 and abs(cycles - round(cycles)) <= 1e-9
+
+
+# Elements of one (targets x sources or nodes) temporary in the pair sums.
+_PAIR_TILE = 1 << 15
+# The proxy is kept only when its node values stay within this factor of its
+# largest interpolated target value; its error is relative to the former.
+_PROXY_RANGE = 10.0
+
+
+def _proxy_order(span: float, width: float) -> int:
+    """Chebyshev nodes for a gaussian pair sum over a target span: the
+    interpolant then matches the exact sum to ~1e-15 of its largest value."""
+    return math.ceil(4.0 * span / width) + 16
+
+
+def _pair_sum_path(targets: np.ndarray, sources: np.ndarray, pair: PairPotentialSpec,
+                   grid: PhaseGrid | None) -> tuple[str, int]:
+    """Which of the kernel's paths the inputs select, and the proxy's node count."""
+    if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(sources))):
+        raise ValueError("pair sums need finite target and source positions")
+    if isinstance(pair, NoPair):
+        return "none", 0
+    open_q = grid is None or not grid.periodic_q
+    if isinstance(pair, CosinePair) and (open_q or pair_is_periodic(pair, grid.q_length)):
+        return "cosine", 0
+    if isinstance(pair, GaussianPair) and open_q and targets.size:
+        k = _proxy_order(float(targets.max() - targets.min()), pair.width)
+        if k * (targets.size + sources.size) < targets.size * sources.size:
+            return "proxy", k
+    return "direct", 0
+
+
+def _direct_pair_sum(targets, sources, weights, pair, grid) -> np.ndarray:
+    """Fixed-order direct sum over minimum-image displacements, in target
+    blocks that keep the temporary near _PAIR_TILE elements."""
+    out = np.empty(targets.size)
+    rows = max(1, _PAIR_TILE // max(sources.size, 1))
+    for start in range(0, targets.size, rows):
+        disp = targets[start:start + rows, None] - sources[None, :]
+        if grid is not None:
+            disp = grid.wrap_displacement(disp)
+        out[start:start + rows] = (pair.gradient(disp) * weights).sum(axis=1)
+    return out
+
+
+def _chebyshev_nodes(lo: float, hi: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k first-kind Chebyshev nodes on [lo, hi] in decreasing order, and their
+    barycentric weights (-1)^j sin(theta_j)."""
+    theta = (2.0 * np.arange(k) + 1.0) * (np.pi / (2.0 * k))
+    lam = np.where(np.arange(k) % 2 == 0, 1.0, -1.0) * np.sin(theta)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta), lam
+
+
+def _chebyshev_proxy_sum(targets, sources, weights, pair, k: int) -> np.ndarray | None:
+    """Exact sums at k first-kind Chebyshev nodes spanning the targets,
+    interpolated to the targets by the barycentric formula (Berrut & Trefethen,
+    SIAM Rev. 46, 2004).  None when the nodes are not distinct or their values
+    dwarf the interpolated ones (or the interpolation is not finite): the
+    interpolant's accuracy is relative to the largest node value, so it would
+    not carry over to the targets."""
+    nodes, lam = _chebyshev_nodes(targets.min(), targets.max(), k)
+    if not np.all(np.diff(nodes) < 0.0):
+        return None
+    values = _direct_pair_sum(nodes, sources, weights, pair, None)
+    out = np.empty(targets.size)
+    rows = max(1, _PAIR_TILE // k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, targets.size, rows):
+            c = lam / (targets[start:start + rows, None] - nodes[None, :])
+            out[start:start + rows] = np.einsum("ij,j->i", c, values) / c.sum(axis=1)
+    # a target on a node (where the formula divides by zero) takes its value
+    ascending = nodes[::-1]
+    at = np.minimum(np.searchsorted(ascending, targets), k - 1)
+    hit = ascending[at] == targets
+    out[hit] = values[::-1][at[hit]]
+    if not np.max(np.abs(values)) <= _PROXY_RANGE * np.max(np.abs(out)):
+        return None
+    return out
+
+
+def pair_force_sum(targets, sources, weights, pair: PairPotentialSpec,
+                   grid: PhaseGrid | None = None) -> np.ndarray:
+    """sum_j w_j grad v(d_ij) for every target i, d_ij = grid.wrap_displacement(t_i - s_j).
+
+    ``grid`` only supplies the q-axis convention: minimum image when it is
+    periodic in q, raw differences when it is open or None.  The inputs alone
+    pick the path:
+
+    - no pair: zeros;
+    - cosine pair, wherever the wrap changes nothing (open axis, or a whole
+      number of periods over the q-length): the exact angle-difference
+      factorization, O(N + S);
+    - gaussian pair on an open axis, when k (N + S) < N S for the k of
+      ``_proxy_order``: the Chebyshev proxy of ``_chebyshev_proxy_sum``, a
+      single level of the black-box FMM (Fong & Darve, J. Comput. Phys. 228,
+      2009), O((N + S) k); it falls back to the direct sum where its result
+      would not be exact to rounding (equal targets among them);
+    - everything else: the fixed-order direct sum, O(N S).
+
+    Every reduction runs in a fixed order, so results repeat bit for bit.
+    """
+    t = np.asarray(targets, dtype=float)
+    s = np.asarray(sources, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if t.ndim != 1 or s.ndim != 1 or w.shape != s.shape:
+        raise ValueError(
+            f"targets and sources must be 1-d and weights match the sources, got shapes "
+            f"{t.shape}, {s.shape}, {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("pair sums need finite weights")
+    path, k = _pair_sum_path(t, s, pair, grid)
+    if path == "none":
+        return np.zeros_like(t)
+    if path == "cosine":
+        wn = pair.wavenumber
+        # sum_j w_j grad v(t_i - s_j)
+        #   = -eps k (sin(k t_i) sum_j w_j cos(k s_j) - cos(k t_i) sum_j w_j sin(k s_j))
+        total_c, total_s = np.sum(np.cos(wn * s) * w), np.sum(np.sin(wn * s) * w)
+        return -pair.strength * wn * (np.sin(wn * t) * total_c - np.cos(wn * t) * total_s)
+    if path == "proxy":
+        out = _chebyshev_proxy_sum(t, s, w, pair, k)
+        if out is not None:
+            return out
+    return _direct_pair_sum(t, s, w, pair, grid)
+
+
+def pair_sum_evaluations(targets, sources, pair: PairPotentialSpec,
+                         grid: PhaseGrid | None = None) -> int:
+    """Pair-kernel evaluations ``pair_force_sum`` plans for these inputs."""
+    t = np.asarray(targets, dtype=float)
+    s = np.asarray(sources, dtype=float)
+    path, k = _pair_sum_path(t, s, pair, grid)
+    return {"none": 0, "cosine": t.size + s.size, "proxy": k * (t.size + s.size),
+            "direct": t.size * s.size}[path]
 
 
 def mean_field_force(density: DensityField, spec: ProblemSpec) -> np.ndarray:

@@ -282,6 +282,48 @@ def test_cli_compare_emits_residual_table(tmp_path):
     assert errs[0] > errs[1]
 
 
+ENSEMBLE_OPEN = {
+    "method": "ensemble",
+    "problem": {"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 0.8}},
+    "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6, "n_q": 16, "n_p": 16},
+    "initial_density": {"type": "gaussian", "q_sigma": 0.7, "p_sigma": 0.7},
+    "times": {"t_final": 1000.0},
+    "settings": {"dt": 0.01, "n_particles": 2000},
+}
+
+
+def test_cli_ensemble_cost_guard_exits_2_with_error_record(tmp_path):
+    cfg = write_config(tmp_path, dict(ENSEMBLE_OPEN, output_dir=str(tmp_path / "out")))
+    assert main(["run", "--config", cfg]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "EnsembleCostError"
+    assert not (tmp_path / "out" / "particles_final.csv").exists()
+
+
+@pytest.mark.parametrize("pair", [
+    {"type": "gaussian", "strength": 0.5, "width": 0.5},
+    {"type": "cosine", "strength": 0.1, "wavenumber": 1.5},
+])
+def test_periodic_ensemble_needs_a_pair_the_wrap_leaves_alone(pair):
+    periodic = {"q_min": -np.pi, "q_max": np.pi, "p_min": -5, "p_max": 5,
+                "n_q": 16, "n_p": 16, "periodic_q": True}
+    message = ("problem.pair_potential: on a periodic q-domain the ensemble needs no pair "
+               "potential or a cosine pair with a whole number of periods over the q-length")
+    raw = dict(ENSEMBLE_OPEN, grid=periodic, problem={"pair_potential": pair},
+               times={"t_final": 0.1})
+    assert config_errors(raw) == [message]
+    raw = dict(raw, method="compare",
+               settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
+                         "vlasov": {"dt": 0.02}})
+    assert config_errors(raw) == [message]
+    # the same pair is fine for the grid solver, which wraps displacements itself
+    parse_config(json.dumps(dict(raw, method="vlasov", settings={"dt": 0.02})))
+    # and a cosine pair with whole periods is fine for the ensemble
+    whole = {"type": "cosine", "strength": 0.1, "wavenumber": 2.0}
+    parse_config(json.dumps(dict(ENSEMBLE_OPEN, grid=periodic, times={"t_final": 0.1},
+                                 problem={"pair_potential": whole})))
+
+
 def test_cli_compare_ensemble_table_with_sidecar(tmp_path):
     payload = {
         "method": "compare",

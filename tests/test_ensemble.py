@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from kvnsim.densities import GaussianDensity, GaussianMixture
 from kvnsim.ensemble import (
+    MAX_PAIR_EVALUATIONS,
+    EnsembleCostError,
     EnsembleSettings,
     ensemble_vs_vlasov,
     histogram_density,
@@ -103,6 +105,38 @@ def test_interacting_runs_need_two_particles():
     with pytest.raises(ValueError, match="two"):
         integrate_nbody(np.array([[0.0, 0.0]]), 0.1, spec,
                         EnsembleSettings(dt=0.01, seed=0))
+
+
+def test_cost_guard_refuses_before_integrating():
+    spec = ProblemSpec(pair=GaussianPair(strength=0.1, width=0.8))
+    pts = sample_initial(UNIT, 2000, seed=1)
+    # the proxy path at N = 2000 plans ~1.6e5 evaluations per pass; 10^5 passes
+    # exceed the cap, so the refusal comes at once instead of after hours
+    assert 10**5 * 1.6e5 > MAX_PAIR_EVALUATIONS
+    with pytest.raises(EnsembleCostError, match="pair-kernel evaluations"):
+        integrate_nbody(pts, 1000.0, spec, EnsembleSettings(dt=0.01, seed=0))
+    assert issubclass(EnsembleCostError, ValueError)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (5, 1), (2, 5, 2), (2,)])
+def test_histogram_refuses_points_that_are_not_q_p_rows(shape):
+    grid = PhaseGrid(-1, 1, -1, 1, 4, 4)
+    with pytest.raises(ValueError, match=r"\(n, 2\) array of \(q, p\)"):
+        histogram_density(np.zeros(shape), grid)
+
+
+def test_periodic_ensemble_refuses_pairs_the_wrap_would_change():
+    # q = +-3 on [-pi, pi) sit 0.28 apart through the seam: the grid solver feels
+    # a force of 0.96 there, raw particle differences of 6 only 1e-30
+    grid = PhaseGrid(-np.pi, np.pi, -5, 5, 16, 16, periodic_q=True)
+    spec = ProblemSpec(pair=GaussianPair(strength=1.0, width=0.5))
+    with pytest.raises(ValueError, match="periodic q-domain"):
+        ensemble_vs_vlasov(UNIT, spec, grid, 0.1, [100], EnsembleSettings(dt=0.05, seed=1),
+                           VlasovSettings(dt=0.02))
+    off_period = ProblemSpec(pair=CosinePair(strength=0.1, wavenumber=1.5))
+    with pytest.raises(ValueError, match="periodic q-domain"):
+        ensemble_vs_vlasov(UNIT, off_period, grid, 0.1, [100],
+                           EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
 
 
 def test_histogram_point_mass_and_empty():

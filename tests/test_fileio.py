@@ -103,6 +103,13 @@ def test_points_csv_round_trip(tmp_path):
         read_points_csv(bad)
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2)])
+def test_points_csv_refuses_points_that_are_not_q_p_rows(tmp_path, shape):
+    with pytest.raises(ValueError, match=r"\(n, 2\) array of \(q, p\)"):
+        write_points_csv(tmp_path / "pts.csv", np.zeros(shape))
+    assert not (tmp_path / "pts.csv").exists()
+
+
 def test_table_csv_footer(tmp_path):
     table = ConvergenceTable(parameter="strength", rows=((0.2, 1e-3), (0.1, 2.5e-4)))
     assert abs(table.fitted_order - 2.0) < 1e-12
