@@ -482,6 +482,11 @@ def parse_config(text: str) -> ScenarioConfig:
                 "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
                 "with a whole number of periods over the q-length")
 
+    if (getattr(settings, "targets", None) == ("perturbation", "vlasov")
+            and isinstance(pair, NoPair) and any(settings.strengths)):
+        v.error("settings.strengths",
+                "a nonzero strength needs a gaussian or cosine problem.pair_potential")
+
     if v.errors:
         raise ConfigError(v.errors)
     assert method is not None and settings is not None

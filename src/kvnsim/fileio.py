@@ -34,7 +34,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .flow import _point_rows
 from .fock import FockBasis, FockOperator, FockState
@@ -148,6 +147,8 @@ def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
 
 
 def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
+    import scipy.sparse as sp
+
     (n_particles, n_modes, dim, _, *g), payload = _read(
         path, _FOCK_HEADER, _OP_MAGIC, "operator", lambda n, m, d, nnz, *_: 32 * nnz)
     grid = _grid_from_tuple(g)

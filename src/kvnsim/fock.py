@@ -10,6 +10,10 @@ assembled generator is Hermitian by construction and the truncated theory
 is exactly unitary.
 
 Bose statistics only.
+
+scipy is imported inside the functions that build or propagate sparse
+matrices, so that importing this module (as every kvnsim run does) loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .phase_space import (
     DensityField,
@@ -69,6 +71,8 @@ def _require_periodic(grid: PhaseGrid):
 
 def _centered_difference(n: int, delta: float) -> sp.csr_matrix:
     """Periodic centered first-difference matrix (real antisymmetric)."""
+    import scipy.sparse as sp
+
     rows = np.repeat(np.arange(n), 2)
     cols = np.empty(2 * n, dtype=int)
     vals = np.empty(2 * n)
@@ -145,6 +149,8 @@ class TwoBodyTensor:
 
 def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> OneBodyMatrix:
     """(p/m) (1/i) d/dq - grad U(q) (1/i) d/dp on the cell-indicator modes."""
+    import scipy.sparse as sp
+
     _require_periodic(grid)
     Dq = _centered_difference(grid.n_q, grid.dq)
     Dp = _centered_difference(grid.n_p, grid.dp)
@@ -159,6 +165,8 @@ def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> OneBodyMatrix:
 
 def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> TwoBodyTensor:
     """-grad v(q - q') (1/i) d/dp acting on the unprimed argument."""
+    import scipy.sparse as sp
+
     _require_periodic(grid)
     M = grid.n_q * grid.n_p
     Dp = _centered_difference(grid.n_p, grid.dp)
@@ -315,6 +323,8 @@ def assemble_liouvillian(one_body: OneBodyMatrix, two_body: TwoBodyTensor,
     i), d the momentum stencil and W(s, a) = -sum_a' grad v(q_a - q_a') n_s(a').
     Total occupation is conserved move by move, so [L, N] = 0 exactly.
     """
+    import scipy.sparse as sp
+
     M = basis.n_modes
     if one_body.n_modes != M:
         raise ValueError("one-body matrix size does not match the basis modes")
@@ -372,6 +382,8 @@ def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
     The action of the matrix exponential is computed without forming it
     (scipy's ``expm_multiply``, Al-Mohy & Higham 2011).
     """
+    from scipy.sparse.linalg import expm_multiply
+
     if not op.hermitian:
         raise ValueError(
             f"operator is not Hermitian (deviation {op.hermiticity_deviation():.3e}); "
@@ -498,6 +510,8 @@ def kernel_hermiticity_report(modes: ModeBasis, spec: ProblemSpec,
     stencil, whose periodic antisymmetry is the discrete integration by
     parts, hence anti-Hermitian.
     """
+    import scipy.sparse as sp
+
     grid = modes.grid
     _require_periodic(grid)
     if density_ref.grid != grid:

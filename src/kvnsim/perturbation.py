@@ -189,14 +189,29 @@ def residual_vs_vlasov(t: float, rho_init, spec: ProblemSpec, eps_list,
     log(error) against log(strength) over the nonzero strengths.  A zero
     strength row, when requested, reports the pure discretization floor
     between the two representations.
+
+    The zeroth order does not depend on the strength and the first-order
+    correction is linear in it, so the expansion is made once, at the largest
+    strength eps_max, and a row at eps interpolates between the zeroth order
+    and that expansion with weight eps / eps_max.  (At unit strength the
+    expanded density could go negative, which DensityField refuses.)
     """
+    specs = [spec.with_pair_strength(eps) for eps in eps_list]  # refuse before expanding
+    top = max(eps_list, default=0.0)
+    Q, P = grid.meshgrid()
+    pts = np.column_stack([Q.ravel(), P.ravel()])
+    zeroth = transported_density_points(pts, t, rho_init, spec, settings.flow)
+    zeroth = full = zeroth.reshape(grid.n_q, grid.n_p)
+    if top > 0:
+        full = perturbative_density(grid, t, rho_init, spec.with_pair_strength(top),
+                                    settings).values
     rows = []
     init = density_from_function(grid, rho_init, warn=False)
-    for eps in eps_list:
-        spec_eps = spec.with_pair_strength(eps)
-        pert = perturbative_density(grid, t, rho_init, spec_eps, settings)
+    for eps, spec_eps in zip(eps_list, specs):
+        w = eps / top if top > 0 else 0.0
+        pert = (1.0 - w) * zeroth + w * full
         solved = vlasov_solve(init, t, spec_eps, vlasov_settings, snapshot_times=[t])[-1]
-        linf = float(np.max(np.abs(pert.values - solved.values)))
+        linf = float(np.max(np.abs(pert - solved.values)))
         rows.append((float(eps), linf))
     rows.sort(key=lambda r: -r[0])
     return ConvergenceTable(parameter="strength", rows=tuple(rows))

@@ -15,10 +15,10 @@ J. Comput. Phys. 22, 1976; Sonnendrücker et al., J. Comput. Phys. 149, 1999).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 from .phase_space import DensityField, ProblemSpec, mean_field_force
 
@@ -44,16 +44,42 @@ class VlasovSettings:
 _GHOST = 3  # zero ghost rows padded onto each end of an open column
 
 
+@lru_cache(maxsize=16)
+def _thomas_pivots(n: int) -> tuple[float, ...]:
+    """Reciprocal pivots r of the LU factorization of tridiag(1, 4, 1) of order n:
+    r[0] = 1/4, r[i] = 1 / (4 - r[i-1])."""
+    r = [0.25]
+    for _ in range(n - 1):
+        r.append(1.0 / (4.0 - r[-1]))
+    return tuple(r)
+
+
 def _bspline_prefilter(values: np.ndarray, periodic: bool) -> np.ndarray:
     """Cubic B-spline coefficients c of every column: (c[i-1] + 4 c[i] + c[i+1]) / 6
-    = values[i], with c periodic or zero past the ends of the column."""
+    = values[i], with c periodic or zero past the ends of the column.
+
+    Periodic columns divide by the circulant's symbol in Fourier space; open
+    columns solve tridiag(1, 4, 1) c = 6 values by the Thomas sweep (Golub &
+    Van Loan, Matrix Computations, 4.3), stable without pivoting because the
+    matrix is strictly diagonally dominant.  The sweeps run in place over row
+    views, vectorized over the columns.
+    """
     n = values.shape[0]
     if periodic:
         symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / 6.0
         return np.fft.irfft(np.fft.rfft(values, axis=0) / symbol[:, None], n=n, axis=0)
-    bands = np.full((3, n), 1.0 / 6.0)
-    bands[1] = 4.0 / 6.0
-    return solve_banded((1, 1), bands, values, check_finite=False)
+    r = _thomas_pivots(n)
+    coeffs = np.multiply(values, 6.0)
+    rows = list(coeffs)
+    np.multiply(rows[0], r[0], out=rows[0])
+    for prev, row, ri in zip(rows, rows[1:], r[1:]):  # forward: L y = 6 values
+        np.subtract(row, prev, out=row)
+        np.multiply(row, ri, out=row)
+    scratch = np.empty(coeffs.shape[1:])
+    for row, nxt, ri in zip(rows[-2::-1], rows[:0:-1], r[-2::-1]):  # back: U c = y
+        np.multiply(nxt, ri, out=scratch)
+        np.subtract(row, scratch, out=row)
+    return coeffs
 
 
 def _advect_columns(values: np.ndarray, delta: float, shifts: np.ndarray,
@@ -147,6 +173,10 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
                  snapshot_times=None) -> list[DensityField]:
     """Repeated stepping to time T; snapshots at the nearest whole step.
 
+    The state after step k is stamped t0 + k dt (t0 the initial time, 0 when
+    unset), not a running sum of dt, so a snapshot carries no accumulated
+    rounding in its time.
+
     The momentum domain is a truncation of the real line, so initial data
     with more than 1e-8 of its mass in the outermost two p-rows is refused:
     the truncation would not be certifiably harmless.
@@ -166,11 +196,13 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
     snap_steps = [min(n_steps, max(0, int(round(t / settings.dt)))) for t in snapshot_times]
 
     rho = rho0 if rho0.time is not None else rho0.copy_with(rho0.values, time=0.0)
+    t0 = rho.time
     snapshots: dict[int, DensityField] = {}
     if 0 in snap_steps:
         snapshots[0] = rho
     for k in range(1, n_steps + 1):
         rho = vlasov_step(rho, spec, settings)
+        rho.time = t0 + k * settings.dt
         if k in snap_steps:
             snapshots[k] = rho
     return [snapshots[k] for k in snap_steps]

@@ -376,6 +376,7 @@ def test_non_finite_numbers_are_config_errors(text):
 def test_library_settings_errors_carry_the_block_path():
     raw = json.loads(json.dumps(MINIMAL_VLASOV))
     raw["method"] = "compare"
+    raw["problem"] = {"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}}
     raw["settings"] = {"strengths": [0.1], "vlasov": {"dt": 0.01, "interpolation": "quintic"},
                        "perturbation": {"quadrature": "simpson"}}
     assert config_errors(raw) == [
@@ -387,6 +388,7 @@ def test_library_settings_errors_carry_the_block_path():
 def test_compare_sweep_entries_are_checked_one_by_one():
     raw = json.loads(json.dumps(MINIMAL_VLASOV))
     raw["method"] = "compare"
+    raw["problem"] = {"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}}
     raw["settings"] = {"strengths": ["a", 0.1, True, -0.5], "vlasov": {"dt": 0.01}}
     assert config_errors(raw) == [
         "settings.strengths[0]: must be a number >= 0",
@@ -410,6 +412,23 @@ def test_cli_validate_refuses_unsupported_fock_particle_number(tmp_path, capsys)
     }
     assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
     assert "settings.n_particles: must be 1 or 2" in capsys.readouterr().err
+
+
+def test_validate_and_run_agree_on_a_strength_without_a_pair(tmp_path, capsys):
+    payload = dict(MINIMAL_VLASOV, method="compare", output_dir=str(tmp_path / "out"),
+                   settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},
+                             "vlasov": {"dt": 0.01}})
+    cfg = write_config(tmp_path, payload)
+    message = ("settings.strengths: a nonzero strength needs a gaussian or cosine "
+               "problem.pair_potential")
+    assert main(["validate", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["run", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a zero strength alone is the non-interacting floor and stays valid
+    payload["settings"] = dict(payload["settings"], strengths=[0.0])
+    parse_config(json.dumps(payload))
 
 
 def test_cli_seed_override_is_validated(tmp_path, capsys):
@@ -455,6 +474,7 @@ VALID_CONFIGS = [
          settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
                    "ensemble": {"dt": 0.05, "n_particles": 10}, "vlasov": {"dt": 0.02}}),
     dict(MINIMAL_VLASOV, method="compare", times={"t_final": 0.2, "snapshots": [0.1, 0.2]},
+         problem={"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
          settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},
                    "vlasov": {"dt": 0.01}}),
 ]

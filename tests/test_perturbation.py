@@ -18,8 +18,9 @@ from kvnsim.phase_space import (
     HarmonicPotential,
     PhaseGrid,
     ProblemSpec,
+    density_from_function,
 )
-from kvnsim.vlasov import VlasovSettings
+from kvnsim.vlasov import VlasovSettings, vlasov_solve
 
 RHO0 = GaussianDensity(0.6, 0.0, 0.7, 0.7)
 HARMONIC = ProblemSpec(external=HarmonicPotential(omega=1.0))
@@ -164,9 +165,6 @@ def test_solver_matches_transported_density_without_coupling():
     # characteristic transport of the initial density to interpolation error
     grid = PhaseGrid(-8, 8, -8, 8, 128, 128)
     dens = GaussianDensity(0.0, 0.0, 1.0, 1.0)
-    from kvnsim.phase_space import density_from_function
-    from kvnsim.vlasov import vlasov_solve
-
     f0 = density_from_function(grid, dens)
     snap = vlasov_solve(f0, 2.0, HARMONIC, VlasovSettings(dt=0.02), [2.0])[-1]
     Q, P = grid.meshgrid()
@@ -182,3 +180,30 @@ def test_residual_vs_vlasov_reports_floor_at_zero_strength():
     rows = dict(table.rows)
     assert rows[0.0] < rows[0.1]  # the floor sits below the interacting error
     assert rows[0.0] < 1e-4
+
+
+def test_residual_sweep_matches_one_expansion_per_strength():
+    grid = PhaseGrid(-6, 6, -6, 6, 24, 24)
+    vlasov = VlasovSettings(dt=0.01)
+    table = residual_vs_vlasov(0.3, RHO0, INTERACTING, [0.2, 0.0, 0.05], grid, SETTINGS,
+                               vlasov)
+    assert [eps for eps, _ in table.rows] == [0.2, 0.05, 0.0]
+    init = density_from_function(grid, RHO0, warn=False)
+    for eps, err in table.rows:
+        spec = INTERACTING.with_pair_strength(eps)
+        pert = perturbative_density(grid, 0.3, RHO0, spec, SETTINGS).values
+        solved = vlasov_solve(init, 0.3, spec, vlasov, [0.3])[-1].values
+        assert abs(err - np.max(np.abs(pert - solved))) <= 1e-12 * np.max(pert)
+
+
+def test_residual_sweep_without_a_pair():
+    grid = PhaseGrid(-6, 6, -6, 6, 24, 24)
+    table = residual_vs_vlasov(0.3, RHO0, HARMONIC, [0.0], grid, SETTINGS,
+                               VlasovSettings(dt=0.01))
+    pert = perturbative_density(grid, 0.3, RHO0, HARMONIC, SETTINGS).values
+    init = density_from_function(grid, RHO0, warn=False)
+    solved = vlasov_solve(init, 0.3, HARMONIC, VlasovSettings(dt=0.01), [0.3])[-1].values
+    assert table.rows == ((0.0, np.max(np.abs(pert - solved))),)
+    with pytest.raises(ValueError, match="'none' pair potential"):
+        residual_vs_vlasov(0.3, RHO0, HARMONIC, [0.0, 0.1], grid, SETTINGS,
+                           VlasovSettings(dt=0.01))

@@ -1,0 +1,67 @@
+"""Every method but Fock runs on numpy alone: a fresh interpreter that imports
+the command line and runs a flow, vlasov, perturbation, ensemble and compare
+config never imports scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kvnsim
+
+SRC = str(Path(kvnsim.__file__).resolve().parents[1])
+LAYERS = ("cli", "config", "phase_space", "vlasov", "perturbation", "flow", "fock",
+          "ensemble", "fileio")
+
+GRID = {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6, "n_q": 16, "n_p": 16}
+DENSITY = {"type": "gaussian", "q_sigma": 0.7, "p_sigma": 0.7}
+PAIR = {"external_potential": {"type": "harmonic", "omega": 1.0},
+        "pair_potential": {"type": "gaussian", "strength": 0.1, "width": 0.8}}
+CONFIGS = {
+    "flow": {"method": "flow", "problem": PAIR, "times": {"t_final": 0.1},
+             "settings": {"points_csv": "points.csv", "n_snapshots": 2}},
+    "vlasov": {"method": "vlasov", "problem": PAIR, "grid": GRID,
+               "initial_density": DENSITY, "times": {"t_final": 0.05},
+               "settings": {"dt": 0.01}},
+    "perturbation": {"method": "perturbation", "problem": PAIR, "grid": GRID,
+                     "initial_density": DENSITY, "times": {"t_final": 0.05},
+                     "settings": {"n_s": 2, "flow": {"dt": 0.01, "exact_shortcut": True}}},
+    "ensemble": {"method": "ensemble", "problem": PAIR, "grid": GRID,
+                 "initial_density": DENSITY, "times": {"t_final": 0.05},
+                 "settings": {"dt": 0.01, "n_particles": 20}},
+    "compare": {"method": "compare", "problem": PAIR, "grid": GRID,
+                "initial_density": DENSITY, "times": {"t_final": 0.05},
+                "settings": {"strengths": [0.1, 0.0],
+                             "perturbation": {"n_s": 2, "flow": {"dt": 0.01,
+                                                                 "exact_shortcut": True}},
+                             "vlasov": {"dt": 0.01}}},
+}
+
+PROBE = """
+import json, sys
+from kvnsim.cli import main
+layers = [name for name in sys.argv[1].split(",") if f"kvnsim.{name}" not in sys.modules]
+codes = [main(["run", "--config", path]) for path in sys.argv[2:]]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"missing_layers": layers, "codes": codes, "scipy": scipy}))
+"""
+
+
+def test_import_and_non_fock_runs_load_no_scipy(tmp_path):
+    (tmp_path / "points.csv").write_text("q,p\n0.5,0.1\n-0.2,0.3\n")
+    paths = []
+    for method, config in CONFIGS.items():
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(dict(config, output_dir=str(tmp_path / method))))
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, ",".join(LAYERS), *paths],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # perfbench's tracer looks every layer up in sys.modules after importing the cli
+    assert result["missing_layers"] == []
+    assert result["codes"] == [0] * len(CONFIGS)
+    assert result["scipy"] == []

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from kvnsim.densities import GaussianDensity
 from kvnsim.phase_space import (
@@ -15,6 +18,7 @@ from kvnsim.vlasov import (
     CFLViolation,
     VlasovSettings,
     _advect_columns,
+    _bspline_prefilter,
     vlasov_solve,
     vlasov_step,
 )
@@ -83,6 +87,14 @@ def test_free_streaming_snapshots():
         exact = STANDARD_GAUSSIAN(Q - P * t, P)
         assert np.max(np.abs(snap.values - exact)) < 1e-3
         assert snap.time == pytest.approx(t)
+
+
+def test_snapshot_times_are_whole_multiples_of_dt():
+    # a running sum of dt would give 2.0000000000000013 after 100 steps of 0.02
+    f0 = density_from_function(wide_grid(16), GaussianDensity(0, 0, 0.8, 0.8), warn=False)
+    dt = 0.02
+    snaps = vlasov_solve(f0, 100 * dt, FREE, VlasovSettings(dt=dt), [50 * dt, 100 * dt])
+    assert [snap.time for snap in snaps] == [50 * dt, 100 * dt]
 
 
 def test_periodic_self_consistent_mass_conservation_1000_steps():
@@ -199,3 +211,18 @@ def test_integer_shifts_move_whole_cells(periodic, cubic):
             keep = (src >= 0) & (src < n)
             expected[keep] = values[src[keep], j]
         assert np.max(np.abs(out[:, j] - expected)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(7, 600), m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+       fill=st.sampled_from([1.0, 0.05]))
+def test_open_prefilter_matches_dense_and_banded_solves(n, m, seed, scale, fill):
+    rng = np.random.default_rng(seed)
+    values = scale * rng.standard_normal((n, m)) * (rng.random((n, m)) < fill)
+    got = _bspline_prefilter(values, periodic=False)
+    matrix = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
+    bands = np.full((3, n), 1.0 / 6.0)
+    bands[1] = 4.0 / 6.0
+    for ref in (np.linalg.solve(matrix, values), solve_banded((1, 1), bands, values)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
