@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .densities import GaussianDensity, GaussianMixture
-from .ensemble import EnsembleSettings
+from .ensemble import EnsembleSettings, step_count
 from .flow import FlowSettings
 from .fock import DEFAULT_DIMENSION_CAP
 from .perturbation import PerturbationSettings
@@ -386,6 +386,10 @@ def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None,
         if n not in (1, 2):
             v.error(f"{path}.n_particles", "must be 1 or 2")
         cap = v.get_int(path, d, "dimension_cap", default=DEFAULT_DIMENSION_CAP, minimum=1)
+        if cap is not None and cap > DEFAULT_DIMENSION_CAP:
+            v.error(f"{path}.dimension_cap",
+                    f"can only lower the cap: must be <= {DEFAULT_DIMENSION_CAP}")
+            cap = DEFAULT_DIMENSION_CAP
         return FockRun(n_particles=n, dimension_cap=cap)
     if method == "ensemble":
         return _parse_ensemble_settings(v, path, d, seed)
@@ -481,6 +485,15 @@ def parse_config(text: str) -> ScenarioConfig:
         v.error("problem.pair_potential",
                 "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
                 "with a whole number of periods over the q-length")
+
+    if uses_ensemble:
+        dt_key, ens = (("settings.ensemble.dt", settings.ensemble) if method == "compare"
+                       else ("settings.dt", settings))
+        if ens is not None:
+            try:
+                step_count(t_final, ens.dt)
+            except ValueError:
+                v.error("times.t_final", f"must be a whole number of {dt_key} = {ens.dt:g} steps")
 
     if (getattr(settings, "targets", None) == ("perturbation", "vlasov")
             and isinstance(pair, NoPair) and any(settings.strengths)):

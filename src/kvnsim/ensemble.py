@@ -13,6 +13,7 @@ this build, not across numpy generations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "EnsembleSettings",
     "sample_initial",
     "integrate_nbody",
+    "step_count",
     "histogram_density",
     "ensemble_vs_vlasov",
 ]
@@ -91,6 +93,15 @@ def _pair_forces(q: np.ndarray, spec: ProblemSpec, scale: float) -> np.ndarray:
     return -scale * pair_force_sum(q, q, np.ones_like(q), spec.pair)
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of dt steps that make up T; ValueError unless T is a whole
+    multiple of dt to within 1e-9 max(1, |T|)."""
+    steps = T / dt
+    if not (math.isfinite(steps) and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, abs(T))):
+        raise ValueError("T must be an integer multiple of dt")
+    return round(steps)
+
+
 def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
                     settings: EnsembleSettings) -> np.ndarray:
     """Velocity Verlet on the full interacting system up to time T.
@@ -108,9 +119,7 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     if interacting and n < 2:
         raise ValueError("interacting runs need at least two particles")
     scale = 1.0 / (n - 1) if interacting and settings.coupling_scaling == "mean-field" else 1.0
-    n_steps = int(round(T / settings.dt))
-    if abs(n_steps * settings.dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("T must be an integer multiple of dt")
+    n_steps = step_count(T, settings.dt)
     planned = (n_steps + 1) * pair_sum_evaluations(pts[:, 0], pts[:, 0], spec.pair)
     if planned > MAX_PAIR_EVALUATIONS:
         raise EnsembleCostError(

@@ -207,6 +207,10 @@ class FockBasis:
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         M, N = self.n_modes, self.n_particles
+        dim = self.sector_dimension(M, N)
+        if dim > DEFAULT_DIMENSION_CAP:
+            raise DimensionCapError(
+                f"sector dimension {dim} (M={M}, N={N}) exceeds the cap {DEFAULT_DIMENSION_CAP}")
         flat = chain.from_iterable(combinations_with_replacement(range(M), N))
         object.__setattr__(self, "modes", np.fromiter(flat, np.int64).reshape(-1, N))
         # multisets[c, r]: size-r multisets of the modes c..M-1, C(M - c + r - 1, r)
@@ -218,11 +222,6 @@ class FockBasis:
     @property
     def dimension(self) -> int:
         return self.modes.shape[0]
-
-    @property
-    def occupations(self) -> np.ndarray:
-        """(dim x M) occupation numbers, built from ``modes`` on each access."""
-        return _tally(self.modes, self.n_modes)
 
     def _rank(self, modes: np.ndarray) -> np.ndarray:
         """Row of each sorted tuple in ``modes`` (shape (..., N))."""
@@ -286,6 +285,21 @@ def _tally(values: np.ndarray, n: int) -> np.ndarray:
     """(rows x n) count of each value in [0, n) per row of ``values``."""
     flat = (np.arange(len(values))[:, None] * n + values).ravel()
     return np.bincount(flat, minlength=len(values) * n).reshape(len(values), n)
+
+
+def _slot_sum(slots: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``_tally(slots, n).T @ weights`` for real weights, summed over the slots
+    directly, so memory scales with the slots and not with rows x n."""
+    return np.bincount(slots.ravel(), weights=np.repeat(weights, slots.shape[1]), minlength=n)
+
+
+def _pair_correlation(basis: FockBasis, weights: np.ndarray) -> np.ndarray:
+    """(M x M) sum_s weights[s] n_s(i) n_s(j).  n_s(i) n_s(j) counts the slot
+    pairs (x, y) of state s that hold modes (i, j), so the N^2 slot pairs of
+    each state are summed as the flat index i*M + j."""
+    M, slots = basis.n_modes, basis.modes
+    pairs = (slots[:, :, None] * M + slots[:, None, :]).reshape(len(slots), -1)
+    return _slot_sum(pairs, weights, M * M).reshape(M, M)
 
 
 def _hops(basis: FockBasis, stencil: sp.spmatrix):
@@ -405,7 +419,7 @@ def density_expectation(state: FockState, modes: ModeBasis) -> DensityField:
     """
     grid = modes.grid
     w = np.abs(state.amplitudes) ** 2
-    mode_occ = state.basis.occupations.T @ w
+    mode_occ = _slot_sum(state.basis.modes, w, state.basis.n_modes)
     values = (mode_occ / grid.cell_volume).reshape(grid.n_q, grid.n_p)
     return DensityField(grid, values)
 
@@ -462,8 +476,8 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, modes: ModeBasis
     # exact d/dt via the commutator: d<n_i>/dt = -2 Im <L a, n_i a>
     w = op.matrix @ at.amplitudes
     u = np.conj(w) * at.amplitudes
-    z = at.basis.occupations.T @ u
-    dt_exact_term = (-2.0 * np.imag(z) / vol).reshape(shape)
+    z_imag = _slot_sum(at.basis.modes, u.imag, at.basis.n_modes)
+    dt_exact_term = (-2.0 * z_imag / vol).reshape(shape)
 
     transport = (grid.p_centers[None, :] / spec.mass) * _roll_derivative(dens, grid.dq, axis=0)
     grad_u = spec.external_gradient(grid.q_centers)
@@ -474,9 +488,7 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, modes: ModeBasis
         pair_term = np.zeros(shape)
     else:
         gradv_q = pair_gradient_table(grid, spec.pair)
-        weights = np.abs(at.amplitudes) ** 2
-        occ = at.basis.occupations
-        corr = (occ * weights[:, None]).T @ occ  # <n_j n_i>
+        corr = _pair_correlation(at.basis, np.abs(at.amplitudes) ** 2)
         corr4 = corr.reshape(grid.n_q, grid.n_p, grid.n_q, grid.n_p) / vol**2
         d_corr = _roll_derivative(corr4, grid.dp, axis=3)
         inner = d_corr.sum(axis=1) * grid.dp          # (a', a, b)

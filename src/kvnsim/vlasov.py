@@ -120,18 +120,20 @@ def _advect_columns(values: np.ndarray, delta: float, shifts: np.ndarray,
     return out.T
 
 
-def _clip_negatives(values: np.ndarray, mass_before: float, cell_volume: float):
+def _clip_negatives(values: np.ndarray):
     """Zero out interpolation undershoot below the tolerated -1e-12 floor,
-    then rescale so the clipping itself conserves mass.
-    Returns (values, n_clipped)."""
+    then rescale to the sum the values had before clipping, so the clipping
+    itself conserves mass and mass that left through an open boundary during
+    the step stays out.  Returns (values, n_clipped)."""
     floor = DensityField.NEGATIVE_TOL
     bad = values < floor
     n_clipped = int(bad.sum())
     if n_clipped:
+        total_before = values.sum()
         values = np.where(bad, 0.0, values)
-        mass_after = values.sum() * cell_volume
-        if mass_after > 0 and mass_before > 0:
-            values = np.maximum(values * (mass_before / mass_after), floor)
+        total_after = values.sum()
+        if total_after > 0 and total_before > 0:
+            values = np.maximum(values * (total_before / total_after), floor)
     return values, n_clipped
 
 
@@ -147,7 +149,6 @@ def vlasov_step(rho: DensityField, spec: ProblemSpec, settings: VlasovSettings) 
             f"{grid.q_length:g}; reduce dt or enlarge the domain"
         )
     cubic = settings.interpolation == "cubic-spline"
-    mass_before = float(rho.values.sum() * grid.cell_volume)
 
     q_shifts = grid.p_centers * (0.5 * dt / m)
     values = _advect_columns(rho.values, grid.dq, q_shifts, grid.periodic_q, cubic)
@@ -164,7 +165,7 @@ def vlasov_step(rho: DensityField, spec: ProblemSpec, settings: VlasovSettings) 
 
     values = _advect_columns(values, grid.dq, q_shifts, grid.periodic_q, cubic)
 
-    values, n_clipped = _clip_negatives(values, mass_before, grid.cell_volume)
+    values, n_clipped = _clip_negatives(values)
     t = None if rho.time is None else rho.time + dt
     return rho.copy_with(values, clip_count=rho.clip_count + n_clipped, time=t)
 

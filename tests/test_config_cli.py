@@ -414,6 +414,36 @@ def test_cli_validate_refuses_unsupported_fock_particle_number(tmp_path, capsys)
     assert "settings.n_particles: must be 1 or 2" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_dimension_cap_above_the_default(tmp_path, capsys):
+    payload = {
+        "method": "fock",
+        "grid": {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
+                 "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True},
+        "initial_density": {"type": "gaussian"},
+        "times": {"t_final": 0.1},
+        "settings": {"n_particles": 2, "dimension_cap": 300000},
+    }
+    assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
+    assert "settings.dimension_cap: can only lower the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    dict(ENSEMBLE_OPEN, times={"t_final": 0.015}, settings={"dt": 0.01, "n_particles": 20}),
+    dict(MINIMAL_VLASOV, times={"t_final": 0.015}, method="compare",
+         settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 20],
+                   "ensemble": {"dt": 0.01, "n_particles": 10}, "vlasov": {"dt": 0.005}}),
+])
+def test_validate_and_run_agree_on_an_ensemble_t_final_off_the_dt_grid(tmp_path, capsys, payload):
+    payload = dict(payload, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    assert main(["validate", "--config", cfg]) == 1
+    assert "times.t_final: must be a whole number of settings." in capsys.readouterr().err
+    assert main(["run", "--config", cfg]) == 1
+    assert not (tmp_path / "out").exists()
+    # one step more or less is a whole number again
+    parse_config(json.dumps(dict(payload, times={"t_final": 0.02})))
+
+
 def test_validate_and_run_agree_on_a_strength_without_a_pair(tmp_path, capsys):
     payload = dict(MINIMAL_VLASOV, method="compare", output_dir=str(tmp_path / "out"),
                    settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},

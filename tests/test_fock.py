@@ -1,8 +1,11 @@
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -14,6 +17,8 @@ from kvnsim.fock import (
     FockState,
     ModeBasis,
     OneBodyMatrix,
+    _pair_correlation,
+    _slot_sum,
     assemble_liouvillian,
     build_one_body,
     build_two_body,
@@ -30,12 +35,20 @@ from kvnsim.phase_space import (
     PhaseGrid,
     ProblemSpec,
     density_from_function,
+    pair_gradient_table,
 )
 
 
 def periodic_grid(n_q, n_p, half=np.pi):
     return PhaseGrid(-half, half, -half, half, n_q, n_p,
                      periodic_q=True, periodic_p=True)
+
+
+def occupations(basis):
+    """(dim x M) occupation numbers of every basis state, counted from its slots."""
+    occ = np.zeros((basis.dimension, basis.n_modes), dtype=np.int64)
+    np.add.at(occ, (np.arange(basis.dimension)[:, None], basis.modes), 1)
+    return occ
 
 
 def swap_matrix(M):
@@ -122,14 +135,14 @@ def test_fock_basis_dimensions_and_index():
     basis = FockBasis(n_modes=5, n_particles=3)
     assert basis.dimension == FockBasis.sector_dimension(5, 3) == 35
     for k in (0, 17, 34):
-        assert basis.index_of(basis.occupations[k]) == k
-    assert np.all(basis.occupations.sum(axis=1) == 3)
+        assert basis.index_of(occupations(basis)[k]) == k
+    assert np.all(occupations(basis).sum(axis=1) == 3)
     for M, N in [(1, 1), (1, 4), (7, 1), (5, 3), (16, 2), (3, 6), (6, 4)]:
         basis = FockBasis(n_modes=M, n_particles=N)
         assert basis.dimension == FockBasis.sector_dimension(M, N)
         expected = list(combinations_with_replacement(range(M), N))
         assert basis.modes.tolist() == [list(t) for t in expected]
-        occ = basis.occupations
+        occ = occupations(basis)
         assert occ.shape == (basis.dimension, M) and np.all(occ.sum(axis=1) == N)
         assert [basis.index_of(row) for row in occ] == list(range(basis.dimension))
     # integral floats and plain lists rank like integer arrays
@@ -172,7 +185,7 @@ def test_assemble_hermitian_and_number_conserving():
     L = assemble_liouvillian(one, two, basis)
     assert L.hermitian
     assert L.hermiticity_deviation() < 1e-12
-    number = sp.diags(basis.occupations.sum(axis=1).astype(float))
+    number = sp.diags(occupations(basis).sum(axis=1).astype(float))
     comm = L.matrix @ number - number @ L.matrix
     assert np.abs(comm.toarray()).max() == 0.0
 
@@ -184,6 +197,12 @@ def test_assemble_dimension_cap():
     basis = FockBasis(n_modes=36, n_particles=2)
     with pytest.raises(DimensionCapError, match="666"):
         assemble_liouvillian(one, two, basis, dimension_cap=500)
+
+
+def test_over_cap_basis_refused_before_enumeration():
+    # 1.7e11 rows: enumerating them first would exhaust memory long before any check
+    with pytest.raises(DimensionCapError, match="166716670000"):
+        FockBasis(n_modes=10_000, n_particles=3)
 
 
 def test_assemble_against_generic_contraction_oracle():
@@ -222,7 +241,7 @@ def _check_against_contraction_oracle(n_particles, on_site):
     h = one.matrix.tocoo()
     G = two.matrix.tocoo()
     for s in range(dim):
-        occ0 = basis.occupations[s]
+        occ0 = occupations(basis)[s]
         for i, k, hik in zip(h.row, h.col, h.data):
             step = annihilate(occ0, 1.0, k)
             if step is None:
@@ -282,7 +301,7 @@ def test_embed_product_orbital_matches_coherent_sector_pattern():
     state = embed_product_state(np.outer(phi, phi), basis, modes)
     f = phi * np.sqrt(grid.cell_volume)  # orbital coefficients
     for s in range(basis.dimension):
-        occ = basis.occupations[s]
+        occ = occupations(basis)[s]
         nz = np.nonzero(occ)[0]
         if nz.size == 1:
             expected = f[nz[0]] ** 2
@@ -409,6 +428,73 @@ def test_density_expectation_integrates_to_particle_number():
     amp /= np.linalg.norm(amp)
     dens = density_expectation(FockState(basis, amp), modes)
     assert abs(dens.mass - 3.0) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_modes=st.integers(1, 30), n_particles=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_slot_sums_match_dense_tally_reductions(n_modes, n_particles, seed):
+    basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
+    rng = np.random.default_rng(seed)
+    real = rng.normal(size=basis.dimension)
+    cplx = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    occ = occupations(basis)
+
+    def close(got, want, scale):
+        # relative to the sum of the absolute values of the summed terms
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    close(_slot_sum(basis.modes, real, n_modes), occ.T @ real, occ.T @ np.abs(real))
+    # the complex commutator weights enter through their imaginary part
+    close(_slot_sum(basis.modes, cplx.imag, n_modes), np.imag(occ.T @ cplx),
+          occ.T @ np.abs(cplx))
+    close(_pair_correlation(basis, real), (occ * real[:, None]).T @ occ,
+          (occ * np.abs(real)[:, None]).T @ occ)
+
+
+def test_density_expectation_allocates_no_dense_tally():
+    # M = 144, N = 2: the (dim x M) int64 tally alone would be 12 MB
+    grid = periodic_grid(12, 12)
+    modes = ModeBasis(grid)
+    basis = FockBasis(n_modes=144, n_particles=2)
+    assert basis.dimension == 10440
+    rng = np.random.default_rng(3)
+    state = FockState(basis, rng.normal(size=basis.dimension) + 0j)
+    tracemalloc.start()
+    try:
+        density_expectation(state, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_quantum_vlasov_residual_matches_dense_tally_formula():
+    grid = periodic_grid(6, 6)
+    spec = INTERACTING
+    basis = FockBasis(n_modes=36, n_particles=2)
+    L = assemble_liouvillian(build_one_body(grid, spec), build_two_body(grid, spec), basis)
+    modes = ModeBasis(grid)
+    Q, P = grid.meshgrid()
+    phi = np.exp(-0.5 * ((Q - 0.4) ** 2 + P**2))
+    phi /= np.sqrt(np.sum(phi**2) * grid.cell_volume)
+    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, modes)
+    res = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=1e-4)
+
+    vol, shape = grid.cell_volume, (grid.n_q, grid.n_p)
+    at = propagate(state, L, 0.3).amplitudes
+    occ = occupations(basis)
+    dt_exact = (-2.0 * np.imag(occ.T @ (np.conj(L.matrix @ at) * at)) / vol).reshape(shape)
+    corr = (occ * (np.abs(at) ** 2)[:, None]).T @ occ
+    corr4 = corr.reshape(grid.n_q, grid.n_p, grid.n_q, grid.n_p) / vol**2
+    d_corr = (np.roll(corr4, -1, axis=3) - np.roll(corr4, 1, axis=3)) / (2 * grid.dp)
+    inner = d_corr.sum(axis=1) * grid.dp
+    gradv_q = pair_gradient_table(grid, spec.pair)
+    pair_term = -grid.dq * np.einsum("ij,jik->ik", gradv_q, inner)
+    assert np.abs(pair_term).max() > 1e-3
+    assert_allclose(res.dt_term_exact, dt_exact, rtol=0, atol=1e-13)
+    assert_allclose(res.force_pair_term, pair_term, rtol=0, atol=1e-13)
 
 
 def sector_equivalence_error(grid, spec, n_particles, t, seed=11):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,18 @@ def test_negative_undershoot_clipped_and_counted():
     assert snap.clip_count > 0
     assert snap.values.min() >= DensityField.NEGATIVE_TOL
     assert abs(snap.mass - f0.mass) / f0.mass < 1e-8
+
+
+def test_clipping_keeps_open_boundary_outflow_out():
+    # free streaming carries most of the gaussian out through q = 3 by t = 1;
+    # the clip rescale must not put that mass back into the field
+    grid = PhaseGrid(-3, 3, -6, 6, 64, 64)
+    f0 = density_from_function(grid, GaussianDensity(1.5, 2.0, 0.3, 0.5), warn=False)
+    # q(1) = q0 + p ~ N(3.5, 0.3^2 + 0.5^2); the mass left is P(q(1) < 3)
+    exact = 0.5 * (1.0 + math.erf((3.0 - 3.5) / math.sqrt(2.0 * 0.34)))
+    snap = vlasov_solve(f0, 1.0, FREE, VlasovSettings(dt=0.02), [1.0])[-1]
+    assert snap.clip_count > 0
+    assert abs(snap.mass / f0.mass - exact) < 0.05
 
 
 def _kernel_case(seed, n=48, m=7, delta=0.1):
