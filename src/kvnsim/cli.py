@@ -119,10 +119,11 @@ def _run_vlasov(cfg: ScenarioConfig, out_dir: str, base_dir: str):
         marg_path = os.path.join(out_dir, f"marginal_{k:04d}.csv")
         write_marginal_csv(marg_path, snap)
         files += [field_path, marg_path]
-    drift = abs(snaps[-1].mass - init.mass) / max(abs(init.mass), 1e-300)
+    last = max(snaps, key=lambda snap: snap.time)  # snapshots may be listed in any order
+    drift = abs(last.mass - init.mass) / max(abs(init.mass), 1e-300)
     checks = [
         _check("vlasov_mass_drift_rel", drift, None, 1e-6),
-        _check("vlasov_clip_count", snaps[-1].clip_count, None, None),
+        _check("vlasov_clip_count", last.clip_count, None, None),
     ]
     return files, checks, []
 

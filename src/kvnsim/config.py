@@ -164,6 +164,16 @@ class _Validator:
             return default
         return value
 
+    def check_whole_steps(self, path: str, t: float, dt_key: str, stepped):
+        """An error at ``path`` unless t is a whole number of ``stepped.dt`` steps;
+        nothing when the stepped settings did not parse."""
+        if stepped is None:
+            return
+        try:
+            step_count(t, stepped.dt)
+        except ValueError:
+            self.error(path, f"must be a whole number of {dt_key} = {stepped.dt:g} steps")
+
     def build(self, path: str, cls, **kwargs):
         """Construct a library object; its ValueError becomes an error at ``path``."""
         try:
@@ -489,11 +499,11 @@ def parse_config(text: str) -> ScenarioConfig:
     if uses_ensemble:
         dt_key, ens = (("settings.ensemble.dt", settings.ensemble) if method == "compare"
                        else ("settings.dt", settings))
-        if ens is not None:
-            try:
-                step_count(t_final, ens.dt)
-            except ValueError:
-                v.error("times.t_final", f"must be a whole number of {dt_key} = {ens.dt:g} steps")
+        v.check_whole_steps("times.t_final", t_final, dt_key, ens)
+    if method == "vlasov":
+        v.check_whole_steps("times.t_final", t_final, "settings.dt", settings)
+    if method == "compare":
+        v.check_whole_steps("times.t_final", t_final, "settings.vlasov.dt", settings.vlasov)
 
     if (getattr(settings, "targets", None) == ("perturbation", "vlasov")
             and isinstance(pair, NoPair) and any(settings.strengths)):

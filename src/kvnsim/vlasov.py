@@ -1,15 +1,22 @@
 """Semi-Lagrangian solver for the self-consistent collisionless transport
 equation on a phase-space grid.
 
-One step is Strang-split (Cheng-Knorr structure): half-advect in q by
-p dt/(2m), kick-advect in p by F dt with the force frozen from the
-half-advected density, half-advect in q again.  Each advection traces the
-characteristic backward and interpolates along one axis (cubic spline by
-default, linear for positivity-critical runs).  The shift is constant along
-every column of a sweep, so interpolation is an integer roll plus a fixed
-stencil per column: 2 linear taps, or 4 cubic B-spline taps applied to
-coefficients from one tridiagonal prefilter per sweep (Cheng & Knorr,
-J. Comput. Phys. 22, 1976; Sonnendrücker et al., J. Comput. Phys. 149, 1999).
+One step is Strang-split (Cheng-Knorr structure): half-drift in q by
+p dt/(2m), kick in p by F dt with the force frozen from the half-drifted
+density, half-drift in q again.  Between snapshots the trailing half-drift
+of one step and the leading one of the next are fused into one full drift,
+so n steps make n + 1 q-drifts and n p-kicks (Cheng & Knorr, J. Comput.
+Phys. 22, 1976); undershoot is clipped once per step, after each fused full
+drift and after the final half-drift.  Each sweep traces the characteristic
+backward and interpolates along one axis (cubic B-spline by default, linear
+for positivity-critical runs).  The shift is constant along every column of
+a sweep, so interpolation is a fixed stencil per column: 2 linear taps, or 4
+cubic B-spline taps applied to prefiltered coefficients (Sonnendrücker et
+al., J. Comput. Phys. 149, 1999).  On an open column that is a window into
+the zero-padded, Thomas-prefiltered column; on a periodic column the window
+and the prefilter are circulant, so the sweep is one rfft/irfft pair through
+a transfer function built once per solve (Unser, Aldroubi & Eden, IEEE
+Trans. Signal Process. 41, 1993).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phase_space import DensityField, ProblemSpec, mean_field_force
+from .phase_space import DensityField, PhaseGrid, ProblemSpec, mean_field_force
 
 __all__ = ["VlasovSettings", "CFLViolation", "vlasov_step", "vlasov_solve"]
 
@@ -54,70 +61,102 @@ def _thomas_pivots(n: int) -> tuple[float, ...]:
     return tuple(r)
 
 
-def _bspline_prefilter(values: np.ndarray, periodic: bool) -> np.ndarray:
-    """Cubic B-spline coefficients c of every column: (c[i-1] + 4 c[i] + c[i+1]) / 6
-    = values[i], with c periodic or zero past the ends of the column.
+def _bspline_prefilter(values: np.ndarray) -> None:
+    """Overwrite every column of values with its cubic B-spline coefficients c:
+    (c[i-1] + 4 c[i] + c[i+1]) / 6 = values[i], with c zero past the ends of
+    the column.
 
-    Periodic columns divide by the circulant's symbol in Fourier space; open
-    columns solve tridiag(1, 4, 1) c = 6 values by the Thomas sweep (Golub &
-    Van Loan, Matrix Computations, 4.3), stable without pivoting because the
+    Solves tridiag(1, 4, 1) c = 6 values by the Thomas sweep (Golub & Van
+    Loan, Matrix Computations, 4.3), stable without pivoting because the
     matrix is strictly diagonally dominant.  The sweeps run in place over row
     views, vectorized over the columns.
     """
-    n = values.shape[0]
-    if periodic:
-        symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / 6.0
-        return np.fft.irfft(np.fft.rfft(values, axis=0) / symbol[:, None], n=n, axis=0)
-    r = _thomas_pivots(n)
-    coeffs = np.multiply(values, 6.0)
-    rows = list(coeffs)
+    r = _thomas_pivots(values.shape[0])
+    np.multiply(values, 6.0, out=values)
+    rows = list(values)
     np.multiply(rows[0], r[0], out=rows[0])
     for prev, row, ri in zip(rows, rows[1:], r[1:]):  # forward: L y = 6 values
         np.subtract(row, prev, out=row)
         np.multiply(row, ri, out=row)
-    scratch = np.empty(coeffs.shape[1:])
+    scratch = np.empty(values.shape[1:])
     for row, nxt, ri in zip(rows[-2::-1], rows[:0:-1], r[-2::-1]):  # back: U c = y
         np.multiply(nxt, ri, out=scratch)
         np.subtract(row, scratch, out=row)
-    return coeffs
 
 
-def _advect_columns(values: np.ndarray, delta: float, shifts: np.ndarray,
-                    periodic: bool, cubic: bool) -> np.ndarray:
-    """Backward-trace advection along axis 0: column j is resampled at rows
-    i - shifts[j] / delta, one cyclic window of its coefficients through the
-    column's stencil weights.
-
-    An open column is padded with zero ghost rows, so inflow interpolates
-    toward genuine zeros instead of extrapolating (extrapolation pumps tail
-    noise exponentially under repeated sweeps); traces more than half a cell
-    outside the domain read zero.
-    """
-    n, m = values.shape
-    s = shifts / delta
+def _stencil(s: np.ndarray, cubic: bool):
+    """Window start and tap weights of a backward trace by s[j] cells: row i
+    of column j reads sum_t weights[t][j] c[i + start[j] + t] of the column's
+    coefficients c (the values when linear, the B-spline coefficients when
+    cubic)."""
     k = np.floor(s)
     u = 1.0 - (s - k)
     start = -1 - k.astype(np.int64)
-    coeffs = values
-    if not periodic:
-        coeffs = np.pad(values, ((_GHOST, _GHOST), (0, 0)))
-        start += _GHOST
-    if cubic:
-        coeffs = _bspline_prefilter(coeffs, periodic)
-        start -= 1
-        v = 1.0 - u
-        weights = (v ** 3 / 6.0, (4.0 - 6.0 * u ** 2 + 3.0 * u ** 3) / 6.0,
-                   (4.0 - 6.0 * v ** 2 + 3.0 * v ** 3) / 6.0, u ** 3 / 6.0)
-    else:
-        weights = (1.0 - u, u)
+    if not cubic:
+        return start, (1.0 - u, u)
+    v = 1.0 - u
+    return start - 1, (v ** 3 / 6.0, (4.0 - 6.0 * u ** 2 + 3.0 * u ** 3) / 6.0,
+                       (4.0 - 6.0 * v ** 2 + 3.0 * v ** 3) / 6.0, u ** 3 / 6.0)
+
+
+def _advect_columns(values: np.ndarray, delta: float, shifts: np.ndarray,
+                    cubic: bool) -> np.ndarray:
+    """Backward-trace advection along an open axis 0: column j is resampled at
+    rows i - shifts[j] / delta through its stencil window.
+
+    The column is padded with zero ghost rows, so inflow interpolates toward
+    genuine zeros instead of extrapolating (extrapolation pumps tail noise
+    exponentially under repeated sweeps); traces more than half a cell
+    outside the domain read zero.  Ghost rows, prefilter and the cyclic
+    extension the windows read all live in one buffer.
+    """
+    n, m = values.shape
+    s = shifts / delta
+    start, weights = _stencil(s, cubic)
+    rows = n + 2 * _GHOST
     width = n + len(weights) - 1
-    tiled = np.pad(coeffs, ((0, width - 1), (0, 0)), mode="wrap")
-    window = sliding_window_view(tiled, width, axis=0)[start % coeffs.shape[0], np.arange(m)]
-    out = sum(w[:, None] * window[:, t:t + n] for t, w in enumerate(weights))
-    if not periodic:
-        x = np.arange(n) - s[:, None]
-        out[~((x >= -0.5) & (x <= n - 0.5))] = 0.0
+    buf = np.zeros((rows + width - 1, m))
+    buf[_GHOST:_GHOST + n] = values
+    if cubic:
+        _bspline_prefilter(buf[:rows])
+    buf[rows:] = buf[:width - 1]
+    window = sliding_window_view(buf, width, axis=0)[(start + _GHOST) % rows, np.arange(m)]
+    out = np.multiply(weights[0][:, None], window[:, :n])
+    term = np.empty_like(out)
+    for t, w in enumerate(weights[1:], 1):
+        out += np.multiply(w[:, None], window[:, t:t + n], out=term)
+    edge = np.flatnonzero((s > 0.5) | (n - 1 - s > n - 0.5))  # columns tracing outside
+    x = np.arange(n) - s[edge, None]
+    out[edge] = np.where((x >= -0.5) & (x <= n - 0.5), out[edge], 0.0)
     return out.T
+
+
+def _shift_transfer(n: int, delta: float, shifts: np.ndarray, cubic: bool) -> np.ndarray:
+    """Transfer function H, shape (n//2 + 1, len(shifts)), of the periodic
+    backward trace by shifts[j] / delta cells.
+
+    On a periodic column the stencil window and the prefilter are circulant,
+    so the sweep is one multiply in Fourier space (Unser, Aldroubi & Eden,
+    IEEE Trans. Signal Process. 41, 1993): H[f, j] = sum_t weights[t][j]
+    exp(i theta_f (start[j] + t)) / beta(theta_f), theta_f = 2 pi f / n, with
+    beta = (4 + 2 cos theta) / 6 the B-spline symbol when cubic and 1 when
+    linear.  Phases are reduced modulo n in integers, so shifts of many cells
+    lose no accuracy.
+    """
+    start, weights = _stencil(shifts / delta, cubic)
+    roots = np.exp(2j * np.pi / n * np.arange(n))  # exp(i theta_1 r), r = 0 .. n-1
+    f = np.arange(n // 2 + 1)
+    transfer = sum(np.outer(roots[f * t % n], w) for t, w in enumerate(weights))
+    transfer *= roots[np.outer(f, start) % n]
+    if cubic:
+        transfer /= ((4.0 + 2.0 * roots[f].real) / 6.0)[:, None]
+    return transfer
+
+
+def _drift_periodic(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """The periodic sweep along axis 0 whose transfer function is `transfer`."""
+    n = values.shape[0]
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * transfer, n=n, axis=0)
 
 
 def _clip_negatives(values: np.ndarray):
@@ -137,42 +176,81 @@ def _clip_negatives(values: np.ndarray):
     return values, n_clipped
 
 
-def vlasov_step(rho: DensityField, spec: ProblemSpec, settings: VlasovSettings) -> DensityField:
-    """Advance the density by one Strang-split step of size dt."""
-    grid = rho.grid
-    m = spec.mass
-    dt = settings.dt
-    max_speed = max(abs(grid.p_min), abs(grid.p_max)) / m
+def _q_drifts(grid: PhaseGrid, spec: ProblemSpec, settings: VlasovSettings):
+    """The half (dt/2) and full (dt) q-drifts, q -> q + p dt / m, as functions
+    of the values; a periodic drift's transfer function is built here, once.
+    Raises CFLViolation when the full drift exceeds the q-domain length."""
+    dt, mass = settings.dt, spec.mass
+    cubic = settings.interpolation == "cubic-spline"
+    max_speed = max(abs(grid.p_min), abs(grid.p_max)) / mass
     if dt * max_speed >= grid.q_length:
         raise CFLViolation(
             f"dt*max|p|/m = {dt * max_speed:g} exceeds the q-domain length "
             f"{grid.q_length:g}; reduce dt or enlarge the domain"
         )
-    cubic = settings.interpolation == "cubic-spline"
 
-    q_shifts = grid.p_centers * (0.5 * dt / m)
-    values = _advect_columns(rho.values, grid.dq, q_shifts, grid.periodic_q, cubic)
+    def drift(shifts):
+        if grid.periodic_q:
+            transfer = _shift_transfer(grid.n_q, grid.dq, shifts, cubic)
+            return lambda values: _drift_periodic(values, transfer)
+        return lambda values: _advect_columns(values, grid.dq, shifts, cubic)
 
-    half = rho.copy_with(np.maximum(values, 0.0), clip_count=0)
-    force = mean_field_force(half, spec)
+    return drift(grid.p_centers * (0.5 * dt / mass)), drift(grid.p_centers * (dt / mass))
+
+
+def _p_kick(values: np.ndarray, rho: DensityField, spec: ProblemSpec,
+            settings: VlasovSettings) -> np.ndarray:
+    """The p-kick p -> p + F dt (p is open), with the force frozen from the
+    clipped-at-zero current values.  Raises CFLViolation when the kick exceeds
+    the p-domain length."""
+    grid = rho.grid
+    dt = settings.dt
+    force = mean_field_force(rho.copy_with(np.maximum(values, 0.0), clip_count=0), spec)
     max_kick = dt * float(np.max(np.abs(force)))
     if max_kick >= grid.p_max - grid.p_min:
         raise CFLViolation(
             f"dt*max|F| = {max_kick:g} exceeds the p-domain length "
             f"{grid.p_max - grid.p_min:g}; reduce dt or enlarge the domain"
         )
-    values = _advect_columns(values.T, grid.dp, force * dt, False, cubic).T  # p is open
+    cubic = settings.interpolation == "cubic-spline"
+    return _advect_columns(values.T, grid.dp, force * dt, cubic).T
 
-    values = _advect_columns(values, grid.dq, q_shifts, grid.periodic_q, cubic)
 
-    values, n_clipped = _clip_negatives(values)
-    t = None if rho.time is None else rho.time + dt
-    return rho.copy_with(values, clip_count=rho.clip_count + n_clipped, time=t)
+def _strang_steps(rho: DensityField, n_steps: int, spec: ProblemSpec, settings: VlasovSettings,
+                  drifts, time: float | None) -> DensityField:
+    """n_steps >= 1 Strang steps, Q(dt/2) [P(dt) Q(dt)]^(n_steps-1) P(dt) Q(dt/2):
+    between the two ends, the trailing half-drift of a step and the leading
+    one of the next are one full drift (Cheng & Knorr, J. Comput. Phys. 22,
+    1976).  Undershoot is clipped after every full drift and after the final
+    half-drift, once per step.  `drifts` is the (half, full) pair of
+    _q_drifts; the result is stamped `time`.
+    """
+    half, full = drifts
+    values = half(rho.values)
+    clipped = 0
+    for _ in range(n_steps - 1):
+        values, n_clipped = _clip_negatives(full(_p_kick(values, rho, spec, settings)))
+        clipped += n_clipped
+    values, n_clipped = _clip_negatives(half(_p_kick(values, rho, spec, settings)))
+    return rho.copy_with(values, clip_count=rho.clip_count + clipped + n_clipped, time=time)
+
+
+def vlasov_step(rho: DensityField, spec: ProblemSpec, settings: VlasovSettings) -> DensityField:
+    """Advance the density by one Strang-split step of size dt: half-drift in
+    q, kick in p, half-drift in q, then clip."""
+    t = None if rho.time is None else rho.time + settings.dt
+    return _strang_steps(rho, 1, spec, settings, _q_drifts(rho.grid, spec, settings), t)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,
                  snapshot_times=None) -> list[DensityField]:
-    """Repeated stepping to time T; snapshots at the nearest whole step.
+    """Repeated stepping to the last requested snapshot; snapshots at the
+    nearest whole step.
+
+    The steps between consecutive snapshots run fused (`_strang_steps`):
+    each snapshot ends on a half-drift and a clip, as a single step does,
+    and no field between snapshots is formed.  The q-drifts are built once
+    per solve.
 
     The state after step k is stamped t0 + k dt (t0 the initial time, 0 when
     unset), not a running sum of dt, so a snapshot carries no accumulated
@@ -198,12 +276,10 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
 
     rho = rho0 if rho0.time is not None else rho0.copy_with(rho0.values, time=0.0)
     t0 = rho.time
-    snapshots: dict[int, DensityField] = {}
-    if 0 in snap_steps:
-        snapshots[0] = rho
-    for k in range(1, n_steps + 1):
-        rho = vlasov_step(rho, spec, settings)
-        rho.time = t0 + k * settings.dt
-        if k in snap_steps:
-            snapshots[k] = rho
+    snapshots = {0: rho}
+    ends = sorted(set(snap_steps) - {0})
+    drifts = _q_drifts(rho.grid, spec, settings) if ends else None
+    for done, k in zip([0] + ends, ends):
+        snapshots[k] = _strang_steps(snapshots[done], k - done, spec, settings, drifts,
+                                     t0 + k * settings.dt)
     return [snapshots[k] for k in snap_steps]

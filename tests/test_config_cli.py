@@ -444,6 +444,42 @@ def test_validate_and_run_agree_on_an_ensemble_t_final_off_the_dt_grid(tmp_path,
     parse_config(json.dumps(dict(payload, times={"t_final": 0.02})))
 
 
+def test_vlasov_checks_read_the_latest_snapshot_in_any_listed_order(tmp_path):
+    checks = []
+    for order in ([0.2, 0.0], [0.0, 0.2]):
+        out = tmp_path / f"out_{order[0]}"
+        payload = dict(MINIMAL_VLASOV, output_dir=str(out),
+                       problem={"external_potential": {"type": "harmonic", "omega": 1.0}},
+                       times={"t_final": 0.2, "snapshots": order})
+        assert main(["run", "--config", write_config(tmp_path, payload)]) == 0
+        checks.append(json.loads((out / "checks.json").read_text()))
+    assert checks[0] == checks[1]
+    assert {c["name"]: c["value"] for c in checks[0]}["vlasov_clip_count"] > 0
+
+
+PERTURBATION_COMPARE = dict(
+    MINIMAL_VLASOV, method="compare",
+    problem={"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
+    settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8}, "vlasov": {"dt": 0.01}})
+
+
+@pytest.mark.parametrize("payload, dt_key", [
+    (MINIMAL_VLASOV, "settings.dt"),
+    (PERTURBATION_COMPARE, "settings.vlasov.dt"),
+])
+def test_validate_and_run_refuse_a_vlasov_t_final_off_the_dt_grid(tmp_path, capsys, payload,
+                                                                   dt_key):
+    payload = dict(payload, times={"t_final": 0.015}, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    assert main(["validate", "--config", cfg]) == 1
+    message = f"times.t_final: must be a whole number of {dt_key} = 0.01 steps"
+    assert message in capsys.readouterr().err
+    assert main(["run", "--config", cfg]) == 1
+    assert not (tmp_path / "out").exists()
+    # one step more or less is a whole number again
+    parse_config(json.dumps(dict(payload, times={"t_final": 0.02})))
+
+
 def test_validate_and_run_agree_on_a_strength_without_a_pair(tmp_path, capsys):
     payload = dict(MINIMAL_VLASOV, method="compare", output_dir=str(tmp_path / "out"),
                    settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},

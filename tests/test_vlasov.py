@@ -16,11 +16,15 @@ from kvnsim.phase_space import (
     ProblemSpec,
     density_from_function,
 )
+import kvnsim.vlasov as vlasov
 from kvnsim.vlasov import (
     CFLViolation,
     VlasovSettings,
     _advect_columns,
     _bspline_prefilter,
+    _clip_negatives,
+    _drift_periodic,
+    _shift_transfer,
     vlasov_solve,
     vlasov_step,
 )
@@ -99,6 +103,63 @@ def test_snapshot_times_are_whole_multiples_of_dt():
     assert [snap.time for snap in snaps] == [50 * dt, 100 * dt]
 
 
+def _spike_field():
+    # a cell-scale spike produces visible undershoot under cubic advection
+    grid = PhaseGrid(-4, 4, -4, 4, 32, 32)
+    values = np.zeros((32, 32))
+    values[16, 20] = 1.0
+    return DensityField(grid, values)
+
+
+def _periodic_pair_case():
+    grid = PhaseGrid(-np.pi, np.pi, -5, 5, 32, 24, periodic_q=True)
+    f0 = density_from_function(grid, GaussianDensity(0.3, 0.0, 0.7, 0.7), warn=False)
+    return f0, ProblemSpec(pair=CosinePair(strength=0.2, wavenumber=1.0))
+
+
+@pytest.mark.parametrize("case", ["periodic-pair", "open-spike"])
+@pytest.mark.parametrize("interpolation", ["cubic-spline", "linear"])
+def test_snapshot_every_step_is_bit_identical_to_chained_steps(case, interpolation):
+    f0, spec = _periodic_pair_case() if case == "periodic-pair" else (_spike_field(), FREE)
+    settings = VlasovSettings(dt=0.05, interpolation=interpolation)
+    snaps = vlasov_solve(f0, 0.4, spec, settings, [0.05 * k for k in range(1, 9)])
+    rho = f0
+    for snap in snaps:
+        rho = vlasov_step(rho, spec, settings)
+        assert np.array_equal(snap.values, rho.values)
+        assert snap.clip_count == rho.clip_count
+    if case == "open-spike" and interpolation == "cubic-spline":
+        assert rho.clip_count > 0
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_fused_solve_makes_n_plus_one_q_drifts_n_p_kicks_and_n_clips(monkeypatch, periodic):
+    if periodic:
+        f0, spec = _periodic_pair_case()
+    else:
+        f0, spec = density_from_function(PhaseGrid(-8, 8, -8, 8, 32, 24), STANDARD_GAUSSIAN,
+                                         warn=False), FREE
+    dq = f0.grid.dq
+    calls = []
+    monkeypatch.setattr(vlasov, "_drift_periodic", lambda values, transfer: (
+        calls.append("q") or _drift_periodic(values, transfer)))
+    monkeypatch.setattr(vlasov, "_advect_columns", lambda values, delta, *rest: (
+        calls.append("q" if delta == dq else "p") or _advect_columns(values, delta, *rest)))
+    monkeypatch.setattr(vlasov, "_clip_negatives", lambda values: (
+        calls.append("clip") or _clip_negatives(values)))
+    vlasov_solve(f0, 0.5, spec, VlasovSettings(dt=0.05), [0.5])
+    assert calls == ["q"] + ["p", "q", "clip"] * 10
+
+
+def test_solve_stops_at_the_last_snapshot(monkeypatch):
+    f0, spec = _periodic_pair_case()
+    kicks = []
+    monkeypatch.setattr(vlasov, "_p_kick", lambda values, *args: kicks.append(1) or values)
+    snaps = vlasov_solve(f0, 1.0, spec, VlasovSettings(dt=0.05), [0.25, 0.1, 0.0])
+    assert len(kicks) == 5
+    assert [snap.time for snap in snaps] == [0.25, 0.1, 0.0]
+
+
 def test_periodic_self_consistent_mass_conservation_1000_steps():
     grid = PhaseGrid(-np.pi, np.pi, -5, 5, 32, 32, periodic_q=True)
     dens = GaussianDensity(0.0, 0.0, 0.7, 0.7)
@@ -158,11 +219,7 @@ def test_linear_interpolation_is_positivity_safe():
 
 
 def test_negative_undershoot_clipped_and_counted():
-    # a cell-scale spike produces visible undershoot under cubic advection
-    grid = PhaseGrid(-4, 4, -4, 4, 32, 32)
-    values = np.zeros((32, 32))
-    values[16, 20] = 1.0
-    f0 = DensityField(grid, values)
+    f0 = _spike_field()
     settings = VlasovSettings(dt=0.05)
     snap = vlasov_step(f0, FREE, settings)
     assert snap.clip_count > 0
@@ -182,6 +239,10 @@ def test_clipping_keeps_open_boundary_outflow_out():
     assert abs(snap.mass / f0.mass - exact) < 0.05
 
 
+def periodic_sweep(values, delta, shifts, cubic):
+    return _drift_periodic(values, _shift_transfer(values.shape[0], delta, shifts, cubic))
+
+
 def _kernel_case(seed, n=48, m=7, delta=0.1):
     rng = np.random.default_rng(seed)
     nodes = (np.arange(n) + 0.5) * delta
@@ -191,7 +252,7 @@ def _kernel_case(seed, n=48, m=7, delta=0.1):
 def test_periodic_cubic_sweep_matches_periodic_cubic_spline():
     values, nodes, delta, length = _kernel_case(0)
     shifts = np.random.default_rng(1).uniform(-2.5, 2.5, values.shape[1])
-    out = _advect_columns(values, delta, shifts, periodic=True, cubic=True)
+    out = periodic_sweep(values, delta, shifts, cubic=True)
     ext_nodes = np.append(nodes, nodes[0] + length)
     for j, shift in enumerate(shifts):
         spline = CubicSpline(ext_nodes, np.append(values[:, j], values[0, j]),
@@ -203,7 +264,7 @@ def test_periodic_cubic_sweep_matches_periodic_cubic_spline():
 def test_periodic_linear_sweep_matches_periodic_interp():
     values, nodes, delta, length = _kernel_case(2)
     shifts = np.random.default_rng(3).uniform(-2.5, 2.5, values.shape[1])
-    out = _advect_columns(values, delta, shifts, periodic=True, cubic=False)
+    out = periodic_sweep(values, delta, shifts, cubic=False)
     for j, shift in enumerate(shifts):
         expected = np.interp(nodes - shift, nodes, values[:, j], period=length)
         assert np.max(np.abs(out[:, j] - expected)) <= 1e-12
@@ -215,7 +276,8 @@ def test_integer_shifts_move_whole_cells(periodic, cubic):
     values, _, delta, _ = _kernel_case(4)
     n = values.shape[0]
     cells = np.array([-50, -13, -1, 0, 1, 5, 47])
-    out = _advect_columns(values, delta, cells * delta, periodic=periodic, cubic=cubic)
+    sweep = periodic_sweep if periodic else _advect_columns
+    out = sweep(values, delta, cells * delta, cubic=cubic)
     for j, k in enumerate(cells):
         if periodic:
             expected = np.roll(values[:, j], k)
@@ -234,9 +296,42 @@ def test_integer_shifts_move_whole_cells(periodic, cubic):
 def test_open_prefilter_matches_dense_and_banded_solves(n, m, seed, scale, fill):
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((n, m)) * (rng.random((n, m)) < fill)
-    got = _bspline_prefilter(values, periodic=False)
+    got = values.copy()
+    _bspline_prefilter(got)
     matrix = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
     bands = np.full((3, n), 1.0 / 6.0)
     bands[1] = 4.0 / 6.0
     for ref in (np.linalg.solve(matrix, values), solve_banded((1, 1), bands, values)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _bspline(t, cubic):
+    t = np.abs(t)
+    if not cubic:
+        return np.maximum(0.0, 1.0 - t)
+    return np.where(t < 1.0, (4.0 - 6.0 * t ** 2 + 3.0 * t ** 3) / 6.0,
+                    np.where(t < 2.0, (2.0 - t) ** 3 / 6.0, 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(4, 512), m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       cubic=st.booleans())
+def test_spectral_drift_matches_prefilter_and_window(n, m, seed, cubic):
+    # the direct formula: FFT prefilter, then the B-spline window at row i - cells
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, m))
+    cells = rng.uniform(-n, n, m)
+    whole = rng.random(m) < 0.2
+    cells[whole] = np.round(cells[whole])
+    coeffs = values
+    if cubic:
+        symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / 6.0
+        coeffs = np.fft.irfft(np.fft.rfft(values, axis=0) / symbol[:, None], n=n, axis=0)
+    floor = np.floor(cells)
+    base = np.arange(n)[:, None] - floor.astype(np.int64)  # the trace is base - frac
+    frac = cells - floor
+    ref = np.zeros((n, m))
+    for offset in (-2, -1, 0, 1, 2):
+        ref += coeffs[(base + offset) % n, np.arange(m)] * _bspline(frac + offset, cubic)
+    got = periodic_sweep(values, 1.0, cells, cubic)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
