@@ -52,12 +52,8 @@ from .fileio import (
 )
 from .flow import flow_trajectory
 from .fock import (
-    DimensionCapError,
     FockBasis,
-    ModeBasis,
     assemble_liouvillian,
-    build_one_body,
-    build_two_body,
     density_expectation,
     embed_product_state,
     propagate,
@@ -91,6 +87,15 @@ def _write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_field_pair(out_dir: str, field, field_name: str, marginal_name: str) -> list[str]:
+    """Write a density field and its marginal CSV; returns both paths, field first."""
+    field_path = os.path.join(out_dir, field_name)
+    write_field(field_path, field)
+    marg_path = os.path.join(out_dir, marginal_name)
+    write_marginal_csv(marg_path, field)
+    return [field_path, marg_path]
+
+
 # --------------------------------------------------------------------------
 # method dispatch
 # --------------------------------------------------------------------------
@@ -114,11 +119,7 @@ def _run_vlasov(cfg: ScenarioConfig, out_dir: str, base_dir: str):
                          snapshot_times=list(cfg.snapshots))
     files = []
     for k, snap in enumerate(snaps):
-        field_path = os.path.join(out_dir, f"field_{k:04d}.kvnf")
-        write_field(field_path, snap)
-        marg_path = os.path.join(out_dir, f"marginal_{k:04d}.csv")
-        write_marginal_csv(marg_path, snap)
-        files += [field_path, marg_path]
+        files += _write_field_pair(out_dir, snap, f"field_{k:04d}.kvnf", f"marginal_{k:04d}.csv")
     last = max(snaps, key=lambda snap: snap.time)  # snapshots may be listed in any order
     drift = abs(last.mass - init.mass) / max(abs(init.mass), 1e-300)
     checks = [
@@ -132,29 +133,16 @@ def _run_perturbation(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     files = []
     for k, t in enumerate(cfg.snapshots):
         field = perturbative_density(cfg.grid, t, cfg.density, cfg.spec, cfg.settings)
-        field_path = os.path.join(out_dir, f"field_{k:04d}.kvnf")
-        write_field(field_path, field)
-        marg_path = os.path.join(out_dir, f"marginal_{k:04d}.csv")
-        write_marginal_csv(marg_path, field)
-        files += [field_path, marg_path]
+        files += _write_field_pair(out_dir, field, f"field_{k:04d}.kvnf", f"marginal_{k:04d}.csv")
     return files, [], []
 
 
 def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     settings: FockRun = cfg.settings
     grid = cfg.grid
-    n_modes = grid.n_q * grid.n_p
-    dim = FockBasis.sector_dimension(n_modes, settings.n_particles)
-    if dim > settings.dimension_cap:
-        raise DimensionCapError(
-            f"sector dimension {dim} (M={n_modes}, N={settings.n_particles}) "
-            f"exceeds the cap {settings.dimension_cap}"
-        )
-    modes = ModeBasis(grid)
-    basis = FockBasis(n_modes=n_modes, n_particles=settings.n_particles)
-    one = build_one_body(grid, cfg.spec)
-    two = build_two_body(grid, cfg.spec)
-    op = assemble_liouvillian(one, two, basis, dimension_cap=settings.dimension_cap)
+    # an over-cap sector is refused here, before its states are enumerated
+    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=settings.n_particles)
+    op = assemble_liouvillian(grid, cfg.spec, basis)
 
     Q, P = grid.meshgrid()
     orbital = np.sqrt(np.asarray(cfg.density(Q, P), dtype=float))
@@ -163,20 +151,15 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
         raise ValueError("initial density vanishes on the grid")
     orbital = (orbital / norm).reshape(-1)
     psi = orbital if settings.n_particles == 1 else np.outer(orbital, orbital)
-    state0 = embed_product_state(psi, basis, modes)
+    state0 = embed_product_state(psi, basis, grid)
     state1 = propagate(state0, op, cfg.t_final)
-    dens = density_expectation(state1, modes)
+    dens = density_expectation(state1, grid)
     dens.time = cfg.t_final
 
-    files = []
     state_path = os.path.join(out_dir, "state_final.kvnq")
     write_fock_state(state_path, state1, grid)
-    field_path = os.path.join(out_dir, "density.kvnf")
-    write_field(field_path, dens)
-    marg_path = os.path.join(out_dir, "marginal.csv")
-    write_marginal_csv(marg_path, dens)
-    files += [state_path, field_path, marg_path]
-    if dim <= OPERATOR_WRITE_MAX_DIM:
+    files = [state_path, *_write_field_pair(out_dir, dens, "density.kvnf", "marginal.csv")]
+    if basis.dimension <= OPERATOR_WRITE_MAX_DIM:
         op_path = os.path.join(out_dir, "liouvillian.kvno")
         write_fock_operator(op_path, op, grid)
         files.append(op_path)
@@ -194,13 +177,9 @@ def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     hist = histogram_density(moved, cfg.grid)
     hist.time = cfg.t_final
 
-    files = []
     pts_path = os.path.join(out_dir, "particles_final.csv")
     write_points_csv(pts_path, moved)
-    field_path = os.path.join(out_dir, "histogram.kvnf")
-    write_field(field_path, hist)
-    marg_path = os.path.join(out_dir, "marginal.csv")
-    write_marginal_csv(marg_path, hist)
+    files = [pts_path, *_write_field_pair(out_dir, hist, "histogram.kvnf", "marginal.csv")]
     meta_path = os.path.join(out_dir, "ensemble_meta.json")
     _write_json(meta_path, {
         "seed": cfg.seed,
@@ -210,7 +189,7 @@ def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
         "coupling_scaling": settings.coupling_scaling,
         "note": "mean-field scaling divides pair forces by (n_particles - 1)",
     })
-    files += [pts_path, field_path, marg_path, meta_path]
+    files.append(meta_path)
     checks = [_check("histogram_mass", hist.mass, None, 1.0 + 1e-12)]
     return files, checks, [cfg.seed]
 
@@ -308,6 +287,17 @@ def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
 # report
 # --------------------------------------------------------------------------
 
+def _read_table(path) -> dict:
+    """Rows and fitted order of a ``*_table.csv``; ValueError if it does not parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [ln.strip().split(",") for ln in fh if ln.strip()][1:]
+    if any(len(row) != 2 for row in rows):
+        raise ValueError("a row does not have exactly 2 columns")
+    footer = [float(b) for a, b in rows if a == "fitted_order"]
+    return {"rows": [[float(a), float(b)] for a, b in rows if a != "fitted_order"],
+            "fitted_order": footer[0] if footer else None}
+
+
 def build_report(run_dirs) -> dict:
     """Aggregate manifests and checks from run directories."""
     report: dict = {"runs": [], "problems": [], "all_passed": True}
@@ -360,14 +350,11 @@ def build_report(run_dirs) -> dict:
         tables = {}
         for name in sorted(os.listdir(run_dir)):
             if name.endswith("_table.csv"):
-                with open(os.path.join(run_dir, name), "r", encoding="utf-8") as fh:
-                    lines = [ln.strip() for ln in fh if ln.strip()]
-                rows = [ln.split(",") for ln in lines[1:]]
-                footer = [r for r in rows if r[0] == "fitted_order"]
-                tables[name] = {
-                    "rows": [[float(a), float(b)] for a, b in rows if a != "fitted_order"],
-                    "fitted_order": float(footer[0][1]) if footer else None,
-                }
+                try:
+                    tables[name] = _read_table(os.path.join(run_dir, name))
+                except (OSError, ValueError) as exc:
+                    report["problems"].append(f"{run_dir}: {name} is unparsable ({exc})")
+                    report["all_passed"] = False
         if tables:
             entry["tables"] = tables
         report["runs"].append(entry)

@@ -17,7 +17,6 @@ from typing import Any
 from .densities import GaussianDensity, GaussianMixture
 from .ensemble import EnsembleSettings, step_count
 from .flow import FlowSettings
-from .fock import DEFAULT_DIMENSION_CAP
 from .perturbation import PerturbationSettings
 from .phase_space import (
     CosinePair,
@@ -62,7 +61,6 @@ class FockRun:
     """Fock-method keys; the runner builds the sector from them."""
 
     n_particles: int
-    dimension_cap: int
 
 
 @dataclass(frozen=True)
@@ -391,16 +389,11 @@ def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None,
     if method == "perturbation":
         return _parse_perturbation_settings(v, path, d, grid)
     if method == "fock":
-        v.check_unknown(path, d, {"n_particles", "dimension_cap"})
+        v.check_unknown(path, d, {"n_particles"})
         n = v.get_int(path, d, "n_particles", default=1)
         if n not in (1, 2):
             v.error(f"{path}.n_particles", "must be 1 or 2")
-        cap = v.get_int(path, d, "dimension_cap", default=DEFAULT_DIMENSION_CAP, minimum=1)
-        if cap is not None and cap > DEFAULT_DIMENSION_CAP:
-            v.error(f"{path}.dimension_cap",
-                    f"can only lower the cap: must be <= {DEFAULT_DIMENSION_CAP}")
-            cap = DEFAULT_DIMENSION_CAP
-        return FockRun(n_particles=n, dimension_cap=cap)
+        return FockRun(n_particles=n)
     if method == "ensemble":
         return _parse_ensemble_settings(v, path, d, seed)
     return _parse_compare_settings(v, path, d, grid, seed)

@@ -4,10 +4,11 @@ transport generator, with exact propagation and operator-structure checks.
 The single-particle modes are the grid-cell indicator functions divided by
 the square root of the cell volume, so they are orthonormal under the grid
 inner product and the phase-space density diagnostics are simply the mode
-occupations per cell volume.  Centered differences with periodic wrap on
-both axes make (1/i) d/dq and (1/i) d/dp exactly Hermitian, hence the
-assembled generator is Hermitian by construction and the truncated theory
-is exactly unitary.
+occupations per cell volume.  Mode i covers cell (iq, ip) of the PhaseGrid,
+i = iq * n_p + ip.  Centered differences with periodic wrap on both axes
+make (1/i) d/dq and (1/i) d/dp exactly Hermitian, hence the assembled
+generator is Hermitian by construction and the truncated theory is exactly
+unitary.
 
 Bose statistics only.
 
@@ -34,9 +35,6 @@ from .phase_space import (
 )
 
 __all__ = [
-    "ModeBasis",
-    "OneBodyMatrix",
-    "TwoBodyTensor",
     "FockBasis",
     "FockState",
     "FockOperator",
@@ -54,11 +52,11 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-DEFAULT_DIMENSION_CAP = 200_000
+DIMENSION_CAP = 200_000
 
 
 class DimensionCapError(ValueError):
-    """The Fock-sector dimension exceeds the configured cap."""
+    """The Fock-sector dimension exceeds DIMENSION_CAP."""
 
 
 def _require_periodic(grid: PhaseGrid):
@@ -88,67 +86,29 @@ def _max_abs(matrix: sp.spmatrix) -> float:
     return float(np.max(np.abs(m.data))) if m.nnz else 0.0
 
 
-@dataclass(frozen=True)
-class ModeBasis:
-    """Cell-indicator modes of a phase grid, orthonormalized by 1/sqrt(vol).
-
-    Mode i covers cell (iq, ip) with i = iq * n_p + ip (row-major).
-    """
-
-    grid: PhaseGrid
-
-    @property
-    def n_modes(self) -> int:
-        return self.grid.n_q * self.grid.n_p
-
-    @property
-    def iq_of_mode(self) -> np.ndarray:
-        return np.repeat(np.arange(self.grid.n_q), self.grid.n_p)
+def _require_hermitian(matrix: sp.csr_matrix, what: str) -> sp.csr_matrix:
+    dev = _max_abs(matrix - matrix.getH())
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian: deviation {dev:.3e}")
+    return matrix
 
 
-@dataclass(frozen=True)
-class OneBodyMatrix:
-    """Discretized one-particle generator; Hermitian to 1e-12 by contract."""
-
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        dev = _max_abs(self.matrix - self.matrix.getH())
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"one-body matrix is not Hermitian: deviation {dev:.3e}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
+def _require_matching_grid(grid: PhaseGrid, basis: FockBasis):
+    if grid.n_q * grid.n_p != basis.n_modes:
+        raise ValueError(f"grid has {grid.n_q * grid.n_p} cells, basis has {basis.n_modes} modes")
 
 
-@dataclass(frozen=True)
-class TwoBodyTensor:
-    """Discretized pair generator as a sparse matrix over mode pairs.
+def _momentum_stencil(grid: PhaseGrid) -> sp.csr_matrix:
+    """(1/i) d/dp as an M x M one-body matrix."""
+    import scipy.sparse as sp
 
-    ``matrix[(i*M + j), (k*M + l)]`` is the coefficient of a+_i a+_j a_l a_k.
-    The factored pieces (pair-gradient table over q-columns and the
-    momentum-difference stencil) are kept for fast sector assembly.
-    """
-
-    matrix: sp.csr_matrix
-    gradv_q: np.ndarray          # grad v(q_a - q_a') with minimum-image wrap
-    momentum_stencil: sp.csr_matrix   # (1/i) d/dp as an M x M one-body matrix
-
-    def __post_init__(self):
-        # Hermiticity of the coefficient matrix carries over to the
-        # exchange-symmetrized two-particle operator
-        dev = _max_abs(self.matrix - self.matrix.getH())
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"two-body tensor is not Hermitian: deviation {dev:.3e}")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.matrix.nnz == 0
+    Dp = _centered_difference(grid.n_p, grid.dp)
+    return ((-1j) * sp.kron(sp.identity(grid.n_q), Dp)).tocsr()
 
 
-def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> OneBodyMatrix:
-    """(p/m) (1/i) d/dq - grad U(q) (1/i) d/dp on the cell-indicator modes."""
+def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> sp.csr_matrix:
+    """(p/m) (1/i) d/dq - grad U(q) (1/i) d/dp on the cell-indicator modes,
+    Hermitian to 1e-12 or this raises."""
     import scipy.sparse as sp
 
     _require_periodic(grid)
@@ -160,31 +120,27 @@ def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> OneBodyMatrix:
         + (1j) * sp.kron(grad_u, Dp, format="csr")
     h = h.tocsr()
     h.eliminate_zeros()
-    return OneBodyMatrix(matrix=h)
+    return _require_hermitian(h, "one-body matrix")
 
 
-def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> TwoBodyTensor:
-    """-grad v(q - q') (1/i) d/dp acting on the unprimed argument."""
+def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> sp.csr_matrix:
+    """-grad v(q - q') (1/i) d/dp on the unprimed argument: the first-quantized
+    reference G, with G[(i*M + j), (k*M + l)] the coefficient of a+_i a+_j a_l a_k.
+    Assembly never forms it.  Hermitian to 1e-12 or this raises, and that
+    carries over to the exchange-symmetrized two-particle operator."""
     import scipy.sparse as sp
 
     _require_periodic(grid)
     M = grid.n_q * grid.n_p
-    Dp = _centered_difference(grid.n_p, grid.dp)
-    dp1 = ((-1j) * sp.kron(sp.identity(grid.n_q), Dp)).tocsr()
     if isinstance(spec.pair, NoPair):
-        return TwoBodyTensor(
-            matrix=sp.csr_matrix((M * M, M * M), dtype=complex),
-            gradv_q=np.zeros((grid.n_q, grid.n_q)),
-            momentum_stencil=dp1,
-        )
+        return sp.csr_matrix((M * M, M * M), dtype=complex)
     gradv_q = pair_gradient_table(grid, spec.pair)
-    modes = ModeBasis(grid)
-    iq = modes.iq_of_mode
+    iq = np.repeat(np.arange(grid.n_q), grid.n_p)
     weights = -gradv_q[iq[:, None], iq[None, :]].ravel()
-    big = sp.kron(dp1, sp.identity(M), format="csr")
+    big = sp.kron(_momentum_stencil(grid), sp.identity(M), format="csr")
     matrix = sp.diags(weights).dot(big).tocsr()
     matrix.eliminate_zeros()
-    return TwoBodyTensor(matrix=matrix, gradv_q=gradv_q, momentum_stencil=dp1)
+    return _require_hermitian(matrix, "two-body tensor")
 
 
 @dataclass(frozen=True)
@@ -208,9 +164,9 @@ class FockBasis:
             raise ValueError("n_particles must be >= 1")
         M, N = self.n_modes, self.n_particles
         dim = self.sector_dimension(M, N)
-        if dim > DEFAULT_DIMENSION_CAP:
+        if dim > DIMENSION_CAP:
             raise DimensionCapError(
-                f"sector dimension {dim} (M={M}, N={N}) exceeds the cap {DEFAULT_DIMENSION_CAP}")
+                f"sector dimension {dim} (M={M}, N={N}) exceeds the cap {DIMENSION_CAP}")
         flat = chain.from_iterable(combinations_with_replacement(range(M), N))
         object.__setattr__(self, "modes", np.fromiter(flat, np.int64).reshape(-1, N))
         # multisets[c, r]: size-r multisets of the modes c..M-1, C(M - c + r - 1, r)
@@ -323,44 +279,44 @@ def _hops(basis: FockBasis, stencil: sp.spmatrix):
     return row, col, i, csc.data[entry], factor
 
 
-def assemble_liouvillian(one_body: OneBodyMatrix, two_body: TwoBodyTensor,
-                         basis: FockBasis,
-                         dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
-    """Lift the one- and two-body generators to the fixed-N bosonic sector.
+def _sector_moves(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> list[np.ndarray]:
+    """(row, col, value) of every one-body and pair move; the per-term arrays
+    are freed on return, before the caller builds the sparse matrix."""
+    row, col, _, hik, factor = _hops(basis, build_one_body(grid, spec))
+    moves = [(row, col, hik * factor)]
+    if not isinstance(spec.pair, NoPair):
+        gradv_q = pair_gradient_table(grid, spec.pair)
+        # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), from the particles per q-column
+        w_field = -_tally(basis.modes // grid.n_p, grid.n_q) @ gradv_q.T
+        row, col, i, dik, factor = _hops(basis, _momentum_stencil(grid))
+        moves.append((row, col, (dik * w_field[col, i // grid.n_p]) * factor))
+    return [np.concatenate(part) for part in zip(*moves)]
+
+
+def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> FockOperator:
+    """Lift the generators of (grid, spec) to the fixed-N bosonic sector.
 
     The lift is sum_ij h_ij a+_i a_j plus sum g_(ij)(kl) a+_i a+_j a_l a_k
     with no extra prefactor on the pair term: that convention makes the N=2
     sector reproduce the first-quantized two-particle generator
     h(x) + h(x') + g(x,x') + g(x',x) exactly, which is the normative test.
     Both terms go through one kernel of hops a+_i a_k over all states: the
-    one-body term with value h_ik, the pair term with d_ik W(s, q-column of
-    i), d the momentum stencil and W(s, a) = -sum_a' grad v(q_a - q_a') n_s(a').
-    Total occupation is conserved move by move, so [L, N] = 0 exactly.
+    one-body term with value h_ik of ``build_one_body``, the pair term with
+    d_ik W(s, q-column of i), d the momentum stencil and W(s, a) = -sum_a'
+    grad v(q_a - q_a') n_s(a'), so the G of ``build_two_body`` is never
+    formed.  Total occupation is conserved move by move, so [L, N] = 0 exactly.
     """
     import scipy.sparse as sp
 
-    M = basis.n_modes
-    if one_body.n_modes != M:
-        raise ValueError("one-body matrix size does not match the basis modes")
+    _require_matching_grid(grid, basis)
     dim = basis.dimension
-    if dim > dimension_cap:
-        raise DimensionCapError(f"sector dimension {dim} exceeds the cap {dimension_cap}")
-    row, col, _, hik, factor = _hops(basis, one_body.matrix)
-    moves = [(row, col, hik * factor)]
-    if not two_body.is_empty:
-        n_q = two_body.gradv_q.shape[0]
-        n_p = M // n_q
-        # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), from the particles per q-column
-        w_field = -_tally(basis.modes // n_p, n_q) @ two_body.gradv_q.T
-        row, col, i, dik, factor = _hops(basis, two_body.momentum_stencil)
-        moves.append((row, col, (dik * w_field[col, i // n_p]) * factor))
-    row, col, val = (np.concatenate(part) for part in zip(*moves))
+    row, col, val = _sector_moves(grid, spec, basis)
     matrix = sp.coo_matrix((val, (row, col)), shape=(dim, dim), dtype=complex).tocsr()
     matrix.eliminate_zeros()
     return FockOperator(basis=basis, matrix=matrix)
 
 
-def embed_product_state(psi: np.ndarray, basis: FockBasis, modes: ModeBasis) -> FockState:
+def embed_product_state(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
     """Embed a symmetric N-particle grid function into the fixed-N sector.
 
     Expanding the grid function in the orthonormal indicator modes and
@@ -370,11 +326,12 @@ def embed_product_state(psi: np.ndarray, basis: FockBasis, modes: ModeBasis) -> 
     cell values, shape (M,) or (n_q, n_p)) and N = 2 (matrix of cell-pair
     values, shape (M, M), symmetric to 1e-12).
     """
-    M = modes.n_modes
-    vol = modes.grid.cell_volume
+    _require_matching_grid(grid, basis)
+    M = basis.n_modes
+    vol = grid.cell_volume
     psi = np.asarray(psi, dtype=complex)
     if basis.n_particles == 1:
-        flat = psi.reshape(M) if psi.shape == (modes.grid.n_q, modes.grid.n_p) else psi
+        flat = psi.reshape(M) if psi.shape == (grid.n_q, grid.n_p) else psi
         if flat.shape != (M,):
             raise ValueError("one-particle grid function must have M values")
         return FockState(basis, flat * np.sqrt(vol))
@@ -412,12 +369,12 @@ def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
     return FockState(state.basis, amp)
 
 
-def density_expectation(state: FockState, modes: ModeBasis) -> DensityField:
+def density_expectation(state: FockState, grid: PhaseGrid) -> DensityField:
     """Per-cell occupation expectations over the cell volume.
 
     Integrates to the particle number exactly (diagonal trace identity).
     """
-    grid = modes.grid
+    _require_matching_grid(grid, state.basis)
     w = np.abs(state.amplitudes) ** 2
     mode_occ = _slot_sum(state.basis.modes, w, state.basis.n_modes)
     values = (mode_occ / grid.cell_volume).reshape(grid.n_q, grid.n_p)
@@ -456,21 +413,21 @@ class QuantumVlasovResult:
         return self.dt_term_fd - self.dt_term_exact
 
 
-def quantum_vlasov_residual(state: FockState, op: FockOperator, modes: ModeBasis,
+def quantum_vlasov_residual(state: FockState, op: FockOperator, grid: PhaseGrid,
                             spec: ProblemSpec, t: float, dt_fd: float) -> QuantumVlasovResult:
     """Assemble the transport-identity residual for the propagated state."""
     if not dt_fd > 0:
         raise ValueError("dt_fd must be > 0")
-    grid = modes.grid
+    _require_matching_grid(grid, state.basis)
     vol = grid.cell_volume
     shape = (grid.n_q, grid.n_p)
 
     at = propagate(state, op, t)
     plus = propagate(state, op, t + dt_fd)
     minus = propagate(state, op, t - dt_fd)
-    dens = density_expectation(at, modes).values
-    dens_p = density_expectation(plus, modes).values
-    dens_m = density_expectation(minus, modes).values
+    dens = density_expectation(at, grid).values
+    dens_p = density_expectation(plus, grid).values
+    dens_m = density_expectation(minus, grid).values
     dt_fd_term = (dens_p - dens_m) / (2 * dt_fd)
 
     # exact d/dt via the commutator: d<n_i>/dt = -2 Im <L a, n_i a>
@@ -513,7 +470,7 @@ class KernelHermiticityReport:
     drag_antihermiticity: float    # max over q of |K(q) + K(q)^dag|
 
 
-def kernel_hermiticity_report(modes: ModeBasis, spec: ProblemSpec,
+def kernel_hermiticity_report(grid: PhaseGrid, spec: ProblemSpec,
                               density_ref: DensityField) -> KernelHermiticityReport:
     """Check the operator structure behind the density transport identity.
 
@@ -524,18 +481,16 @@ def kernel_hermiticity_report(modes: ModeBasis, spec: ProblemSpec,
     """
     import scipy.sparse as sp
 
-    grid = modes.grid
     _require_periodic(grid)
     if density_ref.grid != grid:
-        raise ValueError("the reference density must live on the modes' grid")
+        raise ValueError("the reference density must live on the given grid")
     gradv_q = pair_gradient_table(grid, spec.pair)
     f_vals = mean_field_force(density_ref, spec)
     f_diag = sp.diags(np.repeat(f_vals, grid.n_p)).tocsr()
     f_dev = _max_abs(f_diag - f_diag.getH())
 
-    Dp = _centered_difference(grid.n_p, grid.dp)
-    dp_plain = sp.kron(sp.identity(grid.n_q), Dp).tocsr()
-    iq = modes.iq_of_mode
+    dp_plain = 1j * _momentum_stencil(grid)
+    iq = np.repeat(np.arange(grid.n_q), grid.n_p)
     drag_dev = 0.0
     for a in range(grid.n_q):
         kernel = sp.diags(gradv_q[a, iq]).dot(dp_plain)

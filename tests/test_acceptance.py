@@ -16,7 +16,6 @@ from kvnsim.flow import FlowSettings, flow_jacobian, flow_map_points, group_prop
 from kvnsim.fock import (
     FockBasis,
     FockState,
-    ModeBasis,
     assemble_liouvillian,
     build_one_body,
     build_two_body,
@@ -99,30 +98,28 @@ def test_c2_first_second_quantization_equivalence():
     spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.4),
                        pair=GaussianPair(strength=0.15, width=1.0))
     one = build_one_body(grid, spec)
-    two = build_two_body(grid, spec)
-    modes = ModeBasis(grid)
+    G = build_two_body(grid, spec)
     M = 36
     t = 1.0
     errors = {}
 
     psi1 = _sector_states(grid, spec, 1, seed=11)
     basis1 = FockBasis(n_modes=M, n_particles=1)
-    L1 = assemble_liouvillian(one, two, basis1)
-    second = propagate(embed_product_state(psi1, basis1, modes), L1, t)
-    first = embed_product_state(expm(-1j * one.matrix.toarray() * t) @ psi1, basis1, modes)
+    L1 = assemble_liouvillian(grid, spec, basis1)
+    second = propagate(embed_product_state(psi1, basis1, grid), L1, t)
+    first = embed_product_state(expm(-1j * one.toarray() * t) @ psi1, basis1, grid)
     errors[1] = np.max(np.abs(second.amplitudes - first.amplitudes))
 
     psi2 = _sector_states(grid, spec, 2, seed=12)
     basis2 = FockBasis(n_modes=M, n_particles=2)
-    L2 = assemble_liouvillian(one, two, basis2)
+    L2 = assemble_liouvillian(grid, spec, basis2)
     perm = np.arange(M * M).reshape(M, M).T.ravel()
     P = sp.csr_matrix((np.ones(M * M), (np.arange(M * M), perm)), shape=(M * M, M * M))
-    G = two.matrix
-    h = one.matrix.toarray()
+    h = one.toarray()
     L2fq = np.kron(h, np.eye(M)) + np.kron(np.eye(M), h) + (G + P @ G @ P).toarray()
-    second2 = propagate(embed_product_state(psi2, basis2, modes), L2, t)
+    second2 = propagate(embed_product_state(psi2, basis2, grid), L2, t)
     psi2_t = (expm(-1j * L2fq * t) @ psi2.ravel()).reshape(M, M)
-    first2 = embed_product_state(psi2_t, basis2, modes)
+    first2 = embed_product_state(psi2_t, basis2, grid)
     errors[2] = np.max(np.abs(second2.amplitudes - first2.amplitudes))
 
     elapsed = time.perf_counter() - started
@@ -136,22 +133,19 @@ def _quantum_vlasov_scenario():
     grid = periodic_grid(4, 4)  # M = 16
     spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.3),
                        pair=GaussianPair(strength=0.1, width=1.0))
-    one = build_one_body(grid, spec)
-    two = build_two_body(grid, spec)
     basis = FockBasis(n_modes=16, n_particles=2)
-    L = assemble_liouvillian(one, two, basis)
-    modes = ModeBasis(grid)
+    L = assemble_liouvillian(grid, spec, basis)
     Q, P = grid.meshgrid()
     phi = 1.0 + 3e-3 * (np.cos(Q) + np.cos(P))
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, modes)
-    return state, L, modes, spec
+    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, grid)
+    return state, L, grid, spec
 
 
 def test_c3_quantum_vlasov_identity():
-    state, L, modes, spec = _quantum_vlasov_scenario()
-    res = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=1e-4)
-    big = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=2e-4)
+    state, L, grid, spec = _quantum_vlasov_scenario()
+    res = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=1e-4)
+    big = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=2e-4)
     ratio = np.linalg.norm(big.dt_component) / np.linalg.norm(res.dt_component)
     ok = res.max_residual < 1e-6 and 3.4 <= ratio <= 4.6
     report("C3 quantum Vlasov identity", ok,
@@ -165,7 +159,7 @@ def test_c4_unitarity_and_conservation():
     spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.4),
                        pair=GaussianPair(strength=0.15, width=1.0))
     basis = FockBasis(n_modes=36, n_particles=2)
-    L = assemble_liouvillian(build_one_body(grid, spec), build_two_body(grid, spec), basis)
+    L = assemble_liouvillian(grid, spec, basis)
     rng = np.random.default_rng(21)
     amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     amp /= np.linalg.norm(amp)
@@ -221,14 +215,12 @@ def test_c6_operator_structure():
     grid = periodic_grid(8, 8)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
                        pair=GaussianPair(strength=0.2, width=0.8))
-    modes = ModeBasis(grid)
     dens = density_from_function(grid, GaussianDensity(0, 0, 0.8, 0.8), warn=False)
-    rep = kernel_hermiticity_report(modes, spec, dens)
+    rep = kernel_hermiticity_report(grid, spec, dens)
 
-    two = build_two_body(grid, spec)
     M = 64
-    iq = modes.iq_of_mode
-    coo = two.matrix.tocoo()
+    iq = np.repeat(np.arange(grid.n_q), grid.n_p)
+    coo = build_two_body(grid, spec).tocoo()
     diag_blocks = [abs(v) for r, c, v in zip(coo.row, coo.col, coo.data)
                    if iq[r // M] == iq[r % M]]
     diag_max = max(diag_blocks) if diag_blocks else 0.0

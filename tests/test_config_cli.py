@@ -247,6 +247,28 @@ def test_cli_report_rechecks_tolerances_instead_of_trusting_the_flag(tmp_path, c
     assert "checks.json is unreadable or not a list" in capsys.readouterr().out
 
 
+def test_cli_report_names_an_unparsable_table(tmp_path):
+    run_dir = tmp_path / "run1"
+    payload = dict(PERTURBATION_COMPARE, output_dir=str(run_dir))
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 0
+    table = run_dir / "residual_table.csv"
+    header, first, *rest = table.read_text().splitlines()
+    damaged = {
+        "extra column": [header, first + ",7", *rest],
+        "non-numeric value": [header, first.split(",")[0] + ",abc", *rest],
+    }
+    variants = [("\n".join(lines) + "\n").encode() for lines in damaged.values()]
+    variants.append(table.read_bytes() + b"\xff\xfe\n")  # not UTF-8
+    for raw in variants:
+        table.write_bytes(raw)
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "rep")]) == 3
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["all_passed"] is False
+        problems = "\n".join(summary["problems"])
+        assert "checksum mismatch: residual_table.csv" in problems
+        assert "residual_table.csv is unparsable" in problems
+
+
 def test_cli_report_lists_missing_manifest_not_fatal(tmp_path):
     (tmp_path / "empty").mkdir()
     assert main(["report", str(tmp_path / "empty"), "--out", str(tmp_path / "rep")]) == 0
@@ -424,7 +446,7 @@ def test_validate_refuses_a_dimension_cap_above_the_default(tmp_path, capsys):
         "settings": {"n_particles": 2, "dimension_cap": 300000},
     }
     assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
-    assert "settings.dimension_cap: can only lower the cap" in capsys.readouterr().err
+    assert "settings.dimension_cap: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [
@@ -530,7 +552,7 @@ VALID_CONFIGS = [
     dict(MINIMAL_VLASOV, method="fock", grid=PERIODIC_GRID,
          problem={"external_potential": {"type": "cosine", "wavenumber": 1, "amplitude": 0.4},
                   "pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
-         settings={"n_particles": 2, "dimension_cap": 1000}),
+         settings={"n_particles": 2}),
     dict(MINIMAL_VLASOV, method="ensemble", seed=3,
          initial_density={"type": "mixture", "weights": [1, 2],
                           "components": [{"q_center": -1}, {"type": "gaussian", "q_center": 1}]},

@@ -83,7 +83,7 @@ def test_fock_operator_round_trip(tmp_path):
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
                        pair=GaussianPair(strength=0.2, width=0.9))
     basis = FockBasis(n_modes=16, n_particles=2)
-    op = assemble_liouvillian(build_one_body(grid, spec), build_two_body(grid, spec), basis)
+    op = assemble_liouvillian(grid, spec, basis)
     path = tmp_path / "op.kvno"
     write_fock_operator(path, op, grid)
     back, _ = read_fock_operator(path)
@@ -160,8 +160,7 @@ def _valid_files(tmp_path):
                 density_from_function(grid, GaussianDensity(0, 0, 0.5, 0.4), warn=False))
     write_fock_state(paths[read_fock_state], FockState(basis, np.arange(136.0) + 1j), grid)
     write_fock_operator(paths[read_fock_operator],
-                        assemble_liouvillian(build_one_body(grid, spec),
-                                             build_two_body(grid, spec), basis), grid)
+                        assemble_liouvillian(grid, spec, basis), grid)
     return paths
 
 

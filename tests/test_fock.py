@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from kvnsim import fock
 from kvnsim.densities import GaussianDensity
 from kvnsim.fock import (
     DimensionCapError,
     FockBasis,
     FockOperator,
     FockState,
-    ModeBasis,
-    OneBodyMatrix,
     _pair_correlation,
     _slot_sum,
     assemble_liouvillian,
@@ -58,23 +57,14 @@ def swap_matrix(M):
 
 def two_particle_generator(one_body, two_body, M):
     """First-quantized two-particle generator h(x) + h(x') + g(x,x') + g(x',x)."""
-    h = one_body.matrix.toarray()
+    h = one_body.toarray()
     P = swap_matrix(M)
-    G = two_body.matrix
+    G = two_body
     return np.kron(h, np.eye(M)) + np.kron(np.eye(M), h) + (G + P @ G @ P).toarray()
 
 
 INTERACTING = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.4),
                           pair=GaussianPair(strength=0.15, width=1.0))
-
-
-def test_mode_basis_maps_and_gram():
-    grid = periodic_grid(4, 5)
-    modes = ModeBasis(grid)
-    assert modes.n_modes == 20
-    # mode i = iq * n_p + ip covers cell (iq, ip)
-    assert modes.iq_of_mode[13] == 2
-    assert np.array_equal(modes.iq_of_mode, np.repeat(np.arange(4), 5))
 
 
 def test_one_body_requires_periodic_grid():
@@ -86,14 +76,14 @@ def test_one_body_requires_periodic_grid():
 def test_one_body_hermitian_8x8_harmonic():
     grid = periodic_grid(8, 8)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0))
-    h = build_one_body(grid, spec).matrix
+    h = build_one_body(grid, spec)
     assert np.abs((h - h.getH()).toarray()).max() < 1e-14
 
 
 def test_one_body_free_zero_rows_at_p0():
     # p-centers include p = 0 for an odd row count over a symmetric domain
     grid = PhaseGrid(-np.pi, np.pi, -2.5, 2.5, 4, 5, periodic_q=True, periodic_p=True)
-    h = build_one_body(grid, ProblemSpec()).matrix.toarray()
+    h = build_one_body(grid, ProblemSpec()).toarray()
     _, P = grid.meshgrid()  # row-major cells, in mode order
     zero_rows = np.where(P.ravel() == 0.0)[0]
     assert zero_rows.size == 4
@@ -102,29 +92,40 @@ def test_one_body_free_zero_rows_at_p0():
 
 def test_one_body_free_spectrum_real_symmetric():
     grid = periodic_grid(8, 8)
-    h = build_one_body(grid, ProblemSpec()).matrix.toarray()
+    h = build_one_body(grid, ProblemSpec()).toarray()
     vals = np.linalg.eigvalsh(h)
     assert np.max(np.abs(np.sort(vals) + np.sort(-vals)[::-1])) < 1e-12
 
 
+def test_builders_refuse_a_non_hermitian_generator(monkeypatch):
+    # a one-sided difference is not antisymmetric, so (1/i) times it is not Hermitian
+    def forward_difference(n, delta):
+        ahead = (np.arange(n) + 1) % n
+        return sp.csr_matrix((np.full(n, 1.0 / delta), (np.arange(n), ahead)), shape=(n, n))
+
+    monkeypatch.setattr(fock, "_centered_difference", forward_difference)
+    grid = periodic_grid(4, 4)
+    with pytest.raises(ValueError, match="one-body matrix is not Hermitian"):
+        build_one_body(grid, INTERACTING)
+    with pytest.raises(ValueError, match="two-body tensor is not Hermitian"):
+        build_two_body(grid, INTERACTING)
+
+
 def test_two_body_empty_without_pair():
     grid = periodic_grid(4, 4)
-    two = build_two_body(grid, ProblemSpec())
-    assert two.is_empty
+    assert build_two_body(grid, ProblemSpec()).nnz == 0
 
 
 def test_two_body_hermiticity_and_diagonal_blocks():
     grid = periodic_grid(6, 6)
-    two = build_two_body(grid, INTERACTING)
-    G = two.matrix
+    G = build_two_body(grid, INTERACTING)
     M = 36
     assert np.abs((G - G.getH()).toarray()).max() < 1e-12
     P = swap_matrix(M)
     sym = G + P @ G @ P
     assert np.abs((sym - sym.getH()).toarray()).max() < 1e-12
     # parity of the pair potential kills every same-q-cell block
-    modes = ModeBasis(grid)
-    iq = modes.iq_of_mode
+    iq = np.repeat(np.arange(grid.n_q), grid.n_p)
     Gc = G.tocoo()
     same_cell = [abs(v) for r, c, v in zip(Gc.row, Gc.col, Gc.data)
                  if iq[r // M] == iq[r % M]]
@@ -171,32 +172,20 @@ def test_fock_basis_index_of_rejects_unrankable_occupations(occupation):
 def test_assemble_single_particle_sector_equals_one_body():
     grid = periodic_grid(4, 4)
     one = build_one_body(grid, INTERACTING)
-    two = build_two_body(grid, INTERACTING)
     basis = FockBasis(n_modes=16, n_particles=1)
-    L = assemble_liouvillian(one, two, basis)
-    assert np.abs((L.matrix - one.matrix).toarray()).max() == 0.0
+    L = assemble_liouvillian(grid, INTERACTING, basis)
+    assert np.abs((L.matrix - one).toarray()).max() == 0.0
 
 
 def test_assemble_hermitian_and_number_conserving():
     grid = periodic_grid(4, 4)
-    one = build_one_body(grid, INTERACTING)
-    two = build_two_body(grid, INTERACTING)
     basis = FockBasis(n_modes=16, n_particles=2)
-    L = assemble_liouvillian(one, two, basis)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
     assert L.hermitian
     assert L.hermiticity_deviation() < 1e-12
     number = sp.diags(occupations(basis).sum(axis=1).astype(float))
     comm = L.matrix @ number - number @ L.matrix
     assert np.abs(comm.toarray()).max() == 0.0
-
-
-def test_assemble_dimension_cap():
-    grid = periodic_grid(6, 6)
-    one = build_one_body(grid, INTERACTING)
-    two = build_two_body(grid, INTERACTING)
-    basis = FockBasis(n_modes=36, n_particles=2)
-    with pytest.raises(DimensionCapError, match="666"):
-        assemble_liouvillian(one, two, basis, dimension_cap=500)
 
 
 def test_over_cap_basis_refused_before_enumeration():
@@ -205,24 +194,26 @@ def test_over_cap_basis_refused_before_enumeration():
         FockBasis(n_modes=10_000, n_particles=3)
 
 
-def test_assemble_against_generic_contraction_oracle():
+def test_assemble_against_generic_contraction_oracle(monkeypatch):
     for n_particles, on_site in [(2, False), (3, False), (3, True)]:
-        _check_against_contraction_oracle(n_particles, on_site)
+        with monkeypatch.context() as patch:
+            _check_against_contraction_oracle(patch, n_particles, on_site)
 
 
-def _check_against_contraction_oracle(n_particles, on_site):
+def _check_against_contraction_oracle(patch, n_particles, on_site):
     """Apply the raw normal-ordered tensor contraction state by state.
 
-    ``on_site`` adds a real diagonal to the one-body matrix, so that the
-    i == k moves (weight n_k) are exercised too."""
+    ``on_site`` adds a real diagonal to the one-body matrix that assembly
+    reads, so that the i == k moves (weight n_k) are exercised too."""
     grid = periodic_grid(4, 4)
     one = build_one_body(grid, INTERACTING)
     two = build_two_body(grid, INTERACTING)
     M = 16
     if on_site:
-        one = OneBodyMatrix((one.matrix + sp.diags(np.linspace(-1.0, 1.0, M))).tocsr())
+        one = (one + sp.diags(np.linspace(-1.0, 1.0, M))).tocsr()
+        patch.setattr(fock, "build_one_body", lambda grid, spec: one)
     basis = FockBasis(n_modes=M, n_particles=n_particles)
-    L = assemble_liouvillian(one, two, basis)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
 
     def annihilate(occ, amp, k):
         if occ[k] == 0:
@@ -238,8 +229,8 @@ def _check_against_contraction_oracle(n_particles, on_site):
 
     dim = basis.dimension
     dense = np.zeros((dim, dim), dtype=complex)
-    h = one.matrix.tocoo()
-    G = two.matrix.tocoo()
+    h = one.tocoo()
+    G = two.tocoo()
     for s in range(dim):
         occ0 = occupations(basis)[s]
         for i, k, hik in zip(h.row, h.col, h.data):
@@ -262,25 +253,46 @@ def _check_against_contraction_oracle(n_particles, on_site):
     assert np.abs(L.matrix.toarray() - dense).max() < 1e-12
 
 
+def test_grid_must_match_the_basis_modes():
+    # a 5 x 4 grid has 20 cells; a 4 x 4 grid has 16
+    grid20, grid16 = periodic_grid(5, 4), periodic_grid(4, 4)
+    basis16 = FockBasis(n_modes=16, n_particles=2)
+    basis20 = FockBasis(n_modes=20, n_particles=2)
+    psi20 = np.ones((20, 20)) / (20 * grid20.cell_volume)
+    psi16 = np.ones((16, 16)) / (16 * grid16.cell_volume)
+    more, fewer = "grid has 20 cells, basis has 16 modes", "grid has 16 cells, basis has 20 modes"
+    with pytest.raises(ValueError, match=more):
+        embed_product_state(psi20, basis16, grid20)
+    with pytest.raises(ValueError, match=fewer):
+        embed_product_state(psi16, basis20, grid16)
+    state20 = FockState(basis20, np.eye(basis20.dimension)[0])
+    with pytest.raises(ValueError, match=fewer):
+        density_expectation(state20, grid16)
+    with pytest.raises(ValueError, match=more):
+        assemble_liouvillian(grid20, INTERACTING, basis16)
+    L16 = assemble_liouvillian(grid16, INTERACTING, basis16)
+    state16 = embed_product_state(psi16, basis16, grid16)
+    with pytest.raises(ValueError, match=more):
+        quantum_vlasov_residual(state16, L16, grid20, INTERACTING, t=0.1, dt_fd=1e-4)
+
+
 def test_embed_single_particle_amplitudes():
     grid = periodic_grid(4, 4)
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=16, n_particles=1)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state = embed_product_state(psi, basis, modes)
+    state = embed_product_state(psi, basis, grid)
     assert_allclose(state.amplitudes, psi * np.sqrt(grid.cell_volume), rtol=1e-15)
 
 
 def test_embed_two_orthogonal_modes_unit_amplitude():
     grid = periodic_grid(4, 4)
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=16, n_particles=2)
     vol = grid.cell_volume
     i, j = 3, 11
     psi = np.zeros((16, 16))
     psi[i, j] = psi[j, i] = 1.0 / (np.sqrt(2) * vol)  # symmetrized, unit norm
-    state = embed_product_state(psi, basis, modes)
+    state = embed_product_state(psi, basis, grid)
     occ = np.zeros(16, dtype=int)
     occ[i] = occ[j] = 1
     idx = basis.index_of(occ)
@@ -293,12 +305,11 @@ def test_embed_two_orthogonal_modes_unit_amplitude():
 def test_embed_product_orbital_matches_coherent_sector_pattern():
     # a doubly occupied orbital carries the Poissonian sqrt(N!/prod n!) weights
     grid = periodic_grid(4, 4)
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=16, n_particles=2)
     rng = np.random.default_rng(1)
     phi = rng.uniform(0.2, 1.0, size=16)
     phi /= np.sqrt(np.sum(phi**2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi, phi), basis, modes)
+    state = embed_product_state(np.outer(phi, phi), basis, grid)
     f = phi * np.sqrt(grid.cell_volume)  # orbital coefficients
     for s in range(basis.dimension):
         occ = occupations(basis)[s]
@@ -313,20 +324,17 @@ def test_embed_product_orbital_matches_coherent_sector_pattern():
 
 def test_embed_rejects_asymmetric_two_particle_function():
     grid = periodic_grid(4, 4)
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=16, n_particles=2)
     psi = np.zeros((16, 16))
     psi[2, 5] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        embed_product_state(psi, basis, modes)
+        embed_product_state(psi, basis, grid)
 
 
 def test_propagate_t0_identity_and_refusal():
     grid = periodic_grid(4, 4)
-    one = build_one_body(grid, INTERACTING)
-    two = build_two_body(grid, INTERACTING)
     basis = FockBasis(n_modes=16, n_particles=1)
-    L = assemble_liouvillian(one, two, basis)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
     rng = np.random.default_rng(2)
     amp = rng.normal(size=16) + 1j * rng.normal(size=16)
     state = FockState(basis, amp)
@@ -342,25 +350,21 @@ def test_propagate_single_particle_matches_matrix_exponential():
     grid = periodic_grid(5, 5)
     spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.5))
     one = build_one_body(grid, spec)
-    two = build_two_body(grid, spec)
     basis = FockBasis(n_modes=25, n_particles=1)
-    L = assemble_liouvillian(one, two, basis)
-    modes = ModeBasis(grid)
+    L = assemble_liouvillian(grid, spec, basis)
     rng = np.random.default_rng(3)
     psi = rng.normal(size=25) + 1j * rng.normal(size=25)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-    state = embed_product_state(psi, basis, modes)
+    state = embed_product_state(psi, basis, grid)
     out = propagate(state, L, 1.3)
-    oracle = expm(-1.3j * one.matrix.toarray()) @ state.amplitudes
+    oracle = expm(-1.3j * one.toarray()) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
 
 
 def test_propagate_krylov_branch_matches_dense():
     grid = periodic_grid(4, 4)
-    one = build_one_body(grid, INTERACTING)
-    two = build_two_body(grid, INTERACTING)
     basis = FockBasis(n_modes=16, n_particles=2)
-    L = assemble_liouvillian(one, two, basis)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
     rng = np.random.default_rng(4)
     amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     amp /= np.linalg.norm(amp)
@@ -373,8 +377,7 @@ def test_propagate_krylov_branch_matches_dense():
 def test_propagate_rejects_state_from_another_sector():
     grid = periodic_grid(4, 4)
     basis = FockBasis(n_modes=16, n_particles=1)
-    L = assemble_liouvillian(build_one_body(grid, INTERACTING),
-                             build_two_body(grid, INTERACTING), basis)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
     other = FockBasis(n_modes=2, n_particles=15)
     assert other.dimension == basis.dimension
     state = FockState(other, np.eye(other.dimension)[0])
@@ -384,10 +387,8 @@ def test_propagate_rejects_state_from_another_sector():
 
 def test_norm_preservation_36_modes_two_particles():
     grid = periodic_grid(6, 6)
-    one = build_one_body(grid, INTERACTING)
-    two = build_two_body(grid, INTERACTING)
     basis = FockBasis(n_modes=36, n_particles=2)
-    L = assemble_liouvillian(one, two, basis)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
     rng = np.random.default_rng(5)
     amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     amp /= np.linalg.norm(amp)
@@ -398,12 +399,11 @@ def test_norm_preservation_36_modes_two_particles():
 
 def test_density_expectation_occupation_patterns():
     grid = periodic_grid(4, 4)
-    modes = ModeBasis(grid)
     vol = grid.cell_volume
     basis1 = FockBasis(n_modes=16, n_particles=1)
     amp = np.zeros(16, dtype=complex)
     amp[7] = 1.0
-    dens = density_expectation(FockState(basis1, amp), modes)
+    dens = density_expectation(FockState(basis1, amp), grid)
     expected = np.zeros(16)
     expected[7] = 1.0 / vol
     assert_allclose(dens.values.reshape(-1), expected, rtol=0, atol=0)
@@ -413,7 +413,7 @@ def test_density_expectation_occupation_patterns():
     occ[2] = occ[9] = 1
     amp2 = np.zeros(basis2.dimension, dtype=complex)
     amp2[basis2.index_of(occ)] = 1.0
-    dens2 = density_expectation(FockState(basis2, amp2), modes)
+    dens2 = density_expectation(FockState(basis2, amp2), grid)
     flat = dens2.values.reshape(-1)
     assert flat[2] == flat[9] == 1.0 / vol
     assert flat.sum() == 2.0 / vol
@@ -421,12 +421,11 @@ def test_density_expectation_occupation_patterns():
 
 def test_density_expectation_integrates_to_particle_number():
     grid = periodic_grid(4, 4)
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=16, n_particles=3)
     rng = np.random.default_rng(6)
     amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     amp /= np.linalg.norm(amp)
-    dens = density_expectation(FockState(basis, amp), modes)
+    dens = density_expectation(FockState(basis, amp), grid)
     assert abs(dens.mass - 3.0) < 1e-10
 
 
@@ -456,14 +455,13 @@ def test_slot_sums_match_dense_tally_reductions(n_modes, n_particles, seed):
 def test_density_expectation_allocates_no_dense_tally():
     # M = 144, N = 2: the (dim x M) int64 tally alone would be 12 MB
     grid = periodic_grid(12, 12)
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=144, n_particles=2)
     assert basis.dimension == 10440
     rng = np.random.default_rng(3)
     state = FockState(basis, rng.normal(size=basis.dimension) + 0j)
     tracemalloc.start()
     try:
-        density_expectation(state, modes)
+        density_expectation(state, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,13 +472,12 @@ def test_quantum_vlasov_residual_matches_dense_tally_formula():
     grid = periodic_grid(6, 6)
     spec = INTERACTING
     basis = FockBasis(n_modes=36, n_particles=2)
-    L = assemble_liouvillian(build_one_body(grid, spec), build_two_body(grid, spec), basis)
-    modes = ModeBasis(grid)
+    L = assemble_liouvillian(grid, spec, basis)
     Q, P = grid.meshgrid()
     phi = np.exp(-0.5 * ((Q - 0.4) ** 2 + P**2))
     phi /= np.sqrt(np.sum(phi**2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, modes)
-    res = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=1e-4)
+    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, grid)
+    res = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=1e-4)
 
     vol, shape = grid.cell_volume, (grid.n_q, grid.n_p)
     at = propagate(state, L, 0.3).amplitudes
@@ -501,22 +498,21 @@ def sector_equivalence_error(grid, spec, n_particles, t, seed=11):
     one = build_one_body(grid, spec)
     two = build_two_body(grid, spec)
     M = grid.n_q * grid.n_p
-    modes = ModeBasis(grid)
     basis = FockBasis(n_modes=M, n_particles=n_particles)
-    L = assemble_liouvillian(one, two, basis)
+    L = assemble_liouvillian(grid, spec, basis)
     rng = np.random.default_rng(seed)
     if n_particles == 1:
         psi = rng.normal(size=M) + 1j * rng.normal(size=M)
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-        psi_t = expm(-1j * one.matrix.toarray() * t) @ psi
+        psi_t = expm(-1j * one.toarray() * t) @ psi
     else:
         A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
         psi = (A + A.T) / 2
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume**2)
         L2 = two_particle_generator(one, two, M)
         psi_t = (expm(-1j * L2 * t) @ psi.ravel()).reshape(M, M)
-    second = propagate(embed_product_state(psi, basis, modes), L, t)
-    first = embed_product_state(psi_t, basis, modes)
+    second = propagate(embed_product_state(psi, basis, grid), L, t)
+    first = embed_product_state(psi_t, basis, grid)
     return np.max(np.abs(second.amplitudes - first.amplitudes))
 
 
@@ -529,16 +525,13 @@ def test_sector_equivalence_with_first_quantized_oracle(n_particles):
 def test_quantum_vlasov_residual_free_single_particle():
     grid = periodic_grid(16, 16)
     spec = ProblemSpec()
-    one = build_one_body(grid, spec)
-    two = build_two_body(grid, spec)
     basis = FockBasis(n_modes=256, n_particles=1)
-    L = assemble_liouvillian(one, two, basis)
-    modes = ModeBasis(grid)
+    L = assemble_liouvillian(grid, spec, basis)
     Q, P = grid.meshgrid()
     psi = np.exp(1j * Q) * np.exp(-0.5 * P**2)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-    state = embed_product_state(psi.ravel(), basis, modes)
-    res = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=1e-4)
+    state = embed_product_state(psi.ravel(), basis, grid)
+    res = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=1e-4)
     assert res.max_residual < 1e-8
 
 
@@ -546,39 +539,36 @@ def _modulated_pair_scenario():
     grid = periodic_grid(4, 4)
     spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.3),
                        pair=GaussianPair(strength=0.1, width=1.0))
-    one = build_one_body(grid, spec)
-    two = build_two_body(grid, spec)
     basis = FockBasis(n_modes=16, n_particles=2)
-    L = assemble_liouvillian(one, two, basis)
-    modes = ModeBasis(grid)
+    L = assemble_liouvillian(grid, spec, basis)
     Q, P = grid.meshgrid()
     phi = 1.0 + 3e-3 * (np.cos(Q) + np.cos(P))
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, modes)
-    return state, L, modes, spec
+    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, grid)
+    return state, L, grid, spec
 
 
 def test_quantum_vlasov_residual_interacting_two_particles():
-    state, L, modes, spec = _modulated_pair_scenario()
-    res = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=1e-4)
+    state, L, grid, spec = _modulated_pair_scenario()
+    res = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=1e-4)
     assert res.max_residual < 1e-6
     # the residual reflects genuine cancellation between much larger terms
     assert np.abs(res.transport_term).max() > 100 * res.max_residual
 
 
 def test_quantum_vlasov_dt_component_second_order():
-    state, L, modes, spec = _modulated_pair_scenario()
-    big = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=2e-4)
-    small = quantum_vlasov_residual(state, L, modes, spec, t=0.3, dt_fd=1e-4)
+    state, L, grid, spec = _modulated_pair_scenario()
+    big = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=2e-4)
+    small = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=1e-4)
     ratio = np.linalg.norm(big.dt_component) / np.linalg.norm(small.dt_component)
     assert 3.4 < ratio < 4.6
 
 
 def test_quantum_vlasov_eigenstate_is_stationary():
-    state, L, modes, spec = _modulated_pair_scenario()
+    state, L, grid, spec = _modulated_pair_scenario()
     vals, vecs = np.linalg.eigh(L.matrix.toarray())
     eigenstate = FockState(state.basis, vecs[:, len(vals) // 3].copy())
-    res = quantum_vlasov_residual(eigenstate, L, modes, spec, t=0.0, dt_fd=1e-4)
+    res = quantum_vlasov_residual(eigenstate, L, grid, spec, t=0.0, dt_fd=1e-4)
     assert np.abs(res.dt_term_fd).max() < 1e-10
     spatial = res.transport_term + res.force_external_term + res.force_pair_term
     assert_allclose(res.residual, res.dt_term_fd + spatial, rtol=0, atol=1e-15)
@@ -589,14 +579,13 @@ def test_kernel_hermiticity_report():
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
                        pair=GaussianPair(strength=0.2, width=0.8))
     dens = density_from_function(grid, GaussianDensity(0, 0, 0.8, 0.8), warn=False)
-    modes = ModeBasis(grid)
-    rep = kernel_hermiticity_report(modes, spec, dens)
+    rep = kernel_hermiticity_report(grid, spec, dens)
     assert rep.force_hermiticity == 0.0
     assert rep.drag_antihermiticity < 1e-12
 
-    rep0 = kernel_hermiticity_report(modes, ProblemSpec(), dens)
+    rep0 = kernel_hermiticity_report(grid, ProblemSpec(), dens)
     assert rep0.force_hermiticity == 0.0
     assert rep0.drag_antihermiticity == 0.0
 
     with pytest.raises(ValueError, match="grid"):
-        kernel_hermiticity_report(ModeBasis(periodic_grid(8, 6)), spec, dens)
+        kernel_hermiticity_report(periodic_grid(8, 6), spec, dens)
