@@ -62,7 +62,8 @@ from .perturbation import perturbative_density, residual_vs_vlasov
 from .phase_space import density_from_function
 from .vlasov import vlasov_solve
 
-_RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError, Warning)
+_RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError, MemoryError,
+                   Warning)
 # Fock runs write the Liouvillian only up to this sector dimension, because a
 # .kvno file holds one 32-byte record per nonzero entry.
 OPERATOR_WRITE_MAX_DIM = 2000

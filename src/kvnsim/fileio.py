@@ -22,7 +22,10 @@ Fock binary format (``.kvnq`` states, ``.kvno`` operators): a 76-byte header
     grid descriptor as above (n_q, n_p, flags, padding, bounds)
 
 followed by float64 (re, im) pairs per amplitude for states, or nnz records
-of (row uint64, col uint64, re float64, im float64) for operators.
+of (row uint64, col uint64, re float64, im float64) for operators.  An
+operator file holds a Liouvillian L = iK with K real, so every record's real
+part is +0.0 and its imaginary part is the entry of K; the records are in
+row-major order, and each (row, col) appears once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import _point_rows
-from .fock import FockBasis, FockOperator, FockState
+from .fock import EllMatrix, FockBasis, FockOperator, FockState
 from .phase_space import DensityField, PhaseGrid
 
 __all__ = [
@@ -136,29 +139,36 @@ def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
 
 
 def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
+    """The Liouvillian L = iK as row-major records (row, col, +0.0, K[row, col])."""
     basis = op.basis
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    row, col, val = op.matrix.entries()
     header = _FOCK_HEADER.pack(_OP_MAGIC, _VERSION, basis.n_particles, basis.n_modes,
-                               basis.dimension, coo.nnz, *_grid_tuple(grid))
-    records = np.rec.fromarrays([coo.row[order], coo.col[order], coo.data[order]],
-                                dtype=_OP_RECORD)
+                               basis.dimension, len(val), *_grid_tuple(grid))
+    records = np.zeros(len(val), dtype=_OP_RECORD)
+    records["row"], records["col"] = row, col
+    records["value"].imag = val
     atomic_write_bytes(path, header + records.tobytes())
 
 
 def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
-    import scipy.sparse as sp
-
+    """Refuses records outside the operator, a nonzero real part (L must be i
+    times a real matrix), a repeated (row, col), and rows too wide to pad."""
     (n_particles, n_modes, dim, _, *g), payload = _read(
         path, _FOCK_HEADER, _OP_MAGIC, "operator", lambda n, m, d, nnz, *_: 32 * nnz)
     grid = _grid_from_tuple(g)
     basis = _fock_basis(path, n_particles, n_modes, dim)
     records = np.frombuffer(payload, dtype=_OP_RECORD)
-    matrix = sp.coo_matrix(
-        (records["value"], (records["row"].astype(np.int64), records["col"].astype(np.int64))),
-        shape=(dim, dim),
-    ).tocsr()
-    return FockOperator(basis, matrix), grid
+    row, col, value = records["row"], records["col"], records["value"]
+    if np.any(row >= dim) or np.any(col >= dim):
+        raise ValueError(f"{path}: a record lies outside the {dim} x {dim} operator")
+    if np.any(value.real != 0):
+        raise ValueError(f"{path}: the operator is not i times a real matrix")
+    row, col = row.astype(np.int64), col.astype(np.int64)
+    if np.any(np.diff(np.sort(row * dim + col)) == 0):
+        raise ValueError(f"{path}: a (row, col) entry is recorded twice")
+    if dim * np.bincount(row, minlength=dim).max(initial=0) > _MAX_BASIS_ENTRIES:
+        raise ValueError(f"{path}: rows too wide to read")
+    return FockOperator(basis, EllMatrix.from_coo(row, col, value.imag, dim)), grid
 
 
 # --------------------------------------------------------------------------

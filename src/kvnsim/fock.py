@@ -6,19 +6,19 @@ the square root of the cell volume, so they are orthonormal under the grid
 inner product and the phase-space density diagnostics are simply the mode
 occupations per cell volume.  Mode i covers cell (iq, ip) of the PhaseGrid,
 i = iq * n_p + ip.  Centered differences with periodic wrap on both axes
-make (1/i) d/dq and (1/i) d/dp exactly Hermitian, hence the assembled
-generator is Hermitian by construction and the truncated theory is exactly
-unitary.
+are real and antisymmetric, so the assembled Liouvillian is L = iK with K
+real and antisymmetric: L is Hermitian by construction, and exp(-iLt) =
+exp(Kt) is a real orthogonal matrix, so the truncated theory is exactly
+unitary.  This is the Koopman-von Neumann fact that the Liouvillian is
+purely imaginary, and everything here stores and applies the real generator
+K = -iL, in row-padded ELL form, with numpy alone.
 
 Bose statistics only.
-
-scipy is imported inside the functions that build or propagate sparse
-matrices, so that importing this module (as every kvnsim run does) loads
-numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb
@@ -35,6 +35,7 @@ from .phase_space import (
 )
 
 __all__ = [
+    "EllMatrix",
     "FockBasis",
     "FockState",
     "FockOperator",
@@ -53,10 +54,81 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DIMENSION_CAP = 200_000
+# source states per pass of the hop kernel, which bounds its per-move work arrays
+_HOP_BLOCK = 1 << 15
+# propagation over R|t| above this many Chebyshev terms (one matvec each) is refused
+_MAX_SERIES_TERMS = 10**7
 
 
 class DimensionCapError(ValueError):
     """The Fock-sector dimension exceeds DIMENSION_CAP."""
+
+
+@dataclass(frozen=True)
+class EllMatrix:
+    """Real square matrix in row-padded ELL form: row r holds the values
+    ``val[r]`` in the columns ``idx[r]``, in ascending column order, and its
+    padding slots hold 0.0 at column r."""
+
+    idx: np.ndarray
+    val: np.ndarray
+
+    @classmethod
+    def from_coo(cls, row, col, val, n: int) -> EllMatrix:
+        """The n x n matrix with entries val at (row, col); duplicates are summed."""
+        if int(n) ** 2 >= 2**63:
+            raise ValueError(f"matrix order {n} is too large to key its entries")
+        return cls._from_keys(np.asarray(row, np.int64) * n + np.asarray(col, np.int64),
+                              np.asarray(val, dtype=float), n)
+
+    @classmethod
+    def _from_keys(cls, key: np.ndarray, val: np.ndarray, n: int) -> EllMatrix:
+        """Entries keyed row * n + col: duplicates merged with one argsort and
+        ``np.add.reduceat``, zero sums dropped, rows padded to the widest."""
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        val = np.add.reduceat(val[order], first)
+        del order
+        keep = val != 0
+        row, col = np.divmod(key[first][keep], n)
+        val = val[keep]
+        count = np.bincount(row, minlength=n)
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        idx = np.repeat(np.arange(n)[:, None], count.max(initial=0), axis=1)
+        out = np.zeros(idx.shape)
+        idx[row, slot] = col
+        out[row, slot] = val
+        return cls(idx, out)
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.val))
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, col, value) of the stored nonzeros, in row-major order."""
+        stored = self.val != 0
+        row = np.repeat(np.arange(len(stored)), stored.sum(axis=1))
+        return row, self.idx[stored], self.val[stored]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.val, x[self.idx])
+
+
+def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:
+    """max |A - parity * A^T| exactly (parity -1 measures antisymmetry), from
+    one sort of the transposed keys of the row-major entries."""
+    row, col, val = matrix.entries()
+    n = len(matrix.val)
+    key = row * n + col
+    tkey = col * n + row
+    order = np.argsort(tkey)
+    tkey, tval = tkey[order], val[order]
+    pos = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
+    hit = key[pos] == tkey
+    diff = val.copy()
+    diff[pos[hit]] -= parity * tval[hit]
+    return float(max(np.abs(diff).max(initial=0.0), np.abs(tval[~hit]).max(initial=0.0)))
 
 
 def _require_periodic(grid: PhaseGrid):
@@ -67,28 +139,28 @@ def _require_periodic(grid: PhaseGrid):
         )
 
 
-def _centered_difference(n: int, delta: float) -> sp.csr_matrix:
-    """Periodic centered first-difference matrix (real antisymmetric)."""
-    import scipy.sparse as sp
-
+def _centered_difference(n: int, delta: float):
+    """Periodic centered first difference as (row, col, value) triplets (real antisymmetric)."""
     rows = np.repeat(np.arange(n), 2)
-    cols = np.empty(2 * n, dtype=int)
-    vals = np.empty(2 * n)
-    cols[0::2] = (np.arange(n) + 1) % n
-    cols[1::2] = (np.arange(n) - 1) % n
-    vals[0::2] = 1.0 / (2.0 * delta)
-    vals[1::2] = -1.0 / (2.0 * delta)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    cols = (rows + np.tile([1, -1], n)) % n
+    return rows, cols, np.tile([1.0, -1.0], n) / (2.0 * delta)
 
 
-def _max_abs(matrix: sp.spmatrix) -> float:
-    m = matrix.tocoo()
-    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+def _diagonal(values: np.ndarray):
+    rows = np.arange(len(values))
+    return rows, rows, values
 
 
-def _require_hermitian(matrix: sp.csr_matrix, what: str) -> sp.csr_matrix:
-    dev = _max_abs(matrix - matrix.getH())
-    if dev > HERMITICITY_TOL:
+def _kron(a, b, n_b: int):
+    """Kronecker product of two (row, col, value) triplets, the second of order n_b."""
+    (ra, ca, va), (rb, cb, vb) = a, b
+    return ((ra[:, None] * n_b + rb).ravel(), (ca[:, None] * n_b + cb).ravel(),
+            (va[:, None] * vb).ravel())
+
+
+def _require_antisymmetric(matrix: EllMatrix, what: str) -> EllMatrix:
+    dev = _transpose_deviation(matrix)
+    if not dev <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian: deviation {dev:.3e}")
     return matrix
 
@@ -98,49 +170,44 @@ def _require_matching_grid(grid: PhaseGrid, basis: FockBasis):
         raise ValueError(f"grid has {grid.n_q * grid.n_p} cells, basis has {basis.n_modes} modes")
 
 
-def _momentum_stencil(grid: PhaseGrid) -> sp.csr_matrix:
-    """(1/i) d/dp as an M x M one-body matrix."""
-    import scipy.sparse as sp
+def _momentum_stencil(grid: PhaseGrid) -> EllMatrix:
+    """-d/dp as an M x M one-body matrix: -i times (1/i) d/dp."""
+    n_q, n_p = grid.n_q, grid.n_p
+    row, col, val = _kron(_diagonal(np.ones(n_q)), _centered_difference(n_p, grid.dp), n_p)
+    return EllMatrix.from_coo(row, col, -val, n_q * n_p)
 
-    Dp = _centered_difference(grid.n_p, grid.dp)
-    return ((-1j) * sp.kron(sp.identity(grid.n_q), Dp)).tocsr()
 
-
-def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> sp.csr_matrix:
-    """(p/m) (1/i) d/dq - grad U(q) (1/i) d/dp on the cell-indicator modes,
-    Hermitian to 1e-12 or this raises."""
-    import scipy.sparse as sp
-
+def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
+    """-(p/m) d/dq + grad U(q) d/dp on the cell-indicator modes: the real
+    generator k = -ih of the one-body Liouvillian h = (p/m) (1/i) d/dq -
+    grad U(q) (1/i) d/dp, antisymmetric (h Hermitian) to 1e-12 or this raises."""
     _require_periodic(grid)
-    Dq = _centered_difference(grid.n_q, grid.dq)
-    Dp = _centered_difference(grid.n_p, grid.dp)
-    p_over_m = sp.diags(grid.p_centers / spec.mass)
-    grad_u = sp.diags(spec.external_gradient(grid.q_centers))
-    h = (-1j) * sp.kron(Dq, p_over_m, format="csr") \
-        + (1j) * sp.kron(grad_u, Dp, format="csr")
-    h = h.tocsr()
-    h.eliminate_zeros()
-    return _require_hermitian(h, "one-body matrix")
+    n_p = grid.n_p
+    drift = _kron(_centered_difference(grid.n_q, grid.dq),
+                  _diagonal(-grid.p_centers / spec.mass), n_p)
+    kick = _kron(_diagonal(spec.external_gradient(grid.q_centers)),
+                 _centered_difference(n_p, grid.dp), n_p)
+    row, col, val = (np.concatenate(part) for part in zip(drift, kick))
+    return _require_antisymmetric(EllMatrix.from_coo(row, col, val, grid.n_q * n_p),
+                                  "one-body matrix")
 
 
-def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> sp.csr_matrix:
-    """-grad v(q - q') (1/i) d/dp on the unprimed argument: the first-quantized
+def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
+    """grad v(q - q') d/dp on the unprimed argument: -i times the first-quantized
     reference G, with G[(i*M + j), (k*M + l)] the coefficient of a+_i a+_j a_l a_k.
-    Assembly never forms it.  Hermitian to 1e-12 or this raises, and that
-    carries over to the exchange-symmetrized two-particle operator."""
-    import scipy.sparse as sp
-
+    Assembly never forms it; it is the reference the tests hold assembly to.
+    Antisymmetric to 1e-12 or this raises, and that carries over to the
+    exchange-symmetrized two-particle operator."""
     _require_periodic(grid)
     M = grid.n_q * grid.n_p
     if isinstance(spec.pair, NoPair):
-        return sp.csr_matrix((M * M, M * M), dtype=complex)
+        return EllMatrix.from_coo([], [], [], M * M)
     gradv_q = pair_gradient_table(grid, spec.pair)
     iq = np.repeat(np.arange(grid.n_q), grid.n_p)
     weights = -gradv_q[iq[:, None], iq[None, :]].ravel()
-    big = sp.kron(_momentum_stencil(grid), sp.identity(M), format="csr")
-    matrix = sp.diags(weights).dot(big).tocsr()
-    matrix.eliminate_zeros()
-    return _require_hermitian(matrix, "two-body tensor")
+    row, col, val = _kron(_momentum_stencil(grid).entries(), _diagonal(np.ones(M)), M)
+    matrix = EllMatrix.from_coo(row, col, weights[row] * val, M * M)
+    return _require_antisymmetric(matrix, "two-body tensor")
 
 
 @dataclass(frozen=True)
@@ -220,17 +287,19 @@ class FockState:
 
 @dataclass
 class FockOperator:
-    """Sparse operator on a FockBasis with a verified Hermitian flag."""
+    """The Liouvillian L = iK on a FockBasis, held as its real generator K =
+    -iL (``matrix``), with a verified Hermitian flag: L is Hermitian exactly
+    when K is antisymmetric, and max |L - L^H| = max |K + K^T|."""
 
     basis: FockBasis
-    matrix: sp.csr_matrix
+    matrix: EllMatrix
     hermitian: bool = field(init=False)
     _deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.matrix.shape != (self.basis.dimension, self.basis.dimension):
+        if self.matrix.val.shape[0] != self.basis.dimension:
             raise ValueError("matrix shape does not match the basis dimension")
-        self._deviation = _max_abs(self.matrix - self.matrix.getH())
+        self._deviation = _transpose_deviation(self.matrix)
         self.hermitian = self._deviation <= HERMITICITY_TOL
 
     def hermiticity_deviation(self) -> float:
@@ -258,39 +327,58 @@ def _pair_correlation(basis: FockBasis, weights: np.ndarray) -> np.ndarray:
     return _slot_sum(pairs, weights, M * M).reshape(M, M)
 
 
-def _hops(basis: FockBasis, stencil: sp.spmatrix):
-    """Every move a+_i a_k of an M x M stencil over every basis state, as
-    (target row, source col, i, stencil value, sqrt(n_k (n_i - delta_ik + 1)))."""
-    modes = basis.modes
+def _columns(stencil: EllMatrix):
+    """(indptr, indices, data) of the columns of an M x M stencil, rows ascending."""
+    row, col, val = stencil.entries()
+    order = np.argsort(col, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=len(stencil.val)))])
+    return indptr, row[order], val[order]
+
+
+def _hops(basis: FockBasis, modes: np.ndarray, columns):
+    """Every move a+_i a_k of an M x M stencil, given by its ``_columns``, over
+    the source states ``modes`` (rows of ``basis.modes``), as (target row,
+    source position in ``modes``, i, stencil value, sqrt(n_k (n_i - delta_ik + 1)))."""
+    indptr, indices, data = columns
     # a source moves each distinct occupied mode k once, from its first slot
     col, slot = np.nonzero(np.diff(modes, axis=1, prepend=-1))
     k = modes[col, slot]
-    csc = stencil.tocsc()
-    per = np.diff(csc.indptr)[k]
-    entry = np.repeat(csc.indptr[k] - np.cumsum(per) + per, per) + np.arange(per.sum())
+    per = np.diff(indptr)[k]
+    entry = np.repeat(indptr[k] - np.cumsum(per) + per, per) + np.arange(per.sum())
     col, slot, k = np.repeat(col, per), np.repeat(slot, per), np.repeat(k, per)
-    i = csc.indices[entry]
+    i = indices[entry]
     target = modes[col]
     n_k = np.count_nonzero(target == k[:, None], axis=1)
     n_i = np.count_nonzero(target == i[:, None], axis=1)
     factor = np.sqrt(n_k * (n_i - (i == k) + 1))
     target[np.arange(len(col)), slot] = i
     row = basis._rank(np.sort(target, axis=1))
-    return row, col, i, csc.data[entry], factor
+    return row, col, i, data[entry], factor
 
 
-def _sector_moves(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> list[np.ndarray]:
-    """(row, col, value) of every one-body and pair move; the per-term arrays
-    are freed on return, before the caller builds the sparse matrix."""
-    row, col, _, hik, factor = _hops(basis, build_one_body(grid, spec))
-    moves = [(row, col, hik * factor)]
-    if not isinstance(spec.pair, NoPair):
+def _sector_moves(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis):
+    """Keys row * dim + col and values of every one-body and pair move of K,
+    built over blocks of source states so that the per-move work arrays of
+    one block exist at a time."""
+    dim = basis.dimension
+    one_body = _columns(build_one_body(grid, spec))
+    pair = not isinstance(spec.pair, NoPair)
+    if pair:
         gradv_q = pair_gradient_table(grid, spec.pair)
-        # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), from the particles per q-column
-        w_field = -_tally(basis.modes // grid.n_p, grid.n_q) @ gradv_q.T
-        row, col, i, dik, factor = _hops(basis, _momentum_stencil(grid))
-        moves.append((row, col, (dik * w_field[col, i // grid.n_p]) * factor))
-    return [np.concatenate(part) for part in zip(*moves)]
+        momentum = _columns(_momentum_stencil(grid))
+    keys, vals = [], []
+    for start in range(0, dim, _HOP_BLOCK):
+        modes = basis.modes[start:start + _HOP_BLOCK]
+        row, col, _, kik, factor = _hops(basis, modes, one_body)
+        keys.append(row * dim + (col + start))
+        vals.append(kik * factor)
+        if pair:
+            # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), from the particles per q-column
+            w_field = -_tally(modes // grid.n_p, grid.n_q) @ gradv_q.T
+            row, col, i, dik, factor = _hops(basis, modes, momentum)
+            keys.append(row * dim + (col + start))
+            vals.append((dik * w_field[col, i // grid.n_p]) * factor)
+    return np.concatenate(keys), np.concatenate(vals)
 
 
 def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> FockOperator:
@@ -300,20 +388,16 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     with no extra prefactor on the pair term: that convention makes the N=2
     sector reproduce the first-quantized two-particle generator
     h(x) + h(x') + g(x,x') + g(x',x) exactly, which is the normative test.
-    Both terms go through one kernel of hops a+_i a_k over all states: the
-    one-body term with value h_ik of ``build_one_body``, the pair term with
-    d_ik W(s, q-column of i), d the momentum stencil and W(s, a) = -sum_a'
-    grad v(q_a - q_a') n_s(a'), so the G of ``build_two_body`` is never
-    formed.  Total occupation is conserved move by move, so [L, N] = 0 exactly.
+    Both terms go through one kernel of hops a+_i a_k over all states, in the
+    real form K = -iL: the one-body term with value k_ik of ``build_one_body``,
+    the pair term with d_ik W(s, q-column of i), d = -d/dp the momentum stencil
+    and W(s, a) = -sum_a' grad v(q_a - q_a') n_s(a'), so the G of
+    ``build_two_body`` is never formed.  Total occupation is conserved move by
+    move, so [L, N] = 0 exactly.
     """
-    import scipy.sparse as sp
-
     _require_matching_grid(grid, basis)
-    dim = basis.dimension
-    row, col, val = _sector_moves(grid, spec, basis)
-    matrix = sp.coo_matrix((val, (row, col)), shape=(dim, dim), dtype=complex).tocsr()
-    matrix.eliminate_zeros()
-    return FockOperator(basis=basis, matrix=matrix)
+    key, val = _sector_moves(grid, spec, basis)
+    return FockOperator(basis, EllMatrix._from_keys(key, val, basis.dimension))
 
 
 def embed_product_state(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
@@ -347,14 +431,66 @@ def embed_product_state(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> F
     raise NotImplementedError("grid-function embedding is implemented for N <= 2")
 
 
-def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
-    """exp(-i L t) applied to the state.
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x), J_1(x), ... for x >= 0, cut after the last order above 1e-18.
 
-    The action of the matrix exponential is computed without forming it
-    (scipy's ``expm_multiply``, Al-Mohy & Higham 2011).
+    Miller's backward recurrence J_(k-1) = (2k/x) J_k - J_(k+1) (Numerical
+    Recipes, 3rd ed., section 6.5), started at the first order m >= x where the
+    bound (x/2)^m / m! on J_m is below 1e-40, rescaled against overflow and
+    normalized by J_0 + 2 sum_k J_2k = 1.  Below x = 1e-9, J_0 = 1 and
+    J_1 = x/2 to rounding.
     """
-    from scipy.sparse.linalg import expm_multiply
+    if x < 1e-9:
+        return np.array([1.0, x / 2])
+    m, log_bound = 0, 0.0
+    while m < x or log_bound > -92.0:
+        m += 1
+        log_bound += math.log(x / (2 * m))
+    m += m % 2
+    j = np.zeros(m + 2)
+    j[m] = 1.0
+    for k in range(m, 0, -1):
+        j[k - 1] = (2 * k / x) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] *= 1e-250
+    j /= j[0] + 2 * j[2::2].sum()
+    return j[:np.flatnonzero(np.abs(j) > 1e-18)[-1] + 1]
 
+
+def _chebyshev(matrix: EllMatrix, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(Kt) v for a real antisymmetric K and a real v (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967, 1984): with R the Gershgorin bound max_i sum_j
+    |K_ij|, x = R |t| and s = sign t, exp(Kt) v = J_0(x) w_0 + 2 sum_k J_k(x) w_k,
+    where w_0 = v, w_1 = sKv / R and w_(k+1) = 2sKw_k / R + w_(k-1)."""
+    radius = float(np.abs(matrix.val).sum(axis=1).max(initial=0.0))
+    x = radius * abs(t)
+    if x == 0.0:
+        return v.copy()
+    if not x <= _MAX_SERIES_TERMS:
+        raise ValueError(f"t = {t} needs about {x:.3g} Chebyshev terms for a generator of "
+                         f"bound {radius:.3g}, above the cap of {_MAX_SERIES_TERMS:.0e}")
+    coef = _bessel_j(x)
+    scale = math.copysign(1.0 / radius, t)
+    prev, cur = v, scale * (matrix @ v)
+    out = coef[0] * v + (2 * coef[1]) * cur
+    for c in coef[2:]:
+        nxt = matrix @ cur
+        nxt *= 2 * scale
+        nxt += prev
+        prev, cur = cur, nxt
+        out += (2 * c) * cur
+    return out
+
+
+def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
+    """exp(-i L t) = exp(K t) applied to the state.
+
+    The real generator K is applied in real arithmetic through its Chebyshev
+    expansion (``_chebyshev``), to the real and imaginary parts of the
+    amplitudes separately; an imaginary part that is all zero stays zero.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t}")
     if not op.hermitian:
         raise ValueError(
             f"operator is not Hermitian (deviation {op.hermiticity_deviation():.3e}); "
@@ -363,9 +499,11 @@ def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
     sector = (state.basis.n_modes, state.basis.n_particles)
     if sector != (op.basis.n_modes, op.basis.n_particles):
         raise ValueError("state and operator bases do not match")
-    if t == 0.0:
-        return FockState(state.basis, state.amplitudes.copy())
-    amp = expm_multiply((-1j * t) * op.matrix, state.amplitudes)
+    source = state.amplitudes
+    amp = np.empty_like(source)
+    amp.real = _chebyshev(op.matrix, np.ascontiguousarray(source.real), t)
+    amp.imag = _chebyshev(op.matrix, np.ascontiguousarray(source.imag), t) \
+        if source.imag.any() else 0.0
     return FockState(state.basis, amp)
 
 
@@ -430,11 +568,12 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, grid: PhaseGrid,
     dens_m = density_expectation(minus, grid).values
     dt_fd_term = (dens_p - dens_m) / (2 * dt_fd)
 
-    # exact d/dt via the commutator: d<n_i>/dt = -2 Im <L a, n_i a>
-    w = op.matrix @ at.amplitudes
-    u = np.conj(w) * at.amplitudes
-    z_imag = _slot_sum(at.basis.modes, u.imag, at.basis.n_modes)
-    dt_exact_term = (-2.0 * z_imag / vol).reshape(shape)
+    # exact d/dt via the commutator: d<n_i>/dt = -2 Im <L a, n_i a> = 2 Re <K a, n_i a>
+    amp = at.amplitudes
+    w = op.matrix @ amp
+    z_real = _slot_sum(at.basis.modes, w.real * amp.real + w.imag * amp.imag,
+                       at.basis.n_modes)
+    dt_exact_term = (2.0 * z_real / vol).reshape(shape)
 
     transport = (grid.p_centers[None, :] / spec.mass) * _roll_derivative(dens, grid.dq, axis=0)
     grad_u = spec.external_gradient(grid.q_centers)
@@ -479,20 +618,18 @@ def kernel_hermiticity_report(grid: PhaseGrid, spec: ProblemSpec,
     stencil, whose periodic antisymmetry is the discrete integration by
     parts, hence anti-Hermitian.
     """
-    import scipy.sparse as sp
-
     _require_periodic(grid)
     if density_ref.grid != grid:
         raise ValueError("the reference density must live on the given grid")
+    M = grid.n_q * grid.n_p
     gradv_q = pair_gradient_table(grid, spec.pair)
-    f_vals = mean_field_force(density_ref, spec)
-    f_diag = sp.diags(np.repeat(f_vals, grid.n_p)).tocsr()
-    f_dev = _max_abs(f_diag - f_diag.getH())
+    f_vals = np.repeat(mean_field_force(density_ref, spec), grid.n_p)
+    f_dev = _transpose_deviation(EllMatrix.from_coo(*_diagonal(f_vals), M), parity=1)
 
-    dp_plain = 1j * _momentum_stencil(grid)
-    iq = np.repeat(np.arange(grid.n_q), grid.n_p)
+    row, col, minus_dp = _momentum_stencil(grid).entries()
+    iq = row // grid.n_p
     drag_dev = 0.0
     for a in range(grid.n_q):
-        kernel = sp.diags(gradv_q[a, iq]).dot(dp_plain)
-        drag_dev = max(drag_dev, _max_abs(kernel + kernel.getH()))
+        kernel = EllMatrix.from_coo(row, col, gradv_q[a, iq] * -minus_dp, M)
+        drag_dev = max(drag_dev, _transpose_deviation(kernel))
     return KernelHermiticityReport(force_hermiticity=f_dev, drag_antihermiticity=drag_dev)

@@ -37,8 +37,6 @@ from kvnsim.phase_space import (
 )
 from kvnsim.vlasov import VlasovSettings, vlasov_solve
 
-import scipy.sparse as sp
-
 
 def report(criterion: str, passed: bool, detail: str):
     print(f"[{criterion}] {'PASS' if passed else 'FAIL'}: {detail}")
@@ -50,6 +48,14 @@ def occupations(basis):
     occ = np.zeros((basis.dimension, basis.n_modes), dtype=np.int64)
     np.add.at(occ, (np.arange(basis.dimension)[:, None], basis.modes), 1)
     return occ
+
+
+def dense(matrix):
+    """An EllMatrix as a dense array."""
+    row, col, val = matrix.entries()
+    out = np.zeros((len(matrix.val),) * 2)
+    out[row, col] = val
+    return out
 
 
 def periodic_grid(n_q, n_p):
@@ -97,8 +103,9 @@ def test_c2_first_second_quantization_equivalence():
     grid = periodic_grid(6, 6)  # M = 36
     spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.4),
                        pair=GaussianPair(strength=0.15, width=1.0))
-    one = build_one_body(grid, spec)
-    G = build_two_body(grid, spec)
+    # real generators: k = -ih and -iG, so exp(-iht) = exp(kt)
+    one = dense(build_one_body(grid, spec))
+    G = dense(build_two_body(grid, spec))
     M = 36
     t = 1.0
     errors = {}
@@ -107,18 +114,16 @@ def test_c2_first_second_quantization_equivalence():
     basis1 = FockBasis(n_modes=M, n_particles=1)
     L1 = assemble_liouvillian(grid, spec, basis1)
     second = propagate(embed_product_state(psi1, basis1, grid), L1, t)
-    first = embed_product_state(expm(-1j * one.toarray() * t) @ psi1, basis1, grid)
+    first = embed_product_state(expm(one * t) @ psi1, basis1, grid)
     errors[1] = np.max(np.abs(second.amplitudes - first.amplitudes))
 
     psi2 = _sector_states(grid, spec, 2, seed=12)
     basis2 = FockBasis(n_modes=M, n_particles=2)
     L2 = assemble_liouvillian(grid, spec, basis2)
-    perm = np.arange(M * M).reshape(M, M).T.ravel()
-    P = sp.csr_matrix((np.ones(M * M), (np.arange(M * M), perm)), shape=(M * M, M * M))
-    h = one.toarray()
-    L2fq = np.kron(h, np.eye(M)) + np.kron(np.eye(M), h) + (G + P @ G @ P).toarray()
+    perm = np.arange(M * M).reshape(M, M).T.ravel()  # the exchange x <-> x'
+    K2fq = np.kron(one, np.eye(M)) + np.kron(np.eye(M), one) + G + G[perm][:, perm]
     second2 = propagate(embed_product_state(psi2, basis2, grid), L2, t)
-    psi2_t = (expm(-1j * L2fq * t) @ psi2.ravel()).reshape(M, M)
+    psi2_t = (expm(K2fq * t) @ psi2.ravel()).reshape(M, M)
     first2 = embed_product_state(psi2_t, basis2, grid)
     errors[2] = np.max(np.abs(second2.amplitudes - first2.amplitudes))
 
@@ -165,8 +170,9 @@ def test_c4_unitarity_and_conservation():
     amp /= np.linalg.norm(amp)
     state = FockState(basis, amp)
     norm_drift = abs(propagate(state, L, 1.0).norm() - 1.0)
-    number = sp.diags(occupations(basis).sum(axis=1).astype(float))
-    commutator = np.abs((L.matrix @ number - number @ L.matrix).toarray()).max()
+    # [L, N] = i [K, N], with N diagonal
+    K, number = dense(L.matrix), occupations(basis).sum(axis=1).astype(float)
+    commutator = np.abs(K * number[None, :] - number[:, None] * K).max()
 
     # solver mass conservation over 1000 steps (self-consistent periodic run)
     sgrid = PhaseGrid(-np.pi, np.pi, -5, 5, 32, 32, periodic_q=True)
@@ -220,8 +226,7 @@ def test_c6_operator_structure():
 
     M = 64
     iq = np.repeat(np.arange(grid.n_q), grid.n_p)
-    coo = build_two_body(grid, spec).tocoo()
-    diag_blocks = [abs(v) for r, c, v in zip(coo.row, coo.col, coo.data)
+    diag_blocks = [abs(v) for r, c, v in zip(*build_two_body(grid, spec).entries())
                    if iq[r // M] == iq[r % M]]
     diag_max = max(diag_blocks) if diag_blocks else 0.0
 

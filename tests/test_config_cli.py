@@ -161,6 +161,28 @@ def test_cli_fock_cap_refusal_distinct_from_crash(tmp_path):
     assert record["error"] == "DimensionCapError"
 
 
+def test_cli_run_turns_memory_error_into_exit_2_with_error_record(tmp_path, monkeypatch):
+    from kvnsim.fock import EllMatrix
+
+    def exhausted(matrix, x):
+        raise MemoryError("cannot allocate the Chebyshev work vectors")
+
+    monkeypatch.setattr(EllMatrix, "__matmul__", exhausted)
+    payload = {
+        "method": "fock",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
+                 "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True},
+        "initial_density": {"type": "gaussian", "q_sigma": 0.8, "p_sigma": 0.8},
+        "times": {"t_final": 0.1},
+        "settings": {"n_particles": 2},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "MemoryError" and record["method"] == "fock"
+    assert not (tmp_path / "out" / "state_final.kvnq").exists()
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     payload = {
         "method": "ensemble",

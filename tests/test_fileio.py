@@ -4,7 +4,6 @@ import tempfile
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kvnsim.densities import GaussianDensity
@@ -23,6 +22,7 @@ from kvnsim.fileio import (
     write_table_csv,
 )
 from kvnsim.fock import (
+    EllMatrix,
     FockBasis,
     FockOperator,
     FockState,
@@ -88,7 +88,35 @@ def test_fock_operator_round_trip(tmp_path):
     write_fock_operator(path, op, grid)
     back, _ = read_fock_operator(path)
     assert back.hermitian
-    assert np.abs((back.matrix - op.matrix).toarray()).max() == 0.0
+    assert np.array_equal(back.matrix.idx, op.matrix.idx)
+    assert np.array_equal(back.matrix.val, op.matrix.val)
+    # L = iK is stored as records (+0.0, K)
+    records = np.frombuffer(path.read_bytes()[76:], dtype=[("row", "<u8"), ("col", "<u8"),
+                                                          ("re", "<f8"), ("im", "<f8")])
+    assert records.tobytes() == np.sort(records, order=["row", "col"]).tobytes()
+    assert not np.any(np.signbit(records["re"])) and not np.any(records["re"])
+    assert len(records) == op.matrix.nnz
+
+
+def test_fock_operator_reader_refuses_what_is_not_i_times_a_real_matrix(tmp_path):
+    path = _valid_files(tmp_path)[read_fock_operator]
+    raw = path.read_bytes()
+    first, second = 76, 76 + 32          # the first two records
+    for offset, fmt, value, message in [
+        (first, "<Q", 136, "outside the 136 x 136 operator"),        # row == dim
+        (second + 8, "<Q", 2**64 - 1, "outside the 136 x 136 operator"),  # col >= dim
+        (second + 16, "<d", 0.5, "not i times a real matrix"),       # a real part
+        (second + 16, "<d", np.nan, "not i times a real matrix"),
+    ]:
+        path.write_bytes(_patched(raw, fmt, offset, value))
+        with pytest.raises(ValueError, match=message):
+            read_fock_operator(path)
+    # the second record repeats the (row, col) of the first
+    duplicate = bytearray(raw)
+    duplicate[second:second + 16] = raw[first:first + 16]
+    path.write_bytes(bytes(duplicate))
+    with pytest.raises(ValueError, match="recorded twice"):
+        read_fock_operator(path)
 
 
 def test_points_csv_round_trip(tmp_path):
@@ -222,6 +250,18 @@ def test_fock_operator_reader_refuses_wrong_dimensions(tmp_path):
         read_fock_operator(path)
 
 
+def test_fock_operator_reader_refuses_rows_too_wide_to_pad(tmp_path):
+    # one full row of a 4097-state sector would pad the operator to 4097 x 4097 slots
+    path = _valid_files(tmp_path)[read_fock_operator]
+    header = bytearray(path.read_bytes()[:76])
+    struct.pack_into("<IIQQ", header, 8, 1, 4097, 4097, 4097)   # N, M, dim, nnz
+    records = np.zeros(4097, dtype=[("row", "<u8"), ("col", "<u8"), ("re", "<f8"), ("im", "<f8")])
+    records["col"], records["im"] = np.arange(4097), 1.0
+    path.write_bytes(bytes(header) + records.tobytes())
+    with pytest.raises(ValueError, match="too wide"):
+        read_fock_operator(path)
+
+
 FINITE = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -248,14 +288,18 @@ def test_field_round_trip_property(grid, seed, time):
 
 @settings(max_examples=60, deadline=None)
 @given(grid=grids(), n_modes=st.integers(1, 12), n_particles=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_fock_state_and_operator_round_trip_property(grid, n_modes, n_particles, seed):
+       seed=st.integers(0, 2**32 - 1), antisymmetric=st.booleans())
+def test_fock_state_and_operator_round_trip_property(grid, n_modes, n_particles, seed,
+                                                     antisymmetric):
     basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     shape = (basis.dimension, basis.dimension)
-    dense = np.where(rng.random(shape) < 0.1, rng.normal(size=shape) * (1 - 2j), 0)
-    op = FockOperator(basis, sp.csr_matrix(dense))
+    dense = np.where(rng.random(shape) < 0.1, rng.normal(size=shape), 0.0)
+    if antisymmetric:
+        dense -= dense.T
+    row, col = np.nonzero(dense)
+    op = FockOperator(basis, EllMatrix.from_coo(row, col, dense[row, col], basis.dimension))
     with tempfile.TemporaryDirectory() as tmp:
         write_fock_state(os.path.join(tmp, "s.kvnq"), FockState(basis, amp), grid)
         write_fock_operator(os.path.join(tmp, "o.kvno"), op, grid)
@@ -264,7 +308,8 @@ def test_fock_state_and_operator_round_trip_property(grid, n_modes, n_particles,
     assert state_grid == op_grid == grid
     assert (state.basis, back.basis) == (basis, basis)
     assert state.amplitudes.tobytes() == amp.tobytes()
-    for name in ("indptr", "indices", "data"):
+    assert back.hermitian == op.hermitian == (antisymmetric or not dense.any())
+    for name in ("idx", "val"):
         assert np.array_equal(getattr(back.matrix, name), getattr(op.matrix, name))
 
 

@@ -3,19 +3,21 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
+from scipy.special import jv
 
 from kvnsim import fock
 from kvnsim.densities import GaussianDensity
 from kvnsim.fock import (
     DimensionCapError,
+    EllMatrix,
     FockBasis,
     FockOperator,
     FockState,
+    _bessel_j,
     _pair_correlation,
     _slot_sum,
     assemble_liouvillian,
@@ -50,17 +52,25 @@ def occupations(basis):
     return occ
 
 
-def swap_matrix(M):
-    perm = np.arange(M * M).reshape(M, M).T.ravel()
-    return sp.csr_matrix((np.ones(M * M), (np.arange(M * M), perm)), shape=(M * M, M * M))
+def dense(matrix):
+    """An EllMatrix as a dense array."""
+    row, col, val = matrix.entries()
+    out = np.zeros((len(matrix.val),) * 2)
+    out[row, col] = val
+    return out
+
+
+def exchange(M):
+    """The permutation x <-> x' of the M * M two-particle cells."""
+    return np.arange(M * M).reshape(M, M).T.ravel()
 
 
 def two_particle_generator(one_body, two_body, M):
-    """First-quantized two-particle generator h(x) + h(x') + g(x,x') + g(x',x)."""
-    h = one_body.toarray()
-    P = swap_matrix(M)
-    G = two_body
-    return np.kron(h, np.eye(M)) + np.kron(np.eye(M), h) + (G + P @ G @ P).toarray()
+    """First-quantized two-particle generator h(x) + h(x') + g(x,x') + g(x',x),
+    in the real form -i times it."""
+    k, G = dense(one_body), dense(two_body)
+    perm = exchange(M)
+    return np.kron(k, np.eye(M)) + np.kron(np.eye(M), k) + G + G[perm][:, perm]
 
 
 INTERACTING = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.4),
@@ -76,14 +86,14 @@ def test_one_body_requires_periodic_grid():
 def test_one_body_hermitian_8x8_harmonic():
     grid = periodic_grid(8, 8)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0))
-    h = build_one_body(grid, spec)
-    assert np.abs((h - h.getH()).toarray()).max() < 1e-14
+    k = dense(build_one_body(grid, spec))
+    assert np.abs(k + k.T).max() < 1e-14
 
 
 def test_one_body_free_zero_rows_at_p0():
     # p-centers include p = 0 for an odd row count over a symmetric domain
     grid = PhaseGrid(-np.pi, np.pi, -2.5, 2.5, 4, 5, periodic_q=True, periodic_p=True)
-    h = build_one_body(grid, ProblemSpec()).toarray()
+    h = dense(build_one_body(grid, ProblemSpec()))
     _, P = grid.meshgrid()  # row-major cells, in mode order
     zero_rows = np.where(P.ravel() == 0.0)[0]
     assert zero_rows.size == 4
@@ -92,7 +102,7 @@ def test_one_body_free_zero_rows_at_p0():
 
 def test_one_body_free_spectrum_real_symmetric():
     grid = periodic_grid(8, 8)
-    h = build_one_body(grid, ProblemSpec()).toarray()
+    h = 1j * dense(build_one_body(grid, ProblemSpec()))
     vals = np.linalg.eigvalsh(h)
     assert np.max(np.abs(np.sort(vals) + np.sort(-vals)[::-1])) < 1e-12
 
@@ -100,8 +110,7 @@ def test_one_body_free_spectrum_real_symmetric():
 def test_builders_refuse_a_non_hermitian_generator(monkeypatch):
     # a one-sided difference is not antisymmetric, so (1/i) times it is not Hermitian
     def forward_difference(n, delta):
-        ahead = (np.arange(n) + 1) % n
-        return sp.csr_matrix((np.full(n, 1.0 / delta), (np.arange(n), ahead)), shape=(n, n))
+        return np.arange(n), (np.arange(n) + 1) % n, np.full(n, 1.0 / delta)
 
     monkeypatch.setattr(fock, "_centered_difference", forward_difference)
     grid = periodic_grid(4, 4)
@@ -118,17 +127,16 @@ def test_two_body_empty_without_pair():
 
 def test_two_body_hermiticity_and_diagonal_blocks():
     grid = periodic_grid(6, 6)
-    G = build_two_body(grid, INTERACTING)
+    two = build_two_body(grid, INTERACTING)
+    G = dense(two)
     M = 36
-    assert np.abs((G - G.getH()).toarray()).max() < 1e-12
-    P = swap_matrix(M)
-    sym = G + P @ G @ P
-    assert np.abs((sym - sym.getH()).toarray()).max() < 1e-12
+    assert np.abs(G + G.T).max() < 1e-12
+    perm = exchange(M)
+    sym = G + G[perm][:, perm]
+    assert np.abs(sym + sym.T).max() < 1e-12
     # parity of the pair potential kills every same-q-cell block
     iq = np.repeat(np.arange(grid.n_q), grid.n_p)
-    Gc = G.tocoo()
-    same_cell = [abs(v) for r, c, v in zip(Gc.row, Gc.col, Gc.data)
-                 if iq[r // M] == iq[r % M]]
+    same_cell = [abs(v) for r, c, v in zip(*two.entries()) if iq[r // M] == iq[r % M]]
     assert not same_cell or max(same_cell) == 0.0
 
 
@@ -174,7 +182,7 @@ def test_assemble_single_particle_sector_equals_one_body():
     one = build_one_body(grid, INTERACTING)
     basis = FockBasis(n_modes=16, n_particles=1)
     L = assemble_liouvillian(grid, INTERACTING, basis)
-    assert np.abs((L.matrix - one).toarray()).max() == 0.0
+    assert np.abs(dense(L.matrix) - dense(one)).max() == 0.0
 
 
 def test_assemble_hermitian_and_number_conserving():
@@ -183,9 +191,9 @@ def test_assemble_hermitian_and_number_conserving():
     L = assemble_liouvillian(grid, INTERACTING, basis)
     assert L.hermitian
     assert L.hermiticity_deviation() < 1e-12
-    number = sp.diags(occupations(basis).sum(axis=1).astype(float))
-    comm = L.matrix @ number - number @ L.matrix
-    assert np.abs(comm.toarray()).max() == 0.0
+    # [L, N] = i [K, N], with N diagonal
+    K, number = dense(L.matrix), occupations(basis).sum(axis=1).astype(float)
+    assert np.abs(K * number[None, :] - number[:, None] * K).max() == 0.0
 
 
 def test_over_cap_basis_refused_before_enumeration():
@@ -210,7 +218,8 @@ def _check_against_contraction_oracle(patch, n_particles, on_site):
     two = build_two_body(grid, INTERACTING)
     M = 16
     if on_site:
-        one = (one + sp.diags(np.linspace(-1.0, 1.0, M))).tocsr()
+        diagonal = (np.arange(M), np.arange(M), np.linspace(-1.0, 1.0, M))
+        one = EllMatrix.from_coo(*map(np.concatenate, zip(one.entries(), diagonal)), M)
         patch.setattr(fock, "build_one_body", lambda grid, spec: one)
     basis = FockBasis(n_modes=M, n_particles=n_particles)
     L = assemble_liouvillian(grid, INTERACTING, basis)
@@ -228,18 +237,16 @@ def _check_against_contraction_oracle(patch, n_particles, on_site):
         return occ, amp * np.sqrt(occ[k])
 
     dim = basis.dimension
-    dense = np.zeros((dim, dim), dtype=complex)
-    h = one.tocoo()
-    G = two.tocoo()
+    oracle = np.zeros((dim, dim))
     for s in range(dim):
         occ0 = occupations(basis)[s]
-        for i, k, hik in zip(h.row, h.col, h.data):
+        for i, k, hik in zip(*one.entries()):
             step = annihilate(occ0, 1.0, k)
             if step is None:
                 continue
             occ, amp = create(*step, i)
-            dense[basis.index_of(occ), s] += hik * amp
-        for rc, cc, gv in zip(G.row, G.col, G.data):
+            oracle[basis.index_of(occ), s] += hik * amp
+        for rc, cc, gv in zip(*two.entries()):
             i, j = divmod(rc, M)
             k, l = divmod(cc, M)
             step = annihilate(occ0, 1.0, k)
@@ -249,8 +256,8 @@ def _check_against_contraction_oracle(patch, n_particles, on_site):
             if step is None:
                 continue
             occ, amp = create(*create(*step, j), i)
-            dense[basis.index_of(occ), s] += gv * amp
-    assert np.abs(L.matrix.toarray() - dense).max() < 1e-12
+            oracle[basis.index_of(occ), s] += gv * amp
+    assert np.abs(dense(L.matrix) - oracle).max() < 1e-12
 
 
 def test_grid_must_match_the_basis_modes():
@@ -341,9 +348,28 @@ def test_propagate_t0_identity_and_refusal():
     out = propagate(state, L, 0.0)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
-    broken = FockOperator(basis, sp.csr_matrix(np.triu(np.ones((16, 16)))))
-    with pytest.raises(ValueError, match="Hermitian"):
-        propagate(state, broken, 1.0)
+    # neither K is antisymmetric, so neither L = iK is Hermitian
+    row, col = np.triu_indices(16)
+    upper = EllMatrix.from_coo(row, col, np.ones(len(row)), 16)
+    symmetric = EllMatrix.from_coo(np.r_[row, col], np.r_[col, row], np.ones(2 * len(row)), 16)
+    for matrix in (upper, symmetric):
+        broken = FockOperator(basis, matrix)
+        assert not broken.hermitian
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagate(state, broken, 1.0)
+
+
+# 1e8 and 1e308 are finite, but their series would run to ~R|t| = 1.7e8 and 1.7e308 terms
+@pytest.mark.parametrize("t, message", [
+    (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite"),
+    (1e8, "above the cap"), (-1e308, "above the cap")])
+def test_propagate_refuses_non_finite_and_over_cap_times(t, message):
+    grid = periodic_grid(4, 4)
+    basis = FockBasis(n_modes=16, n_particles=1)
+    L = assemble_liouvillian(grid, INTERACTING, basis)
+    state = FockState(basis, np.eye(16)[3])
+    with pytest.raises(ValueError, match=message):
+        propagate(state, L, t)
 
 
 def test_propagate_single_particle_matches_matrix_exponential():
@@ -357,21 +383,38 @@ def test_propagate_single_particle_matches_matrix_exponential():
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
     state = embed_product_state(psi, basis, grid)
     out = propagate(state, L, 1.3)
-    oracle = expm(-1.3j * one.toarray()) @ state.amplitudes
+    oracle = expm(1.3 * dense(one)) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
 
 
-def test_propagate_krylov_branch_matches_dense():
+def test_propagate_matches_dense_exponential():
     grid = periodic_grid(4, 4)
     basis = FockBasis(n_modes=16, n_particles=2)
     L = assemble_liouvillian(grid, INTERACTING, basis)
+    K = dense(L.matrix)
     rng = np.random.default_rng(4)
-    amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-    amp /= np.linalg.norm(amp)
-    state = FockState(basis, amp)
-    krylov = propagate(state, L, 0.7)
-    oracle = expm(-0.7j * L.matrix.toarray()) @ amp
-    assert np.max(np.abs(oracle - krylov.amplitudes)) < 1e-9
+    real = rng.normal(size=basis.dimension)
+    cplx = real + 1j * rng.normal(size=basis.dimension)
+    for amp in (real / np.linalg.norm(real), cplx / np.linalg.norm(cplx)):
+        for t in (-0.7, -1e-12, 0.0, 0.3, 1.0, 4.0):
+            out = propagate(FockState(basis, amp), L, t).amplitudes
+            assert np.max(np.abs(expm(t * K) @ amp - out)) < 1e-13
+            if not np.any(amp.imag):  # exp(-iLt) = exp(Kt) is real, so a real state stays real
+                assert not np.any(out.imag)
+
+
+@pytest.mark.parametrize("x, tol", [
+    (0.0, 1e-15), (1e-12, 1e-15), (1e-9, 1e-15), (2e-9, 1e-15), (0.3, 1e-15), (1.0, 1e-15),
+    (2.404825557695773, 1e-15), (14.75, 1e-15), (32.1, 1e-15),
+    # jv itself is off by 3e-15 at x = 100 and 1.2e-14 at x = 640 (against mpmath,
+    # where the recurrence stays within 2e-16)
+    (100.0, 1e-14), (640.0, 3e-14)])
+def test_miller_bessel_values_match_scipy(x, tol):
+    values = _bessel_j(x)
+    orders = np.arange(len(values))
+    assert np.max(np.abs(values - jv(orders, x))) < tol
+    # the series is cut after the last order above 1e-18
+    assert abs(jv(len(values), x)) < 1e-18 and len(values) >= x
 
 
 def test_propagate_rejects_state_from_another_sector():
@@ -482,7 +525,8 @@ def test_quantum_vlasov_residual_matches_dense_tally_formula():
     vol, shape = grid.cell_volume, (grid.n_q, grid.n_p)
     at = propagate(state, L, 0.3).amplitudes
     occ = occupations(basis)
-    dt_exact = (-2.0 * np.imag(occ.T @ (np.conj(L.matrix @ at) * at)) / vol).reshape(shape)
+    Lmat = 1j * dense(L.matrix)
+    dt_exact = (-2.0 * np.imag(occ.T @ (np.conj(Lmat @ at) * at)) / vol).reshape(shape)
     corr = (occ * (np.abs(at) ** 2)[:, None]).T @ occ
     corr4 = corr.reshape(grid.n_q, grid.n_p, grid.n_q, grid.n_p) / vol**2
     d_corr = (np.roll(corr4, -1, axis=3) - np.roll(corr4, 1, axis=3)) / (2 * grid.dp)
@@ -504,13 +548,13 @@ def sector_equivalence_error(grid, spec, n_particles, t, seed=11):
     if n_particles == 1:
         psi = rng.normal(size=M) + 1j * rng.normal(size=M)
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-        psi_t = expm(-1j * one.toarray() * t) @ psi
+        psi_t = expm(dense(one) * t) @ psi
     else:
         A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
         psi = (A + A.T) / 2
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume**2)
         L2 = two_particle_generator(one, two, M)
-        psi_t = (expm(-1j * L2 * t) @ psi.ravel()).reshape(M, M)
+        psi_t = (expm(L2 * t) @ psi.ravel()).reshape(M, M)
     second = propagate(embed_product_state(psi, basis, grid), L, t)
     first = embed_product_state(psi_t, basis, grid)
     return np.max(np.abs(second.amplitudes - first.amplitudes))
@@ -566,7 +610,7 @@ def test_quantum_vlasov_dt_component_second_order():
 
 def test_quantum_vlasov_eigenstate_is_stationary():
     state, L, grid, spec = _modulated_pair_scenario()
-    vals, vecs = np.linalg.eigh(L.matrix.toarray())
+    vals, vecs = np.linalg.eigh(1j * dense(L.matrix))
     eigenstate = FockState(state.basis, vecs[:, len(vals) // 3].copy())
     res = quantum_vlasov_residual(eigenstate, L, grid, spec, t=0.0, dt_fd=1e-4)
     assert np.abs(res.dt_term_fd).max() < 1e-10

@@ -1,5 +1,5 @@
-"""Every method but Fock runs on numpy alone: a fresh interpreter that imports
-the command line and runs a flow, vlasov, perturbation, ensemble and compare
+"""Every method runs on numpy alone: a fresh interpreter that imports the
+command line and runs a flow, vlasov, perturbation, fock, ensemble and compare
 config never imports scipy."""
 
 import json
@@ -27,6 +27,11 @@ CONFIGS = {
     "perturbation": {"method": "perturbation", "problem": PAIR, "grid": GRID,
                      "initial_density": DENSITY, "times": {"t_final": 0.05},
                      "settings": {"n_s": 2, "flow": {"dt": 0.01, "exact_shortcut": True}}},
+    "fock": {"method": "fock", "problem": PAIR,
+             "grid": {"q_min": -3, "q_max": 3, "p_min": -3, "p_max": 3, "n_q": 4, "n_p": 4,
+                      "periodic_q": True, "periodic_p": True},
+             "initial_density": DENSITY, "times": {"t_final": 0.5},
+             "settings": {"n_particles": 2}},
     "ensemble": {"method": "ensemble", "problem": PAIR, "grid": GRID,
                  "initial_density": DENSITY, "times": {"t_final": 0.05},
                  "settings": {"dt": 0.01, "n_particles": 20}},
@@ -48,7 +53,7 @@ print(json.dumps({"missing_layers": layers, "codes": codes, "scipy": scipy}))
 """
 
 
-def test_import_and_non_fock_runs_load_no_scipy(tmp_path):
+def test_import_and_every_method_loads_no_scipy(tmp_path):
     (tmp_path / "points.csv").write_text("q,p\n0.5,0.1\n-0.2,0.3\n")
     paths = []
     for method, config in CONFIGS.items():
