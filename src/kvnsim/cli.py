@@ -11,7 +11,6 @@ file excluded from that promise.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -28,7 +27,6 @@ from .config import (
     FlowRun,
     FockRun,
     ScenarioConfig,
-    canonical_json,
     parse_config,
 )
 from .ensemble import (
@@ -39,12 +37,16 @@ from .ensemble import (
 )
 from .fileio import (
     RunManifest,
-    atomic_write_text,
+    atomic_write_bytes,
+    canonical_json,
+    read_json,
     read_points_csv,
+    read_table_csv,
     sha256_of,
     write_field,
     write_fock_operator,
     write_fock_state,
+    write_json,
     write_marginal_csv,
     write_points_csv,
     write_table_csv,
@@ -84,8 +86,9 @@ def _check(name: str, value: float, low: float | None, high: float | None) -> di
             "passed": _in_window(value, low, high)}
 
 
-def _write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_rng_sidecar(path: str, seed: int, **fields) -> None:
+    write_json(path, {"seed": seed, "rng": "numpy PCG64", "numpy_version": np.__version__,
+                      **fields})
 
 
 def _write_field_pair(out_dir: str, field, field_name: str, marginal_name: str) -> list[str]:
@@ -182,14 +185,9 @@ def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     write_points_csv(pts_path, moved)
     files = [pts_path, *_write_field_pair(out_dir, hist, "histogram.kvnf", "marginal.csv")]
     meta_path = os.path.join(out_dir, "ensemble_meta.json")
-    _write_json(meta_path, {
-        "seed": cfg.seed,
-        "rng": "numpy PCG64",
-        "numpy_version": np.__version__,
-        "n_particles": settings.n_particles,
-        "coupling_scaling": settings.coupling_scaling,
-        "note": "mean-field scaling divides pair forces by (n_particles - 1)",
-    })
+    _write_rng_sidecar(meta_path, cfg.seed, n_particles=settings.n_particles,
+                       coupling_scaling=settings.coupling_scaling,
+                       note="mean-field scaling divides pair forces by (n_particles - 1)")
     files.append(meta_path)
     checks = [_check("histogram_mass", hist.mass, None, 1.0 + 1e-12)]
     return files, checks, [cfg.seed]
@@ -218,15 +216,9 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
         path = os.path.join(out_dir, "convergence_table.csv")
         write_table_csv(path, table)
         meta_path = os.path.join(out_dir, "convergence_meta.json")
-        _write_json(meta_path, {
-            "seed": cfg.seed,
-            "rng": "numpy PCG64",
-            "numpy_version": np.__version__,
-            "n_list": list(settings.n_list),
-            "dt": ens.dt,
-            "coupling_scaling": ens.coupling_scaling,
-            "note": "mean-field scaling divides pair forces by (n - 1)",
-        })
+        _write_rng_sidecar(meta_path, cfg.seed, n_list=list(settings.n_list), dt=ens.dt,
+                           coupling_scaling=ens.coupling_scaling,
+                           note="mean-field scaling divides pair forces by (n - 1)")
         files += [path, meta_path]
         seeds.append(cfg.seed)
         rows = list(table.rows)
@@ -252,13 +244,12 @@ def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
     """Execute a validated config; returns the process exit code."""
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
-    config_text = canonical_json(cfg.raw)
     config_path = os.path.join(out_dir, "config.json")
-    atomic_write_text(config_path, config_text)
+    write_json(config_path, cfg.raw)
     try:
         files, checks, seeds = _DISPATCH[cfg.method](cfg, out_dir, base_dir)
     except _RUNTIME_ERRORS as exc:
-        _write_json(os.path.join(out_dir, "error.json"), {
+        write_json(os.path.join(out_dir, "error.json"), {
             "error": type(exc).__name__,
             "message": str(exc),
             "method": cfg.method,
@@ -266,9 +257,9 @@ def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     checks_path = os.path.join(out_dir, "checks.json")
-    _write_json(checks_path, checks)
+    write_json(checks_path, checks)
     manifest = RunManifest(
-        config_sha256=hashlib.sha256(config_text.encode()).hexdigest(),
+        config_sha256=sha256_of(config_path),
         tool_version=__version__,
         wall_time_s=time.perf_counter() - started,
         seeds=seeds,
@@ -288,17 +279,6 @@ def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
 # report
 # --------------------------------------------------------------------------
 
-def _read_table(path) -> dict:
-    """Rows and fitted order of a ``*_table.csv``; ValueError if it does not parse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip().split(",") for ln in fh if ln.strip()][1:]
-    if any(len(row) != 2 for row in rows):
-        raise ValueError("a row does not have exactly 2 columns")
-    footer = [float(b) for a, b in rows if a == "fitted_order"]
-    return {"rows": [[float(a), float(b)] for a, b in rows if a != "fitted_order"],
-            "fitted_order": footer[0] if footer else None}
-
-
 def build_report(run_dirs) -> dict:
     """Aggregate manifests and checks from run directories."""
     report: dict = {"runs": [], "problems": [], "all_passed": True}
@@ -306,10 +286,13 @@ def build_report(run_dirs) -> dict:
         entry: dict = {"dir": str(run_dir)}
         try:
             manifest = RunManifest.load(run_dir)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             report["problems"].append(f"{run_dir}: unreadable manifest ({exc})")
             entry["manifest"] = "missing-or-corrupt"
             report["runs"].append(entry)
+            # a directory without a manifest holds no run record; a damaged one fails
+            if not isinstance(exc, FileNotFoundError):
+                report["all_passed"] = False
             continue
         entry["manifest"] = "ok"
         entry["config_sha256"] = manifest.config_sha256
@@ -327,16 +310,15 @@ def build_report(run_dirs) -> dict:
             entry["tampered_files"] = tampered
             report["problems"].append(f"{run_dir}: checksum mismatch: {', '.join(tampered)}")
             report["all_passed"] = False
-        checks = []
-        checks_path = os.path.join(run_dir, "checks.json")
-        if os.path.exists(checks_path):
-            try:
-                with open(checks_path, "r", encoding="utf-8") as fh:
-                    checks = json.load(fh)
-            except (OSError, ValueError):
-                checks = None
-        if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
-            report["problems"].append(f"{run_dir}: checks.json is unreadable or not a list")
+        try:
+            checks = read_json(os.path.join(run_dir, "checks.json"))
+        except (OSError, ValueError) as exc:
+            checks = [] if isinstance(exc, FileNotFoundError) else None
+        if not (isinstance(checks, list) and all(
+                isinstance(c, dict) and not any(isinstance(x, (list, dict)) for x in c.values())
+                for c in checks)):
+            report["problems"].append(
+                f"{run_dir}: checks.json is unreadable or not a list of flat objects")
             report["all_passed"] = False
             checks = []
         entry["checks"] = checks
@@ -352,7 +334,7 @@ def build_report(run_dirs) -> dict:
         for name in sorted(os.listdir(run_dir)):
             if name.endswith("_table.csv"):
                 try:
-                    tables[name] = _read_table(os.path.join(run_dir, name))
+                    tables[name] = read_table_csv(os.path.join(run_dir, name))
                 except (OSError, ValueError) as exc:
                     report["problems"].append(f"{run_dir}: {name} is unparsable ({exc})")
                     report["all_passed"] = False
@@ -375,7 +357,7 @@ def _render_report(report: dict) -> str:
                 window.append(f"<= {c['high']}")
             bounds = " and ".join(window) if window else "informational"
             value = c.get("value")
-            shown = f"{value:.6g}" if isinstance(value, (int, float)) else repr(value)
+            shown = f"{value:.6g}" if isinstance(value, float) else repr(value)
             lines.append(f"  {c.get('name')}: {shown} ({bounds}) [{status}]")
         for name, table in entry.get("tables", {}).items():
             lines.append(f"  table {name}:")
@@ -404,10 +386,10 @@ def _load_config(path: str, seed: int | None = None) -> ScenarioConfig:
     if seed is not None:
         try:
             raw = json.loads(text)
-        except ValueError:
+        except (ValueError, RecursionError):
             raw = None  # parse_config reports the decoding error
         if isinstance(raw, dict):
-            text = json.dumps(dict(raw, seed=seed))
+            text = canonical_json(dict(raw, seed=seed))
     return parse_config(text)
 
 
@@ -466,9 +448,9 @@ def main(argv=None) -> int:
     if args.command == "report":
         report = build_report(args.run_dirs)
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "summary.json"), report)
+        write_json(os.path.join(args.out, "summary.json"), report)
         text = _render_report(report)
-        atomic_write_text(os.path.join(args.out, "summary.txt"), text)
+        atomic_write_bytes(os.path.join(args.out, "summary.txt"), text.encode("utf-8"))
         print(text, end="")
         return 0 if report["all_passed"] else 3
 

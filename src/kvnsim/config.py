@@ -32,7 +32,7 @@ from .phase_space import (
 )
 from .vlasov import VlasovSettings
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "canonical_json"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config"]
 
 METHODS = ("flow", "vlasov", "perturbation", "fock", "ensemble", "compare")
 GRID_KEYS = {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "periodic_q", "periodic_p"}
@@ -87,11 +87,6 @@ class ScenarioConfig:
     snapshots: tuple[float, ...]
     settings: Any
     raw: dict = field(repr=False, default_factory=dict)
-
-
-def canonical_json(raw: dict) -> str:
-    """Stable serialization used for hashing and the stored config copy."""
-    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
@@ -229,7 +224,8 @@ def _parse_pair(v: _Validator, path: str, d: dict):
     return NoPair()
 
 
-def _parse_grid(v: _Validator, path: str, d: dict) -> PhaseGrid | None:
+def _parse_grid(v: _Validator, path: str, d: dict, wraps_p: bool = False) -> PhaseGrid | None:
+    """A grid; ``periodic_p`` is refused unless ``wraps_p`` (only fock wraps the p-axis)."""
     v.check_unknown(path, d, GRID_KEYS)
     q_min = v.get_number(path, d, "q_min", required=True)
     q_max = v.get_number(path, d, "q_max", required=True)
@@ -239,6 +235,8 @@ def _parse_grid(v: _Validator, path: str, d: dict) -> PhaseGrid | None:
     n_p = v.get_int(path, d, "n_p", required=True, minimum=4)
     periodic_q = v.get(path, d, "periodic_q", bool, default=False)
     periodic_p = v.get(path, d, "periodic_p", bool, default=False)
+    if periodic_p and not wraps_p:
+        v.error(f"{path}.periodic_p", "only the fock method wraps the p-axis")
     if None in (q_min, q_max, p_min, p_max, n_q, n_p):
         return None
     if q_max <= q_min:
@@ -323,16 +321,18 @@ def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
     return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, n_s=n_s, h_p=h_p)
 
 
-def _parse_ensemble_settings(v: _Validator, path: str, d: dict,
-                             seed: int) -> EnsembleSettings | None:
-    v.check_unknown(path, d, {"dt", "n_particles", "coupling_scaling"})
+def _parse_ensemble_settings(v: _Validator, path: str, d: dict, seed: int,
+                             sized: bool = True) -> EnsembleSettings | None:
+    """Ensemble settings; ``n_particles`` only when ``sized``, because a
+    comparison samples the sizes of its ``n_list`` instead."""
+    v.check_unknown(path, d, {"dt", "coupling_scaling"} | ({"n_particles"} if sized else set()))
     dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
-    n = v.get_int(path, d, "n_particles", required=True, minimum=1)
+    sizes = ({"n_particles": v.get_int(path, d, "n_particles", required=True, minimum=1)}
+             if sized else {})
     scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
-    if dt is None or n is None:
+    if dt is None or None in sizes.values():
         return None
-    return v.build(path, EnsembleSettings, dt=dt, seed=seed, coupling_scaling=scaling,
-                   n_particles=n)
+    return v.build(path, EnsembleSettings, dt=dt, seed=seed, coupling_scaling=scaling, **sizes)
 
 
 def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid | None,
@@ -363,7 +363,7 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid |
     vl = _parse_vlasov_settings(v, f"{path}.vlasov", vl_d) if vl_d is not None else None
     ens_d = v.get(path, d, "ensemble", dict)
     if ens_d is not None:
-        ens = _parse_ensemble_settings(v, f"{path}.ensemble", ens_d, seed)
+        ens = _parse_ensemble_settings(v, f"{path}.ensemble", ens_d, seed, sized=False)
     else:
         ens = EnsembleSettings(dt=0.01, seed=seed)
     if targets == ("perturbation", "vlasov") and not strengths:
@@ -401,6 +401,7 @@ def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None,
 
 _GRIDLESS = {"flow"}
 _NEEDS_DENSITY = {"vlasov", "perturbation", "fock", "ensemble", "compare"}
+_T_FINAL_ONLY = {"flow", "fock", "ensemble", "compare"}  # they ignore times.snapshots
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -442,7 +443,7 @@ def parse_config(text: str) -> ScenarioConfig:
     grid_d = v.get("", raw, "grid", dict,
                    required=method is not None and method not in _GRIDLESS)
     if grid_d is not None:
-        grid = _parse_grid(v, "grid", grid_d)
+        grid = _parse_grid(v, "grid", grid_d, wraps_p=method == "fock")
 
     density = None
     dens_d = v.get("", raw, "initial_density", dict, required=method in _NEEDS_DENSITY)
@@ -459,6 +460,8 @@ def parse_config(text: str) -> ScenarioConfig:
     snapshots = (t_final,)
     if snaps is not None and None in numbers:
         v.error("times.snapshots", "must be a list of finite numbers")
+    elif snaps is not None and method in _T_FINAL_ONLY:
+        v.error("times.snapshots", f"the {method} method writes only t_final")
     elif snaps is not None:
         snapshots = tuple(numbers)
         for i, s in enumerate(snapshots):

@@ -1,4 +1,5 @@
-"""Binary and CSV artifact formats, checksums, and run manifests.
+"""The one writer and one reader of every run record: binary fields and Fock
+files, CSV artifacts and tables, canonical JSON, checksums and the manifest.
 
 Density-field binary format (extension ``.kvnf``), little-endian throughout:
 
@@ -25,7 +26,8 @@ followed by float64 (re, im) pairs per amplitude for states, or nnz records
 of (row uint64, col uint64, re float64, im float64) for operators.  An
 operator file holds a Liouvillian L = iK with K real, so every record's real
 part is +0.0 and its imaginary part is the entry of K; the records are in
-row-major order, and each (row, col) appears once.
+row-major order, and each (row, col) appears once.  A Fock file's mode count
+is the n_q * n_p of its grid descriptor.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .flow import _point_rows
 from .fock import EllMatrix, FockBasis, FockOperator, FockState
-from .phase_space import DensityField, PhaseGrid
+from .phase_space import DensityField, PhaseGrid, spatial_density
 
 __all__ = [
     "write_field",
@@ -54,9 +56,12 @@ __all__ = [
     "write_trajectory_csv",
     "write_marginal_csv",
     "write_table_csv",
+    "read_table_csv",
+    "canonical_json",
+    "write_json",
+    "read_json",
     "sha256_of",
     "atomic_write_bytes",
-    "atomic_write_text",
     "RunManifest",
 ]
 
@@ -106,6 +111,12 @@ def _fock_basis(path, n_particles: int, n_modes: int, dim: int) -> FockBasis:
     return FockBasis(n_modes=n_modes, n_particles=n_particles)
 
 
+def _check_modes(path, n_modes: int, grid: PhaseGrid) -> None:
+    if n_modes != grid.n_q * grid.n_p:
+        raise ValueError(f"{path}: a basis of {n_modes} modes does not match the "
+                         f"{grid.n_q} x {grid.n_p} grid's {grid.n_q * grid.n_p} cells")
+
+
 def write_field(path, density: DensityField) -> None:
     grid = density.grid
     t = np.nan if density.time is None else float(density.time)
@@ -125,6 +136,7 @@ def read_field(path) -> DensityField:
 
 def write_fock_state(path, state: FockState, grid: PhaseGrid) -> None:
     basis = state.basis
+    _check_modes(path, basis.n_modes, grid)
     header = _FOCK_HEADER.pack(_STATE_MAGIC, _VERSION, basis.n_particles,
                                basis.n_modes, basis.dimension, 0, *_grid_tuple(grid))
     atomic_write_bytes(path, header + state.amplitudes.astype("<c16").tobytes())
@@ -135,12 +147,14 @@ def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
         path, _FOCK_HEADER, _STATE_MAGIC, "state", lambda n, m, dim, *_: 16 * dim)
     grid = _grid_from_tuple(g)
     basis = _fock_basis(path, n_particles, n_modes, dim)
+    _check_modes(path, n_modes, grid)
     return FockState(basis, np.frombuffer(payload, dtype="<c16").copy()), grid
 
 
 def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
     """The Liouvillian L = iK as row-major records (row, col, +0.0, K[row, col])."""
     basis = op.basis
+    _check_modes(path, basis.n_modes, grid)
     row, col, val = op.matrix.entries()
     header = _FOCK_HEADER.pack(_OP_MAGIC, _VERSION, basis.n_particles, basis.n_modes,
                                basis.dimension, len(val), *_grid_tuple(grid))
@@ -168,6 +182,7 @@ def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
         raise ValueError(f"{path}: a (row, col) entry is recorded twice")
     if dim * np.bincount(row, minlength=dim).max(initial=0) > _MAX_BASIS_ENTRIES:
         raise ValueError(f"{path}: rows too wide to read")
+    _check_modes(path, n_modes, grid)
     return FockOperator(basis, EllMatrix.from_coo(row, col, value.imag, dim)), grid
 
 
@@ -179,11 +194,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_csv(path, header: str, rows, *footer: str) -> None:
+    """A header line, one line per row of floats, then the footer lines."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows), *footer]
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def write_points_csv(path, points: np.ndarray) -> None:
-    pts = _point_rows(points)
-    lines = ["q,p"]
-    lines += [f"{_fmt(q)},{_fmt(p)}" for q, p in pts]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "q,p", _point_rows(points))
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -198,33 +216,34 @@ def read_points_csv(path) -> np.ndarray:
 def write_trajectory_csv(path, times: np.ndarray, trajectory: np.ndarray) -> None:
     """Trajectory rows (t, q, p), time-major; particle order is stable inside
     each time block."""
-    lines = ["t,q,p"]
-    for t, snap in zip(times, trajectory):
-        for q, p in snap:
-            lines.append(f"{_fmt(t)},{_fmt(q)},{_fmt(p)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "t,q,p",
+               ((t, q, p) for t, snap in zip(times, trajectory) for q, p in snap))
 
 
 def write_marginal_csv(path, density: DensityField) -> None:
-    from .phase_space import spatial_density
-
-    n = spatial_density(density)
-    lines = ["q,n"]
-    lines += [f"{_fmt(q)},{_fmt(v)}" for q, v in zip(density.grid.q_centers, n)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "q,n", zip(density.grid.q_centers, spatial_density(density)))
 
 
 def write_table_csv(path, table) -> None:
     """Convergence table as CSV with the fitted order in a footer row."""
-    lines = [f"{table.parameter},linf_error" if table.parameter == "strength"
-             else f"{table.parameter},l1_distance"]
-    lines += [f"{_fmt(x)},{_fmt(err)}" for x, err in table.rows]
-    lines.append(f"fitted_order,{_fmt(table.fitted_order)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    column = "linf_error" if table.parameter == "strength" else "l1_distance"
+    _write_csv(path, f"{table.parameter},{column}", table.rows,
+               f"fitted_order,{_fmt(table.fitted_order)}")
+
+
+def read_table_csv(path) -> dict:
+    """Rows and fitted order of a ``*_table.csv``; ValueError if it does not parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [ln.strip().split(",") for ln in fh if ln.strip()][1:]
+    if any(len(row) != 2 for row in rows):
+        raise ValueError("a row does not have exactly 2 columns")
+    footer = [float(b) for a, b in rows if a == "fitted_order"]
+    return {"rows": [[float(a), float(b)] for a, b in rows if a != "fitted_order"],
+            "fitted_order": footer[0] if footer else None}
 
 
 # --------------------------------------------------------------------------
-# checksums, atomic writes, manifests
+# JSON records, checksums, atomic writes, manifests
 # --------------------------------------------------------------------------
 
 def sha256_of(path) -> str:
@@ -251,8 +270,29 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def canonical_json(payload) -> str:
+    """The one JSON serialization: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, payload) -> None:
+    atomic_write_bytes(path, canonical_json(payload).encode("utf-8"))
+
+
+def read_json(path):
+    """The JSON document at ``path``; past opening it, only ValueError on damage."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _inside_run(rec) -> bool:
+    """A manifest ``files`` entry: string sha256 and a relative path that stays in the run."""
+    path = rec.get("path") if isinstance(rec, dict) else None
+    return (isinstance(path, str) and isinstance(rec.get("sha256"), str) and "\0" not in path
+            and not os.path.isabs(path) and os.path.normpath(path).split(os.sep)[0] != os.pardir)
 
 
 @dataclass
@@ -276,29 +316,21 @@ class RunManifest:
         })
 
     def write(self, run_dir) -> None:
-        payload = {
-            "config_sha256": self.config_sha256,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-            "seeds": self.seeds,
-            "rng": self.rng,
-            "numpy_version": self.numpy_version,
-            "files": self.files,
-        }
-        atomic_write_text(os.path.join(run_dir, "manifest.json"),
-                          json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(run_dir, "manifest.json"), asdict(self))
 
     @staticmethod
     def load(run_dir) -> "RunManifest":
-        with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        m = RunManifest(
-            config_sha256=payload["config_sha256"],
-            tool_version=payload["tool_version"],
-            wall_time_s=payload["wall_time_s"],
-            seeds=list(payload.get("seeds", [])),
-            rng=payload.get("rng", "unknown"),
-            numpy_version=payload.get("numpy_version", "unknown"),
-        )
-        m.files = list(payload.get("files", []))
+        """The manifest of ``run_dir``; ValueError unless it has the shape ``write`` gives it."""
+        path = os.path.join(run_dir, "manifest.json")
+        payload = read_json(path)
+        try:
+            m = RunManifest(**payload)
+        except TypeError:
+            raise ValueError(f"{path}: not an object with the fields of a manifest") from None
+        if not (isinstance(m.config_sha256, str) and isinstance(m.tool_version, str)
+                and type(m.wall_time_s) in (int, float)
+                and isinstance(m.seeds, list) and all(type(s) is int for s in m.seeds)
+                and isinstance(m.files, list) and all(map(_inside_run, m.files))):
+            raise ValueError(f"{path}: a field has the wrong type, or a listed path "
+                             "leaves the run directory")
         return m

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, parse_config
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
-from kvnsim.phase_space import GaussianPair, HarmonicPotential, NoPair
+from kvnsim.phase_space import GaussianPair, GridResolutionWarning, HarmonicPotential, NoPair
 
 MINIMAL_VLASOV = {
     "method": "vlasov",
@@ -381,7 +381,7 @@ def test_cli_compare_ensemble_table_with_sidecar(tmp_path):
         "settings": {
             "targets": ["ensemble", "vlasov"],
             "n_list": [500, 5000],
-            "ensemble": {"dt": 0.05, "n_particles": 5000},
+            "ensemble": {"dt": 0.05},
             "vlasov": {"dt": 0.02},
         },
     }
@@ -471,11 +471,45 @@ def test_validate_refuses_a_dimension_cap_above_the_default(tmp_path, capsys):
     assert "settings.dimension_cap: unknown key" in capsys.readouterr().err
 
 
+def test_validate_refuses_keys_the_method_ignores():
+    compare_ensemble = dict(MINIMAL_VLASOV, method="compare", times={"t_final": 0.2},
+                            settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
+                                      "ensemble": {"dt": 0.05, "n_particles": 10},
+                                      "vlasov": {"dt": 0.02}})
+    assert config_errors(compare_ensemble) == ["settings.ensemble.n_particles: unknown key"]
+    snapshots = {"t_final": 0.2, "snapshots": [0.1, 0.2]}
+    for raw in VALID_CONFIGS[1:]:
+        if raw["method"] not in ("vlasov", "perturbation"):
+            message = f"times.snapshots: the {raw['method']} method writes only t_final"
+            assert config_errors(dict(raw, times=snapshots)) == [message]
+    periodic_p = dict(MINIMAL_VLASOV["grid"], periodic_p=True)
+    message = "only the fock method wraps the p-axis"
+    assert config_errors(dict(MINIMAL_VLASOV, grid=periodic_p)) == [
+        f"grid.periodic_p: {message}"]
+    perturbation = dict(MINIMAL_VLASOV, method="perturbation",
+                        settings={"aux_grid": periodic_p})
+    assert config_errors(perturbation) == [f"settings.aux_grid.periodic_p: {message}"]
+    compare = dict(PERTURBATION_COMPARE, settings=dict(PERTURBATION_COMPARE["settings"],
+                                                       perturbation={"aux_grid": periodic_p}))
+    assert config_errors(compare) == [f"settings.perturbation.aux_grid.periodic_p: {message}"]
+
+
+def test_cli_strict_run_turns_the_resolution_warning_into_exit_2(tmp_path):
+    narrow = dict(MINIMAL_VLASOV, initial_density={"type": "gaussian", "q_sigma": 0.1})
+    cfg = write_config(tmp_path, narrow)
+    with pytest.warns(GridResolutionWarning):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "lax")]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 2
+    record = json.loads((tmp_path / "strict" / "error.json").read_text())
+    assert record["error"] == "GridResolutionWarning" and record["method"] == "vlasov"
+    assert not (tmp_path / "strict" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("payload", [
     dict(ENSEMBLE_OPEN, times={"t_final": 0.015}, settings={"dt": 0.01, "n_particles": 20}),
     dict(MINIMAL_VLASOV, times={"t_final": 0.015}, method="compare",
          settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 20],
-                   "ensemble": {"dt": 0.01, "n_particles": 10}, "vlasov": {"dt": 0.005}}),
+                   "ensemble": {"dt": 0.01}, "vlasov": {"dt": 0.005}}),
 ])
 def test_validate_and_run_agree_on_an_ensemble_t_final_off_the_dt_grid(tmp_path, capsys, payload):
     payload = dict(payload, output_dir=str(tmp_path / "out"))
@@ -547,6 +581,12 @@ def test_cli_seed_override_is_validated(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--seed", "-1"]) == 1
     assert "seed: must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # a config too deeply nested to decode is a config error, with or without --seed
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    for extra in ([], ["--seed", "1"]):
+        assert main(["run", "--config", str(nested), *extra]) == 1
+        assert "(json): maximum recursion depth" in capsys.readouterr().err
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -582,8 +622,8 @@ VALID_CONFIGS = [
     dict(MINIMAL_VLASOV, method="compare",
          problem={"pair_potential": {"type": "cosine", "strength": 0.1, "wavenumber": 1}},
          settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
-                   "ensemble": {"dt": 0.05, "n_particles": 10}, "vlasov": {"dt": 0.02}}),
-    dict(MINIMAL_VLASOV, method="compare", times={"t_final": 0.2, "snapshots": [0.1, 0.2]},
+                   "ensemble": {"dt": 0.05}, "vlasov": {"dt": 0.02}}),
+    dict(MINIMAL_VLASOV, method="compare", times={"t_final": 0.2},
          problem={"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
          settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},
                    "vlasov": {"dt": 0.01}}),
