@@ -372,7 +372,8 @@ def _render_report(report: dict) -> str:
         lines.append("problems:")
         lines += [f"  - {p}" for p in report["problems"]]
     lines.append("ALL CHECKS PASSED" if report["all_passed"] else "SOME CHECKS FAILED")
-    return "\n".join(lines) + "\n"
+    # file names that are not UTF-8 arrive as lone surrogates, shown as \udcXX escapes
+    return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 # --------------------------------------------------------------------------

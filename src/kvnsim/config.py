@@ -450,6 +450,13 @@ def parse_config(text: str) -> ScenarioConfig:
     if dens_d is not None:
         density = _parse_density(v, "initial_density", dens_d)
 
+    if method == "flow":
+        # the flow map moves points under the mass and external potential alone
+        for path, d in (("grid", raw), ("initial_density", raw),
+                        ("problem.pair_potential", problem)):
+            if path.rpartition(".")[2] in d:
+                v.error(path, "the flow method does not read it")
+
     times = v.get("", raw, "times", dict, default={}) or {"t_final": 0.0}
     v.check_unknown("times", times, {"t_final", "snapshots"})
     t_final = v.get_number("times", times, "t_final", required=True, minimum=0.0)

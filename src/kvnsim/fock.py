@@ -11,7 +11,9 @@ real and antisymmetric: L is Hermitian by construction, and exp(-iLt) =
 exp(Kt) is a real orthogonal matrix, so the truncated theory is exactly
 unitary.  This is the Koopman-von Neumann fact that the Liouvillian is
 purely imaginary, and everything here stores and applies the real generator
-K = -iL, in row-padded ELL form, with numpy alone.
+K = -iL, in row-padded ELL form, with numpy alone.  Its rows are built source
+by source: row s is minus the moves out of s, as the exact check of K = -K^T
+licenses.
 
 Bose statistics only.
 """
@@ -54,8 +56,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DIMENSION_CAP = 200_000
-# source states per pass of the hop kernel, which bounds its per-move work arrays
-_HOP_BLOCK = 1 << 15
+# source states per hop-kernel pass and entries per transpose-check pass: bounds their work
+_HOP_BLOCK = 1 << 10
 # propagation over R|t| above this many Chebyshev terms (one matvec each) is refused
 _MAX_SERIES_TERMS = 10**7
 
@@ -66,9 +68,10 @@ class DimensionCapError(ValueError):
 
 @dataclass(frozen=True)
 class EllMatrix:
-    """Real square matrix in row-padded ELL form: row r holds the values
-    ``val[r]`` in the columns ``idx[r]``, in ascending column order, and its
-    padding slots hold 0.0 at column r."""
+    """Real square matrix in row-padded ELL form (Bell & Garland, SC'09): row r
+    holds the values ``val[r]`` in the columns ``idx[r]``, in ascending column
+    order, and its padding slots hold 0.0 at column r.  It is built block by
+    block of rows (``_from_rows``), so no sort spans more than one block."""
 
     idx: np.ndarray
     val: np.ndarray
@@ -76,29 +79,34 @@ class EllMatrix:
     @classmethod
     def from_coo(cls, row, col, val, n: int) -> EllMatrix:
         """The n x n matrix with entries val at (row, col); duplicates are summed."""
-        if int(n) ** 2 >= 2**63:
-            raise ValueError(f"matrix order {n} is too large to key its entries")
-        return cls._from_keys(np.asarray(row, np.int64) * n + np.asarray(col, np.int64),
-                              np.asarray(val, dtype=float), n)
+        return cls._from_rows([(np.asarray(row, np.int64), np.asarray(col, np.int64),
+                                np.asarray(val, dtype=float), n)], n)
 
     @classmethod
-    def _from_keys(cls, key: np.ndarray, val: np.ndarray, n: int) -> EllMatrix:
-        """Entries keyed row * n + col: duplicates merged with one argsort and
-        ``np.add.reduceat``, zero sums dropped, rows padded to the widest."""
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        val = np.add.reduceat(val[order], first)
-        del order
-        keep = val != 0
-        row, col = np.divmod(key[first][keep], n)
-        val = val[keep]
-        count = np.bincount(row, minlength=n)
-        slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-        idx = np.repeat(np.arange(n)[:, None], count.max(initial=0), axis=1)
+    def _from_rows(cls, blocks, n: int) -> EllMatrix:
+        """The n x n matrix from consecutive blocks of rows, each given as its
+        entries (row within the block, col, val) and its row count.  One stable
+        sort per block by (row, col) lets duplicates sum in input order
+        (``np.add.reduceat``); zero sums are dropped, rows padded to the widest."""
+        merged = []
+        for row, col, val, n_rows in blocks:
+            order = np.lexsort((col, row))
+            row, col, val = row[order], col[order], val[order]
+            first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(col, prepend=-1))
+            val = np.add.reduceat(val, first)
+            keep = val != 0
+            merged.append((np.bincount(row[first][keep], minlength=n_rows),
+                           col[first][keep], val[keep]))
+        width = max(int(count.max(initial=0)) for count, _, _ in merged)
+        idx = np.repeat(np.arange(n)[:, None], width, axis=1)
         out = np.zeros(idx.shape)
-        idx[row, slot] = col
-        out[row, slot] = val
+        start = 0
+        for count, col, val in merged:
+            row = np.repeat(np.arange(start, start + len(count)), count)
+            slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+            idx[row, slot] = col
+            out[row, slot] = val
+            start += len(count)
         return cls(idx, out)
 
     @property
@@ -116,19 +124,18 @@ class EllMatrix:
 
 
 def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:
-    """max |A - parity * A^T| exactly (parity -1 measures antisymmetry), from
-    one sort of the transposed keys of the row-major entries."""
-    row, col, val = matrix.entries()
-    n = len(matrix.val)
-    key = row * n + col
-    tkey = col * n + row
-    order = np.argsort(tkey)
-    tkey, tval = tkey[order], val[order]
-    pos = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
-    hit = key[pos] == tkey
-    diff = val.copy()
-    diff[pos[hit]] -= parity * tval[hit]
-    return float(max(np.abs(diff).max(initial=0.0), np.abs(tval[~hit]).max(initial=0.0)))
+    """max |A - parity * A^T| exactly (parity -1 measures antisymmetry): each
+    stored A[r, c] meets A[c, r], gathered from row c (zero if not stored),
+    over about _HOP_BLOCK entries at a time."""
+    idx, val = matrix.idx, matrix.val
+    step = max(1, _HOP_BLOCK // max(val.shape[1], 1))
+    dev = 0.0
+    for start in range(0, len(val), step):
+        col, v = idx[start:start + step], val[start:start + step]
+        own = np.arange(start, start + len(col))[:, None, None]
+        partner = np.where(idx[col] == own, val[col], 0.0).sum(axis=2)
+        dev = max(dev, float(np.abs(v - parity * partner)[v != 0].max(initial=0.0)))
+    return dev
 
 
 def _require_periodic(grid: PhaseGrid):
@@ -289,7 +296,8 @@ class FockState:
 class FockOperator:
     """The Liouvillian L = iK on a FockBasis, held as its real generator K =
     -iL (``matrix``), with a verified Hermitian flag: L is Hermitian exactly
-    when K is antisymmetric, and max |L - L^H| = max |K + K^T|."""
+    when K is antisymmetric, and max |L - L^H| = max |K + K^T|, computed
+    exactly, block by block of rows (``_transpose_deviation``)."""
 
     basis: FockBasis
     matrix: EllMatrix
@@ -306,15 +314,10 @@ class FockOperator:
         return self._deviation
 
 
-def _tally(values: np.ndarray, n: int) -> np.ndarray:
-    """(rows x n) count of each value in [0, n) per row of ``values``."""
-    flat = (np.arange(len(values))[:, None] * n + values).ravel()
-    return np.bincount(flat, minlength=len(values) * n).reshape(len(values), n)
-
-
 def _slot_sum(slots: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """``_tally(slots, n).T @ weights`` for real weights, summed over the slots
-    directly, so memory scales with the slots and not with rows x n."""
+    """``counts.T @ weights`` for real weights, counts[r, v] the number of slots
+    of row r holding v < n, summed over the slots directly, so memory scales
+    with the slots and not with rows x n."""
     return np.bincount(slots.ravel(), weights=np.repeat(weights, slots.shape[1]), minlength=n)
 
 
@@ -356,29 +359,25 @@ def _hops(basis: FockBasis, modes: np.ndarray, columns):
     return row, col, i, data[entry], factor
 
 
-def _sector_moves(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis):
-    """Keys row * dim + col and values of every one-body and pair move of K,
-    built over blocks of source states so that the per-move work arrays of
-    one block exist at a time."""
-    dim = basis.dimension
+def _sector_rows(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis):
+    """The rows of K, one ``EllMatrix._from_rows`` block per _HOP_BLOCK source
+    states: as K = -K^T, row s is minus the moves out of s (``_hops``)."""
     one_body = _columns(build_one_body(grid, spec))
     pair = not isinstance(spec.pair, NoPair)
     if pair:
         gradv_q = pair_gradient_table(grid, spec.pair)
         momentum = _columns(_momentum_stencil(grid))
-    keys, vals = [], []
-    for start in range(0, dim, _HOP_BLOCK):
+    for start in range(0, basis.dimension, _HOP_BLOCK):
         modes = basis.modes[start:start + _HOP_BLOCK]
-        row, col, _, kik, factor = _hops(basis, modes, one_body)
-        keys.append(row * dim + (col + start))
-        vals.append(kik * factor)
+        target, source, _, kik, factor = _hops(basis, modes, one_body)
+        moves = [(source, target, kik * factor)]
         if pair:
-            # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), from the particles per q-column
-            w_field = -_tally(modes // grid.n_p, grid.n_q) @ gradv_q.T
-            row, col, i, dik, factor = _hops(basis, modes, momentum)
-            keys.append(row * dim + (col + start))
-            vals.append((dik * w_field[col, i // grid.n_p]) * factor)
-    return np.concatenate(keys), np.concatenate(vals)
+            # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), summed over the particles of s
+            w_field = -gradv_q[:, modes // grid.n_p].sum(axis=2).T
+            target, source, i, dik, factor = _hops(basis, modes, momentum)
+            moves.append((source, target, (dik * w_field[source, i // grid.n_p]) * factor))
+        source, target, value = (np.concatenate(part) for part in zip(*moves))
+        yield source, target, -value, len(modes)
 
 
 def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> FockOperator:
@@ -392,12 +391,13 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     real form K = -iL: the one-body term with value k_ik of ``build_one_body``,
     the pair term with d_ik W(s, q-column of i), d = -d/dp the momentum stencil
     and W(s, a) = -sum_a' grad v(q_a - q_a') n_s(a'), so the G of
-    ``build_two_body`` is never formed.  Total occupation is conserved move by
-    move, so [L, N] = 0 exactly.
+    ``build_two_body`` is never formed.  Rows are built source by source, row s
+    as minus the moves out of s; the exact antisymmetry check licenses that.
+    Total occupation is conserved move by move, so [L, N] = 0 exactly.
     """
     _require_matching_grid(grid, basis)
-    key, val = _sector_moves(grid, spec, basis)
-    return FockOperator(basis, EllMatrix._from_keys(key, val, basis.dimension))
+    matrix = EllMatrix._from_rows(_sector_rows(grid, spec, basis), basis.dimension)
+    return FockOperator(basis, matrix)
 
 
 def embed_product_state(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:

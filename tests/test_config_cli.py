@@ -482,6 +482,13 @@ def test_validate_refuses_keys_the_method_ignores():
         if raw["method"] not in ("vlasov", "perturbation"):
             message = f"times.snapshots: the {raw['method']} method writes only t_final"
             assert config_errors(dict(raw, times=snapshots)) == [message]
+    flow = VALID_CONFIGS[1]
+    pair = {"type": "gaussian", "strength": 5, "width": 1}
+    for path, raw in [("grid", dict(flow, grid=MINIMAL_VLASOV["grid"])),
+                      ("initial_density", dict(flow, initial_density={"q_sigma": 0.01})),
+                      ("problem.pair_potential",
+                       dict(flow, problem=dict(flow["problem"], pair_potential=pair)))]:
+        assert config_errors(raw) == [f"{path}: the flow method does not read it"]
     periodic_p = dict(MINIMAL_VLASOV["grid"], periodic_p=True)
     message = "only the fock method wraps the p-axis"
     assert config_errors(dict(MINIMAL_VLASOV, grid=periodic_p)) == [

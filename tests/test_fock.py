@@ -140,6 +140,55 @@ def test_two_body_hermiticity_and_diagonal_blocks():
     assert not same_cell or max(same_cell) == 0.0
 
 
+@st.composite
+def coo_entries(draw):
+    """An order n <= 6 and (row, col, value) entries with repeats, explicit zeros
+    and pairs that cancel; the values are multiples of 1/4, so every sum is exact
+    in any order."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, st.integers(-4, 4).map(lambda k: k / 4)),
+                            max_size=40))
+    if entries:
+        entries += [(r, c, -v) for r, c, v in draw(st.lists(st.sampled_from(entries),
+                                                             max_size=6))]
+    row, col, val = (np.array(x, dtype) for x, dtype in
+                     zip(zip(*entries) if entries else ([], [], []), (np.int64, np.int64, float)))
+    return n, row, col, val
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coo_entries(), antisymmetric=st.booleans(), cuts=st.sets(st.integers(1, 5)),
+       block=st.integers(1, 40))
+def test_ell_builder_and_transpose_check_match_a_dense_reference(case, antisymmetric, cuts,
+                                                                 block):
+    n, row, col, val = case
+    if antisymmetric:
+        row, col, val = np.r_[row, col], np.r_[col, row], np.r_[val, -val]
+    want = np.zeros((n, n))
+    np.add.at(want, (row, col), val)
+    m = EllMatrix.from_coo(row, col, val, n)
+    r, c, v = m.entries()
+    assert np.all(np.diff(r * n + c) > 0)  # row-major, ascending columns, no repeats
+    assert np.array_equal(dense(m), want) and np.all(v != 0)
+    assert m.nnz == np.count_nonzero(want)
+    # stored slots first; padding holds 0.0 at the row's own column; width is the widest row
+    padding = m.val == 0
+    assert np.all(np.diff(padding.astype(int), axis=1) >= 0)
+    assert np.array_equal(m.idx[padding], np.nonzero(padding)[0])
+    assert m.val.shape[1] == np.count_nonzero(want, axis=1).max(initial=0)
+    # the same entries given as consecutive row blocks build the same arrays
+    bounds = [0, *sorted(x for x in cuts if x < n), n]
+    blocks = [(row[sel] - a, col[sel], val[sel], b - a)
+              for a, b in zip(bounds, bounds[1:]) for sel in [(row >= a) & (row < b)]]
+    stacked = EllMatrix._from_rows(blocks, n)
+    assert np.array_equal(stacked.idx, m.idx) and np.array_equal(stacked.val, m.val)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_HOP_BLOCK", block)
+        assert fock._transpose_deviation(m, -1) == np.abs(want + want.T).max(initial=0.0)
+        assert fock._transpose_deviation(m, 1) == np.abs(want - want.T).max(initial=0.0)
+
+
 def test_fock_basis_dimensions_and_index():
     basis = FockBasis(n_modes=5, n_particles=3)
     assert basis.dimension == FockBasis.sector_dimension(5, 3) == 35
@@ -257,7 +306,10 @@ def _check_against_contraction_oracle(patch, n_particles, on_site):
                 continue
             occ, amp = create(*create(*step, j), i)
             oracle[basis.index_of(occ), s] += gv * amp
-    assert np.abs(dense(L.matrix) - oracle).max() < 1e-12
+    # row s of K is minus the moves out of s, which is the oracle when K = -K^T
+    assert np.abs(dense(L.matrix) + oracle.T).max() < 1e-12
+    # a real on-site diagonal is not antisymmetric, and the exact check says so
+    assert L.hermitian is not on_site
 
 
 def test_grid_must_match_the_basis_modes():
@@ -509,6 +561,20 @@ def test_density_expectation_allocates_no_dense_tally():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_assembly_peak_memory_follows_the_operator():
+    # M = 144, N = 2 as in the fock-pair-144 workload: 82 944 entries in 10 440 rows
+    grid = periodic_grid(12, 12)
+    basis = FockBasis(n_modes=144, n_particles=2)
+    tracemalloc.start()
+    try:
+        op = assemble_liouvillian(grid, INTERACTING, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.matrix.nnz == 82944 and op.hermiticity_deviation() == 0.0
+    assert peak <= 4 * (op.matrix.idx.nbytes + op.matrix.val.nbytes)
 
 
 def test_quantum_vlasov_residual_matches_dense_tally_formula():

@@ -31,7 +31,8 @@ PERTURBATION_COMPARE = {
                  "vlasov": {"dt": 0.01}},
 }
 CONFIGS = {
-    "flow": {"method": "flow", "problem": PAIR, "times": {"t_final": 0.1},
+    "flow": {"method": "flow", "problem": {"external_potential": PAIR["external_potential"]},
+             "times": {"t_final": 0.1},
              "settings": {"points_csv": "points.csv", "n_snapshots": 2}},
     "vlasov": {"method": "vlasov", "problem": PAIR, "grid": GRID, "initial_density": DENSITY,
                "times": {"t_final": 0.05, "snapshots": [0.0, 0.05]},
@@ -150,6 +151,18 @@ def test_report_lists_a_damaged_record_and_exits_3(valid_run, tmp_path, case):
     else:
         assert "checks.json is unreadable or not a list" in problems
         assert "checksum" not in problems
+
+
+def test_report_shows_a_file_name_that_is_not_utf8_escaped(valid_run, tmp_path):
+    codes = []
+    for name in (b"copy_table.csv", b"\xff_table.csv"):
+        run = _copy(valid_run, tmp_path / name.hex())
+        shutil.copyfile(os.path.join(run, "residual_table.csv"),
+                        os.path.join(os.fsencode(run), name))
+        codes.append(main(["report", run, "--out", str(tmp_path / name.hex() / "rep")]))
+    assert codes[1] == codes[0]
+    summary = (tmp_path / "ff5f7461626c652e637376" / "rep" / "summary.txt").read_text("utf-8")
+    assert "table \\udcff_table.csv:" in summary
 
 
 JSON_VALUES = st.recursive(

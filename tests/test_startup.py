@@ -19,7 +19,8 @@ DENSITY = {"type": "gaussian", "q_sigma": 0.7, "p_sigma": 0.7}
 PAIR = {"external_potential": {"type": "harmonic", "omega": 1.0},
         "pair_potential": {"type": "gaussian", "strength": 0.1, "width": 0.8}}
 CONFIGS = {
-    "flow": {"method": "flow", "problem": PAIR, "times": {"t_final": 0.1},
+    "flow": {"method": "flow", "problem": {"external_potential": PAIR["external_potential"]},
+             "times": {"t_final": 0.1},
              "settings": {"points_csv": "points.csv", "n_snapshots": 2}},
     "vlasov": {"method": "vlasov", "problem": PAIR, "grid": GRID,
                "initial_density": DENSITY, "times": {"t_final": 0.05},
