@@ -13,16 +13,24 @@ for positivity-critical runs).  The shift is constant along every column of
 a sweep, so interpolation is a fixed stencil per column: 2 linear taps, or 4
 cubic B-spline taps applied to prefiltered coefficients (Sonnendrücker et
 al., J. Comput. Phys. 149, 1999).  On an open column that is a window into
-the zero-padded, Thomas-prefiltered column; on a periodic column the window
-and the prefilter are circulant, so the sweep is one rfft/irfft pair through
-a transfer function built once per solve (Unser, Aldroubi & Eden, IEEE
-Trans. Signal Process. 41, 1993).
+the column's coefficients with zero ghost rows at both ends.  The cubic
+prefilter there is the banded operator 6 tridiag(1, 4, 1)^-1, whose entries
+decay like (2 - sqrt(3))^|i-j| (Demko, Moss & Smith, Math. Comp. 43, 1984):
+cached once per column length, it is applied by one matrix product per tile
+of 64 coefficient rows, each reading the data rows within 32 of the tile.
+On a periodic column the window and the prefilter are circulant, so the
+sweep is one rfft/irfft pair through a transfer function (Unser, Aldroubi &
+Eden, IEEE Trans. Signal Process. 41, 1993).  The q-drift's shifts are
+fixed for a solve, so its transfer function or open stencil plan is built
+once per solve; a p-kick plans its stencil from the force of the step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,13 +50,15 @@ class VlasovSettings:
     interpolation: str = "cubic-spline"
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and > 0")
         if self.interpolation not in ("cubic-spline", "linear"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
 
 
 _GHOST = 3  # zero ghost rows padded onto each end of an open column
+_TILE = 64  # coefficient rows per product of the banded prefilter
+_HALO = 32  # data rows a tile reads past its ends: (2 - sqrt(3))^33 < 2e-19
 
 
 @lru_cache(maxsize=16)
@@ -61,7 +71,7 @@ def _thomas_pivots(n: int) -> tuple[float, ...]:
     return tuple(r)
 
 
-def _bspline_prefilter(values: np.ndarray) -> None:
+def _thomas_solve(values: np.ndarray) -> None:
     """Overwrite every column of values with its cubic B-spline coefficients c:
     (c[i-1] + 4 c[i] + c[i+1]) / 6 = values[i], with c zero past the ends of
     the column.
@@ -69,7 +79,8 @@ def _bspline_prefilter(values: np.ndarray) -> None:
     Solves tridiag(1, 4, 1) c = 6 values by the Thomas sweep (Golub & Van
     Loan, Matrix Computations, 4.3), stable without pivoting because the
     matrix is strictly diagonally dominant.  The sweeps run in place over row
-    views, vectorized over the columns.
+    views, vectorized over the columns: a Python loop over the rows, so it
+    runs only on the unit columns of `_prefilter_tiles`, once per length.
     """
     r = _thomas_pivots(values.shape[0])
     np.multiply(values, 6.0, out=values)
@@ -82,6 +93,45 @@ def _bspline_prefilter(values: np.ndarray) -> None:
     for row, nxt, ri in zip(rows[-2::-1], rows[:0:-1], r[-2::-1]):  # back: U c = y
         np.multiply(nxt, ri, out=scratch)
         np.subtract(row, scratch, out=row)
+
+
+@lru_cache(maxsize=8)
+def _prefilter_tiles(n: int) -> tuple:
+    """The banded prefilter of an open column of n data rows, in tiles
+    (r0, r1, d0, d1, block): coefficient rows r0:r1 of the column padded
+    with _GHOST zero rows at each end are block.T @ values[d0:d1].
+
+    The padded column's coefficients are P values with P = 6 A^-1
+    restricted to the data rows, A = tridiag(1, 4, 1) of order n + 2 _GHOST.
+    The entries of A^-1 decay like (2 - sqrt(3))^|r - d| (Demko, Moss &
+    Smith, Math. Comp. 43, 1984), so a tile of _TILE rows reads only the
+    data rows within _HALO of its ends, leaving out less than 4e-19 of the
+    largest coefficient.  Each block = P[r0:r1, d0:d1].T comes from the
+    Thomas sweep of the tile's unit columns, so the cache grows linearly in
+    n, and a dense inverse (whose far entries are denormal) never forms.
+    """
+    rows = n + 2 * _GHOST
+    tiles = []
+    for r0 in range(0, rows, _TILE):
+        r1 = min(r0 + _TILE, rows)
+        d0, d1 = max(r0 - _GHOST - _HALO, 0), min(r1 - _GHOST + _HALO, n)
+        unit = np.zeros((rows, d1 - d0))
+        unit[np.arange(_GHOST + d0, _GHOST + d1), np.arange(d1 - d0)] = 1.0
+        _thomas_solve(unit)
+        block = np.ascontiguousarray(unit[r0:r1].T)
+        block.flags.writeable = False  # the cache hands the same block to every sweep
+        tiles.append((r0, r1, d0, d1, block))
+    return tuple(tiles)
+
+
+def _bspline_prefilter(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the cubic B-spline coefficients of every column of values (n
+    rows, either memory layout), padded with _GHOST zero rows at each end,
+    into the rows of out, shape (m, n + 2 _GHOST): one matrix product per
+    tile of the banded operator `_prefilter_tiles`, reading the data rows in
+    place."""
+    for r0, r1, d0, d1, block in _prefilter_tiles(values.shape[0]):
+        np.matmul(values[d0:d1].T, block, out=out[:, r0:r1])
 
 
 def _stencil(s: np.ndarray, cubic: bool):
@@ -99,35 +149,63 @@ def _stencil(s: np.ndarray, cubic: bool):
                        (4.0 - 6.0 * v ** 2 + 3.0 * v ** 3) / 6.0, u ** 3 / 6.0)
 
 
-def _advect_columns(values: np.ndarray, delta: float, shifts: np.ndarray,
-                    cubic: bool) -> np.ndarray:
-    """Backward-trace advection along an open axis 0: column j is resampled at
-    rows i - shifts[j] / delta through its stencil window.
+class _OpenPlan(NamedTuple):
+    """The stencil of an open sweep by fixed shifts, from `_open_plan`."""
+    cubic: bool
+    start: np.ndarray  # window start of each column in its coefficient row
+    weights: np.ndarray  # tap weights, shape (m, taps, 1)
+    lead: int  # zero coefficients before the ghost-padded column
+    trail: int  # zero coefficients after it
+    edge: np.ndarray  # columns that trace outside the domain
+    keep: np.ndarray  # which rows of those columns trace inside it
 
-    The column is padded with zero ghost rows, so inflow interpolates toward
-    genuine zeros instead of extrapolating (extrapolation pumps tail noise
-    exponentially under repeated sweeps); traces more than half a cell
-    outside the domain read zero.  Ghost rows, prefilter and the cyclic
-    extension the windows read all live in one buffer.
+
+def _open_plan(n: int, delta: float, shifts: np.ndarray, cubic: bool) -> _OpenPlan:
+    """The plan of the backward trace along an open axis of n rows: column j
+    is resampled at rows i - shifts[j] / delta.
+
+    A window that reaches past the ghost-padded column reads zero margins
+    (`lead` before it, `trail` after it); only rows tracing more than half a
+    cell outside the domain read them, and those rows are set to zero
+    through `edge` and `keep`.
     """
-    n, m = values.shape
     s = shifts / delta
     start, weights = _stencil(s, cubic)
-    rows = n + 2 * _GHOST
-    width = n + len(weights) - 1
-    buf = np.zeros((rows + width - 1, m))
-    buf[_GHOST:_GHOST + n] = values
-    if cubic:
-        _bspline_prefilter(buf[:rows])
-    buf[rows:] = buf[:width - 1]
-    window = sliding_window_view(buf, width, axis=0)[(start + _GHOST) % rows, np.arange(m)]
-    out = np.multiply(weights[0][:, None], window[:, :n])
-    term = np.empty_like(out)
-    for t, w in enumerate(weights[1:], 1):
-        out += np.multiply(w[:, None], window[:, t:t + n], out=term)
-    edge = np.flatnonzero((s > 0.5) | (n - 1 - s > n - 0.5))  # columns tracing outside
+    start = start + _GHOST
+    lead = max(0, -int(start.min()))
+    trail = max(0, int(start.max()) + len(weights) - 1 - 2 * _GHOST)
+    edge = np.flatnonzero(np.abs(s) > 0.5)
     x = np.arange(n) - s[edge, None]
-    out[edge] = np.where((x >= -0.5) & (x <= n - 0.5), out[edge], 0.0)
+    return _OpenPlan(cubic, start + lead, np.stack(weights, axis=1)[:, :, None], lead, trail,
+                     edge, (x >= -0.5) & (x <= n - 0.5))
+
+
+def _advect_columns(values: np.ndarray, plan: _OpenPlan) -> np.ndarray:
+    """The open sweep of `plan` along axis 0 of values (either memory layout).
+
+    Column j of values, padded with zero ghost rows, becomes row j of the
+    coefficient array, so every window is contiguous.  Cubic coefficients
+    come from the banded prefilter (`_prefilter_tiles`), one matrix product
+    per tile.  The zero ghost rows make inflow interpolate toward genuine
+    zeros instead of extrapolating (extrapolation pumps tail noise
+    exponentially under repeated sweeps); traces more than half a cell
+    outside the domain read zero.
+    """
+    n, m = values.shape
+    lead, rows = plan.lead, n + 2 * _GHOST
+    if plan.cubic:
+        coef = np.empty((m, lead + rows + plan.trail))
+        coef[:, :lead] = 0.0
+        coef[:, lead + rows:] = 0.0
+        _bspline_prefilter(values, coef[:, lead:lead + rows])
+    else:
+        coef = np.zeros((m, lead + rows + plan.trail))
+        coef[:, lead + _GHOST:lead + _GHOST + n] = values.T
+    taps = plan.weights.shape[1]
+    window = sliding_window_view(coef, n + taps - 1, axis=1)[np.arange(m), plan.start]
+    out = np.matmul(sliding_window_view(window, taps, axis=1), plan.weights)[:, :, 0]
+    if plan.edge.size:
+        out[plan.edge] = np.where(plan.keep, out[plan.edge], 0.0)
     return out.T
 
 
@@ -178,7 +256,8 @@ def _clip_negatives(values: np.ndarray):
 
 def _q_drifts(grid: PhaseGrid, spec: ProblemSpec, settings: VlasovSettings):
     """The half (dt/2) and full (dt) q-drifts, q -> q + p dt / m, as functions
-    of the values; a periodic drift's transfer function is built here, once.
+    of the values; a periodic drift's transfer function or an open drift's
+    stencil plan is built here, once.
     Raises CFLViolation when the full drift exceeds the q-domain length."""
     dt, mass = settings.dt, spec.mass
     cubic = settings.interpolation == "cubic-spline"
@@ -193,7 +272,8 @@ def _q_drifts(grid: PhaseGrid, spec: ProblemSpec, settings: VlasovSettings):
         if grid.periodic_q:
             transfer = _shift_transfer(grid.n_q, grid.dq, shifts, cubic)
             return lambda values: _drift_periodic(values, transfer)
-        return lambda values: _advect_columns(values, grid.dq, shifts, cubic)
+        plan = _open_plan(grid.n_q, grid.dq, shifts, cubic)
+        return lambda values: _advect_columns(values, plan)
 
     return drift(grid.p_centers * (0.5 * dt / mass)), drift(grid.p_centers * (dt / mass))
 
@@ -213,7 +293,7 @@ def _p_kick(values: np.ndarray, rho: DensityField, spec: ProblemSpec,
             f"{grid.p_max - grid.p_min:g}; reduce dt or enlarge the domain"
         )
     cubic = settings.interpolation == "cubic-spline"
-    return _advect_columns(values.T, grid.dp, force * dt, cubic).T
+    return _advect_columns(values.T, _open_plan(grid.n_p, grid.dp, force * dt, cubic)).T
 
 
 def _strang_steps(rho: DensityField, n_steps: int, spec: ProblemSpec, settings: VlasovSettings,
@@ -260,8 +340,13 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
     with more than 1e-8 of its mass in the outermost two p-rows is refused:
     the truncation would not be certifiably harmless.
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    if not (math.isfinite(T) and T >= 0 and math.isfinite(T / settings.dt)):
+        raise ValueError("T must be finite and >= 0, and T / dt a finite step count")
+    if snapshot_times is None:
+        snapshot_times = [T]
+    for i, t in enumerate(snapshot_times):
+        if not (math.isfinite(t) and 0 <= t <= T):
+            raise ValueError(f"snapshot_times[{i}] = {t!r} must lie in [0, T]")
     outer = rho0.values[:, :2].sum() + rho0.values[:, -2:].sum()
     total = rho0.values.sum()
     if total > 0 and outer / total > 1e-8:
@@ -269,10 +354,7 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
             f"{outer / total:.2e} of the initial mass sits in the outermost "
             "two p-rows (> 1e-8); enlarge the p-domain"
         )
-    if snapshot_times is None:
-        snapshot_times = [T]
-    n_steps = int(round(T / settings.dt)) if T > 0 else 0
-    snap_steps = [min(n_steps, max(0, int(round(t / settings.dt)))) for t in snapshot_times]
+    snap_steps = [int(round(t / settings.dt)) for t in snapshot_times]
 
     rho = rho0 if rho0.time is not None else rho0.copy_with(rho0.values, time=0.0)
     t0 = rho.time

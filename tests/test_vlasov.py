@@ -24,7 +24,9 @@ from kvnsim.vlasov import (
     _bspline_prefilter,
     _clip_negatives,
     _drift_periodic,
+    _open_plan,
     _shift_transfer,
+    _thomas_solve,
     vlasov_solve,
     vlasov_step,
 )
@@ -38,10 +40,27 @@ def wide_grid(n):
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        VlasovSettings(dt=0.0)
+    for dt in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            VlasovSettings(dt=dt)
     with pytest.raises(ValueError):
         VlasovSettings(dt=0.01, interpolation="quintic")
+
+
+@pytest.mark.parametrize("T, snapshots, match", [
+    (math.inf, None, "T must"),
+    (math.nan, None, "T must"),
+    (-1.0, None, "T must"),
+    (1e308, None, "T must"),  # T / dt overflows
+    (1.0, [math.inf], r"snapshot_times\[0\]"),
+    (1.0, [0.5, math.nan], r"snapshot_times\[1\]"),
+    (1.0, [-1.0], r"snapshot_times\[0\]"),
+    (1.0, [0.5, 5.0], r"snapshot_times\[1\]"),
+])
+def test_solve_refuses_non_finite_times_and_snapshots_outside_0_T(T, snapshots, match):
+    f0 = density_from_function(wide_grid(16), GaussianDensity(0, 0, 0.8, 0.8), warn=False)
+    with pytest.raises(ValueError, match=match):
+        vlasov_solve(f0, T, FREE, VlasovSettings(dt=0.1), snapshots)
 
 
 def test_free_streaming_matches_analytic_shift():
@@ -139,12 +158,13 @@ def test_fused_solve_makes_n_plus_one_q_drifts_n_p_kicks_and_n_clips(monkeypatch
     else:
         f0, spec = density_from_function(PhaseGrid(-8, 8, -8, 8, 32, 24), STANDARD_GAUSSIAN,
                                          warn=False), FREE
-    dq = f0.grid.dq
     calls = []
     monkeypatch.setattr(vlasov, "_drift_periodic", lambda values, transfer: (
         calls.append("q") or _drift_periodic(values, transfer)))
-    monkeypatch.setattr(vlasov, "_advect_columns", lambda values, delta, *rest: (
-        calls.append("q" if delta == dq else "p") or _advect_columns(values, delta, *rest)))
+    # the q-drift sweeps the field as stored (n_q x n_p), the p-kick its transpose
+    monkeypatch.setattr(vlasov, "_advect_columns", lambda values, plan: (
+        calls.append("q" if values.shape == f0.values.shape else "p")
+        or _advect_columns(values, plan)))
     monkeypatch.setattr(vlasov, "_clip_negatives", lambda values: (
         calls.append("clip") or _clip_negatives(values)))
     vlasov_solve(f0, 0.5, spec, VlasovSettings(dt=0.05), [0.5])
@@ -243,6 +263,10 @@ def periodic_sweep(values, delta, shifts, cubic):
     return _drift_periodic(values, _shift_transfer(values.shape[0], delta, shifts, cubic))
 
 
+def open_sweep(values, delta, shifts, cubic):
+    return _advect_columns(values, _open_plan(values.shape[0], delta, shifts, cubic))
+
+
 def _kernel_case(seed, n=48, m=7, delta=0.1):
     rng = np.random.default_rng(seed)
     nodes = (np.arange(n) + 0.5) * delta
@@ -276,7 +300,7 @@ def test_integer_shifts_move_whole_cells(periodic, cubic):
     values, _, delta, _ = _kernel_case(4)
     n = values.shape[0]
     cells = np.array([-50, -13, -1, 0, 1, 5, 47])
-    sweep = periodic_sweep if periodic else _advect_columns
+    sweep = periodic_sweep if periodic else open_sweep
     out = sweep(values, delta, cells * delta, cubic=cubic)
     for j, k in enumerate(cells):
         if periodic:
@@ -294,15 +318,23 @@ def test_integer_shifts_move_whole_cells(periodic, cubic):
        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
        fill=st.sampled_from([1.0, 0.05]))
 def test_open_prefilter_matches_dense_and_banded_solves(n, m, seed, scale, fill):
+    # the Thomas sweep on the column itself, and the tiled banded operator the
+    # sweeps use on the column padded with three zero ghost rows at each end
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((n, m)) * (rng.random((n, m)) < fill)
-    got = values.copy()
-    _bspline_prefilter(got)
-    matrix = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
-    bands = np.full((3, n), 1.0 / 6.0)
-    bands[1] = 4.0 / 6.0
-    for ref in (np.linalg.solve(matrix, values), solve_banded((1, 1), bands, values)):
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    thomas = values.copy()
+    _thomas_solve(thomas)
+    padded = np.zeros((n + 6, m))
+    padded[3:-3] = values
+    banded = np.empty((m, n + 6))
+    _bspline_prefilter(values, banded)
+    for got, rhs in ((thomas, values), (banded.T, padded)):
+        k = rhs.shape[0]
+        matrix = (4.0 * np.eye(k) + np.eye(k, k=1) + np.eye(k, k=-1)) / 6.0
+        bands = np.full((3, k), 1.0 / 6.0)
+        bands[1] = 4.0 / 6.0
+        for ref in (np.linalg.solve(matrix, rhs), solve_banded((1, 1), bands, rhs)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _bspline(t, cubic):
@@ -334,4 +366,36 @@ def test_spectral_drift_matches_prefilter_and_window(n, m, seed, cubic):
     for offset in (-2, -1, 0, 1, 2):
         ref += coeffs[(base + offset) % n, np.arange(m)] * _bspline(frac + offset, cubic)
     got = periodic_sweep(values, 1.0, cells, cubic)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(4, 300), m=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+       cubic=st.booleans(), transposed=st.booleans())
+def test_open_sweep_matches_banded_solve_and_window(n, m, seed, cubic, transposed):
+    # the direct formula: solve the ghost-padded column, then the B-spline
+    # window at row i - cells, and zero where the trace leaves [-0.5, n - 0.5]
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, m))
+    if transposed:
+        values = np.ascontiguousarray(values.T).T
+    cells = rng.uniform(-n, n, m)
+    coeffs = np.zeros((n + 6, m))
+    coeffs[3:-3] = values
+    if cubic:
+        bands = np.full((3, n + 6), 1.0 / 6.0)
+        bands[1] = 4.0 / 6.0
+        coeffs = solve_banded((1, 1), bands, coeffs)
+    floor = np.floor(cells)
+    base = np.arange(n)[:, None] - floor.astype(np.int64)  # the trace is base - frac
+    frac = cells - floor
+    ref = np.zeros((n, m))
+    for offset in (-2, -1, 0, 1, 2):
+        node = base + offset + 3  # row of the padded column
+        inside = (node >= 0) & (node < n + 6)
+        ref += np.where(inside, coeffs[np.clip(node, 0, n + 5), np.arange(m)], 0.0) * _bspline(
+            frac + offset, cubic)
+    x = np.arange(n)[:, None] - cells
+    ref[(x < -0.5) | (x > n - 0.5)] = 0.0
+    got = open_sweep(values, 1.0, cells, cubic)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
