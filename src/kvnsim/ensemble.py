@@ -138,16 +138,14 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
 def histogram_density(points: np.ndarray, grid: PhaseGrid) -> DensityField:
     """Counting histogram normalized to a density: counts / (n cell_volume).
 
-    Out-of-domain points are dropped (q is wrapped first on periodic grids);
+    Out-of-domain points are dropped (after `PhaseGrid.wrap_points`);
     if more than 1% fall outside, the field's warning flag is set.
     """
     pts = _point_rows(points)
     if pts.shape[0] == 0:
         return DensityField(grid, np.zeros((grid.n_q, grid.n_p)))
     n = pts.shape[0]
-    q, p = pts[:, 0], pts[:, 1]
-    if grid.periodic_q:
-        q = grid.q_min + np.mod(q - grid.q_min, grid.q_length)
+    q, p = grid.wrap_points(pts).T
     counts, _, _ = np.histogram2d(
         q, p, bins=(grid.n_q, grid.n_p),
         range=((grid.q_min, grid.q_max), (grid.p_min, grid.p_max)),

@@ -69,20 +69,22 @@ class PerturbationSettings:
 
 
 def transported_density_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
-                               flow_settings: FlowSettings) -> np.ndarray:
+                               flow_settings: FlowSettings, grid: PhaseGrid) -> np.ndarray:
     """Zeroth-order density rho_init(Phi_{-t}(x)) at a (2,) point or an (n, 2)
-    array of points, as a 1-d array of one value per point."""
-    back = flow_map_points(points, -t, spec, flow_settings)
-    back = np.atleast_2d(back)
+    array of points of ``grid``, as a 1-d array of one value per point.  On a
+    periodic-q grid the back-traced points are wrapped into its domain first
+    (`PhaseGrid.wrap_points`), where rho_init is the initial field."""
+    back = grid.wrap_points(np.atleast_2d(flow_map_points(points, -t, spec, flow_settings)))
     return np.asarray(rho_init(back[:, 0], back[:, 1]), dtype=float)
 
 
-def _momentum_gradient(points: np.ndarray, t: float, rho_init, spec, settings) -> np.ndarray:
+def _momentum_gradient(points: np.ndarray, t: float, rho_init, spec, settings,
+                       grid: PhaseGrid) -> np.ndarray:
     h = settings.h_p
     up = points + np.array([0.0, h])
     dn = points - np.array([0.0, h])
-    fu = transported_density_points(up, t, rho_init, spec, settings.flow)
-    fd = transported_density_points(dn, t, rho_init, spec, settings.flow)
+    fu = transported_density_points(up, t, rho_init, spec, settings.flow, grid)
+    fd = transported_density_points(dn, t, rho_init, spec, settings.flow, grid)
     return (fu - fd) / (2.0 * h)
 
 
@@ -95,7 +97,7 @@ def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: Pertur
     aux = settings.aux_grid
     Qa, Pa = aux.meshgrid()
     pts = np.column_stack([Qa.ravel(), Pa.ravel()])
-    vals = transported_density_points(pts, t, rho_init, spec, settings.flow)
+    vals = transported_density_points(pts, t, rho_init, spec, settings.flow, aux)
     marginal = vals.reshape(aux.n_q, aux.n_p).sum(axis=1) * aux.dp
     mass = marginal.sum() * aux.dq
     ref = getattr(rho_init, "mass", None)
@@ -109,22 +111,24 @@ def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: Pertur
 
 
 def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
-                              settings: PerturbationSettings,
+                              settings: PerturbationSettings, grid: PhaseGrid,
                               pair_integral=None) -> np.ndarray:
-    """Source values at a (2,) point or an (n, 2) array of points."""
+    """Source values at a (2,) point or an (n, 2) array of points of ``grid``."""
     pts = np.atleast_2d(_as_points(points))
     if isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
     if pair_integral is None:
         pair_integral = _pair_force_integral(t, rho_init, spec, settings)
-    grad_p = _momentum_gradient(pts, t, rho_init, spec, settings)
+    grad_p = _momentum_gradient(pts, t, rho_init, spec, settings, grid)
     return grad_p * pair_integral(pts[:, 0])
 
 
 def first_order_correction_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
-                                  settings: PerturbationSettings) -> np.ndarray:
-    """First-order density correction at a (2,) point or an (n, 2) array of points:
-    the source integrated along each backward characteristic by Gauss-Legendre."""
+                                  settings: PerturbationSettings,
+                                  grid: PhaseGrid) -> np.ndarray:
+    """First-order density correction at a (2,) point or an (n, 2) array of points
+    of ``grid``: the source integrated along each backward characteristic by
+    Gauss-Legendre."""
     pts = np.atleast_2d(_as_points(points))
     if t == 0.0 or isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
@@ -133,7 +137,7 @@ def first_order_correction_points(points: np.ndarray, t: float, rho_init, spec: 
     for s, w in zip(0.5 * t * (nodes + 1.0), 0.5 * t * weights):
         traced = np.atleast_2d(flow_map_points(pts, s - t, spec, settings.flow))
         pair_integral = _pair_force_integral(s, rho_init, spec, settings)
-        out += w * interaction_source_points(traced, s, rho_init, spec, settings,
+        out += w * interaction_source_points(traced, s, rho_init, spec, settings, grid,
                                              pair_integral=pair_integral)
     return out
 
@@ -145,8 +149,8 @@ def perturbative_density(grid: PhaseGrid, t: float, rho_init, spec: ProblemSpec,
         raise ValueError("t must be >= 0")
     Q, P = grid.meshgrid()
     pts = np.column_stack([Q.ravel(), P.ravel()])
-    vals = transported_density_points(pts, t, rho_init, spec, settings.flow)
-    vals = vals + first_order_correction_points(pts, t, rho_init, spec, settings)
+    vals = transported_density_points(pts, t, rho_init, spec, settings.flow, grid)
+    vals = vals + first_order_correction_points(pts, t, rho_init, spec, settings, grid)
     return DensityField(grid, vals.reshape(grid.n_q, grid.n_p), time=t)
 
 
@@ -200,7 +204,7 @@ def residual_vs_vlasov(t: float, rho_init, spec: ProblemSpec, eps_list,
     top = max(eps_list, default=0.0)
     Q, P = grid.meshgrid()
     pts = np.column_stack([Q.ravel(), P.ravel()])
-    zeroth = transported_density_points(pts, t, rho_init, spec, settings.flow)
+    zeroth = transported_density_points(pts, t, rho_init, spec, settings.flow, grid)
     zeroth = full = zeroth.reshape(grid.n_q, grid.n_p)
     if top > 0:
         full = perturbative_density(grid, t, rho_init, spec.with_pair_strength(top),

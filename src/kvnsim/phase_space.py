@@ -289,6 +289,15 @@ class PhaseGrid:
         L = self.q_length
         return dq - L * np.round(dq / L)
 
+    def wrap_points(self, points: np.ndarray) -> np.ndarray:
+        """An (n, 2) array of points [q, p] with q mapped into the domain on a
+        periodic-q grid; the points themselves on an open one."""
+        if not self.periodic_q:
+            return points
+        out = np.array(points, dtype=float)
+        out[:, 0] = self.q_min + np.mod(out[:, 0] - self.q_min, self.q_length)
+        return out
+
 
 @dataclass
 class DensityField:
@@ -317,12 +326,13 @@ class DensityField:
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.n_q}, {self.grid.n_p})"
             )
-        if not np.all(np.isfinite(values)):
+        low, high = values.min(), values.max()  # a nan reaches both; no grid-sized mask
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("density values must be finite")
-        if values.min(initial=0.0) < self.NEGATIVE_TOL:
+        if low < self.NEGATIVE_TOL:
             raise ValueError(
                 f"density values below the tolerated undershoot "
-                f"({values.min():.3e} < {self.NEGATIVE_TOL:.0e})"
+                f"({low:.3e} < {self.NEGATIVE_TOL:.0e})"
             )
         self.values = values
 

@@ -6,23 +6,19 @@ p dt/(2m), kick in p by F dt with the force frozen from the half-drifted
 density, half-drift in q again.  Between snapshots the trailing half-drift
 of one step and the leading one of the next are fused into one full drift,
 so n steps make n + 1 q-drifts and n p-kicks (Cheng & Knorr, J. Comput.
-Phys. 22, 1976); undershoot is clipped once per step, after each fused full
-drift and after the final half-drift.  Each sweep traces the characteristic
-backward and interpolates along one axis (cubic B-spline by default, linear
-for positivity-critical runs).  The shift is constant along every column of
-a sweep, so interpolation is a fixed stencil per column: 2 linear taps, or 4
-cubic B-spline taps applied to prefiltered coefficients (Sonnendrücker et
-al., J. Comput. Phys. 149, 1999).  On an open column that is a window into
-the column's coefficients with zero ghost rows at both ends.  The cubic
-prefilter there is the banded operator 6 tridiag(1, 4, 1)^-1, whose entries
-decay like (2 - sqrt(3))^|i-j| (Demko, Moss & Smith, Math. Comp. 43, 1984):
-cached once per column length, it is applied by one matrix product per tile
-of 64 coefficient rows, each reading the data rows within 32 of the tile.
-On a periodic column the window and the prefilter are circulant, so the
-sweep is one rfft/irfft pair through a transfer function (Unser, Aldroubi &
-Eden, IEEE Trans. Signal Process. 41, 1993).  The q-drift's shifts are
-fixed for a solve, so its transfer function or open stencil plan is built
-once per solve; a p-kick plans its stencil from the force of the step.
+Phys. 22, 1976); undershoot is clipped once per step.  Each sweep traces the
+characteristic backward along one axis with a shift constant along each
+line, so it is a fixed stencil per line: 2 linear taps, or 4 cubic B-spline
+taps on prefiltered coefficients (Sonnendrücker et al., J. Comput. Phys.
+149, 1999).
+
+A solve runs on one workspace (`_Stepper`), allocated once, holding the
+field p-major, shape (n_p, n_q), swept in place.  A periodic q-drift is one
+rfft/irfft pair along the contiguous axis (Unser, Aldroubi & Eden, IEEE
+Trans. Signal Process. 41, 1993).  An open sweep applies the banded cubic
+prefilter 6 tridiag(1, 4, 1)^-1 into a persistent coefficient buffer, then
+sums the taps by one einsum over a strided window view of that buffer:
+while the lines' window starts lie within a few cells no window is gathered.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,16 +54,7 @@ class VlasovSettings:
 _GHOST = 3  # zero ghost rows padded onto each end of an open column
 _TILE = 64  # coefficient rows per product of the banded prefilter
 _HALO = 32  # data rows a tile reads past its ends: (2 - sqrt(3))^33 < 2e-19
-
-
-@lru_cache(maxsize=16)
-def _thomas_pivots(n: int) -> tuple[float, ...]:
-    """Reciprocal pivots r of the LU factorization of tridiag(1, 4, 1) of order n:
-    r[0] = 1/4, r[i] = 1 / (4 - r[i-1])."""
-    r = [0.25]
-    for _ in range(n - 1):
-        r.append(1.0 / (4.0 - r[-1]))
-    return tuple(r)
+_SPREAD = 4  # spread of window starts one einsum reads past the taps; wider is gathered
 
 
 def _thomas_solve(values: np.ndarray) -> None:
@@ -76,13 +62,13 @@ def _thomas_solve(values: np.ndarray) -> None:
     (c[i-1] + 4 c[i] + c[i+1]) / 6 = values[i], with c zero past the ends of
     the column.
 
-    Solves tridiag(1, 4, 1) c = 6 values by the Thomas sweep (Golub & Van
-    Loan, Matrix Computations, 4.3), stable without pivoting because the
-    matrix is strictly diagonally dominant.  The sweeps run in place over row
-    views, vectorized over the columns: a Python loop over the rows, so it
-    runs only on the unit columns of `_prefilter_tiles`, once per length.
+    The Thomas sweep (Golub & Van Loan, Matrix Computations, 4.3), stable
+    without pivoting on this diagonally dominant matrix, in place over row
+    views: a Python loop over the rows, run only by `_prefilter_tiles`.
     """
-    r = _thomas_pivots(values.shape[0])
+    r = [0.25]  # reciprocal pivots of the LU factors: r[i] = 1 / (4 - r[i-1])
+    for _ in range(values.shape[0] - 1):
+        r.append(1.0 / (4.0 - r[-1]))
     np.multiply(values, 6.0, out=values)
     rows = list(values)
     np.multiply(rows[0], r[0], out=rows[0])
@@ -101,14 +87,13 @@ def _prefilter_tiles(n: int) -> tuple:
     (r0, r1, d0, d1, block): coefficient rows r0:r1 of the column padded
     with _GHOST zero rows at each end are block.T @ values[d0:d1].
 
-    The padded column's coefficients are P values with P = 6 A^-1
-    restricted to the data rows, A = tridiag(1, 4, 1) of order n + 2 _GHOST.
-    The entries of A^-1 decay like (2 - sqrt(3))^|r - d| (Demko, Moss &
-    Smith, Math. Comp. 43, 1984), so a tile of _TILE rows reads only the
-    data rows within _HALO of its ends, leaving out less than 4e-19 of the
-    largest coefficient.  Each block = P[r0:r1, d0:d1].T comes from the
-    Thomas sweep of the tile's unit columns, so the cache grows linearly in
-    n, and a dense inverse (whose far entries are denormal) never forms.
+    The coefficients are P values, P = 6 A^-1 restricted to the data rows,
+    A = tridiag(1, 4, 1) of order n + 2 _GHOST, whose entries decay like
+    (2 - sqrt(3))^|r - d| (Demko, Moss & Smith, Math. Comp. 43, 1984): a tile
+    of _TILE rows reads only the data rows within _HALO of its ends, leaving
+    out less than 4e-19 of the largest coefficient.  Each block comes from
+    the Thomas sweep of the tile's unit columns, so the cache grows linearly
+    in n and no dense inverse (with denormal far entries) forms.
     """
     rows = n + 2 * _GHOST
     tiles = []
@@ -124,21 +109,19 @@ def _prefilter_tiles(n: int) -> tuple:
     return tuple(tiles)
 
 
-def _bspline_prefilter(values: np.ndarray, out: np.ndarray) -> None:
+def _bspline_prefilter(values: np.ndarray, coef: np.ndarray) -> None:
     """Write the cubic B-spline coefficients of every column of values (n
     rows, either memory layout), padded with _GHOST zero rows at each end,
-    into the rows of out, shape (m, n + 2 _GHOST): one matrix product per
-    tile of the banded operator `_prefilter_tiles`, reading the data rows in
-    place."""
+    into the rows of coef, shape (n + 2 _GHOST, m): one matrix product per
+    tile of `_prefilter_tiles`, reading the data rows in place."""
     for r0, r1, d0, d1, block in _prefilter_tiles(values.shape[0]):
-        np.matmul(values[d0:d1].T, block, out=out[:, r0:r1])
+        np.matmul(block.T, values[d0:d1], out=coef[r0:r1])
 
 
 def _stencil(s: np.ndarray, cubic: bool):
     """Window start and tap weights of a backward trace by s[j] cells: row i
-    of column j reads sum_t weights[t][j] c[i + start[j] + t] of the column's
-    coefficients c (the values when linear, the B-spline coefficients when
-    cubic)."""
+    of line j reads sum_t weights[t][j] c[i + start[j] + t] of the line's
+    coefficients c (its values when linear, B-spline coefficients if cubic)."""
     k = np.floor(s)
     u = 1.0 - (s - k)
     start = -1 - k.astype(np.int64)
@@ -149,177 +132,194 @@ def _stencil(s: np.ndarray, cubic: bool):
                        (4.0 - 6.0 * v ** 2 + 3.0 * v ** 3) / 6.0, u ** 3 / 6.0)
 
 
-class _OpenPlan(NamedTuple):
-    """The stencil of an open sweep by fixed shifts, from `_open_plan`."""
-    cubic: bool
-    start: np.ndarray  # window start of each column in its coefficient row
-    weights: np.ndarray  # tap weights, shape (m, taps, 1)
-    lead: int  # zero coefficients before the ghost-padded column
-    trail: int  # zero coefficients after it
-    edge: np.ndarray  # columns that trace outside the domain
-    keep: np.ndarray  # which rows of those columns trace inside it
+class _PeriodicAxis:
+    """Sweeps along a periodic axis of n rows for m lines (the columns of the
+    values): one rfft/irfft pair through a spectrum buffer allocated once."""
+
+    def __init__(self, n: int, m: int, cubic: bool):
+        self.n, self.cubic = n, cubic
+        self.spectrum = np.empty((m, n // 2 + 1), dtype=complex).T
+
+    def plan(self, s: np.ndarray) -> np.ndarray:
+        """Transfer function H, shape (n//2 + 1, m), of the backward trace by
+        s[j] cells: H[f, j] = sum_t weights[t][j] exp(i theta_f (start[j] +
+        t)) / beta(theta_f), theta_f = 2 pi f / n, beta = (4 + 2 cos theta) / 6
+        when cubic and 1 when linear, with phases reduced modulo n in integers
+        so shifts of many cells lose no accuracy."""
+        n = self.n
+        start, weights = _stencil(s, self.cubic)
+        roots = np.exp(2j * np.pi / n * np.arange(n))  # exp(i theta_1 r), r = 0 .. n-1
+        f = np.arange(n // 2 + 1)
+        transfer = sum(np.outer(w, roots[f * t % n]) for t, w in enumerate(weights))
+        transfer *= roots[np.outer(start, f) % n]
+        if self.cubic:
+            transfer /= (4.0 + 2.0 * roots[f].real) / 6.0
+        return transfer.T
+
+    def sweep(self, values: np.ndarray, transfer: np.ndarray) -> None:
+        """Overwrite values, shape (n, m), with their sweep."""
+        np.fft.rfft(values, axis=0, out=self.spectrum)
+        self.spectrum *= transfer
+        np.fft.irfft(self.spectrum, self.n, axis=0, out=values)
 
 
-def _open_plan(n: int, delta: float, shifts: np.ndarray, cubic: bool) -> _OpenPlan:
-    """The plan of the backward trace along an open axis of n rows: column j
-    is resampled at rows i - shifts[j] / delta.
+class _OpenAxis:
+    """Sweeps along an open axis of n rows for m lines (the columns of the
+    values) through one zero-margined coefficient buffer `coef`, shape
+    (rows, m), and its window view, `window`[a, j, i] = coef[a + i, j]; rows
+    lead .. lead + n + 2 _GHOST - 1 hold the ghost-padded lines.  Both are
+    allocated once and grown only when a plan reads past the margins.  `out`
+    takes the taps of values whose lines are not contiguous, and `gathered`
+    the windows of lines whose starts spread wider than _SPREAD."""
 
-    A window that reaches past the ghost-padded column reads zero margins
-    (`lead` before it, `trail` after it); only rows tracing more than half a
-    cell outside the domain read them, and those rows are set to zero
-    through `edge` and `keep`.
-    """
-    s = shifts / delta
-    start, weights = _stencil(s, cubic)
-    start = start + _GHOST
-    lead = max(0, -int(start.min()))
-    trail = max(0, int(start.max()) + len(weights) - 1 - 2 * _GHOST)
-    edge = np.flatnonzero(np.abs(s) > 0.5)
-    x = np.arange(n) - s[edge, None]
-    return _OpenPlan(cubic, start + lead, np.stack(weights, axis=1)[:, :, None], lead, trail,
-                     edge, (x >= -0.5) & (x <= n - 0.5))
+    def __init__(self, n: int, m: int, cubic: bool):
+        self.n, self.m, self.cubic = n, m, cubic
+        self.rows = np.arange(n, dtype=float)[:, None]
+        self.mask, self.out = np.empty((n, m), dtype=bool), np.empty((n, m))
+        reach = n + (3 if cubic else 1)  # rows a window of all taps spans
+        self.index, self.gathered = np.empty((reach, m), dtype=np.intp), np.empty((reach, m))
+        self.flat_rows = np.arange(reach)[:, None] * m  # flat offsets of rows in coef
+        self.gathered_window = sliding_window_view(self.gathered, n, axis=0)
+        self._allocate(0, 0)
 
+    def _allocate(self, lead: int, trail: int) -> None:
+        self.coef = np.zeros((lead + self.n + 2 * _GHOST + trail, self.m))
+        self.window = sliding_window_view(self.coef, self.n, axis=0)
+        self.lead, self.trail = lead, trail
 
-def _advect_columns(values: np.ndarray, plan: _OpenPlan) -> np.ndarray:
-    """The open sweep of `plan` along axis 0 of values (either memory layout).
+    def plan(self, s: np.ndarray):
+        """The plan (start, s0, weights, drops) of the backward trace by s[j]
+        cells along line j.  When the window starts lie within _SPREAD of
+        their least s0, every line sums the k = taps + spread window offsets
+        from s0 in one einsum, `weights` (offsets x lines) zero outside each
+        line's taps, and `start` is None; otherwise the sweep gathers each
+        line's window from its own `start` and sums the taps alone.  For each
+        (a, b, outside, bound) in `drops`, row i of line j in a:b is zeroed
+        where outside(i, bound[j]): its trace leaves the domain by more than
+        half a cell past the end the line is shifted from.  The margins grow
+        to what the windows read."""
+        start, taps = _stencil(s, self.cubic)
+        start += _GHOST
+        s0, spread = int(start.min()), int(start.max() - start.min())
+        narrow = spread <= _SPREAD
+        offset = start - s0 if narrow else 0
+        weights = np.zeros((len(taps) + (spread if narrow else 0), len(s)))
+        for t, w in enumerate(taps):
+            weights[offset + t, np.arange(len(s))] = w
+        drops = []
+        for edge, outside, bound in ((s > 0.5, np.less, s - 0.5),
+                                     (s < -0.5, np.greater, s + (self.n - 0.5))):
+            edge = np.flatnonzero(edge)
+            if edge.size:
+                a, b = edge[0], edge[-1] + 1
+                drops.append((a, b, outside, bound[a:b]))
+        lead = max(0, -s0)
+        trail = max(0, s0 + spread + len(taps) - 1 - 2 * _GHOST)
+        if lead > self.lead or trail > self.trail:
+            self._allocate(max(lead, 2 * self.lead), max(trail, 2 * self.trail))
+        return None if narrow else start, s0, weights, drops
 
-    Column j of values, padded with zero ghost rows, becomes row j of the
-    coefficient array, so every window is contiguous.  Cubic coefficients
-    come from the banded prefilter (`_prefilter_tiles`), one matrix product
-    per tile.  The zero ghost rows make inflow interpolate toward genuine
-    zeros instead of extrapolating (extrapolation pumps tail noise
-    exponentially under repeated sweeps); traces more than half a cell
-    outside the domain read zero.
-    """
-    n, m = values.shape
-    lead, rows = plan.lead, n + 2 * _GHOST
-    if plan.cubic:
-        coef = np.empty((m, lead + rows + plan.trail))
-        coef[:, :lead] = 0.0
-        coef[:, lead + rows:] = 0.0
-        _bspline_prefilter(values, coef[:, lead:lead + rows])
-    else:
-        coef = np.zeros((m, lead + rows + plan.trail))
-        coef[:, lead + _GHOST:lead + _GHOST + n] = values.T
-    taps = plan.weights.shape[1]
-    window = sliding_window_view(coef, n + taps - 1, axis=1)[np.arange(m), plan.start]
-    out = np.matmul(sliding_window_view(window, taps, axis=1), plan.weights)[:, :, 0]
-    if plan.edge.size:
-        out[plan.edge] = np.where(plan.keep, out[plan.edge], 0.0)
-    return out.T
-
-
-def _shift_transfer(n: int, delta: float, shifts: np.ndarray, cubic: bool) -> np.ndarray:
-    """Transfer function H, shape (n//2 + 1, len(shifts)), of the periodic
-    backward trace by shifts[j] / delta cells.
-
-    On a periodic column the stencil window and the prefilter are circulant,
-    so the sweep is one multiply in Fourier space (Unser, Aldroubi & Eden,
-    IEEE Trans. Signal Process. 41, 1993): H[f, j] = sum_t weights[t][j]
-    exp(i theta_f (start[j] + t)) / beta(theta_f), theta_f = 2 pi f / n, with
-    beta = (4 + 2 cos theta) / 6 the B-spline symbol when cubic and 1 when
-    linear.  Phases are reduced modulo n in integers, so shifts of many cells
-    lose no accuracy.
-    """
-    start, weights = _stencil(shifts / delta, cubic)
-    roots = np.exp(2j * np.pi / n * np.arange(n))  # exp(i theta_1 r), r = 0 .. n-1
-    f = np.arange(n // 2 + 1)
-    transfer = sum(np.outer(roots[f * t % n], w) for t, w in enumerate(weights))
-    transfer *= roots[np.outer(f, start) % n]
-    if cubic:
-        transfer /= ((4.0 + 2.0 * roots[f].real) / 6.0)[:, None]
-    return transfer
-
-
-def _drift_periodic(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-    """The periodic sweep along axis 0 whose transfer function is `transfer`."""
-    n = values.shape[0]
-    return np.fft.irfft(np.fft.rfft(values, axis=0) * transfer, n=n, axis=0)
-
-
-def _clip_negatives(values: np.ndarray):
-    """Zero out interpolation undershoot below the tolerated -1e-12 floor,
-    then rescale to the sum the values had before clipping, so the clipping
-    itself conserves mass and mass that left through an open boundary during
-    the step stays out.  Returns (values, n_clipped)."""
-    floor = DensityField.NEGATIVE_TOL
-    bad = values < floor
-    n_clipped = int(bad.sum())
-    if n_clipped:
-        total_before = values.sum()
-        values = np.where(bad, 0.0, values)
-        total_after = values.sum()
-        if total_after > 0 and total_before > 0:
-            values = np.maximum(values * (total_before / total_after), floor)
-    return values, n_clipped
+    def sweep(self, values: np.ndarray, plan) -> None:
+        """Overwrite values, shape (n, m) in either layout, with their sweep by
+        plan.  Inflow interpolates toward the zero ghost rows: extrapolating
+        would pump tail noise up exponentially under repeated sweeps."""
+        start, s0, weights, drops = plan
+        pad = self.coef[self.lead:self.lead + self.n + 2 * _GHOST]
+        if self.cubic:
+            _bspline_prefilter(values, pad)
+        else:
+            pad[_GHOST:-_GHOST] = values
+        window, s0 = self.window, s0 + self.lead
+        if start is not None:  # line j's window, from coef row lead + start[j], to row 0
+            np.add(self.flat_rows, (start + self.lead) * self.m + np.arange(self.m), out=self.index)
+            # in range by the margins; "clip" spares the copy "raise" makes of out
+            np.take(self.coef.ravel(), self.index, out=self.gathered, mode="clip")
+            window, s0 = self.gathered_window, 0
+        out = values if values.flags.c_contiguous else self.out
+        np.einsum("oji,oj->ij", window[s0:s0 + len(weights)], weights, out=out)
+        for a, b, outside, bound in drops:
+            np.copyto(out[:, a:b], 0.0, where=outside(self.rows, bound, out=self.mask[:, a:b]))
+        if out is not values:
+            values[...] = out
 
 
-def _q_drifts(grid: PhaseGrid, spec: ProblemSpec, settings: VlasovSettings):
-    """The half (dt/2) and full (dt) q-drifts, q -> q + p dt / m, as functions
-    of the values; a periodic drift's transfer function or an open drift's
-    stencil plan is built here, once.
-    Raises CFLViolation when the full drift exceeds the q-domain length."""
-    dt, mass = settings.dt, spec.mass
-    cubic = settings.interpolation == "cubic-spline"
-    max_speed = max(abs(grid.p_min), abs(grid.p_max)) / mass
-    if dt * max_speed >= grid.q_length:
-        raise CFLViolation(
-            f"dt*max|p|/m = {dt * max_speed:g} exceeds the q-domain length "
-            f"{grid.q_length:g}; reduce dt or enlarge the domain"
-        )
+class _Stepper:
+    """The workspace of one solve, allocated once: the field `f`, p-major, the
+    q-drift's axis and half and full plans, the p-kick's axis, the clip mask.
+    Raises CFLViolation when the full q-drift exceeds the q-domain length."""
 
-    def drift(shifts):
-        if grid.periodic_q:
-            transfer = _shift_transfer(grid.n_q, grid.dq, shifts, cubic)
-            return lambda values: _drift_periodic(values, transfer)
-        plan = _open_plan(grid.n_q, grid.dq, shifts, cubic)
-        return lambda values: _advect_columns(values, plan)
+    def __init__(self, grid: PhaseGrid, spec: ProblemSpec, settings: VlasovSettings):
+        dt, mass = settings.dt, spec.mass
+        max_speed = max(abs(grid.p_min), abs(grid.p_max)) / mass
+        if dt * max_speed >= grid.q_length:
+            raise CFLViolation(
+                f"dt*max|p|/m = {dt * max_speed:g} exceeds the q-domain length "
+                f"{grid.q_length:g}; reduce dt or enlarge the domain"
+            )
+        cubic = settings.interpolation == "cubic-spline"
+        self.grid, self.spec, self.dt = grid, spec, dt
+        self.f = np.empty((grid.n_p, grid.n_q))
+        self.mask = np.empty(self.f.shape, dtype=bool)
+        self.kick = _OpenAxis(grid.n_p, grid.n_q, cubic)
+        self.drift = (_PeriodicAxis if grid.periodic_q else _OpenAxis)(grid.n_q, grid.n_p, cubic)
+        self.drifts = [self.drift.plan(grid.p_centers * (h * dt / mass) / grid.dq)
+                       for h in (0.5, 1.0)]
 
-    return drift(grid.p_centers * (0.5 * dt / mass)), drift(grid.p_centers * (dt / mass))
+    def q_drift(self, full: bool) -> None:
+        """The q-drift q -> q + p dt / m, by dt when full, else by dt / 2."""
+        self.drift.sweep(self.f.T, self.drifts[full])
 
+    def p_kick(self) -> None:
+        """The p-kick p -> p + F dt (p is open), the force frozen from the
+        clipped-at-zero field, held in the kick's coefficient rows until the
+        sweep overwrites them.  Raises CFLViolation past the p-domain length."""
+        grid, kick = self.grid, self.kick
+        scratch = kick.coef[kick.lead + _GHOST:kick.lead + _GHOST + grid.n_p]
+        np.maximum(self.f, 0.0, out=scratch)
+        force = mean_field_force(DensityField(grid, scratch.T), self.spec)
+        max_kick = self.dt * float(np.max(np.abs(force)))
+        if max_kick >= grid.p_max - grid.p_min:
+            raise CFLViolation(
+                f"dt*max|F| = {max_kick:g} exceeds the p-domain length "
+                f"{grid.p_max - grid.p_min:g}; reduce dt or enlarge the domain"
+            )
+        kick.sweep(self.f, kick.plan(force * self.dt / grid.dp))
 
-def _p_kick(values: np.ndarray, rho: DensityField, spec: ProblemSpec,
-            settings: VlasovSettings) -> np.ndarray:
-    """The p-kick p -> p + F dt (p is open), with the force frozen from the
-    clipped-at-zero current values.  Raises CFLViolation when the kick exceeds
-    the p-domain length."""
-    grid = rho.grid
-    dt = settings.dt
-    force = mean_field_force(rho.copy_with(np.maximum(values, 0.0), clip_count=0), spec)
-    max_kick = dt * float(np.max(np.abs(force)))
-    if max_kick >= grid.p_max - grid.p_min:
-        raise CFLViolation(
-            f"dt*max|F| = {max_kick:g} exceeds the p-domain length "
-            f"{grid.p_max - grid.p_min:g}; reduce dt or enlarge the domain"
-        )
-    cubic = settings.interpolation == "cubic-spline"
-    return _advect_columns(values.T, _open_plan(grid.n_p, grid.dp, force * dt, cubic)).T
+    def clip(self) -> int:
+        """Zero undershoot below the tolerated -1e-12 floor and rescale to the
+        sum before clipping: the clip conserves mass, and mass that left
+        through an open boundary stays out.  Returns the clipped count."""
+        f, bad, floor = self.f, self.mask, DensityField.NEGATIVE_TOL
+        np.less(f, floor, out=bad)
+        n_clipped = int(np.count_nonzero(bad))
+        if n_clipped:
+            total_before = f.sum()
+            np.copyto(f, 0.0, where=bad)
+            total_after = f.sum()
+            if total_after > 0 and total_before > 0:
+                np.multiply(f, total_before / total_after, out=f)
+                np.maximum(f, floor, out=f)
+        return n_clipped
 
-
-def _strang_steps(rho: DensityField, n_steps: int, spec: ProblemSpec, settings: VlasovSettings,
-                  drifts, time: float | None) -> DensityField:
-    """n_steps >= 1 Strang steps, Q(dt/2) [P(dt) Q(dt)]^(n_steps-1) P(dt) Q(dt/2):
-    between the two ends, the trailing half-drift of a step and the leading
-    one of the next are one full drift (Cheng & Knorr, J. Comput. Phys. 22,
-    1976).  Undershoot is clipped after every full drift and after the final
-    half-drift, once per step.  `drifts` is the (half, full) pair of
-    _q_drifts; the result is stamped `time`.
-    """
-    half, full = drifts
-    values = half(rho.values)
-    clipped = 0
-    for _ in range(n_steps - 1):
-        values, n_clipped = _clip_negatives(full(_p_kick(values, rho, spec, settings)))
-        clipped += n_clipped
-    values, n_clipped = _clip_negatives(half(_p_kick(values, rho, spec, settings)))
-    return rho.copy_with(values, clip_count=rho.clip_count + clipped + n_clipped, time=time)
+    def run(self, rho: DensityField, n_steps: int, time: float | None) -> DensityField:
+        """n_steps >= 1 Strang steps from rho, Q(dt/2) [P(dt) Q(dt)]^(n_steps-1)
+        P(dt) Q(dt/2), clipping after each full and the final half drift; the
+        field is transposed in and out once, the result stamped `time`."""
+        np.copyto(self.f, rho.values.T)
+        self.q_drift(False)
+        clipped = 0
+        for left in range(n_steps - 1, -1, -1):
+            self.p_kick()
+            self.q_drift(left > 0)
+            clipped += self.clip()
+        return rho.copy_with(self.f.T.copy(), clip_count=rho.clip_count + clipped, time=time)
 
 
 def vlasov_step(rho: DensityField, spec: ProblemSpec, settings: VlasovSettings) -> DensityField:
     """Advance the density by one Strang-split step of size dt: half-drift in
     q, kick in p, half-drift in q, then clip."""
     t = None if rho.time is None else rho.time + settings.dt
-    return _strang_steps(rho, 1, spec, settings, _q_drifts(rho.grid, spec, settings), t)
+    return _Stepper(rho.grid, spec, settings).run(rho, 1, t)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,
@@ -327,14 +327,10 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
     """Repeated stepping to the last requested snapshot; snapshots at the
     nearest whole step.
 
-    The steps between consecutive snapshots run fused (`_strang_steps`):
-    each snapshot ends on a half-drift and a clip, as a single step does,
-    and no field between snapshots is formed.  The q-drifts are built once
-    per solve.
-
-    The state after step k is stamped t0 + k dt (t0 the initial time, 0 when
-    unset), not a running sum of dt, so a snapshot carries no accumulated
-    rounding in its time.
+    The steps between snapshots run fused (`_Stepper.run`) on one workspace
+    for the whole solve; each snapshot ends on a half-drift and a clip, as a
+    single step does.  The state after step k is stamped t0 + k dt (t0 the
+    initial time, 0 when unset), not a running sum of dt.
 
     The momentum domain is a truncation of the real line, so initial data
     with more than 1e-8 of its mass in the outermost two p-rows is refused:
@@ -360,8 +356,7 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
     t0 = rho.time
     snapshots = {0: rho}
     ends = sorted(set(snap_steps) - {0})
-    drifts = _q_drifts(rho.grid, spec, settings) if ends else None
+    stepper = _Stepper(rho.grid, spec, settings) if ends else None
     for done, k in zip([0] + ends, ends):
-        snapshots[k] = _strang_steps(snapshots[done], k - done, spec, settings, drifts,
-                                     t0 + k * settings.dt)
+        snapshots[k] = stepper.run(snapshots[done], k - done, t0 + k * settings.dt)
     return [snapshots[k] for k in snap_steps]

@@ -175,11 +175,14 @@ INTERACTING = ProblemSpec(external=HarmonicPotential(omega=1.0),
 PERT = PerturbationSettings(aux_grid=PhaseGrid(-6, 6, -6, 6, 32, 32), n_s=4)
 POINT_CONSUMERS = {
     "flow": lambda pts: flow_map_points(pts, 0.5, FREE, DT3),
-    "transported": lambda pts: transported_density_points(pts, 0.5, RHO0, HARMONIC, DT3),
-    "correction": lambda pts: first_order_correction_points(pts, 0.5, RHO0, INTERACTING, PERT),
-    "correction-t0": lambda pts: first_order_correction_points(pts, 0.0, RHO0, INTERACTING, PERT),
+    "transported": lambda pts: transported_density_points(pts, 0.5, RHO0, HARMONIC, DT3,
+                                                               PERT.aux_grid),
+    "correction": lambda pts: first_order_correction_points(pts, 0.5, RHO0, INTERACTING, PERT,
+                                                                 PERT.aux_grid),
+    "correction-t0": lambda pts: first_order_correction_points(pts, 0.0, RHO0, INTERACTING, PERT,
+                                                                    PERT.aux_grid),
     "correction-no-pair": lambda pts: first_order_correction_points(pts, 0.5, RHO0, HARMONIC,
-                                                                    PERT),
+                                                                    PERT, PERT.aux_grid),
 }
 
 

@@ -14,6 +14,7 @@ from kvnsim.perturbation import (
     transported_density_points,
 )
 from kvnsim.phase_space import (
+    CosinePotential,
     GaussianPair,
     HarmonicPotential,
     PhaseGrid,
@@ -46,12 +47,14 @@ def test_settings_validation():
 
 def test_transported_density_t0():
     x = point(1.2, -0.3)
-    assert transported_density_points(x, 0.0, RHO0, HARMONIC, FLOW_EXACT)[0] == RHO0(1.2, -0.3)
+    got = transported_density_points(x, 0.0, RHO0, HARMONIC, FLOW_EXACT, AUX)[0]
+    assert got == RHO0(1.2, -0.3)
 
 
 def test_transported_density_free_streaming_spot_value():
     x = point(1.0, 1.0)
-    got = transported_density_points(x, 1.0, RHO0, ProblemSpec(), FlowSettings(dt=1e-3))[0]
+    got = transported_density_points(x, 1.0, RHO0, ProblemSpec(), FlowSettings(dt=1e-3),
+                                     AUX)[0]
     assert_allclose(got, RHO0(0.0, 1.0), rtol=1e-12)
 
 
@@ -59,20 +62,21 @@ def test_transported_density_harmonic_rotation_oracle():
     # Verlet path against the closed-form back-rotation
     x = point(1.0, 0.5)
     t = 0.8
-    got = transported_density_points(x, t, RHO0, HARMONIC, FlowSettings(dt=1e-3))[0]
+    got = transported_density_points(x, t, RHO0, HARMONIC, FlowSettings(dt=1e-3), AUX)[0]
     c, s = np.cos(t), np.sin(t)
     expected = RHO0(1.0 * c - 0.5 * s, 0.5 * c + 1.0 * s)
     assert abs(got - expected) / expected < 1e-6
 
 
 def test_source_vanishes_without_pair_potential():
-    assert interaction_source_points(point(1.0, 1.0), 0.5, RHO0, HARMONIC, SETTINGS)[0] == 0.0
+    assert interaction_source_points(point(1.0, 1.0), 0.5, RHO0, HARMONIC, SETTINGS,
+                                     AUX)[0] == 0.0
 
 
 def test_source_vanishes_at_momentum_extremum():
     # at t=0 the p-derivative of the transported density vanishes at p = p_center
     x = point(0.6, 0.0)
-    f = interaction_source_points(x, 0.0, RHO0, INTERACTING, SETTINGS)[0]
+    f = interaction_source_points(x, 0.0, RHO0, INTERACTING, SETTINGS, AUX)[0]
     scale = RHO0(0.6, 0.0)
     assert abs(f) < 1e-8 * scale
 
@@ -82,7 +86,7 @@ def _source_oracle(x, t, rho_init, spec, h_p, aux):
     flow = FlowSettings(dt=1e-3, exact_shortcut=True)
 
     def rho0_at(pts):
-        return transported_density_points(pts, t, rho_init, spec, flow)
+        return transported_density_points(pts, t, rho_init, spec, flow, aux)
 
     up = rho0_at(np.array([[x[0], x[1] + h_p]]))[0]
     dn = rho0_at(np.array([[x[0], x[1] - h_p]]))[0]
@@ -97,7 +101,7 @@ def _source_oracle(x, t, rho_init, spec, h_p, aux):
 def test_source_probe_point_against_refined_oracle():
     x = (1.1, -0.4)
     t = 0.5
-    got = interaction_source_points(point(*x), t, RHO0, INTERACTING, SETTINGS)[0]
+    got = interaction_source_points(point(*x), t, RHO0, INTERACTING, SETTINGS, AUX)[0]
     fine_aux = PhaseGrid(-6, 6, -6, 6, 1280, 1280)
     oracle = _source_oracle(x, t, RHO0, INTERACTING, h_p=1e-5, aux=fine_aux)
     assert abs(got - oracle) / abs(oracle) < 1e-3
@@ -105,15 +109,15 @@ def test_source_probe_point_against_refined_oracle():
 
 def test_first_order_correction_trivial_zeroes():
     x = point(1.0, 0.3)
-    assert first_order_correction_points(x, 0.0, RHO0, INTERACTING, SETTINGS)[0] == 0.0
-    assert first_order_correction_points(x, 0.5, RHO0, HARMONIC, SETTINGS)[0] == 0.0
+    assert first_order_correction_points(x, 0.0, RHO0, INTERACTING, SETTINGS, AUX)[0] == 0.0
+    assert first_order_correction_points(x, 0.5, RHO0, HARMONIC, SETTINGS, AUX)[0] == 0.0
 
 
 def test_first_order_correction_quadrature_refinement():
     x = point(1.0, 1.0)
-    coarse = first_order_correction_points(x, 0.5, RHO0, INTERACTING, SETTINGS)[0]
+    coarse = first_order_correction_points(x, 0.5, RHO0, INTERACTING, SETTINGS, AUX)[0]
     fine_settings = PerturbationSettings(aux_grid=AUX, flow=FLOW_EXACT, n_s=32, h_p=1e-4)
-    fine = first_order_correction_points(x, 0.5, RHO0, INTERACTING, fine_settings)[0]
+    fine = first_order_correction_points(x, 0.5, RHO0, INTERACTING, fine_settings, AUX)[0]
     assert abs(fine - coarse) / abs(fine) < 1e-4
 
 
@@ -121,9 +125,9 @@ def test_correction_is_exactly_linear_in_strength():
     grid = PhaseGrid(-6, 6, -6, 6, 24, 24)
     Q, P = grid.meshgrid()
     pts = np.column_stack([Q.ravel(), P.ravel()])
-    r1 = first_order_correction_points(pts, 0.5, RHO0, INTERACTING, SETTINGS)
+    r1 = first_order_correction_points(pts, 0.5, RHO0, INTERACTING, SETTINGS, grid)
     r2 = first_order_correction_points(
-        pts, 0.5, RHO0, INTERACTING.with_pair_strength(0.2), SETTINGS)
+        pts, 0.5, RHO0, INTERACTING.with_pair_strength(0.2), SETTINGS, grid)
     scale = np.max(np.abs(r2))
     assert np.max(np.abs(r2 - 2.0 * r1)) <= 1e-10 * scale
 
@@ -135,7 +139,7 @@ def test_perturbative_density_trivial_cases():
 
     # zero coupling: field equals the transported density on the grid
     field = perturbative_density(grid, 0.5, RHO0, HARMONIC, SETTINGS)
-    rho0_vals = transported_density_points(pts, 0.5, RHO0, HARMONIC, FLOW_EXACT)
+    rho0_vals = transported_density_points(pts, 0.5, RHO0, HARMONIC, FLOW_EXACT, grid)
     assert np.array_equal(field.values, rho0_vals.reshape(32, 32))
 
     # t = 0: field equals the initial density sampled on the grid
@@ -157,7 +161,8 @@ def test_aux_grid_too_small_raises_diagnostic():
     tiny_aux = PhaseGrid(-1, 1, -1, 1, 16, 16)  # misses most of the density
     settings = PerturbationSettings(aux_grid=tiny_aux, flow=FLOW_EXACT)
     with pytest.raises(AuxGridError, match="marginal mass"):
-        interaction_source_points(point(0.5, 0.5), 0.3, RHO0, INTERACTING, settings)
+        interaction_source_points(point(0.5, 0.5), 0.3, RHO0, INTERACTING, settings,
+                                  tiny_aux)
 
 
 def test_solver_matches_transported_density_without_coupling():
@@ -169,7 +174,7 @@ def test_solver_matches_transported_density_without_coupling():
     snap = vlasov_solve(f0, 2.0, HARMONIC, VlasovSettings(dt=0.02), [2.0])[-1]
     Q, P = grid.meshgrid()
     pts = np.column_stack([Q.ravel(), P.ravel()])
-    rho0_vals = transported_density_points(pts, 2.0, dens, HARMONIC, FLOW_EXACT)
+    rho0_vals = transported_density_points(pts, 2.0, dens, HARMONIC, FLOW_EXACT, grid)
     assert np.max(np.abs(snap.values - rho0_vals.reshape(128, 128))) < 1e-3
 
 
@@ -207,3 +212,43 @@ def test_residual_sweep_without_a_pair():
     with pytest.raises(ValueError, match="'none' pair potential"):
         residual_vs_vlasov(0.3, RHO0, HARMONIC, [0.0, 0.1], grid, SETTINGS,
                            VlasovSettings(dt=0.01))
+
+
+def test_periodic_q_transport_wraps_back_traced_points_and_conserves_mass():
+    # a cosine trap carries part of the gaussian across q = +-pi by t = 1; the
+    # back-traced points must be wrapped into the domain, where the initial
+    # field lives, or that part reads the gaussian's far tail (mass 0.99908).
+    # p reaches 6 / 0.6 = 9.7 sigma, so no mass leaves through the open p-axis
+    grid = PhaseGrid(-np.pi, np.pi, -6, 6, 64, 64, periodic_q=True)
+    dens = GaussianDensity(0.3, 0.2, 0.5, 0.6)
+    spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.5))
+    settings = PerturbationSettings(aux_grid=grid, flow=FlowSettings(dt=1e-2))
+    field = perturbative_density(grid, 1.0, dens, spec, settings)
+    init = density_from_function(grid, dens, warn=False)
+    assert abs(field.mass / init.mass - 1.0) < 1e-6  # C4
+
+
+def test_source_wraps_on_the_run_grid_not_on_an_open_aux_grid():
+    # a periodic-q run with an explicit open aux grid: the source's momentum
+    # gradient reads the back-traced points wrapped into the run grid, not
+    # the far tail of the initial gaussian that the open aux grid would give;
+    # the gaussian sits by q = pi and drifts across it
+    grid = PhaseGrid(-np.pi, np.pi, -6, 6, 16, 16, periodic_q=True)
+    open_aux = PhaseGrid(-8, 8, -6, 6, 64, 64)
+    dens = GaussianDensity(2.5, 0.5, 0.5, 0.6)
+    spec = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.5),
+                       pair=GaussianPair(strength=0.1, width=0.8))
+    flow = FlowSettings(dt=1e-2)
+    settings = PerturbationSettings(aux_grid=open_aux, flow=flow, h_p=1e-4)
+    Q, P = grid.meshgrid()
+    pts = np.column_stack([Q.ravel(), P.ravel()])
+    got = interaction_source_points(pts, 1.0, dens, spec, settings, grid,
+                                    pair_integral=np.ones_like)
+
+    def grad_p(on):
+        up = transported_density_points(pts + [0.0, 1e-4], 1.0, dens, spec, flow, on)
+        dn = transported_density_points(pts - [0.0, 1e-4], 1.0, dens, spec, flow, on)
+        return (up - dn) / 2e-4
+
+    assert np.array_equal(got, grad_p(grid))
+    assert np.max(np.abs(got - grad_p(open_aux))) > 0.5 * np.max(np.abs(got))

@@ -81,6 +81,15 @@ def test_grid_validation_and_geometry():
     assert_allclose(wrapped, [-0.5])
 
 
+def test_wrap_points_maps_into_the_domain_on_periodic_axes_only():
+    points = np.array([[3.5, 1.5], [-2.5, -3.0], [0.5, 0.25]])
+    assert PhaseGrid(-2, 2, -1, 1, 8, 4).wrap_points(points) is points
+    # p is a truncation of the real line: it is never wrapped
+    assert_allclose(PhaseGrid(-2, 2, -1, 1, 8, 4, periodic_q=True).wrap_points(points),
+                    [[-0.5, 1.5], [1.5, -3.0], [0.5, 0.25]])
+    assert_allclose(points[0], [3.5, 1.5])  # the input is not changed
+
+
 def test_density_field_invariants():
     grid = PhaseGrid(-1, 1, -1, 1, 4, 4)
     with pytest.raises(ValueError):
