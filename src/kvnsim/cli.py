@@ -25,7 +25,6 @@ from .config import (
     CompareRun,
     ConfigError,
     FlowRun,
-    FockRun,
     ScenarioConfig,
     parse_config,
 )
@@ -142,10 +141,10 @@ def _run_perturbation(cfg: ScenarioConfig, out_dir: str, base_dir: str):
 
 
 def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
-    settings: FockRun = cfg.settings
+    n_particles: int = cfg.settings
     grid = cfg.grid
     # an over-cap sector is refused here, before its states are enumerated
-    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=settings.n_particles)
+    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=n_particles)
     op = assemble_liouvillian(grid, cfg.spec, basis)
 
     Q, P = grid.meshgrid()
@@ -154,7 +153,7 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     if norm <= 0:
         raise ValueError("initial density vanishes on the grid")
     orbital = (orbital / norm).reshape(-1)
-    psi = orbital if settings.n_particles == 1 else np.outer(orbital, orbital)
+    psi = orbital if n_particles == 1 else np.outer(orbital, orbital)
     state0 = embed_product_state(psi, basis, grid)
     state1 = propagate(state0, op, cfg.t_final)
     dens = density_expectation(state1, grid)

@@ -57,13 +57,6 @@ class FlowRun:
 
 
 @dataclass(frozen=True)
-class FockRun:
-    """Fock-method keys; the runner builds the sector from them."""
-
-    n_particles: int
-
-
-@dataclass(frozen=True)
 class CompareRun:
     """Comparison targets and sweeps, with the library settings of each side."""
 
@@ -85,7 +78,7 @@ class ScenarioConfig:
     density: GaussianDensity | GaussianMixture | None
     t_final: float
     snapshots: tuple[float, ...]
-    settings: Any
+    settings: Any  # the method's settings object; the particle count for fock
     raw: dict = field(repr=False, default_factory=dict)
 
 
@@ -393,7 +386,7 @@ def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None,
         n = v.get_int(path, d, "n_particles", default=1)
         if n not in (1, 2):
             v.error(f"{path}.n_particles", "must be 1 or 2")
-        return FockRun(n_particles=n)
+        return n
     if method == "ensemble":
         return _parse_ensemble_settings(v, path, d, seed)
     return _parse_compare_settings(v, path, d, grid, seed)

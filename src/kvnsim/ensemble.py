@@ -21,6 +21,7 @@ import numpy as np
 from .densities import CatalogDensity, GaussianDensity, GaussianMixture
 from .flow import _point_rows, _verlet_steps
 from .phase_space import (
+    CostError,
     DensityField,
     NoPair,
     PhaseGrid,
@@ -34,7 +35,6 @@ from .vlasov import VlasovSettings, vlasov_solve
 from .perturbation import ConvergenceTable
 
 __all__ = [
-    "EnsembleCostError",
     "EnsembleSettings",
     "sample_initial",
     "integrate_nbody",
@@ -46,10 +46,6 @@ __all__ = [
 # Pair-kernel evaluations one integration may plan (force passes x the
 # evaluations of one pass); the direct path evaluates N^2 per pass.
 MAX_PAIR_EVALUATIONS = 10**9
-
-
-class EnsembleCostError(ValueError):
-    """The planned pair-force work exceeds MAX_PAIR_EVALUATIONS."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     wrapped and pair displacements are raw q differences, so a periodic q-axis
     is only meaningful for pairs that ``pair_is_periodic`` accepts.  Runs whose
     planned pair work (from the initial positions) exceeds
-    MAX_PAIR_EVALUATIONS raise EnsembleCostError before any step.
+    MAX_PAIR_EVALUATIONS raise CostError before any step.
     """
     pts = _point_rows(points)
     n = pts.shape[0]
@@ -122,7 +118,7 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     n_steps = step_count(T, settings.dt)
     planned = (n_steps + 1) * pair_sum_evaluations(pts[:, 0], pts[:, 0], spec.pair)
     if planned > MAX_PAIR_EVALUATIONS:
-        raise EnsembleCostError(
+        raise CostError(
             f"{n_steps + 1} force passes of {n} particles plan {planned:.3g} pair-kernel "
             f"evaluations, above the cap of {MAX_PAIR_EVALUATIONS:.0e}; "
             "use fewer particles or steps")

@@ -28,6 +28,7 @@ from math import comb
 import numpy as np
 
 from .phase_space import (
+    CostError,
     DensityField,
     NoPair,
     PhaseGrid,
@@ -41,7 +42,6 @@ __all__ = [
     "FockBasis",
     "FockState",
     "FockOperator",
-    "DimensionCapError",
     "build_one_body",
     "build_two_body",
     "assemble_liouvillian",
@@ -60,10 +60,6 @@ DIMENSION_CAP = 200_000
 _HOP_BLOCK = 1 << 10
 # propagation over R|t| above this many Chebyshev terms (one matvec each) is refused
 _MAX_SERIES_TERMS = 10**7
-
-
-class DimensionCapError(ValueError):
-    """The Fock-sector dimension exceeds DIMENSION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -239,7 +235,7 @@ class FockBasis:
         M, N = self.n_modes, self.n_particles
         dim = self.sector_dimension(M, N)
         if dim > DIMENSION_CAP:
-            raise DimensionCapError(
+            raise CostError(
                 f"sector dimension {dim} (M={M}, N={N}) exceeds the cap {DIMENSION_CAP}")
         flat = chain.from_iterable(combinations_with_replacement(range(M), N))
         object.__setattr__(self, "modes", np.fromiter(flat, np.int64).reshape(-1, N))
@@ -467,8 +463,8 @@ def _chebyshev(matrix: EllMatrix, v: np.ndarray, t: float) -> np.ndarray:
     if x == 0.0:
         return v.copy()
     if not x <= _MAX_SERIES_TERMS:
-        raise ValueError(f"t = {t} needs about {x:.3g} Chebyshev terms for a generator of "
-                         f"bound {radius:.3g}, above the cap of {_MAX_SERIES_TERMS:.0e}")
+        raise CostError(f"t = {t} needs about {x:.3g} Chebyshev terms for a generator of "
+                        f"bound {radius:.3g}, above the cap of {_MAX_SERIES_TERMS:.0e}")
     coef = _bessel_j(x)
     scale = math.copysign(1.0 / radius, t)
     prev, cur = v, scale * (matrix @ v)

@@ -27,6 +27,7 @@ __all__ = [
     "DensityField",
     "GridResolutionWarning",
     "BoundaryMassWarning",
+    "CostError",
     "spatial_density",
     "pair_gradient_table",
     "pair_is_periodic",
@@ -46,8 +47,6 @@ __all__ = [
 class FreePotential:
     """U = 0."""
 
-    tag = "free"
-
     def value(self, q, mass: float = 1.0):
         return np.zeros_like(np.asarray(q, dtype=float))
 
@@ -60,7 +59,6 @@ class HarmonicPotential:
     """U = (1/2) m omega^2 q^2, so the force is -m omega^2 q."""
 
     omega: float
-    tag = "harmonic"
 
     def __post_init__(self):
         if not self.omega > 0:
@@ -81,7 +79,6 @@ class QuarticPotential:
 
     a: float
     b: float
-    tag = "quartic"
 
     def value(self, q, mass: float = 1.0):
         q = np.asarray(q, dtype=float)
@@ -98,7 +95,6 @@ class CosinePotential:
 
     wavenumber: float
     amplitude: float
-    tag = "cosine"
 
     def __post_init__(self):
         if not self.wavenumber > 0:
@@ -124,7 +120,6 @@ PotentialSpec = FreePotential | HarmonicPotential | QuarticPotential | CosinePot
 class NoPair:
     """v = 0 (non-interacting)."""
 
-    tag = "none"
     strength = 0.0
 
     def value(self, q):
@@ -140,7 +135,6 @@ class GaussianPair:
 
     strength: float
     width: float
-    tag = "gaussian"
 
     def __post_init__(self):
         if self.strength < 0:
@@ -163,7 +157,6 @@ class CosinePair:
 
     strength: float
     wavenumber: float
-    tag = "cosine"
 
     def __post_init__(self):
         if self.strength < 0:
@@ -225,6 +218,11 @@ class GridResolutionWarning(UserWarning):
 
 class BoundaryMassWarning(UserWarning):
     """Non-negligible mass sits in the boundary cells of an open domain."""
+
+
+class CostError(ValueError):
+    """A run's planned size or work exceeds one of the library's caps: refused
+    before the work starts."""
 
 
 @dataclass(frozen=True)

@@ -57,30 +57,6 @@ _HALO = 32  # data rows a tile reads past its ends: (2 - sqrt(3))^33 < 2e-19
 _SPREAD = 4  # spread of window starts one einsum reads past the taps; wider is gathered
 
 
-def _thomas_solve(values: np.ndarray) -> None:
-    """Overwrite every column of values with its cubic B-spline coefficients c:
-    (c[i-1] + 4 c[i] + c[i+1]) / 6 = values[i], with c zero past the ends of
-    the column.
-
-    The Thomas sweep (Golub & Van Loan, Matrix Computations, 4.3), stable
-    without pivoting on this diagonally dominant matrix, in place over row
-    views: a Python loop over the rows, run only by `_prefilter_tiles`.
-    """
-    r = [0.25]  # reciprocal pivots of the LU factors: r[i] = 1 / (4 - r[i-1])
-    for _ in range(values.shape[0] - 1):
-        r.append(1.0 / (4.0 - r[-1]))
-    np.multiply(values, 6.0, out=values)
-    rows = list(values)
-    np.multiply(rows[0], r[0], out=rows[0])
-    for prev, row, ri in zip(rows, rows[1:], r[1:]):  # forward: L y = 6 values
-        np.subtract(row, prev, out=row)
-        np.multiply(row, ri, out=row)
-    scratch = np.empty(values.shape[1:])
-    for row, nxt, ri in zip(rows[-2::-1], rows[:0:-1], r[-2::-1]):  # back: U c = y
-        np.multiply(nxt, ri, out=scratch)
-        np.subtract(row, scratch, out=row)
-
-
 @lru_cache(maxsize=8)
 def _prefilter_tiles(n: int) -> tuple:
     """The banded prefilter of an open column of n data rows, in tiles
@@ -88,22 +64,27 @@ def _prefilter_tiles(n: int) -> tuple:
     with _GHOST zero rows at each end are block.T @ values[d0:d1].
 
     The coefficients are P values, P = 6 A^-1 restricted to the data rows,
-    A = tridiag(1, 4, 1) of order n + 2 _GHOST, whose entries decay like
-    (2 - sqrt(3))^|r - d| (Demko, Moss & Smith, Math. Comp. 43, 1984): a tile
-    of _TILE rows reads only the data rows within _HALO of its ends, leaving
-    out less than 4e-19 of the largest coefficient.  Each block comes from
-    the Thomas sweep of the tile's unit columns, so the cache grows linearly
-    in n and no dense inverse (with denormal far entries) forms.
+    A = tridiag(1, 4, 1) of order N = n + 2 _GHOST.  Its inverse has the
+    closed form (A^-1)_ij = (-r)^|i-j| (1 - r^(2 min(i, j))) (1 - r^(2 (N + 1
+    - max(i, j)))) / (2 sqrt(3) (1 - r^(2 (N + 1)))), r = 2 - sqrt(3), rows
+    counted from 1 (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992), so its
+    entries decay like r^|i-j|: a tile of _TILE rows reads only the data rows
+    within _HALO of its ends, leaving out less than 4e-19 of the largest
+    coefficient.  The cache grows linearly in n and no dense inverse (with
+    denormal far entries) forms.
     """
-    rows = n + 2 * _GHOST
+    rows, r = n + 2 * _GHOST, 2.0 - math.sqrt(3.0)
+    k = np.arange(rows + 2)
+    edge = 1.0 - r ** (2 * k)  # the boundary factors, 1 - r^(2k)
+    decay = math.sqrt(3.0) / edge[rows + 1] * (-r) ** k
     tiles = []
     for r0 in range(0, rows, _TILE):
         r1 = min(r0 + _TILE, rows)
         d0, d1 = max(r0 - _GHOST - _HALO, 0), min(r1 - _GHOST + _HALO, n)
-        unit = np.zeros((rows, d1 - d0))
-        unit[np.arange(_GHOST + d0, _GHOST + d1), np.arange(d1 - d0)] = 1.0
-        _thomas_solve(unit)
-        block = np.ascontiguousarray(unit[r0:r1].T)
+        i = np.arange(_GHOST + d0 + 1, _GHOST + d1 + 1)[:, None]  # rows of A, from 1
+        j = np.arange(r0 + 1, r1 + 1)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        block = decay[hi - lo] * edge[lo] * edge[rows + 1 - hi]
         block.flags.writeable = False  # the cache hands the same block to every sweep
         tiles.append((r0, r1, d0, d1, block))
     return tuple(tiles)

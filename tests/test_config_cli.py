@@ -158,7 +158,7 @@ def test_cli_fock_cap_refusal_distinct_from_crash(tmp_path):
     cfg = write_config(tmp_path, payload)
     assert main(["run", "--config", cfg]) == 2
     record = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert record["error"] == "DimensionCapError"
+    assert record["error"] == "CostError"
 
 
 def test_cli_run_turns_memory_error_into_exit_2_with_error_record(tmp_path, monkeypatch):
@@ -340,7 +340,7 @@ def test_cli_ensemble_cost_guard_exits_2_with_error_record(tmp_path):
     cfg = write_config(tmp_path, dict(ENSEMBLE_OPEN, output_dir=str(tmp_path / "out")))
     assert main(["run", "--config", cfg]) == 2
     record = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert record["error"] == "EnsembleCostError"
+    assert record["error"] == "CostError"
     assert not (tmp_path / "out" / "particles_final.csv").exists()
 
 

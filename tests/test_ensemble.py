@@ -3,7 +3,6 @@ import pytest
 from kvnsim.densities import GaussianDensity, GaussianMixture
 from kvnsim.ensemble import (
     MAX_PAIR_EVALUATIONS,
-    EnsembleCostError,
     EnsembleSettings,
     ensemble_vs_vlasov,
     histogram_density,
@@ -13,6 +12,7 @@ from kvnsim.ensemble import (
 from kvnsim.flow import FlowSettings, flow_map_points
 from kvnsim.phase_space import (
     CosinePair,
+    CostError,
     GaussianPair,
     HarmonicPotential,
     PhaseGrid,
@@ -113,9 +113,9 @@ def test_cost_guard_refuses_before_integrating():
     # the proxy path at N = 2000 plans ~1.6e5 evaluations per pass; 10^5 passes
     # exceed the cap, so the refusal comes at once instead of after hours
     assert 10**5 * 1.6e5 > MAX_PAIR_EVALUATIONS
-    with pytest.raises(EnsembleCostError, match="pair-kernel evaluations"):
+    with pytest.raises(CostError, match="pair-kernel evaluations"):
         integrate_nbody(pts, 1000.0, spec, EnsembleSettings(dt=0.01, seed=0))
-    assert issubclass(EnsembleCostError, ValueError)
+    assert issubclass(CostError, ValueError)
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (2, 5, 2), (2,)])

@@ -12,7 +12,6 @@ from scipy.special import jv
 from kvnsim import fock
 from kvnsim.densities import GaussianDensity
 from kvnsim.fock import (
-    DimensionCapError,
     EllMatrix,
     FockBasis,
     FockOperator,
@@ -31,6 +30,7 @@ from kvnsim.fock import (
 )
 from kvnsim.phase_space import (
     CosinePotential,
+    CostError,
     GaussianPair,
     HarmonicPotential,
     PhaseGrid,
@@ -247,7 +247,7 @@ def test_assemble_hermitian_and_number_conserving():
 
 def test_over_cap_basis_refused_before_enumeration():
     # 1.7e11 rows: enumerating them first would exhaust memory long before any check
-    with pytest.raises(DimensionCapError, match="166716670000"):
+    with pytest.raises(CostError, match="166716670000"):
         FockBasis(n_modes=10_000, n_particles=3)
 
 
@@ -420,7 +420,7 @@ def test_propagate_refuses_non_finite_and_over_cap_times(t, message):
     basis = FockBasis(n_modes=16, n_particles=1)
     L = assemble_liouvillian(grid, INTERACTING, basis)
     state = FockState(basis, np.eye(16)[3])
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(CostError if message == "above the cap" else ValueError, match=message):
         propagate(state, L, t)
 
 

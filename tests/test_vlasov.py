@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
@@ -29,7 +29,6 @@ from kvnsim.vlasov import (
     _OpenAxis,
     _PeriodicAxis,
     _Stepper,
-    _thomas_solve,
     vlasov_solve,
     vlasov_step,
 )
@@ -383,30 +382,28 @@ def test_integer_shifts_move_whole_cells(periodic, cubic):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(7, 600), m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(4, 600), m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
        fill=st.sampled_from([1.0, 0.05]), transposed=st.booleans())
+@example(n=1024, m=3, seed=0, scale=1.0, fill=1.0, transposed=False)  # 17 tiles
 def test_open_prefilter_matches_dense_and_banded_solves(n, m, seed, scale, fill, transposed):
-    # the Thomas sweep on the column itself, and the tiled banded operator the
-    # sweeps use on the column padded with three zero ghost rows at each end,
-    # reading the values in either memory layout
+    # the tiled banded operator the sweeps use, on the column padded with
+    # three zero ghost rows at each end, reading the values in either memory
+    # layout
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((n, m)) * (rng.random((n, m)) < fill)
     if transposed:
         values = np.ascontiguousarray(values.T).T
-    thomas = values.copy()
-    _thomas_solve(thomas)
     padded = np.zeros((n + 6, m))
     padded[3:-3] = values
     banded = np.empty((n + 6, m))
     _bspline_prefilter(values, banded)
-    for got, rhs in ((thomas, values), (banded, padded)):
-        k = rhs.shape[0]
-        matrix = (4.0 * np.eye(k) + np.eye(k, k=1) + np.eye(k, k=-1)) / 6.0
-        bands = np.full((3, k), 1.0 / 6.0)
-        bands[1] = 4.0 / 6.0
-        for ref in (np.linalg.solve(matrix, rhs), solve_banded((1, 1), bands, rhs)):
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    k = n + 6
+    matrix = (4.0 * np.eye(k) + np.eye(k, k=1) + np.eye(k, k=-1)) / 6.0
+    bands = np.full((3, k), 1.0 / 6.0)
+    bands[1] = 4.0 / 6.0
+    for ref in (np.linalg.solve(matrix, padded), solve_banded((1, 1), bands, padded)):
+        assert np.max(np.abs(banded - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _bspline(t, cubic):
