@@ -202,11 +202,10 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
         path = os.path.join(out_dir, "residual_table.csv")
         write_table_csv(path, table)
         files.append(path)
-        nonzero = [r for r in table.rows if r[0] > 0]
-        if len(nonzero) >= 3:
-            errs = [e for _, e in nonzero]
-            for i in range(len(errs) - 1):
-                checks.append(_check(f"strength_ratio_{i}", errs[i] / errs[i + 1], 3.0, 5.0))
+        ratios = table.ratios
+        if len(ratios) >= 2:
+            checks += [_check(f"strength_ratio_{i}", ratio, 3.0, 5.0)
+                       for i, ratio in enumerate(ratios)]
             checks.append(_check("fitted_order", table.fitted_order, 1.7, 2.3))
     else:
         ens = settings.ensemble
@@ -220,12 +219,10 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
                            note="mean-field scaling divides pair forces by (n - 1)")
         files += [path, meta_path]
         seeds.append(cfg.seed)
-        rows = list(table.rows)
-        for i in range(len(rows) - 1):
-            n0, e0 = rows[i]
-            n1, e1 = rows[i + 1]
-            if abs(n1 / n0 - 10.0) < 1e-9:  # per-decade window only for decade steps
-                checks.append(_check(f"decade_ratio_{i}", e0 / e1, 2.5, 4.0))
+        n = [row[0] for row in table.rows]  # sample sizes >= 1, so ratios spans every row
+        for i, ratio in enumerate(table.ratios):
+            if abs(n[i + 1] / n[i] - 10.0) < 1e-9:  # per-decade window only for decade steps
+                checks.append(_check(f"decade_ratio_{i}", ratio, 2.5, 4.0))
     return files, checks, seeds
 
 

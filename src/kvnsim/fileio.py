@@ -205,12 +205,26 @@ def write_points_csv(path, points: np.ndarray) -> None:
 
 
 def read_points_csv(path) -> np.ndarray:
+    """The (n, 2) points of a q,p file: at least one row, each two finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if [c.strip() for c in header] != ["q", "p"]:
             raise ValueError(f"{path}: expected columns q,p")
-        rows = [line.split(",") for line in fh if line.strip()]
-    return np.array([[float(a), float(b)] for a, b in rows])
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(cell) for cell in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 2 or not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}, line {line_no}: expected two finite numbers q,p, "
+                                 f"got {line.strip()!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no points")
+    return np.array(rows)
 
 
 def write_trajectory_csv(path, times: np.ndarray, trajectory: np.ndarray) -> None:

@@ -96,9 +96,9 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     pts = _as_points(points)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    q, p = pts[:, 0], pts[:, 1]
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("flows need finite points")
+    q, p = np.atleast_2d(pts).T
     if settings.exact_shortcut and isinstance(spec.external, (FreePotential, HarmonicPotential)):
         q, p = _exact_flow(q, p, t, spec)
     else:
@@ -107,7 +107,7 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
         if rem > 0.0:
             q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
     out = np.column_stack([q, p])
-    return out[0] if squeeze else out
+    return out[0] if pts.ndim == 1 else out
 
 
 def flow_jacobian(x: np.ndarray, t: float, spec: ProblemSpec, settings: FlowSettings,

@@ -11,9 +11,9 @@ real and antisymmetric: L is Hermitian by construction, and exp(-iLt) =
 exp(Kt) is a real orthogonal matrix, so the truncated theory is exactly
 unitary.  This is the Koopman-von Neumann fact that the Liouvillian is
 purely imaginary, and everything here stores and applies the real generator
-K = -iL, in row-padded ELL form, with numpy alone.  Its rows are built source
-by source: row s is minus the moves out of s, as the exact check of K = -K^T
-licenses.
+K = -iL, in row-padded ELL form, with numpy alone.  Its rows are built state
+by state, as the quantum Vlasov equation reads: each particle of a state s
+drifts with p/m along q and is kicked along p by the force of s itself.
 
 Bose statistics only.
 """
@@ -180,17 +180,21 @@ def _momentum_stencil(grid: PhaseGrid) -> EllMatrix:
     return EllMatrix.from_coo(row, col, -val, n_q * n_p)
 
 
+def _drift(grid: PhaseGrid, spec: ProblemSpec):
+    """-(p/m) d/dq on the cell-indicator modes as (row, col, value) triplets."""
+    return _kron(_centered_difference(grid.n_q, grid.dq),
+                 _diagonal(-grid.p_centers / spec.mass), grid.n_p)
+
+
 def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
     """-(p/m) d/dq + grad U(q) d/dp on the cell-indicator modes: the real
     generator k = -ih of the one-body Liouvillian h = (p/m) (1/i) d/dq -
     grad U(q) (1/i) d/dp, antisymmetric (h Hermitian) to 1e-12 or this raises."""
     _require_periodic(grid)
     n_p = grid.n_p
-    drift = _kron(_centered_difference(grid.n_q, grid.dq),
-                  _diagonal(-grid.p_centers / spec.mass), n_p)
     kick = _kron(_diagonal(spec.external_gradient(grid.q_centers)),
                  _centered_difference(n_p, grid.dp), n_p)
-    row, col, val = (np.concatenate(part) for part in zip(drift, kick))
+    row, col, val = (np.concatenate(part) for part in zip(_drift(grid, spec), kick))
     return _require_antisymmetric(EllMatrix.from_coo(row, col, val, grid.n_q * n_p),
                                   "one-body matrix")
 
@@ -326,54 +330,44 @@ def _pair_correlation(basis: FockBasis, weights: np.ndarray) -> np.ndarray:
     return _slot_sum(pairs, weights, M * M).reshape(M, M)
 
 
-def _columns(stencil: EllMatrix):
-    """(indptr, indices, data) of the columns of an M x M stencil, rows ascending."""
-    row, col, val = stencil.entries()
-    order = np.argsort(col, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=len(stencil.val)))])
-    return indptr, row[order], val[order]
-
-
-def _hops(basis: FockBasis, modes: np.ndarray, columns):
-    """Every move a+_i a_k of an M x M stencil, given by its ``_columns``, over
-    the source states ``modes`` (rows of ``basis.modes``), as (target row,
-    source position in ``modes``, i, stencil value, sqrt(n_k (n_i - delta_ik + 1)))."""
-    indptr, indices, data = columns
-    # a source moves each distinct occupied mode k once, from its first slot
-    col, slot = np.nonzero(np.diff(modes, axis=1, prepend=-1))
-    k = modes[col, slot]
-    per = np.diff(indptr)[k]
-    entry = np.repeat(indptr[k] - np.cumsum(per) + per, per) + np.arange(per.sum())
-    col, slot, k = np.repeat(col, per), np.repeat(slot, per), np.repeat(k, per)
-    i = indices[entry]
-    target = modes[col]
+def _hops(basis: FockBasis, modes: np.ndarray, stencil: EllMatrix):
+    """Every entry <s| k_ki a+_k a_i |t> of the lift of an M x M stencil k in
+    the rows s of ``modes`` (rows of ``basis.modes``).  For each mode k
+    occupied in s, row k of the stencil lists the modes i and the states t,
+    s with one particle moved from k to i.  Returned as (position of s in
+    ``modes``, row t, i, k_ki, sqrt(n_k (n_i - delta_ik + 1))), n the
+    occupations of s."""
+    # each distinct occupied mode k of a state once, at its first slot
+    source, slot = np.nonzero(np.diff(modes, axis=1, prepend=-1))
+    k = modes[source, slot]
+    move, entry = np.nonzero(stencil.val[k])
+    source, slot, k = source[move], slot[move], k[move]
+    i = stencil.idx[k, entry]
+    target = modes[source]
     n_k = np.count_nonzero(target == k[:, None], axis=1)
     n_i = np.count_nonzero(target == i[:, None], axis=1)
     factor = np.sqrt(n_k * (n_i - (i == k) + 1))
-    target[np.arange(len(col)), slot] = i
-    row = basis._rank(np.sort(target, axis=1))
-    return row, col, i, data[entry], factor
+    target[np.arange(len(source)), slot] = i
+    return source, basis._rank(np.sort(target, axis=1)), i, stencil.val[k, entry], factor
 
 
 def _sector_rows(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis):
-    """The rows of K, one ``EllMatrix._from_rows`` block per _HOP_BLOCK source
-    states: as K = -K^T, row s is minus the moves out of s (``_hops``)."""
-    one_body = _columns(build_one_body(grid, spec))
-    pair = not isinstance(spec.pair, NoPair)
-    if pair:
-        gradv_q = pair_gradient_table(grid, spec.pair)
-        momentum = _columns(_momentum_stencil(grid))
+    """The rows of K, one ``EllMatrix._from_rows`` block per _HOP_BLOCK states
+    s: the drift hops of s along q, then its kick hops along p, the momentum
+    stencil times the force F_s on the moving particle's q-column."""
+    n_p = grid.n_p
+    drift = EllMatrix.from_coo(*_drift(grid, spec), basis.n_modes)
+    momentum = _momentum_stencil(grid)
+    gradv_q = pair_gradient_table(grid, spec.pair)
     for start in range(0, basis.dimension, _HOP_BLOCK):
         modes = basis.modes[start:start + _HOP_BLOCK]
-        target, source, _, kik, factor = _hops(basis, modes, one_body)
-        moves = [(source, target, kik * factor)]
-        if pair:
-            # W(s, a) = -sum_a' gradv[a, a'] n_s(a'), summed over the particles of s
-            w_field = -gradv_q[:, modes // grid.n_p].sum(axis=2).T
-            target, source, i, dik, factor = _hops(basis, modes, momentum)
-            moves.append((source, target, (dik * w_field[source, i // grid.n_p]) * factor))
-        source, target, value = (np.concatenate(part) for part in zip(*moves))
-        yield source, target, -value, len(modes)
+        # F_s(a) = -grad U(q_a) - sum_a' grad v(q_a - q_a') n_s(a'); the own term is grad v(0) = 0
+        force = -spec.external_gradient(grid.q_centers) - gradv_q[:, modes // n_p].sum(axis=2).T
+        source, target, _, value, factor = _hops(basis, modes, drift)
+        kick_source, kick_target, i, d, kick_factor = _hops(basis, modes, momentum)
+        kick = (d * force[kick_source, i // n_p]) * kick_factor
+        yield (np.concatenate([source, kick_source]), np.concatenate([target, kick_target]),
+               np.concatenate([value * factor, kick]), len(modes))
 
 
 def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> FockOperator:
@@ -383,14 +377,15 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     with no extra prefactor on the pair term: that convention makes the N=2
     sector reproduce the first-quantized two-particle generator
     h(x) + h(x') + g(x,x') + g(x',x) exactly, which is the normative test.
-    Both terms go through one kernel of hops a+_i a_k over all states, in the
-    real form K = -iL: the one-body term with value k_ik of ``build_one_body``,
-    the pair term with d_ik W(s, q-column of i), d = -d/dp the momentum stencil
-    and W(s, a) = -sum_a' grad v(q_a - q_a') n_s(a'), so the G of
-    ``build_two_body`` is never formed.  Rows are built source by source, row s
-    as minus the moves out of s; the exact antisymmetry check licenses that.
-    Total occupation is conserved move by move, so [L, N] = 0 exactly.
+    In the real form K = -iL each particle of a state s drifts with p/m and is
+    kicked by one force, as in the quantum Vlasov equation: row s holds the
+    hops of the drift stencil -(p/m) d/dq and of d F_s, d = -d/dp the momentum
+    stencil and F_s(a) = -grad U(q_a) - sum_a' grad v(q_a - q_a') n_s(a') the
+    force of the state s on a particle in q-column a.  Neither ``build_one_body``
+    nor the G of ``build_two_body`` is formed.  Total occupation is conserved
+    hop by hop, so [L, N] = 0 exactly.
     """
+    _require_periodic(grid)
     _require_matching_grid(grid, basis)
     matrix = EllMatrix._from_rows(_sector_rows(grid, spec, basis), basis.dimension)
     return FockOperator(basis, matrix)

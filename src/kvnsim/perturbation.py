@@ -177,8 +177,8 @@ class ConvergenceTable:
 
     @property
     def ratios(self) -> list[float]:
-        """Ratios of consecutive errors in row order (decreasing error expected)."""
-        errs = [e for _, e in self.rows]
+        """Ratios of consecutive errors over the rows of the fit (decreasing error expected)."""
+        errs = [e for param, e in self.rows if param > 0]
         return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
 
 

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .phase_space import DensityField, PhaseGrid, ProblemSpec, mean_field_force
 
-__all__ = ["VlasovSettings", "CFLViolation", "vlasov_step", "vlasov_solve"]
+__all__ = ["VlasovSettings", "CFLViolation", "vlasov_solve"]
 
 
 class CFLViolation(ValueError):
@@ -294,13 +294,6 @@ class _Stepper:
             self.q_drift(left > 0)
             clipped += self.clip()
         return rho.copy_with(self.f.T.copy(), clip_count=rho.clip_count + clipped, time=time)
-
-
-def vlasov_step(rho: DensityField, spec: ProblemSpec, settings: VlasovSettings) -> DensityField:
-    """Advance the density by one Strang-split step of size dt: half-drift in
-    q, kick in p, half-drift in q, then clip."""
-    t = None if rho.time is None else rho.time + settings.dt
-    return _Stepper(rho.grid, spec, settings).run(rho, 1, t)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,

@@ -145,6 +145,28 @@ def test_cli_flow_batch_csv(tmp_path):
     assert len(lines) == 1 + 3 * 2  # header + snapshots x particles
 
 
+@pytest.mark.parametrize("body, problem", [
+    ("nan,0.1\n", "line 2: expected two finite numbers q,p, got 'nan,0.1'"),
+    ("0,1\n1,2,3\n", "line 3: expected two finite numbers q,p, got '1,2,3'"),
+    ("", "no points"),
+], ids=["nan", "three-columns", "empty"])
+def test_cli_flow_refuses_a_bad_points_file(tmp_path, body, problem):
+    (tmp_path / "pts.csv").write_text("q,p\n" + body)
+    payload = {
+        "method": "flow",
+        "output_dir": str(tmp_path / "out"),
+        "problem": {"external_potential": {"type": "harmonic", "omega": 1.0}},
+        "times": {"t_final": 1.0},
+        "settings": {"dt": 0.001, "points_csv": "pts.csv", "n_snapshots": 3},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert str(tmp_path / "pts.csv") in record["message"]
+    assert problem in record["message"]
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_cli_fock_cap_refusal_distinct_from_crash(tmp_path):
     payload = {
         "method": "fock",

@@ -149,6 +149,15 @@ def test_table_csv_footer(tmp_path):
     assert float(lines[-1].split(",")[1]) == table.fitted_order
 
 
+def test_table_ratios_and_order_skip_the_zero_parameter_row():
+    # a zero strength is the discretization floor: neither the ratios nor the fit read it
+    table = ConvergenceTable(parameter="strength",
+                             rows=((0.2, 1e-3), (0.0, 5e-6), (0.1, 2.5e-4), (0.05, 1e-4)))
+    assert table.ratios == [1e-3 / 2.5e-4, 2.5e-4 / 1e-4]
+    assert table.fitted_order == ConvergenceTable(
+        parameter="strength", rows=((0.2, 1e-3), (0.1, 2.5e-4), (0.05, 1e-4))).fitted_order
+
+
 def test_atomic_write_uses_a_unique_temp_file(tmp_path):
     # a leftover at the old fixed temp name (here a directory) must not block the write
     path = tmp_path / "out.bin"

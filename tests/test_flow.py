@@ -192,3 +192,9 @@ POINT_CONSUMERS = {
 def test_rejects_points_that_are_not_q_p_pairs(consumer, shape):
     with pytest.raises(ValueError, match="points must be a"):
         POINT_CONSUMERS[consumer](np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flow_refuses_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite points"):
+        flow_map_points(np.array([[0.0, 1.0], [bad, 0.1]]), 1.0, HARMONIC, DT3)

@@ -30,11 +30,16 @@ from kvnsim.vlasov import (
     _PeriodicAxis,
     _Stepper,
     vlasov_solve,
-    vlasov_step,
 )
 
 FREE = ProblemSpec()
 STANDARD_GAUSSIAN = GaussianDensity(0.0, 0.0, 1.0, 1.0)
+
+
+def one_step(rho, spec, settings):
+    """One Strang step of size dt: half-drift in q, kick in p, half-drift in q, clip."""
+    t = None if rho.time is None else rho.time + settings.dt
+    return _Stepper(rho.grid, spec, settings).run(rho, 1, t)
 
 
 def wide_grid(n):
@@ -92,7 +97,7 @@ def test_mass_conservation_per_step():
     settings = VlasovSettings(dt=0.02)
     rho = f0
     for _ in range(20):
-        new = vlasov_step(rho, spec, settings)
+        new = one_step(rho, spec, settings)
         assert abs(new.mass - rho.mass) / rho.mass < 1e-6
         rho = new
 
@@ -146,7 +151,7 @@ def test_snapshot_every_step_is_bit_identical_to_chained_steps(case, interpolati
     snaps = vlasov_solve(f0, 0.4, spec, settings, [0.05 * k for k in range(1, 9)])
     rho = f0
     for snap in snaps:
-        rho = vlasov_step(rho, spec, settings)
+        rho = one_step(rho, spec, settings)
         assert np.array_equal(snap.values, rho.values)
         assert snap.clip_count == rho.clip_count
     if case == "open-spike" and interpolation == "cubic-spline":
@@ -268,7 +273,7 @@ def test_cfl_violation_rejected():
     grid = wide_grid(32)
     f0 = density_from_function(grid, GaussianDensity(0, 0, 0.8, 0.8), warn=False)
     with pytest.raises(CFLViolation):
-        vlasov_step(f0, FREE, VlasovSettings(dt=3.0))
+        one_step(f0, FREE, VlasovSettings(dt=3.0))
 
 
 def test_p_kick_violation_rejected():
@@ -277,8 +282,8 @@ def test_p_kick_violation_rejected():
     f0 = density_from_function(grid, GaussianDensity(0, 0, 0.8, 0.4), warn=False)
     spec = ProblemSpec(external=HarmonicPotential(omega=10.0))
     with pytest.raises(CFLViolation, match="p-domain"):
-        vlasov_step(f0, spec, VlasovSettings(dt=0.01))
-    vlasov_step(f0, spec, VlasovSettings(dt=0.001))
+        one_step(f0, spec, VlasovSettings(dt=0.01))
+    one_step(f0, spec, VlasovSettings(dt=0.001))
 
 
 def test_refuses_momentum_boundary_mass():
@@ -303,7 +308,7 @@ def test_linear_interpolation_is_positivity_safe():
 def test_negative_undershoot_clipped_and_counted():
     f0 = _spike_field()
     settings = VlasovSettings(dt=0.05)
-    snap = vlasov_step(f0, FREE, settings)
+    snap = one_step(f0, FREE, settings)
     assert snap.clip_count > 0
     assert snap.values.min() >= DensityField.NEGATIVE_TOL
     assert abs(snap.mass - f0.mass) / f0.mass < 1e-8
@@ -442,6 +447,8 @@ def test_spectral_drift_matches_prefilter_and_window(n, m, seed, cubic):
 @given(n=st.integers(4, 300), m=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
        cubic=st.booleans(), transposed=st.booleans(),
        spread=st.sampled_from(["sub-cell", "wide", "wide-monotone"]))
+# one surviving output of 3.2e-4, a near-cancelling sum of O(1) coefficients
+@example(n=4, m=1, seed=239, cubic=True, transposed=False, spread="wide")
 def test_open_sweep_matches_banded_solve_and_window(n, m, seed, cubic, transposed, spread):
     # the direct formula: solve the ghost-padded column, then the B-spline
     # window at row i - cells, and zero where the trace leaves [-0.5, n - 0.5].
@@ -473,4 +480,5 @@ def test_open_sweep_matches_banded_solve_and_window(n, m, seed, cubic, transpose
     x = np.arange(n)[:, None] - cells
     ref[(x < -0.5) | (x > n - 0.5)] = 0.0
     got = open_sweep(values, 1.0, cells, cubic)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # rounding scales with the window terms, which max |values| bounds, not with their sum
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), np.max(np.abs(values)))
