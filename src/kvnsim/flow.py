@@ -92,6 +92,8 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
     The result has the shape of ``points``.  |t| that is not a multiple of dt
     is handled by a final partial step; group-property tests should use
     aligned times, for which composed and direct step sequences are identical.
+    A flow that diverges (an overflow in the steps) raises ValueError naming
+    t and dt, rather than returning non-finite points.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
@@ -99,14 +101,19 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
     if not np.all(np.isfinite(pts)):
         raise ValueError("flows need finite points")
     q, p = np.atleast_2d(pts).T
-    if settings.exact_shortcut and isinstance(spec.external, (FreePotential, HarmonicPotential)):
-        q, p = _exact_flow(q, p, t, spec)
-    else:
-        n, rem, sign = _split_steps(t, settings.dt)
-        q, p = _verlet_steps(q, p, n, sign * settings.dt, spec.mass, spec.external_gradient)
-        if rem > 0.0:
-            q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if settings.exact_shortcut and isinstance(spec.external,
+                                                  (FreePotential, HarmonicPotential)):
+            q, p = _exact_flow(q, p, t, spec)
+        else:
+            n, rem, sign = _split_steps(t, settings.dt)
+            q, p = _verlet_steps(q, p, n, sign * settings.dt, spec.mass, spec.external_gradient)
+            if rem > 0.0:
+                q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
     out = np.column_stack([q, p])
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the flow diverged: flowing over a time interval of {t:g} "
+                         f"with dt {settings.dt:g} gave non-finite points")
     return out[0] if pts.ndim == 1 else out
 
 

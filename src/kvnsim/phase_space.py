@@ -379,8 +379,10 @@ def pair_is_periodic(pair: PairPotentialSpec, length: float) -> bool:
     return math.isfinite(cycles) and round(cycles) >= 1 and abs(cycles - round(cycles)) <= 1e-9
 
 
-# Elements of one (targets x sources or nodes) temporary in the pair sums.
-_PAIR_TILE = 1 << 15
+# Elements of one (targets x sources or nodes) temporary in the pair sums:
+# 64 KiB of doubles, half of glibc's default 128 KiB mmap threshold, so every
+# tile is recycled from the heap instead of mapped and faulted in afresh.
+_PAIR_TILE = 1 << 13
 # The proxy is kept only when its node values stay within this factor of its
 # largest interpolated target value; its error is relative to the former.
 _PROXY_RANGE = 10.0
@@ -392,21 +394,34 @@ def _proxy_order(span: float, width: float) -> int:
     return math.ceil(4.0 * span / width) + 16
 
 
+def _proxy_plan(n_targets: int, n_sources: int, span: float, width: float) -> tuple[int, int]:
+    """Panels P and nodes per panel k that minimise the proxy's evaluations
+    (P S + N) k, with k = _proxy_order(span / P, width).  With k ~ 4 span /
+    (P width) the optimum is P* = sqrt(span N / (4 width S)); the integer
+    neighbours of P* are compared by their exact counts."""
+    best = math.sqrt(span * n_targets / (4.0 * width * n_sources))
+    plans = [(p, _proxy_order(span / p, width))
+             for p in sorted({max(1, math.floor(best)), max(1, math.ceil(best))})]
+    return min(plans, key=lambda plan: (plan[0] * n_sources + n_targets) * plan[1])
+
+
 def _pair_sum_path(targets: np.ndarray, sources: np.ndarray, pair: PairPotentialSpec,
-                   grid: PhaseGrid | None) -> tuple[str, int]:
-    """Which of the kernel's paths the inputs select, and the proxy's node count."""
+                   grid: PhaseGrid | None) -> tuple[str, int, int]:
+    """Which of the kernel's paths the inputs select, and the proxy's plan:
+    its panel count and its nodes per panel (0, 0 on the other paths)."""
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(sources))):
         raise ValueError("pair sums need finite target and source positions")
     if isinstance(pair, NoPair):
-        return "none", 0
+        return "none", 0, 0
     open_q = grid is None or not grid.periodic_q
     if isinstance(pair, CosinePair) and (open_q or pair_is_periodic(pair, grid.q_length)):
-        return "cosine", 0
-    if isinstance(pair, GaussianPair) and open_q and targets.size:
-        k = _proxy_order(float(targets.max() - targets.min()), pair.width)
-        if k * (targets.size + sources.size) < targets.size * sources.size:
-            return "proxy", k
-    return "direct", 0
+        return "cosine", 0, 0
+    if isinstance(pair, GaussianPair) and open_q and targets.size and sources.size:
+        span = float(targets.max() - targets.min())
+        panels, k = _proxy_plan(targets.size, sources.size, span, pair.width)
+        if (panels * sources.size + targets.size) * k < targets.size * sources.size:
+            return "proxy", panels, k
+    return "direct", 0, 0
 
 
 def _direct_pair_sum(targets, sources, weights, pair, grid) -> np.ndarray:
@@ -422,36 +437,48 @@ def _direct_pair_sum(targets, sources, weights, pair, grid) -> np.ndarray:
     return out
 
 
-def _chebyshev_nodes(lo: float, hi: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k first-kind Chebyshev nodes on [lo, hi] in decreasing order, and their
-    barycentric weights (-1)^j sin(theta_j)."""
+def _chebyshev_nodes(lo: float, hi: float, panels: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k first-kind Chebyshev nodes on each of ``panels`` equal panels of
+    [lo, hi], shape (panels, k) and decreasing along each row, and their
+    barycentric weights (-1)^j sin(theta_j), which every panel shares."""
     theta = (2.0 * np.arange(k) + 1.0) * (np.pi / (2.0 * k))
     lam = np.where(np.arange(k) % 2 == 0, 1.0, -1.0) * np.sin(theta)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta), lam
+    edges = np.linspace(lo, hi, panels + 1)[:, None]
+    a, b = edges[:-1], edges[1:]
+    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta), lam
 
 
-def _chebyshev_proxy_sum(targets, sources, weights, pair, k: int) -> np.ndarray | None:
-    """Exact sums at k first-kind Chebyshev nodes spanning the targets,
-    interpolated to the targets by the barycentric formula (Berrut & Trefethen,
-    SIAM Rev. 46, 2004).  None when the nodes are not distinct or their values
+def _chebyshev_proxy_sum(targets, sources, weights, pair, panels: int, k: int) -> np.ndarray | None:
+    """Exact sums at k first-kind Chebyshev nodes on each of ``panels`` equal
+    panels of [min t, max t], all evaluated by one direct sum, and each target
+    interpolated from its own panel's nodes by the barycentric formula
+    (Berrut & Trefethen, SIAM Rev. 46, 2004); one panel is the single proxy
+    over every target.  None when the nodes are not distinct or their values
     dwarf the interpolated ones (or the interpolation is not finite): the
     interpolant's accuracy is relative to the largest node value, so it would
     not carry over to the targets."""
-    nodes, lam = _chebyshev_nodes(targets.min(), targets.max(), k)
-    if not np.all(np.diff(nodes) < 0.0):
+    lo, hi = targets.min(), targets.max()
+    nodes, lam = _chebyshev_nodes(lo, hi, panels, k)
+    ascending = nodes[:, ::-1].ravel()
+    if not np.all(np.diff(ascending) > 0.0):
         return None
-    values = _direct_pair_sum(nodes, sources, weights, pair, None)
+    values = _direct_pair_sum(nodes.ravel(), sources, weights, pair, None).reshape(panels, k)
+    per_width = panels / (hi - lo)
     out = np.empty(targets.size)
     rows = max(1, _PAIR_TILE // k)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, targets.size, rows):
-            c = lam / (targets[start:start + rows, None] - nodes[None, :])
-            out[start:start + rows] = np.einsum("ij,j->i", c, values) / c.sum(axis=1)
-    # a target on a node (where the formula divides by zero) takes its value
-    ascending = nodes[::-1]
-    at = np.minimum(np.searchsorted(ascending, targets), k - 1)
-    hit = ascending[at] == targets
-    out[hit] = values[::-1][at[hit]]
+            t = targets[start:start + rows]
+            # target i takes panel floor((t_i - lo) / h), the top edge the last one
+            idx = np.minimum(((t - lo) * per_width).astype(np.intp), panels - 1)
+            c = nodes[idx]
+            np.divide(lam, np.subtract(t[:, None], c, out=c), out=c)
+            out[start:start + rows] = np.einsum("ij,ij->i", c, values[idx]) / c.sum(axis=1)
+    # a target on a node, where the formula divides by zero and gives NaN, takes its value
+    suspect = np.flatnonzero(~np.isfinite(out))
+    at = np.minimum(np.searchsorted(ascending, targets[suspect]), ascending.size - 1)
+    hit = ascending[at] == targets[suspect]
+    out[suspect[hit]] = values[:, ::-1].ravel()[at[hit]]
     if not np.max(np.abs(values)) <= _PROXY_RANGE * np.max(np.abs(out)):
         return None
     return out
@@ -469,14 +496,17 @@ def pair_force_sum(targets, sources, weights, pair: PairPotentialSpec,
     - cosine pair, wherever the wrap changes nothing (open axis, or a whole
       number of periods over the q-length): the exact angle-difference
       factorization, O(N + S);
-    - gaussian pair on an open axis, when k (N + S) < N S for the k of
-      ``_proxy_order``: the Chebyshev proxy of ``_chebyshev_proxy_sum``, a
-      single level of the black-box FMM (Fong & Darve, J. Comput. Phys. 228,
-      2009), O((N + S) k); it falls back to the direct sum where its result
-      would not be exact to rounding (equal targets among them);
+    - gaussian pair on an open axis, when the plan of ``_proxy_plan`` (P
+      panels of k nodes) needs (P S + N) k < N S evaluations: the panelled
+      Chebyshev proxy of ``_chebyshev_proxy_sum``, a single level of the
+      black-box FMM (Fong & Darve, J. Comput. Phys. 228, 2009); it falls back
+      to the direct sum where its result would not be exact to rounding
+      (equal targets among them);
     - everything else: the fixed-order direct sum, O(N S).
 
-    Every reduction runs in a fixed order, so results repeat bit for bit.
+    Every reduction runs in a fixed order, so results repeat bit for bit, and
+    every temporary beyond the O(N + S) inputs and results is a tile of at
+    most _PAIR_TILE doubles (64 KiB; one row of S when S is larger).
     """
     t = np.asarray(targets, dtype=float)
     s = np.asarray(sources, dtype=float)
@@ -487,7 +517,7 @@ def pair_force_sum(targets, sources, weights, pair: PairPotentialSpec,
             f"{t.shape}, {s.shape}, {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("pair sums need finite weights")
-    path, k = _pair_sum_path(t, s, pair, grid)
+    path, panels, k = _pair_sum_path(t, s, pair, grid)
     if path == "none":
         return np.zeros_like(t)
     if path == "cosine":
@@ -497,7 +527,7 @@ def pair_force_sum(targets, sources, weights, pair: PairPotentialSpec,
         total_c, total_s = np.sum(np.cos(wn * s) * w), np.sum(np.sin(wn * s) * w)
         return -pair.strength * wn * (np.sin(wn * t) * total_c - np.cos(wn * t) * total_s)
     if path == "proxy":
-        out = _chebyshev_proxy_sum(t, s, w, pair, k)
+        out = _chebyshev_proxy_sum(t, s, w, pair, panels, k)
         if out is not None:
             return out
     return _direct_pair_sum(t, s, w, pair, grid)
@@ -508,8 +538,8 @@ def pair_sum_evaluations(targets, sources, pair: PairPotentialSpec,
     """Pair-kernel evaluations ``pair_force_sum`` plans for these inputs."""
     t = np.asarray(targets, dtype=float)
     s = np.asarray(sources, dtype=float)
-    path, k = _pair_sum_path(t, s, pair, grid)
-    return {"none": 0, "cosine": t.size + s.size, "proxy": k * (t.size + s.size),
+    path, panels, k = _pair_sum_path(t, s, pair, grid)
+    return {"none": 0, "cosine": t.size + s.size, "proxy": (panels * s.size + t.size) * k,
             "direct": t.size * s.size}[path]
 
 

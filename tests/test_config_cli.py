@@ -167,6 +167,24 @@ def test_cli_flow_refuses_a_bad_points_file(tmp_path, body, problem):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+def test_cli_flow_names_a_diverging_flow(tmp_path):
+    # V = q^4 throws a point from q = 30 out to overflow within the first interval
+    write_points_csv(tmp_path / "pts.csv", np.array([[30.0, 0.0]]))
+    payload = {
+        "method": "flow",
+        "output_dir": str(tmp_path / "out"),
+        "problem": {"external_potential": {"type": "quartic", "a": 0.0, "b": 1.0}},
+        "times": {"t_final": 1.0},
+        "settings": {"dt": 0.1, "points_csv": "pts.csv", "n_snapshots": 3},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "the flow diverged" in record["message"]
+    assert "time interval of 0.5 with dt 0.1" in record["message"]
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_cli_fock_cap_refusal_distinct_from_crash(tmp_path):
     payload = {
         "method": "fock",

@@ -1,5 +1,7 @@
 """The shared pair-sum kernel against the plain direct sum it replaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,7 @@ def pair_sums(draw):
     hi = lo + draw(st.floats(0.0, 8.0))
     sources = rng.uniform(lo, hi, n_s)
     weights = rng.uniform(-0.5, 1.0, n_s)
+    pair = GaussianPair(draw(st.floats(0.01, 2.0)), width)
     layout = draw(st.sampled_from(["inside", "duplicates", "equal", "outside", "nodes"]))
     if layout == "inside":
         targets = rng.uniform(lo, hi, n_t)
@@ -60,10 +63,20 @@ def pair_sums(draw):
         targets = rng.uniform(lo - reach, hi + reach, n_t)
         targets[0], targets[-1] = lo - reach, hi + reach
     else:
+        # targets on the panel boundaries and on the nodes of the kernel's own
+        # plan, which depends on the sizes and the span alone, so overwriting
+        # targets inside [t_lo, t_hi] keeps it
         t_lo, t_hi = lo - width, hi + width
-        nodes, _ = _chebyshev_nodes(t_lo, t_hi, _proxy_order(t_hi - t_lo, width))
-        targets = np.concatenate([[t_lo, t_hi], nodes, rng.uniform(t_lo, t_hi, n_t)])
-    return targets, sources, weights, GaussianPair(draw(st.floats(0.01, 2.0)), width), grid
+        targets = np.concatenate([[t_lo, t_hi], rng.uniform(t_lo, t_hi, n_t)])
+        path, panels, k = _pair_sum_path(targets, sources, pair, grid)
+        if path != "proxy":
+            panels, k = 1, _proxy_order(t_hi - t_lo, width)
+        nodes, _ = _chebyshev_nodes(t_lo, t_hi, panels, k)
+        special = np.concatenate([np.linspace(t_lo, t_hi, panels + 1)[1:-1],
+                                  rng.permutation(nodes.ravel())])
+        m = min(special.size, n_t)
+        targets[2:2 + m] = special[:m]
+    return targets, sources, weights, pair, grid
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,13 +88,44 @@ def test_kernel_matches_the_plain_direct_sum(case):
 def test_workload_shape_takes_the_proxy_and_small_n_the_direct_sum():
     pair = GaussianPair(0.1, 0.8)
     q = np.random.default_rng(7).normal(0.6, 0.7, 2000)
-    path, k = _pair_sum_path(q, q, pair, None)
-    assert path == "proxy" and k == _proxy_order(q.max() - q.min(), 0.8)
+    path, panels, k = _pair_sum_path(q, q, pair, None)
+    assert (path, panels) == ("proxy", 1) and k == _proxy_order(q.max() - q.min(), 0.8)
     assert pair_sum_evaluations(q, q, pair) == k * 4000 < 2000**2
     assert_matches_plain(q, q, np.ones(2000), pair, None)
-    assert _pair_sum_path(q[:20], q[:20], pair, None) == ("direct", 0)
+    assert _pair_sum_path(q[:20], q[:20], pair, None) == ("direct", 0, 0)
     # a periodic q-axis never takes the proxy: the minimum-image sum jumps at L/2
-    assert _pair_sum_path(q, q, pair, PERIODIC) == ("direct", 0)
+    assert _pair_sum_path(q, q, pair, PERIODIC) == ("direct", 0, 0)
+
+
+def test_compare_shape_takes_25_panels_of_19_nodes():
+    # the C1 pair integral: traced cells on +-7.45 against 128 auxiliary q-centers
+    # weighted by a marginal times dq; one proxy over all of them would take 91 nodes
+    rng = np.random.default_rng(11)
+    targets = rng.uniform(-7.45, 7.45, 16384)
+    targets[:2] = -7.45, 7.45
+    sources = PhaseGrid(-8.0, 8.0, -6.0, 6.0, 128, 8).q_centers
+    weights = np.exp(-0.5 * sources**2) * (16.0 / 128)
+    pair = GaussianPair(0.1, 0.8)
+    assert _pair_sum_path(targets, sources, pair, None) == ("proxy", 25, 19)
+    assert pair_sum_evaluations(targets, sources, pair) == 25 * 19 * 128 + 16384 * 19
+    assert_matches_plain(targets, sources, weights, pair, None)
+
+
+def test_one_pass_holds_a_few_64_kib_tiles_beyond_its_arrays():
+    # the ensemble's force pass; the O(N + S) arrays are the result, the
+    # targets' panel indices and the like
+    pair = GaussianPair(0.1, 0.8)
+    q = np.random.default_rng(7).normal(0.6, 0.7, 2000)
+    weights = np.ones(2000)
+    pair_force_sum(q, q, weights, pair)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pair_force_sum(q, q, weights, pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (2000 + 2000) + 4 * 65536
 
 
 @pytest.mark.parametrize("ratio, k_exact", [(5.5, 32), (6.8, 40), (15.0, 64), (21.0, 80)])
@@ -104,9 +148,9 @@ def test_targets_far_on_both_sides_of_the_sources_fall_back_to_the_direct_sum():
     targets = np.concatenate([np.full(1500, -10.0), np.full(1500, 10.0)])
     targets[::7] += 0.01
     sources = np.random.default_rng(5).normal(0.0, 0.1, 3000)
-    path, k = _pair_sum_path(targets, sources, pair, None)
+    path, panels, k = _pair_sum_path(targets, sources, pair, None)
     assert path == "proxy"
-    assert _chebyshev_proxy_sum(targets, sources, np.ones(3000), pair, k) is None
+    assert _chebyshev_proxy_sum(targets, sources, np.ones(3000), pair, panels, k) is None
     assert_matches_plain(targets, sources, np.ones(3000), pair, None)
 
 
