@@ -37,6 +37,8 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config"]
 METHODS = ("flow", "vlasov", "perturbation", "fock", "ensemble", "compare")
 GRID_KEYS = {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "periodic_q", "periodic_p"}
 FLOW_KEYS = {"dt", "exact_shortcut"}
+# integrate_nbody refuses the same case at run time
+ONE_INTERACTING = "an interacting run needs at least two particles"
 
 
 class ConfigError(ValueError):
@@ -315,6 +317,7 @@ def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
 
 
 def _parse_ensemble_settings(v: _Validator, path: str, d: dict, seed: int,
+                             interacting: bool = False,
                              sized: bool = True) -> EnsembleSettings | None:
     """Ensemble settings; ``n_particles`` only when ``sized``, because a
     comparison samples the sizes of its ``n_list`` instead."""
@@ -322,6 +325,9 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, seed: int,
     dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
     sizes = ({"n_particles": v.get_int(path, d, "n_particles", required=True, minimum=1)}
              if sized else {})
+    if interacting and sizes.get("n_particles") == 1:
+        v.error(f"{path}.n_particles", ONE_INTERACTING)
+        return None
     scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
     if dt is None or None in sizes.values():
         return None
@@ -329,7 +335,7 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, seed: int,
 
 
 def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid | None,
-                            seed: int) -> CompareRun:
+                            seed: int, interacting: bool) -> CompareRun:
     known = {"targets", "strengths", "n_list", "perturbation", "vlasov", "ensemble"}
     v.check_unknown(path, d, known)
     targets = tuple(v.get(path, d, "targets", list, default=["perturbation", "vlasov"]))
@@ -348,6 +354,8 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid |
     for i, x in enumerate(v.get(path, d, "n_list", list, default=[])):
         if isinstance(x, bool) or not isinstance(x, int) or x < 1:
             v.error(f"{path}.n_list[{i}]", "must be an integer >= 1")
+        elif x == 1 and interacting and targets == ("ensemble", "vlasov"):
+            v.error(f"{path}.n_list[{i}]", ONE_INTERACTING)
         else:
             n_list.append(x)
     pert = _parse_perturbation_settings(
@@ -369,7 +377,8 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid |
                       perturbation=pert, vlasov=vl, ensemble=ens)
 
 
-def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None, seed: int):
+def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None, seed: int,
+                    interacting: bool):
     path = "settings"
     if method == "flow":
         v.check_unknown(path, d, FLOW_KEYS | {"points_csv", "n_snapshots"})
@@ -388,8 +397,8 @@ def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None,
             v.error(f"{path}.n_particles", "must be 1 or 2")
         return n
     if method == "ensemble":
-        return _parse_ensemble_settings(v, path, d, seed)
-    return _parse_compare_settings(v, path, d, grid, seed)
+        return _parse_ensemble_settings(v, path, d, seed, interacting)
+    return _parse_compare_settings(v, path, d, grid, seed, interacting)
 
 
 _GRIDLESS = {"flow"}
@@ -462,6 +471,8 @@ def parse_config(text: str) -> ScenarioConfig:
         v.error("times.snapshots", "must be a list of finite numbers")
     elif snaps is not None and method in _T_FINAL_ONLY:
         v.error("times.snapshots", f"the {method} method writes only t_final")
+    elif snaps == []:
+        v.error("times.snapshots", "must list at least one time")
     elif snaps is not None:
         snapshots = tuple(numbers)
         for i, s in enumerate(snapshots):
@@ -471,7 +482,8 @@ def parse_config(text: str) -> ScenarioConfig:
     settings = None
     if method is not None:
         settings_d = v.get("", raw, "settings", dict, default={})
-        settings = _parse_settings(v, method, settings_d, grid, seed)
+        settings = _parse_settings(v, method, settings_d, grid, seed,
+                                   interacting=not isinstance(pair, NoPair))
 
     # cross-field checks
     if grid is not None and isinstance(ext, CosinePotential) and method != "flow":
@@ -482,8 +494,6 @@ def parse_config(text: str) -> ScenarioConfig:
             if not (math.isfinite(cycles) and abs(cycles - round(cycles)) <= 1e-9):
                 v.error("grid.q_max",
                         "q-domain length must be a whole number of cosine periods")
-    if method == "fock" and grid is not None and not (grid.periodic_q and grid.periodic_p):
-        v.error("grid", "the fock method needs periodic_q and periodic_p set")
     uses_ensemble = (method == "ensemble"
                      or getattr(settings, "targets", None) == ("ensemble", "vlasov"))
     if (uses_ensemble and grid is not None and grid.periodic_q

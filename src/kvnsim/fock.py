@@ -5,11 +5,11 @@ The single-particle modes are the grid-cell indicator functions divided by
 the square root of the cell volume, so they are orthonormal under the grid
 inner product and the phase-space density diagnostics are simply the mode
 occupations per cell volume.  Mode i covers cell (iq, ip) of the PhaseGrid,
-i = iq * n_p + ip.  Centered differences with periodic wrap on both axes
-are real and antisymmetric, so the assembled Liouvillian is L = iK with K
-real and antisymmetric: L is Hermitian by construction, and exp(-iLt) =
-exp(Kt) is a real orthogonal matrix, so the truncated theory is exactly
-unitary.  This is the Koopman-von Neumann fact that the Liouvillian is
+i = iq * n_p + ip.  Centered differences, wrapped on a periodic axis and cut
+at the edges of an open one, are real and antisymmetric, so the assembled
+Liouvillian is L = iK with K real and antisymmetric: L is Hermitian by
+construction, and exp(-iLt) = exp(Kt) is a real orthogonal matrix, so the
+truncated theory is exactly unitary.  This is the Koopman-von Neumann fact that the Liouvillian is
 purely imaginary, and everything here stores and applies the real generator
 K = -iL, in row-padded ELL form, with numpy alone.  Its rows are built state
 by state, as the quantum Vlasov equation reads: each particle of a state s
@@ -134,19 +134,20 @@ def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:
     return dev
 
 
-def _require_periodic(grid: PhaseGrid):
-    if not (grid.periodic_q and grid.periodic_p):
-        raise ValueError(
-            "both grid axes must be flagged periodic: skew-symmetric centered "
-            "differencing (and hence Hermiticity) needs the wrap"
-        )
-
-
-def _centered_difference(n: int, delta: float):
-    """Periodic centered first difference as (row, col, value) triplets (real antisymmetric)."""
+def _centered_difference(n: int, delta: float, periodic: bool):
+    """Centered first difference as (row, col, value) triplets, real and
+    antisymmetric: wrapped on a periodic axis, and tridiag(-1, 0, 1) / (2 delta)
+    on an open one, which drops the two entries that would leave the domain."""
     rows = np.repeat(np.arange(n), 2)
-    cols = (rows + np.tile([1, -1], n)) % n
-    return rows, cols, np.tile([1.0, -1.0], n) / (2.0 * delta)
+    cols = rows + np.tile([1, -1], n)
+    keep = periodic | ((cols >= 0) & (cols < n))
+    return rows[keep], cols[keep] % n, (np.tile([1.0, -1.0], n) / (2.0 * delta))[keep]
+
+
+def _difference_matrix(n: int, delta: float, periodic: bool) -> np.ndarray:
+    """``_centered_difference`` as a dense n x n matrix."""
+    row, col, val = _centered_difference(n, delta, periodic)
+    return np.bincount(row * n + col, val, n * n).reshape(n, n)
 
 
 def _diagonal(values: np.ndarray):
@@ -176,13 +177,14 @@ def _require_matching_grid(grid: PhaseGrid, basis: FockBasis):
 def _momentum_stencil(grid: PhaseGrid) -> EllMatrix:
     """-d/dp as an M x M one-body matrix: -i times (1/i) d/dp."""
     n_q, n_p = grid.n_q, grid.n_p
-    row, col, val = _kron(_diagonal(np.ones(n_q)), _centered_difference(n_p, grid.dp), n_p)
+    row, col, val = _kron(_diagonal(np.ones(n_q)),
+                          _centered_difference(n_p, grid.dp, grid.periodic_p), n_p)
     return EllMatrix.from_coo(row, col, -val, n_q * n_p)
 
 
 def _drift(grid: PhaseGrid, spec: ProblemSpec):
     """-(p/m) d/dq on the cell-indicator modes as (row, col, value) triplets."""
-    return _kron(_centered_difference(grid.n_q, grid.dq),
+    return _kron(_centered_difference(grid.n_q, grid.dq, grid.periodic_q),
                  _diagonal(-grid.p_centers / spec.mass), grid.n_p)
 
 
@@ -190,10 +192,9 @@ def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
     """-(p/m) d/dq + grad U(q) d/dp on the cell-indicator modes: the real
     generator k = -ih of the one-body Liouvillian h = (p/m) (1/i) d/dq -
     grad U(q) (1/i) d/dp, antisymmetric (h Hermitian) to 1e-12 or this raises."""
-    _require_periodic(grid)
     n_p = grid.n_p
     kick = _kron(_diagonal(spec.external_gradient(grid.q_centers)),
-                 _centered_difference(n_p, grid.dp), n_p)
+                 _centered_difference(n_p, grid.dp, grid.periodic_p), n_p)
     row, col, val = (np.concatenate(part) for part in zip(_drift(grid, spec), kick))
     return _require_antisymmetric(EllMatrix.from_coo(row, col, val, grid.n_q * n_p),
                                   "one-body matrix")
@@ -205,7 +206,6 @@ def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
     Assembly never forms it; it is the reference the tests hold assembly to.
     Antisymmetric to 1e-12 or this raises, and that carries over to the
     exchange-symmetrized two-particle operator."""
-    _require_periodic(grid)
     M = grid.n_q * grid.n_p
     if isinstance(spec.pair, NoPair):
         return EllMatrix.from_coo([], [], [], M * M)
@@ -385,7 +385,6 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     nor the G of ``build_two_body`` is formed.  Total occupation is conserved
     hop by hop, so [L, N] = 0 exactly.
     """
-    _require_periodic(grid)
     _require_matching_grid(grid, basis)
     matrix = EllMatrix._from_rows(_sector_rows(grid, spec, basis), basis.dimension)
     return FockOperator(basis, matrix)
@@ -510,19 +509,16 @@ def density_expectation(state: FockState, grid: PhaseGrid) -> DensityField:
     return DensityField(grid, values)
 
 
-def _roll_derivative(values: np.ndarray, delta: float, axis: int) -> np.ndarray:
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * delta)
-
-
 @dataclass(frozen=True)
 class QuantumVlasovResult:
     """Residual of the transport identity for the density expectations.
 
-    All spatial terms use the same centered periodic stencils as the
-    generator assembly, so the residual vanishes to stencil-consistency
-    order; the time derivative enters both as a central difference of
-    propagated expectations and exactly through the commutator, which
-    isolates the finite-difference component.
+    All spatial terms use the generator's own centered stencils
+    (``_centered_difference``, wrapped or cut as each axis is flagged), so
+    the residual vanishes to stencil-consistency order; the time derivative
+    enters both as a central difference of propagated expectations and
+    exactly through the commutator, which isolates the finite-difference
+    component.
     """
 
     residual: np.ndarray
@@ -566,10 +562,11 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, grid: PhaseGrid,
                        at.basis.n_modes)
     dt_exact_term = (2.0 * z_real / vol).reshape(shape)
 
-    transport = (grid.p_centers[None, :] / spec.mass) * _roll_derivative(dens, grid.dq, axis=0)
+    d_q = _difference_matrix(grid.n_q, grid.dq, grid.periodic_q)
+    d_p = _difference_matrix(grid.n_p, grid.dp, grid.periodic_p)
+    transport = (grid.p_centers[None, :] / spec.mass) * (d_q @ dens)
     grad_u = spec.external_gradient(grid.q_centers)
-    d_dens_dp = _roll_derivative(dens, grid.dp, axis=1)
-    ext_term = -grad_u[:, None] * d_dens_dp
+    ext_term = -grad_u[:, None] * (dens @ d_p.T)
 
     if isinstance(spec.pair, NoPair):
         pair_term = np.zeros(shape)
@@ -577,7 +574,7 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, grid: PhaseGrid,
         gradv_q = pair_gradient_table(grid, spec.pair)
         corr = _pair_correlation(at.basis, np.abs(at.amplitudes) ** 2)
         corr4 = corr.reshape(grid.n_q, grid.n_p, grid.n_q, grid.n_p) / vol**2
-        d_corr = _roll_derivative(corr4, grid.dp, axis=3)
+        d_corr = corr4 @ d_p.T
         inner = d_corr.sum(axis=1) * grid.dp          # (a', a, b)
         pair_term = -grid.dq * np.einsum("ij,jik->ik", gradv_q, inner)
 
@@ -605,11 +602,10 @@ def kernel_hermiticity_report(grid: PhaseGrid, spec: ProblemSpec,
     """Check the operator structure behind the density transport identity.
 
     The mean-field force kernel is diagonal multiplication, hence Hermitian;
-    the drag kernel pairs the pair-potential gradient with the plain d/dp
-    stencil, whose periodic antisymmetry is the discrete integration by
-    parts, hence anti-Hermitian.
+    the drag kernel pairs the pair-potential gradient with the generator's
+    d/dp stencil, whose antisymmetry (with or without the wrap) is the
+    discrete integration by parts, hence anti-Hermitian.
     """
-    _require_periodic(grid)
     if density_ref.grid != grid:
         raise ValueError("the reference density must live on the given grid")
     M = grid.n_q * grid.n_p

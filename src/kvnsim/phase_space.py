@@ -230,8 +230,9 @@ class PhaseGrid:
     """Rectangular (q, p) grid of cell centers.
 
     q may be periodic (required for cosine external potentials); the p domain
-    is always a truncation of the real line, but can be flagged periodic for
-    the purposes of skew-symmetric differencing in the Fock-space modules.
+    is always a truncation of the real line, but can be flagged periodic so
+    that the Fock-space centered differences wrap in p.  Those differences
+    are antisymmetric on open axes too, where they stop at the edges.
     """
 
     q_min: float

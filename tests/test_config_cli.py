@@ -408,6 +408,27 @@ def test_periodic_ensemble_needs_a_pair_the_wrap_leaves_alone(pair):
                                  problem={"pair_potential": whole})))
 
 
+def test_interacting_ensemble_runs_need_two_particles(tmp_path):
+    message = "an interacting run needs at least two particles"
+    one = dict(ENSEMBLE_OPEN, times={"t_final": 0.1}, settings={"dt": 0.01, "n_particles": 1})
+    assert config_errors(one) == [f"settings.n_particles: {message}"]
+    assert main(["validate", "--config", write_config(tmp_path, one)]) == 1
+    compare = dict(one, method="compare", settings={"targets": ["ensemble", "vlasov"],
+                                                    "n_list": [10, 1], "vlasov": {"dt": 0.01}})
+    assert config_errors(compare) == [f"settings.n_list[1]: {message}"]
+    # without a pair one particle simply follows the flow map
+    for raw in (one, compare):
+        parse_config(json.dumps(dict(raw, problem={"pair_potential": {"type": "none"}})))
+
+
+def test_an_empty_snapshot_list_is_refused(tmp_path):
+    times = {"t_final": 0.1, "snapshots": []}
+    for raw in (dict(MINIMAL_VLASOV, times=times),
+                dict(MINIMAL_VLASOV, method="perturbation", times=times, settings={})):
+        assert config_errors(raw) == ["times.snapshots: must list at least one time"]
+        assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+
+
 def test_cli_compare_ensemble_table_with_sidecar(tmp_path):
     payload = {
         "method": "compare",
@@ -651,6 +672,16 @@ TOP_KEYS = ("method", "output_dir", "seed", "problem", "grid", "initial_density"
 
 PERIODIC_GRID = {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
                  "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True}
+# fock on compare's open [-6, 6]^2 grid, N = 2, harmonic external and gaussian pair
+OPEN_FOCK = {
+    "method": "fock",
+    "problem": {"external_potential": {"type": "harmonic", "omega": 1.0},
+                "pair_potential": {"type": "gaussian", "strength": 0.1, "width": 0.8}},
+    "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6, "n_q": 10, "n_p": 10},
+    "initial_density": {"type": "gaussian", "q_center": 0.6, "q_sigma": 0.7, "p_sigma": 0.7},
+    "times": {"t_final": 0.5},
+    "settings": {"n_particles": 2},
+}
 VALID_CONFIGS = [
     MINIMAL_VLASOV,
     {"method": "flow", "problem": {"external_potential": {"type": "quartic", "a": 0.5, "b": 1}},
@@ -674,6 +705,7 @@ VALID_CONFIGS = [
          problem={"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
          settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},
                    "vlasov": {"dt": 0.01}}),
+    OPEN_FOCK,
 ]
 
 
@@ -721,3 +753,12 @@ def test_parse_config_raises_only_config_error_on_mutated_configs(data):
         else:
             parent[path[-1]] = data.draw(JSON_VALUES)
     parse_or_config_error(json.dumps(raw))
+
+
+def test_cli_fock_runs_on_an_open_grid(tmp_path):
+    cfg = write_config(tmp_path, dict(OPEN_FOCK, output_dir=str(tmp_path / "out")))
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg]) == 0
+    checks = {c["name"]: c for c in json.loads((tmp_path / "out" / "checks.json").read_text())}
+    assert checks["fock_norm_drift"]["passed"] and checks["fock_hermiticity"]["value"] == 0.0
+    assert main(["report", str(tmp_path / "out"), "--out", str(tmp_path / "rep")]) == 0

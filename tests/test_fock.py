@@ -11,6 +11,7 @@ from scipy.special import jv
 
 from kvnsim import fock
 from kvnsim.densities import GaussianDensity
+from kvnsim.flow import FlowSettings, flow_map_points
 from kvnsim.fock import (
     EllMatrix,
     FockBasis,
@@ -77,19 +78,22 @@ INTERACTING = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.4
                           pair=GaussianPair(strength=0.15, width=1.0))
 
 
-def test_one_body_requires_periodic_grid():
-    open_grid = PhaseGrid(-1, 1, -1, 1, 4, 4)
-    with pytest.raises(ValueError, match="periodic"):
-        build_one_body(open_grid, ProblemSpec())
-    with pytest.raises(ValueError, match="periodic"):
-        assemble_liouvillian(open_grid, ProblemSpec(), FockBasis(n_modes=16, n_particles=1))
+# harmonic + gaussian pair: a problem that makes sense on an open q-axis
+OPEN_INTERACTING = ProblemSpec(external=HarmonicPotential(omega=1.0),
+                               pair=GaussianPair(strength=0.15, width=1.0))
 
 
 def test_one_body_hermitian_8x8_harmonic():
-    grid = periodic_grid(8, 8)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0))
-    k = dense(build_one_body(grid, spec))
-    assert np.abs(k + k.T).max() < 1e-14
+    for periodic_q, periodic_p in [(True, True), (False, False), (True, False), (False, True)]:
+        grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 8, 8, periodic_q, periodic_p)
+        k = dense(build_one_body(grid, spec))
+        assert np.abs(k + k.T).max() < 1e-14
+        # cells 0 and n - 1 of an axis meet only through its wrap
+        k4 = k.reshape(8, 8, 8, 8)
+        q_wrap = np.abs(k4[0, :, 7]).max() + np.abs(k4[7, :, 0]).max()
+        p_wrap = np.abs(k4[:, 0, :, 7]).max() + np.abs(k4[:, 7, :, 0]).max()
+        assert (q_wrap > 0) == periodic_q and (p_wrap > 0) == periodic_p
 
 
 def test_one_body_free_zero_rows_at_p0():
@@ -111,7 +115,7 @@ def test_one_body_free_spectrum_real_symmetric():
 
 def test_builders_refuse_a_non_hermitian_generator(monkeypatch):
     # a one-sided difference is not antisymmetric, so (1/i) times it is not Hermitian
-    def forward_difference(n, delta):
+    def forward_difference(n, delta, periodic):
         return np.arange(n), (np.arange(n) + 1) % n, np.full(n, 1.0 / delta)
 
     monkeypatch.setattr(fock, "_centered_difference", forward_difference)
@@ -636,8 +640,53 @@ def sector_equivalence_error(grid, spec, n_particles, t, seed=11):
 
 @pytest.mark.parametrize("n_particles", [1, 2])
 def test_sector_equivalence_with_first_quantized_oracle(n_particles):
-    grid = periodic_grid(4, 4)
-    assert sector_equivalence_error(grid, INTERACTING, n_particles, t=1.0) < 1e-8
+    for grid, spec in [(periodic_grid(4, 4), INTERACTING),
+                       (PhaseGrid(-np.pi, np.pi, -3, 3, 4, 4, periodic_q=True), INTERACTING),
+                       (PhaseGrid(-3, 3, -3, 3, 4, 4), OPEN_INTERACTING)]:
+        assert sector_equivalence_error(grid, spec, n_particles, t=1.0) < 1e-8
+
+
+COSINE = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.5))
+
+
+def wrapped_gaussian(q, p):
+    # wrapped in q: a jump at the q seam holds the convergence order near 1
+    return sum(GaussianDensity(0.3 + 2 * np.pi * k, 0.2, 0.5, 0.6)(q, p) for k in (-1, 0, 1))
+
+
+# (spec, half-width of the square grid, periodic_p, rho0); the harmonic case
+# runs on compare's open [-6, 6]^2 grid
+TRANSPORT_CASES = {
+    "cosine-periodic-p": (COSINE, np.pi, True, wrapped_gaussian),
+    "cosine-open-p": (COSINE, np.pi, False, wrapped_gaussian),
+    "harmonic-open": (ProblemSpec(external=HarmonicPotential(omega=1.0)), 6.0, False,
+                      GaussianDensity(0.6, 0.0, 0.7, 0.7)),
+}
+
+
+@pytest.mark.parametrize("case", TRANSPORT_CASES)
+def test_single_particle_fock_converges_to_classical_transport(case):
+    # the N = 1 Fock density from the orbital sqrt(rho0) against rho0(Phi_-t(x)) at
+    # t = 1, with Phi_-t exact for the harmonic and Verlet at dt 1e-3 for the cosine
+    spec, half, periodic_p, rho0 = TRANSPORT_CASES[case]
+    flow = FlowSettings(dt=1e-3, exact_shortcut=True)
+    errors = []
+    for n in (16, 32, 64):
+        grid = PhaseGrid(-half, half, -half, half, n, n, periodic_q=spec is COSINE,
+                         periodic_p=periodic_p)
+        Q, P = grid.meshgrid()
+        orbital = np.sqrt(rho0(Q, P))
+        orbital /= np.sqrt(np.sum(orbital**2) * grid.cell_volume)
+        basis = FockBasis(n_modes=n * n, n_particles=1)
+        state = propagate(embed_product_state(orbital, basis, grid),
+                          assemble_liouvillian(grid, spec, basis), 1.0)
+        assert abs(state.norm() - 1.0) < 1e-12
+        back = flow_map_points(np.column_stack([Q.ravel(), P.ravel()]), -1.0, spec, flow)
+        rho_t = rho0(*grid.wrap_points(back).T).reshape(Q.shape)
+        errors.append(np.abs(density_expectation(state, grid).values - rho_t).sum()
+                      * grid.cell_volume)
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.0 <= ratios) & (ratios <= 5.0)), (errors, ratios)
 
 
 def test_quantum_vlasov_residual_free_single_particle():
@@ -692,6 +741,20 @@ def test_quantum_vlasov_eigenstate_is_stationary():
     assert_allclose(res.residual, res.dt_term_fd + spatial, rtol=0, atol=1e-15)
 
 
+def test_residual_derivatives_wrap_only_on_periodic_axes():
+    # one particle in cell (0, 0) at t = 0: its q- and p-derivatives reach the
+    # last cell of an axis only through the wrap
+    spec = ProblemSpec(external=HarmonicPotential(omega=1.0))
+    basis = FockBasis(n_modes=16, n_particles=1)
+    for periodic in (True, False):
+        grid = PhaseGrid(-1, 1, -1, 1, 4, 4, periodic_q=periodic, periodic_p=periodic)
+        res = quantum_vlasov_residual(FockState(basis, np.eye(16)[0]),
+                                      assemble_liouvillian(grid, spec, basis), grid, spec,
+                                      t=0.0, dt_fd=1e-4)
+        assert (res.transport_term[-1, 0] != 0) == periodic
+        assert (res.force_external_term[0, -1] != 0) == periodic
+
+
 def test_kernel_hermiticity_report():
     grid = periodic_grid(8, 8)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
@@ -700,6 +763,10 @@ def test_kernel_hermiticity_report():
     rep = kernel_hermiticity_report(grid, spec, dens)
     assert rep.force_hermiticity == 0.0
     assert rep.drag_antihermiticity < 1e-12
+    open_grid = PhaseGrid(-4, 4, -4, 4, 8, 8)
+    open_dens = density_from_function(open_grid, GaussianDensity(0, 0, 0.8, 0.8), warn=False)
+    rep = kernel_hermiticity_report(open_grid, spec, open_dens)
+    assert rep.force_hermiticity == 0.0 and rep.drag_antihermiticity < 1e-12
 
     rep0 = kernel_hermiticity_report(grid, ProblemSpec(), dens)
     assert rep0.force_hermiticity == 0.0
