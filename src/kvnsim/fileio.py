@@ -32,7 +32,6 @@ is the n_q * n_p of its grid descriptor.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -121,8 +120,8 @@ def write_field(path, density: DensityField) -> None:
     grid = density.grid
     t = np.nan if density.time is None else float(density.time)
     header = _FIELD_HEADER.pack(_FIELD_MAGIC, _VERSION, *_grid_tuple(grid), t)
-    payload = np.ascontiguousarray(density.values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    payload = np.ascontiguousarray(density.values, dtype="<f8")
+    atomic_write_bytes(path, b"".join((header, payload)))  # one copy of the payload
 
 
 def read_field(path) -> DensityField:
@@ -139,7 +138,8 @@ def write_fock_state(path, state: FockState, grid: PhaseGrid) -> None:
     _check_modes(path, basis.n_modes, grid)
     header = _FOCK_HEADER.pack(_STATE_MAGIC, _VERSION, basis.n_particles,
                                basis.n_modes, basis.dimension, 0, *_grid_tuple(grid))
-    atomic_write_bytes(path, header + state.amplitudes.astype("<c16").tobytes())
+    payload = np.ascontiguousarray(state.amplitudes, dtype="<c16")
+    atomic_write_bytes(path, b"".join((header, payload)))
 
 
 def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
@@ -161,7 +161,7 @@ def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
     records = np.zeros(len(val), dtype=_OP_RECORD)
     records["row"], records["col"] = row, col
     records["value"].imag = val
-    atomic_write_bytes(path, header + records.tobytes())
+    atomic_write_bytes(path, b"".join((header, records)))
 
 
 def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
@@ -261,6 +261,8 @@ def read_table_csv(path) -> dict:
 # --------------------------------------------------------------------------
 
 def sha256_of(path) -> str:
+    import hashlib  # loads OpenSSL: only runs that hash pay for it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

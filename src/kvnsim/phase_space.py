@@ -359,13 +359,22 @@ def spatial_density(density: DensityField) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _pair_kernel(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
+    """Read-only grad v(wrap(d dq)) for d = -(n_q - 1) ... n_q - 1: the 2 n_q - 1
+    numbers that fix the pair operator on a uniform q-axis.  Exactly odd, since
+    the minimum-image wrap rounds symmetrically."""
+    d = np.arange(1 - grid.n_q, grid.n_q)
+    kernel = pair.gradient(grid.wrap_displacement(d * grid.dq))
+    kernel.flags.writeable = False
+    return kernel
+
+
 def pair_gradient_table(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
-    """Read-only table grad v(q_a - q_b) over the q-centers, minimum-image wrapped
-    on periodic grids; built once per (grid, pair) and shared by every caller."""
-    q = grid.q_centers
-    table = pair.gradient(grid.wrap_displacement(q[:, None] - q[None, :]))
-    table.flags.writeable = False
-    return table
+    """The n_q x n_q table grad v(q_a - q_b) over the q-centers, minimum-image
+    wrapped on periodic grids, gathered from the cached pair kernel: for the
+    small grids of Fock space, which index it by cell."""
+    idx = np.arange(grid.n_q)
+    return _pair_kernel(grid, pair)[idx[:, None] - idx[None, :] + grid.n_q - 1]
 
 
 def pair_is_periodic(pair: PairPotentialSpec, length: float) -> bool:
@@ -564,8 +573,9 @@ def mean_field_force(density: DensityField, spec: ProblemSpec) -> np.ndarray:
     if isinstance(spec.pair, NoPair):
         return force
     n = spatial_density(density)
-    # direct O(n_q^2) convolution; fixed-order reduction keeps this bit-exact
-    return force - grid.dq * (pair_gradient_table(grid, spec.pair) @ n)
+    # direct O(n_q^2) convolution of the pair kernel with the marginal; its
+    # fixed-order reduction keeps this bit-exact
+    return force - grid.dq * np.convolve(_pair_kernel(grid, spec.pair), n, "valid")
 
 
 def boundary_mass_fraction(density: DensityField) -> float:
@@ -587,23 +597,31 @@ def boundary_mass_fraction(density: DensityField) -> float:
 def density_from_function(grid: PhaseGrid, func, warn: bool = True) -> DensityField:
     """Sample a nonnegative density func(q, p) at cell centers.
 
-    ``func`` must broadcast over coordinate arrays.  A resolution warning
-    flag is set when the midpoint mass at this resolution disagrees with a
-    2x-refined sampling by more than 1e-3 relative (e.g. features narrower
-    than a cell).  On open domains, boundary-cell mass above 1e-8 of the
-    total additionally triggers a BoundaryMassWarning.
+    ``func`` is called on the open grid, a q-column of shape (n_q, 1) and a
+    p-row of shape (1, n_p), and must broadcast over them; a result of shape
+    (n_q, 1) or (1, n_p) is taken as constant along the other axis.  A
+    resolution warning flag is set when the midpoint mass at this resolution
+    disagrees with a 2x-refined sampling by more than 1e-3 relative (e.g.
+    features narrower than a cell).  On open domains, boundary-cell mass above
+    1e-8 of the total additionally triggers a BoundaryMassWarning.
     """
-    Q, P = grid.meshgrid()
-    values = np.asarray(func(Q, P), dtype=float)
-    if values.shape != Q.shape:
-        raise ValueError("density function must broadcast over coordinate arrays")
+    shape = (grid.n_q, grid.n_p)
+    q, p = grid.q_centers[:, None], grid.p_centers[None, :]
+
+    def sample(sq: float, sp: float) -> np.ndarray:
+        values = np.asarray(func(q + sq * grid.dq, p + sp * grid.dp), dtype=float)
+        if values.ndim != 2 or not all(m in (1, n) for m, n in zip(values.shape, shape)):
+            raise ValueError("density function must broadcast over coordinate arrays")
+        return np.broadcast_to(values, shape)
+
+    values = np.array(sample(0.0, 0.0))
     if values.min(initial=0.0) < 0.0:
         raise ValueError("initial density must be nonnegative")
 
     mass = values.sum() * grid.cell_volume
     # the 2x-refined cell centres are the coarse ones shifted by +-dq/4 and +-dp/4
-    mass_fine = sum(np.asarray(func(Q + sq * grid.dq, P + sp * grid.dp), dtype=float).sum()
-                    for sq in (-0.25, 0.25) for sp in (-0.25, 0.25)) * grid.cell_volume / 4
+    mass_fine = sum(sample(sq, sp).sum() for sq in (-0.25, 0.25)
+                    for sp in (-0.25, 0.25)) * grid.cell_volume / 4
     scale = max(abs(mass), abs(mass_fine), 1e-300)
     under_resolved = abs(mass - mass_fine) / scale > 1e-3
 

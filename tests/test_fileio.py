@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ def test_fock_state_round_trip(tmp_path):
     assert back.basis.n_particles == 2 and back.basis.n_modes == 16
     assert back_grid == grid
     assert np.array_equal(back.amplitudes, amp)
+
+
+def test_binary_writes_hold_one_copy_of_the_payload(tmp_path):
+    # header and array are joined once; the bytes of tobytes() and a concatenation
+    # would be two payload-sized copies
+    grid = PhaseGrid(-4, 4, -4, 4, 256, 256)
+    field = DensityField(grid, np.ones((256, 256)))
+    state = FockState(FockBasis(n_modes=256 * 256, n_particles=1), np.ones(256 * 256, complex))
+    for write, payload_bytes in [(lambda path: write_field(path, field), field.values.nbytes),
+                                 (lambda path: write_fock_state(path, state, grid),
+                                  state.amplitudes.nbytes)]:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write(tmp_path / "out.bin")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert payload_bytes <= peak < 1.25 * payload_bytes
 
 
 def test_fock_operator_round_trip(tmp_path):

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kvnsim.densities import GaussianDensity
 from kvnsim.phase_space import (
@@ -16,8 +18,10 @@ from kvnsim.phase_space import (
     PhaseGrid,
     ProblemSpec,
     QuarticPotential,
+    _pair_kernel,
     density_from_function,
     mean_field_force,
+    pair_gradient_table,
     spatial_density,
 )
 
@@ -182,6 +186,75 @@ def test_mean_field_force_rejects_truncating_grid():
     spec = ProblemSpec(pair=GaussianPair(strength=0.5, width=0.9))
     with pytest.raises(ValueError, match="4 pair-potential widths"):
         mean_field_force(f, spec)
+
+
+def traced_peak(call) -> int:
+    """Bytes ``call()`` holds at its peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def dense_table(grid, pair):
+    """grad v(q_a - q_b) from the cell centres, minimum-image wrapped."""
+    q = grid.q_centers
+    return pair.gradient(grid.wrap_displacement(q[:, None] - q[None, :]))
+
+
+def test_mean_field_from_the_pair_kernel_matches_the_dense_table():
+    for grid, pair in [
+            (PhaseGrid(-np.pi, np.pi, -3, 3, 64, 8, periodic_q=True), CosinePair(0.3, 1.0)),
+            # odd n_q: no two centres are exactly half a period apart (see the next test)
+            (PhaseGrid(-np.pi, np.pi, -3, 3, 63, 8, periodic_q=True), GaussianPair(0.3, 0.8)),
+            (PhaseGrid(-6, 6, -3, 3, 64, 8), GaussianPair(0.3, 0.8))]:
+        Q, P = grid.meshgrid()
+        f = DensityField(grid, np.exp(-0.5 * ((Q - 0.3) / 0.8) ** 2 - 0.5 * (P / 0.6) ** 2))
+        spec = ProblemSpec(external=HarmonicPotential(omega=0.5), pair=pair)
+        reference = -spec.external_gradient(grid.q_centers) - grid.dq * (
+            dense_table(grid, pair) @ spatial_density(f))
+        force = mean_field_force(f, spec)
+        assert np.abs(force - reference).max() <= 1e-14 * np.abs(reference).max()
+        table = pair_gradient_table(grid, pair)
+        assert_array_equal(table, -table.T)
+        assert np.abs(table - dense_table(grid, pair)).max() <= 1e-14 * np.abs(table).max()
+
+
+def test_the_pair_table_takes_one_value_per_displacement_at_the_half_period():
+    # with even n_q on a periodic axis, the centres n_q / 2 apart sit exactly half
+    # a period apart, where the minimum image is a tie.  The kernel resolves it by
+    # the sign of a - b, grad v(+-L/2), for every such pair alike; the centre
+    # differences q_a - q_b round either way, and a table built from them flips
+    # the sign of some of these entries and not others.
+    grid = PhaseGrid(-np.pi, np.pi, -3, 3, 64, 8, periodic_q=True)
+    pair = GaussianPair(0.3, 0.8)
+    table = pair_gradient_table(grid, pair)
+    idx = np.arange(grid.n_q)
+    d = idx[:, None] - idx[None, :]
+    assert_array_equal(table[d == 32], pair.gradient(np.pi))
+    assert_array_equal(table[d == -32], pair.gradient(-np.pi))
+    tie = np.abs(d) == 32
+    assert np.abs(table - dense_table(grid, pair))[~tie].max() <= 1e-14 * np.abs(table).max()
+
+
+def test_the_first_mean_field_call_traces_under_a_megabyte():
+    # the n_q x n_q table this replaced took 8 n_q^2 bytes: 32 MiB at n_q = 2048
+    grid = PhaseGrid(-6, 6, -3, 3, 2048, 8)
+    f = DensityField(grid, np.ones((2048, 8)))
+    spec = ProblemSpec(pair=GaussianPair(0.3, 0.8))
+    _pair_kernel.cache_clear()
+    assert traced_peak(lambda: mean_field_force(f, spec)) < 1_000_000
+
+
+def test_density_from_function_traces_at_most_three_fields():
+    grid = PhaseGrid(-8, 8, -8, 8, 512, 512)
+    field_bytes = 8 * 512 * 512
+    peak = traced_peak(lambda: density_from_function(grid, GaussianDensity(0.3, 0, 1, 1)))
+    assert peak <= 3 * field_bytes, peak / field_bytes
 
 
 def test_density_from_function_mass_and_flags():

@@ -1,6 +1,7 @@
 """Every method runs on numpy alone: a fresh interpreter that imports the
 command line and runs a flow, vlasov, perturbation, fock, ensemble and compare
-config never imports scipy."""
+config never imports scipy.  Importing the command line and parsing every
+config does not load OpenSSL either; only the first digest does."""
 
 import json
 import os
@@ -46,11 +47,19 @@ CONFIGS = {
 
 PROBE = """
 import json, sys
-from kvnsim.cli import main
+from kvnsim.cli import build_report, main, parse_config
 layers = [name for name in sys.argv[1].split(",") if f"kvnsim.{name}" not in sys.modules]
+for path in sys.argv[2:]:
+    with open(path, encoding="utf-8") as fh:
+        parse_config(fh.read())
+openssl_at_parse = "_hashlib" in sys.modules
 codes = [main(["run", "--config", path]) for path in sys.argv[2:]]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"missing_layers": layers, "codes": codes, "scipy": scipy}))
+runs = [json.load(open(path, encoding="utf-8"))["output_dir"] for path in sys.argv[2:]]
+report = build_report(runs)
+print(json.dumps({"missing_layers": layers, "codes": codes, "scipy": scipy,
+                  "openssl_at_parse": openssl_at_parse, "problems": report["problems"],
+                  "manifests": [entry["manifest"] for entry in report["runs"]]}))
 """
 
 
@@ -71,3 +80,7 @@ def test_import_and_every_method_loads_no_scipy(tmp_path):
     assert result["missing_layers"] == []
     assert result["codes"] == [0] * len(CONFIGS)
     assert result["scipy"] == []
+    # hashlib loads OpenSSL, and only a digest imports it
+    assert result["openssl_at_parse"] is False
+    assert result["manifests"] == ["ok"] * len(CONFIGS)
+    assert result["problems"] == []
