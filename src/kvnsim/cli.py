@@ -64,7 +64,7 @@ from .phase_space import density_from_function
 from .vlasov import vlasov_solve
 
 _RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError, MemoryError,
-                   Warning)
+                   ArithmeticError, Warning)
 # Fock runs write the Liouvillian only up to this sector dimension, because a
 # .kvno file holds one 32-byte record per nonzero entry.
 OPERATOR_WRITE_MAX_DIM = 2000
@@ -196,9 +196,8 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     settings: CompareRun = cfg.settings
     files, checks, seeds = [], [], []
     if settings.targets == ("perturbation", "vlasov"):
-        table = residual_vs_vlasov(cfg.t_final, cfg.density, cfg.spec,
-                                   list(settings.strengths), cfg.grid, settings.perturbation,
-                                   settings.vlasov)
+        table = residual_vs_vlasov(cfg.t_final, cfg.density, cfg.spec, list(settings.sweep),
+                                   cfg.grid, settings.target, settings.vlasov)
         path = os.path.join(out_dir, "residual_table.csv")
         write_table_csv(path, table)
         files.append(path)
@@ -208,13 +207,13 @@ def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
                        for i, ratio in enumerate(ratios)]
             checks.append(_check("fitted_order", table.fitted_order, 1.7, 2.3))
     else:
-        ens = settings.ensemble
+        ens = settings.target
         table = ensemble_vs_vlasov(cfg.density, cfg.spec, cfg.grid, cfg.t_final,
-                                   list(settings.n_list), ens, settings.vlasov)
+                                   list(settings.sweep), ens, settings.vlasov)
         path = os.path.join(out_dir, "convergence_table.csv")
         write_table_csv(path, table)
         meta_path = os.path.join(out_dir, "convergence_meta.json")
-        _write_rng_sidecar(meta_path, cfg.seed, n_list=list(settings.n_list), dt=ens.dt,
+        _write_rng_sidecar(meta_path, cfg.seed, n_list=list(settings.sweep), dt=ens.dt,
                            coupling_scaling=ens.coupling_scaling,
                            note="mean-field scaling divides pair forces by (n - 1)")
         files += [path, meta_path]

@@ -1,10 +1,14 @@
 """Scenario configuration: a strict, human-writable JSON format.
 
 A config names a problem (potentials, mass), a grid, an initial density, a
-method, times, and method-specific settings.  Parsing builds the library
-settings objects directly.  Validation collects every error (with a path to
-the offending key) instead of stopping at the first; unknown keys are
-rejected so typos cannot silently change a run.
+method, times, and method-specific settings.  ``parse_config`` reads the
+shared sections and hands ``settings`` to the method's own parser, which
+owns the method's keys and every rule that ties them to the shared sections;
+a comparison reads ``targets`` first and then only the keys of the target it
+names.  Parsing builds the library settings objects directly.  Validation
+collects every error (with a path to the offending key) instead of stopping
+at the first; unknown keys are rejected so typos cannot silently change a
+run.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .vlasov import VlasovSettings
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config"]
 
-METHODS = ("flow", "vlasov", "perturbation", "fock", "ensemble", "compare")
 GRID_KEYS = {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "periodic_q", "periodic_p"}
 FLOW_KEYS = {"dt", "exact_shortcut"}
 # integrate_nbody refuses the same case at run time
@@ -60,14 +63,14 @@ class FlowRun:
 
 @dataclass(frozen=True)
 class CompareRun:
-    """Comparison targets and sweeps, with the library settings of each side."""
+    """A comparison: its targets, the sweep of the first target (``strengths``
+    for perturbation, the sample sizes of ``n_list`` for ensemble) with that
+    target's settings, and the settings of the Vlasov reference."""
 
     targets: tuple[str, str]
-    strengths: tuple[float, ...]
-    n_list: tuple[int, ...]
-    perturbation: PerturbationSettings | None
-    vlasov: VlasovSettings | None
-    ensemble: EnsembleSettings | None
+    sweep: tuple[float, ...] | tuple[int, ...]
+    target: PerturbationSettings | EnsembleSettings
+    vlasov: VlasovSettings
 
 
 @dataclass
@@ -152,15 +155,16 @@ class _Validator:
             return default
         return value
 
-    def check_whole_steps(self, path: str, t: float, dt_key: str, stepped):
-        """An error at ``path`` unless t is a whole number of ``stepped.dt`` steps;
-        nothing when the stepped settings did not parse."""
+    def check_whole_steps(self, t_final: float, dt_key: str, stepped):
+        """An error at ``times.t_final`` unless it is a whole number of
+        ``stepped.dt`` steps; nothing when the stepped settings did not parse."""
         if stepped is None:
             return
         try:
-            step_count(t, stepped.dt)
+            step_count(t_final, stepped.dt)
         except ValueError:
-            self.error(path, f"must be a whole number of {dt_key} = {stepped.dt:g} steps")
+            self.error("times.t_final",
+                       f"must be a whole number of {dt_key} = {stepped.dt:g} steps")
 
     def build(self, path: str, cls, **kwargs):
         """Construct a library object; its ValueError becomes an error at ``path``."""
@@ -292,117 +296,139 @@ def _parse_flow_settings(v: _Validator, path: str, d: dict) -> FlowSettings:
     return FlowSettings(dt=dt, exact_shortcut=shortcut)
 
 
-def _parse_vlasov_settings(v: _Validator, path: str, d: dict) -> VlasovSettings | None:
+def _parse_flow_run(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> FlowRun:
+    v.check_unknown(path, d, FLOW_KEYS | {"points_csv", "n_snapshots"})
+    flow = _parse_flow_settings(v, path, d)
+    points = v.get(path, d, "points_csv", str, required=True) or ""
+    n_snap = v.get_int(path, d, "n_snapshots", default=11, minimum=2)
+    return FlowRun(flow=flow, points_csv=points, n_snapshots=n_snap)
+
+
+def _parse_vlasov_settings(v: _Validator, path: str, d: dict,
+                           cfg: ScenarioConfig) -> VlasovSettings | None:
     v.check_unknown(path, d, {"dt", "interpolation"})
     dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
     interp = v.get(path, d, "interpolation", str, default="cubic-spline")
     if dt is None:
         return None
-    return v.build(path, VlasovSettings, dt=dt, interpolation=interp)
+    settings = v.build(path, VlasovSettings, dt=dt, interpolation=interp)
+    v.check_whole_steps(cfg.t_final, f"{path}.dt", settings)
+    return settings
 
 
 def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
-                                 grid: PhaseGrid | None) -> PerturbationSettings | None:
+                                 cfg: ScenarioConfig) -> PerturbationSettings | None:
     v.check_unknown(path, d, {"n_s", "h_p", "flow", "aux_grid"})
     n_s = v.get_int(path, d, "n_s", default=16, minimum=2)
     h_p = v.get_number(path, d, "h_p", default=1e-4, minimum=0.0, strict_min=True)
     flow_d = v.get(path, d, "flow", dict, default={})
     v.check_unknown(f"{path}.flow", flow_d, FLOW_KEYS)
     flow = _parse_flow_settings(v, f"{path}.flow", flow_d)
-    aux = grid
+    aux = cfg.grid
     aux_d = v.get(path, d, "aux_grid", dict)
     if aux_d is not None:
         aux = _parse_grid(v, f"{path}.aux_grid", aux_d)
     return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, n_s=n_s, h_p=h_p)
 
 
-def _parse_ensemble_settings(v: _Validator, path: str, d: dict, seed: int,
-                             interacting: bool = False,
-                             sized: bool = True) -> EnsembleSettings | None:
-    """Ensemble settings; ``n_particles`` only when ``sized``, because a
-    comparison samples the sizes of its ``n_list`` instead."""
-    v.check_unknown(path, d, {"dt", "coupling_scaling"} | ({"n_particles"} if sized else set()))
+def _parse_fock_settings(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> int:
+    v.check_unknown(path, d, {"n_particles"})
+    n = v.get_int(path, d, "n_particles", default=1)
+    if n not in (1, 2):
+        v.error(f"{path}.n_particles", "must be 1 or 2")
+    return n
+
+
+def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioConfig,
+                             **sizes) -> EnsembleSettings | None:
+    """Ensemble settings and the rules every ensemble keeps; ``sizes`` holds an
+    ensemble run's parsed ``n_particles`` and is empty for a comparison, which
+    samples the sizes of its ``n_list`` instead."""
+    v.check_unknown(path, d, {"dt", "coupling_scaling", *sizes})
     dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
-    sizes = ({"n_particles": v.get_int(path, d, "n_particles", required=True, minimum=1)}
-             if sized else {})
-    if interacting and sizes.get("n_particles") == 1:
-        v.error(f"{path}.n_particles", ONE_INTERACTING)
-        return None
     scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
-    if dt is None or None in sizes.values():
-        return None
-    return v.build(path, EnsembleSettings, dt=dt, seed=seed, coupling_scaling=scaling, **sizes)
+    settings = None
+    if dt is not None and None not in sizes.values():
+        settings = v.build(path, EnsembleSettings, dt=dt, seed=cfg.seed,
+                           coupling_scaling=scaling, **sizes)
+    grid = cfg.grid
+    if grid is not None and grid.periodic_q and not pair_is_periodic(cfg.spec.pair,
+                                                                     grid.q_length):
+        v.error("problem.pair_potential",
+                "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
+                "with a whole number of periods over the q-length")
+    if cfg.density is not None and not abs(cfg.density.mass - 1.0) <= 1e-12:
+        v.error("initial_density", "the ensemble needs total mass 1 (its histogram and "
+                f"mean-field scaling are per unit mass), not {cfg.density.mass:.15g}")
+    v.check_whole_steps(cfg.t_final, f"{path}.dt", settings)
+    return settings
 
 
-def _parse_compare_settings(v: _Validator, path: str, d: dict, grid: PhaseGrid | None,
-                            seed: int, interacting: bool) -> CompareRun:
-    known = {"targets", "strengths", "n_list", "perturbation", "vlasov", "ensemble"}
-    v.check_unknown(path, d, known)
+def _parse_ensemble_run(v: _Validator, path: str, d: dict,
+                        cfg: ScenarioConfig) -> EnsembleSettings | None:
+    n = v.get_int(path, d, "n_particles", required=True, minimum=1)
+    if n == 1 and not isinstance(cfg.spec.pair, NoPair):
+        v.error(f"{path}.n_particles", ONE_INTERACTING)
+        n = None
+    return _parse_ensemble_settings(v, path, d, cfg, n_particles=n)
+
+
+def _parse_compare_settings(v: _Validator, path: str, d: dict,
+                            cfg: ScenarioConfig) -> CompareRun | None:
+    """A comparison reads ``targets`` first, then only the sweep and the settings
+    block of the target it names, beside the ``vlasov`` settings of the reference."""
     targets = tuple(v.get(path, d, "targets", list, default=["perturbation", "vlasov"]))
     if targets not in (("perturbation", "vlasov"), ("ensemble", "vlasov")):
         v.error(f"{path}.targets",
                 'must be ["perturbation", "vlasov"] or ["ensemble", "vlasov"]')
-        targets = ("perturbation", "vlasov")
-    strengths = []
-    for i, x in enumerate(v.get(path, d, "strengths", list, default=[])):
-        s = _as_number(x)
-        if s is None or s < 0:
-            v.error(f"{path}.strengths[{i}]", "must be a number >= 0")
-        else:
-            strengths.append(s)
-    n_list = []
-    for i, x in enumerate(v.get(path, d, "n_list", list, default=[])):
-        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-            v.error(f"{path}.n_list[{i}]", "must be an integer >= 1")
-        elif x == 1 and interacting and targets == ("ensemble", "vlasov"):
-            v.error(f"{path}.n_list[{i}]", ONE_INTERACTING)
-        else:
-            n_list.append(x)
-    pert = _parse_perturbation_settings(
-        v, f"{path}.perturbation", v.get(path, d, "perturbation", dict, default={}), grid)
-    vl_d = v.get(path, d, "vlasov", dict)
-    vl = _parse_vlasov_settings(v, f"{path}.vlasov", vl_d) if vl_d is not None else None
-    ens_d = v.get(path, d, "ensemble", dict)
-    if ens_d is not None:
-        ens = _parse_ensemble_settings(v, f"{path}.ensemble", ens_d, seed, sized=False)
+        return None
+    side = targets[0]
+    sweep_key = "strengths" if side == "perturbation" else "n_list"
+    v.check_unknown(path, d, {"targets", sweep_key, side, "vlasov"})
+    sweep = []
+    if side == "perturbation":
+        for i, x in enumerate(v.get(path, d, "strengths", list, default=[])):
+            s = _as_number(x)
+            if s is None or s < 0:
+                v.error(f"{path}.strengths[{i}]", "must be a number >= 0")
+            else:
+                sweep.append(s)
+        target = _parse_perturbation_settings(
+            v, f"{path}.perturbation", v.get(path, d, "perturbation", dict, default={}), cfg)
+        if isinstance(cfg.spec.pair, NoPair) and any(sweep):
+            v.error(f"{path}.strengths",
+                    "a nonzero strength needs a gaussian or cosine problem.pair_potential")
+        if cfg.density is not None and cfg.density.mass == 0:
+            # every residual of the table would vanish, and so would its ratios
+            v.error("initial_density", "a comparison needs a density of nonzero total mass")
     else:
-        ens = EnsembleSettings(dt=0.01, seed=seed)
-    if targets == ("perturbation", "vlasov") and not strengths:
-        v.error(f"{path}.strengths", "required for the perturbation-vlasov comparison")
-    if targets == ("ensemble", "vlasov") and not n_list:
-        v.error(f"{path}.n_list", "required for the ensemble-vlasov comparison")
+        for i, x in enumerate(v.get(path, d, "n_list", list, default=[])):
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+                v.error(f"{path}.n_list[{i}]", "must be an integer >= 1")
+            elif x == 1 and not isinstance(cfg.spec.pair, NoPair):
+                v.error(f"{path}.n_list[{i}]", ONE_INTERACTING)
+            else:
+                sweep.append(x)
+        target = _parse_ensemble_settings(
+            v, f"{path}.ensemble", v.get(path, d, "ensemble", dict, default={"dt": 0.01}), cfg)
+    if not sweep:
+        v.error(f"{path}.{sweep_key}", f"required for the {side}-vlasov comparison")
+    vl_d = v.get(path, d, "vlasov", dict)
     if vl_d is None:
         v.error(f"{path}.vlasov", "solver settings are required for comparisons")
-    return CompareRun(targets=targets, strengths=tuple(strengths), n_list=tuple(n_list),
-                      perturbation=pert, vlasov=vl, ensemble=ens)
+        return None
+    vlasov = _parse_vlasov_settings(v, f"{path}.vlasov", vl_d, cfg)
+    return CompareRun(targets=targets, sweep=tuple(sweep), target=target, vlasov=vlasov)
 
 
-def _parse_settings(v: _Validator, method: str, d: dict, grid: PhaseGrid | None, seed: int,
-                    interacting: bool):
-    path = "settings"
-    if method == "flow":
-        v.check_unknown(path, d, FLOW_KEYS | {"points_csv", "n_snapshots"})
-        flow = _parse_flow_settings(v, path, d)
-        points = v.get(path, d, "points_csv", str, required=True) or ""
-        n_snap = v.get_int(path, d, "n_snapshots", default=11, minimum=2)
-        return FlowRun(flow=flow, points_csv=points, n_snapshots=n_snap)
-    if method == "vlasov":
-        return _parse_vlasov_settings(v, path, d)
-    if method == "perturbation":
-        return _parse_perturbation_settings(v, path, d, grid)
-    if method == "fock":
-        v.check_unknown(path, d, {"n_particles"})
-        n = v.get_int(path, d, "n_particles", default=1)
-        if n not in (1, 2):
-            v.error(f"{path}.n_particles", "must be 1 or 2")
-        return n
-    if method == "ensemble":
-        return _parse_ensemble_settings(v, path, d, seed, interacting)
-    return _parse_compare_settings(v, path, d, grid, seed, interacting)
-
-
-_GRIDLESS = {"flow"}
-_NEEDS_DENSITY = {"vlasov", "perturbation", "fock", "ensemble", "compare"}
+_SETTINGS_PARSERS = {
+    "flow": _parse_flow_run,
+    "vlasov": _parse_vlasov_settings,
+    "perturbation": _parse_perturbation_settings,
+    "fock": _parse_fock_settings,
+    "ensemble": _parse_ensemble_run,
+    "compare": _parse_compare_settings,
+}
 _T_FINAL_ONLY = {"flow", "fock", "ensemble", "compare"}  # they ignore times.snapshots
 
 
@@ -425,8 +451,8 @@ def parse_config(text: str) -> ScenarioConfig:
     v.check_unknown("", raw, top_known)
 
     method = v.get("", raw, "method", str, required=True)
-    if method is not None and method not in METHODS:
-        v.error("method", f"must be one of {', '.join(METHODS)}")
+    if method is not None and method not in _SETTINGS_PARSERS:
+        v.error("method", f"must be one of {', '.join(_SETTINGS_PARSERS)}")
         method = None
 
     output_dir = v.get("", raw, "output_dir", str, default="kvnsim_run")
@@ -441,23 +467,20 @@ def parse_config(text: str) -> ScenarioConfig:
                        v.get("problem", problem, "pair_potential", dict, default={}))
     spec = ProblemSpec(mass=mass, external=ext, pair=pair)
 
-    grid = None
-    grid_d = v.get("", raw, "grid", dict,
-                   required=method is not None and method not in _GRIDLESS)
-    if grid_d is not None:
-        grid = _parse_grid(v, "grid", grid_d, wraps_p=method == "fock")
-
-    density = None
-    dens_d = v.get("", raw, "initial_density", dict, required=method in _NEEDS_DENSITY)
-    if dens_d is not None:
-        density = _parse_density(v, "initial_density", dens_d)
-
+    grid = density = None
     if method == "flow":
         # the flow map moves points under the mass and external potential alone
         for path, d in (("grid", raw), ("initial_density", raw),
                         ("problem.pair_potential", problem)):
             if path.rpartition(".")[2] in d:
                 v.error(path, "the flow method does not read it")
+    else:
+        grid_d = v.get("", raw, "grid", dict, required=method is not None)
+        if grid_d is not None:
+            grid = _parse_grid(v, "grid", grid_d, wraps_p=method == "fock")
+        dens_d = v.get("", raw, "initial_density", dict, required=method is not None)
+        if dens_d is not None:
+            density = _parse_density(v, "initial_density", dens_d)
 
     times = v.get("", raw, "times", dict, default={}) or {"t_final": 0.0}
     v.check_unknown("times", times, {"t_final", "snapshots"})
@@ -479,14 +502,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if s < 0 or s > t_final:
                 v.error(f"times.snapshots[{i}]", "must lie in [0, t_final]")
 
-    settings = None
-    if method is not None:
-        settings_d = v.get("", raw, "settings", dict, default={})
-        settings = _parse_settings(v, method, settings_d, grid, seed,
-                                   interacting=not isinstance(pair, NoPair))
-
-    # cross-field checks
-    if grid is not None and isinstance(ext, CosinePotential) and method != "flow":
+    if grid is not None and isinstance(ext, CosinePotential):
         if not grid.periodic_q:
             v.error("grid.periodic_q", "cosine external potential requires a periodic q-domain")
         else:
@@ -494,40 +510,13 @@ def parse_config(text: str) -> ScenarioConfig:
             if not (math.isfinite(cycles) and abs(cycles - round(cycles)) <= 1e-9):
                 v.error("grid.q_max",
                         "q-domain length must be a whole number of cosine periods")
-    uses_ensemble = (method == "ensemble"
-                     or getattr(settings, "targets", None) == ("ensemble", "vlasov"))
-    if (uses_ensemble and grid is not None and grid.periodic_q
-            and not pair_is_periodic(pair, grid.q_length)):
-        v.error("problem.pair_potential",
-                "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
-                "with a whole number of periods over the q-length")
 
-    if uses_ensemble:
-        dt_key, ens = (("settings.ensemble.dt", settings.ensemble) if method == "compare"
-                       else ("settings.dt", settings))
-        v.check_whole_steps("times.t_final", t_final, dt_key, ens)
-    if method == "vlasov":
-        v.check_whole_steps("times.t_final", t_final, "settings.dt", settings)
-    if method == "compare":
-        v.check_whole_steps("times.t_final", t_final, "settings.vlasov.dt", settings.vlasov)
-
-    if (getattr(settings, "targets", None) == ("perturbation", "vlasov")
-            and isinstance(pair, NoPair) and any(settings.strengths)):
-        v.error("settings.strengths",
-                "a nonzero strength needs a gaussian or cosine problem.pair_potential")
-
+    cfg = ScenarioConfig(method=method, output_dir=output_dir or "kvnsim_run", seed=seed,
+                         spec=spec, grid=grid, density=density, t_final=t_final,
+                         snapshots=snapshots, settings=None, raw=raw)
+    if method is not None:
+        cfg.settings = _SETTINGS_PARSERS[method](
+            v, "settings", v.get("", raw, "settings", dict, default={}), cfg)
     if v.errors:
         raise ConfigError(v.errors)
-    assert method is not None and settings is not None
-    return ScenarioConfig(
-        method=method,
-        output_dir=output_dir or "kvnsim_run",
-        seed=seed,
-        spec=spec,
-        grid=grid,
-        density=density,
-        t_final=t_final,
-        snapshots=snapshots,
-        settings=settings,
-        raw=raw,
-    )
+    return cfg

@@ -165,6 +165,9 @@ def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGr
             "on a periodic q-domain the ensemble needs no pair potential or a cosine "
             "pair with a whole number of periods over the q-length: particles use raw "
             "q differences, the grid solver minimum-image ones")
+    if not abs(density.mass - 1.0) <= 1e-12:
+        raise ValueError("the ensemble needs total mass 1 (its histogram and mean-field "
+                         f"scaling are per unit mass), not {density.mass:.15g}")
     init = density_from_function(grid, density, warn=False)
     reference = vlasov_solve(init, T, spec, vlasov_settings, snapshot_times=[T])[-1]
     rows = []

@@ -365,6 +365,10 @@ def _pair_kernel(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
     the minimum-image wrap rounds symmetrically."""
     d = np.arange(1 - grid.n_q, grid.n_q)
     kernel = pair.gradient(grid.wrap_displacement(d * grid.dq))
+    if grid.periodic_q:
+        # cells n_q / 2 apart on a ring sit half a period apart both ways; the tie
+        # takes the average of the two images, 0 for the odd grad v of every pair
+        kernel[2 * np.abs(d) == grid.n_q] = 0.0
     kernel.flags.writeable = False
     return kernel
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvnsim.cli import main
+from kvnsim.cli import main, run_config
 from kvnsim.config import ConfigError, parse_config
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
 from kvnsim.phase_space import GaussianPair, GridResolutionWarning, HarmonicPotential, NoPair
@@ -421,6 +422,42 @@ def test_interacting_ensemble_runs_need_two_particles(tmp_path):
         parse_config(json.dumps(dict(raw, problem={"pair_potential": {"type": "none"}})))
 
 
+def test_the_ensemble_needs_a_unit_mass_density(tmp_path):
+    message = ("initial_density: the ensemble needs total mass 1 (its histogram and "
+               "mean-field scaling are per unit mass), not 2")
+    heavy = dict(ENSEMBLE_OPEN["initial_density"], mass=2)
+    run = dict(ENSEMBLE_OPEN, initial_density=heavy, times={"t_final": 0.1})
+    compare = dict(run, method="compare", settings={"targets": ["ensemble", "vlasov"],
+                                                    "n_list": [10, 100], "vlasov": {"dt": 0.01}})
+    for raw in (run, compare):
+        assert config_errors(raw) == [message]
+        assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+    mixture = {"type": "mixture", "weights": [1, 1],
+               "components": [{"q_center": -1, "mass": 1.5}, {"q_center": 1, "mass": 0.5}]}
+    parse_config(json.dumps(dict(compare, initial_density=mixture)))
+
+
+def test_a_comparison_refuses_a_density_of_zero_mass(tmp_path):
+    # its residuals all vanish, and the run died dividing them into ratios
+    payload = dict(PERTURBATION_COMPARE, output_dir=str(tmp_path / "out"),
+                   initial_density=dict(MINIMAL_VLASOV["initial_density"], mass=0))
+    assert config_errors(payload) == [
+        "initial_density: a comparison needs a density of nonzero total mass"]
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # as in a plain run
+def test_cli_run_turns_an_arithmetic_error_into_exit_2_with_error_record(tmp_path):
+    # the zero-mass comparison that validation now refuses, handed to the runner
+    cfg = parse_config(json.dumps(PERTURBATION_COMPARE))
+    cfg.density = dataclasses.replace(cfg.density, mass=0.0)
+    assert run_config(cfg, str(tmp_path / "out")) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ZeroDivisionError" and record["method"] == "compare"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_an_empty_snapshot_list_is_refused(tmp_path):
     times = {"t_final": 0.1, "snapshots": []}
     for raw in (dict(MINIMAL_VLASOV, times=times),
@@ -538,6 +575,13 @@ def test_validate_refuses_keys_the_method_ignores():
                                       "ensemble": {"dt": 0.05, "n_particles": 10},
                                       "vlasov": {"dt": 0.02}})
     assert config_errors(compare_ensemble) == ["settings.ensemble.n_particles: unknown key"]
+    # a comparison reads only the sweep and the settings of the target it names
+    ensemble_keys = {"n_list": [10, 100], "ensemble": {"dt": 0.3, "coupling_scaling": "bare"}}
+    perturbation_keys = {"strengths": [0.1, 0.05], "perturbation": {"n_s": 8}}
+    for raw, extra in [(PERTURBATION_COMPARE, ensemble_keys),
+                       (VALID_CONFIGS[5], perturbation_keys)]:
+        crossed = dict(raw, settings=dict(raw["settings"], **extra))
+        assert config_errors(crossed) == [f"settings.{key}: unknown key" for key in extra]
     snapshots = {"t_final": 0.2, "snapshots": [0.1, 0.2]}
     for raw in VALID_CONFIGS[1:]:
         if raw["method"] not in ("vlasov", "perturbation"):

@@ -139,6 +139,16 @@ def test_periodic_ensemble_refuses_pairs_the_wrap_would_change():
                            EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
 
 
+def test_the_comparison_refuses_a_density_of_other_than_unit_mass():
+    # the histogram has mass 1 whatever the density: at mass 2 the distance
+    # floors at |2 - 1| and hid the 1/sqrt(n) decay (1.044, 1.010, 1.0015)
+    grid = PhaseGrid(-6, 6, -6, 6, 16, 16)
+    for mass in (2.0, 0.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="total mass 1"):
+            ensemble_vs_vlasov(GaussianDensity(mass=mass), ProblemSpec(), grid, 0.1, [100],
+                               EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
+
+
 def test_histogram_point_mass_and_empty():
     grid = PhaseGrid(-1, 1, -1, 1, 4, 4)
     pts = np.tile([[0.3, 0.4]], (50, 1))

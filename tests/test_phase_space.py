@@ -226,19 +226,29 @@ def test_mean_field_from_the_pair_kernel_matches_the_dense_table():
 
 def test_the_pair_table_takes_one_value_per_displacement_at_the_half_period():
     # with even n_q on a periodic axis, the centres n_q / 2 apart sit exactly half
-    # a period apart, where the minimum image is a tie.  The kernel resolves it by
-    # the sign of a - b, grad v(+-L/2), for every such pair alike; the centre
-    # differences q_a - q_b round either way, and a table built from them flips
-    # the sign of some of these entries and not others.
+    # a period apart, where the minimum image is a tie.  The kernel takes the
+    # average of both images, 0 for an odd grad v, for every such pair alike; the
+    # centre differences q_a - q_b round either way, and a table built from them
+    # flips the sign of some of these entries and not others.
     grid = PhaseGrid(-np.pi, np.pi, -3, 3, 64, 8, periodic_q=True)
     pair = GaussianPair(0.3, 0.8)
     table = pair_gradient_table(grid, pair)
     idx = np.arange(grid.n_q)
     d = idx[:, None] - idx[None, :]
-    assert_array_equal(table[d == 32], pair.gradient(np.pi))
-    assert_array_equal(table[d == -32], pair.gradient(-np.pi))
     tie = np.abs(d) == 32
+    assert_array_equal(table[tie], 0.0)
     assert np.abs(table - dense_table(grid, pair))[~tie].max() <= 1e-14 * np.abs(table).max()
+
+
+def test_the_mean_field_on_a_ring_commutes_with_a_shift():
+    # rolling the density by whole cells rolls its mean field; a half-period tie
+    # resolved by the sign of a - b broke this by 4.2e-4 of the maximum force
+    grid = PhaseGrid(-np.pi, np.pi, -3, 3, 64, 8, periodic_q=True)
+    spec = ProblemSpec(pair=GaussianPair(0.3, 0.8))
+    f = density_from_function(grid, GaussianDensity(0.4, 0.0, 0.5, 0.8), warn=False)
+    force = mean_field_force(f, spec)
+    rolled = mean_field_force(DensityField(grid, np.roll(f.values, 5, axis=0)), spec)
+    assert np.abs(rolled - np.roll(force, 5)).max() <= 1e-14 * np.abs(force).max()
 
 
 def test_the_first_mean_field_call_traces_under_a_megabyte():
