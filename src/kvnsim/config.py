@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .densities import GaussianDensity, GaussianMixture
-from .ensemble import EnsembleSettings, step_count
+from .ensemble import EnsembleSettings, require_unit_mass, step_count
 from .flow import FlowSettings
 from .perturbation import PerturbationSettings
 from .phase_space import (
@@ -343,9 +343,10 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
                              **sizes) -> EnsembleSettings | None:
     """Ensemble settings and the rules every ensemble keeps; ``sizes`` holds an
     ensemble run's parsed ``n_particles`` and is empty for a comparison, which
-    samples the sizes of its ``n_list`` instead."""
+    samples the sizes of its ``n_list`` instead and whose ``dt`` defaults to 0.01."""
     v.check_unknown(path, d, {"dt", "coupling_scaling", *sizes})
-    dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
+    dt = v.get_number(path, d, "dt", default=None if sizes else 0.01, required=bool(sizes),
+                      minimum=0.0, strict_min=True)
     scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
     settings = None
     if dt is not None and None not in sizes.values():
@@ -357,9 +358,11 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
         v.error("problem.pair_potential",
                 "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
                 "with a whole number of periods over the q-length")
-    if cfg.density is not None and not abs(cfg.density.mass - 1.0) <= 1e-12:
-        v.error("initial_density", "the ensemble needs total mass 1 (its histogram and "
-                f"mean-field scaling are per unit mass), not {cfg.density.mass:.15g}")
+    if cfg.density is not None:
+        try:
+            require_unit_mass(cfg.density)
+        except ValueError as exc:
+            v.error("initial_density", str(exc))
     v.check_whole_steps(cfg.t_final, f"{path}.dt", settings)
     return settings
 
@@ -410,7 +413,7 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict,
             else:
                 sweep.append(x)
         target = _parse_ensemble_settings(
-            v, f"{path}.ensemble", v.get(path, d, "ensemble", dict, default={"dt": 0.01}), cfg)
+            v, f"{path}.ensemble", v.get(path, d, "ensemble", dict, default={}), cfg)
     if not sweep:
         v.error(f"{path}.{sweep_key}", f"required for the {side}-vlasov comparison")
     vl_d = v.get(path, d, "vlasov", dict)

@@ -36,6 +36,7 @@ from .perturbation import ConvergenceTable
 
 __all__ = [
     "EnsembleSettings",
+    "require_unit_mass",
     "sample_initial",
     "integrate_nbody",
     "step_count",
@@ -64,8 +65,16 @@ class EnsembleSettings:
             raise ValueError("n_particles must be >= 1")
 
 
+def require_unit_mass(density) -> None:
+    """ValueError unless the density's total mass is 1 to within 1e-12."""
+    if not abs(density.mass - 1.0) <= 1e-12:
+        raise ValueError("the ensemble needs total mass 1 (its histogram and mean-field "
+                         f"scaling are per unit mass), not {density.mass:.15g}")
+
+
 def sample_initial(density, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. phase points from a catalog density, as an (n, 2) array.
+    """n i.i.d. phase points from a catalog density of total mass 1, as an
+    (n, 2) array.
 
     Only densities with exact samplers are accepted; there is no generic
     rejection sampler here.
@@ -75,6 +84,7 @@ def sample_initial(density, n: int, seed: int) -> np.ndarray:
             "sampling needs a catalog density (gaussian or gaussian mixture) "
             "with an exact sampler"
         )
+    require_unit_mass(density)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -165,9 +175,7 @@ def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGr
             "on a periodic q-domain the ensemble needs no pair potential or a cosine "
             "pair with a whole number of periods over the q-length: particles use raw "
             "q differences, the grid solver minimum-image ones")
-    if not abs(density.mass - 1.0) <= 1e-12:
-        raise ValueError("the ensemble needs total mass 1 (its histogram and mean-field "
-                         f"scaling are per unit mass), not {density.mass:.15g}")
+    require_unit_mass(density)
     init = density_from_function(grid, density, warn=False)
     reference = vlasov_solve(init, T, spec, vlasov_settings, snapshot_times=[T])[-1]
     rows = []

@@ -261,9 +261,18 @@ def read_table_csv(path) -> dict:
 # --------------------------------------------------------------------------
 
 def sha256_of(path) -> str:
-    import hashlib  # loads OpenSSL: only runs that hash pay for it
+    """The file's SHA-256 hex digest from CPython's own implementation, the one
+    ``hashlib`` falls back to without OpenSSL, so a digest maps no OpenSSL;
+    ``hashlib`` is used only by an interpreter that has neither module."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)

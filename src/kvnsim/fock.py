@@ -83,26 +83,28 @@ class EllMatrix:
         """The n x n matrix from consecutive blocks of rows, each given as its
         entries (row within the block, col, val) and its row count.  One stable
         sort per block by (row, col) lets duplicates sum in input order
-        (``np.add.reduceat``); zero sums are dropped, rows padded to the widest."""
-        merged = []
+        (``np.add.reduceat``); zero sums are dropped, rows padded to the widest.
+        Each block is written into idx/val as soon as it is merged; a block with
+        a wider row widens both arrays with one copy."""
+        own = np.arange(n)[:, None]
+        idx, out = own[:, :0], np.zeros((n, 0))
+        start = 0
         for row, col, val, n_rows in blocks:
             order = np.lexsort((col, row))
             row, col, val = row[order], col[order], val[order]
             first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(col, prepend=-1))
             val = np.add.reduceat(val, first)
             keep = val != 0
-            merged.append((np.bincount(row[first][keep], minlength=n_rows),
-                           col[first][keep], val[keep]))
-        width = max(int(count.max(initial=0)) for count, _, _ in merged)
-        idx = np.repeat(np.arange(n)[:, None], width, axis=1)
-        out = np.zeros(idx.shape)
-        start = 0
-        for count, col, val in merged:
-            row = np.repeat(np.arange(start, start + len(count)), count)
+            row, col, val = row[first][keep], col[first][keep], val[keep]
+            count = np.bincount(row, minlength=n_rows)
+            extra = int(count.max(initial=0)) - idx.shape[1]
+            if extra > 0:
+                idx = np.hstack([idx, np.broadcast_to(own, (n, extra))])
+                out = np.hstack([out, np.broadcast_to(0.0, (n, extra))])
             slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-            idx[row, slot] = col
-            out[row, slot] = val
-            start += len(count)
+            idx[start + row, slot] = col
+            out[start + row, slot] = val
+            start += n_rows
         return cls(idx, out)
 
     @property

@@ -422,6 +422,20 @@ def test_interacting_ensemble_runs_need_two_particles(tmp_path):
         parse_config(json.dumps(dict(raw, problem={"pair_potential": {"type": "none"}})))
 
 
+def test_a_comparison_ensemble_block_defaults_its_dt():
+    compare = dict(ENSEMBLE_OPEN, method="compare", times={"t_final": 0.1},
+                   settings={"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
+                             "vlasov": {"dt": 0.01}})
+    absent = parse_config(json.dumps(compare)).settings.target
+    partial = parse_config(json.dumps(dict(compare, settings=dict(
+        compare["settings"], ensemble={"coupling_scaling": "bare"})))).settings.target
+    assert (absent.dt, absent.coupling_scaling) == (0.01, "mean-field")
+    assert (partial.dt, partial.coupling_scaling) == (0.01, "bare")
+    # an ensemble run names its dt
+    assert config_errors(dict(ENSEMBLE_OPEN, settings={"n_particles": 20})) == [
+        "settings.dt: missing required key"]
+
+
 def test_the_ensemble_needs_a_unit_mass_density(tmp_path):
     message = ("initial_density: the ensemble needs total mass 1 (its histogram and "
                "mean-field scaling are per unit mass), not 2")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from kvnsim import ensemble
 from kvnsim.densities import GaussianDensity, GaussianMixture
 from kvnsim.ensemble import (
     MAX_PAIR_EVALUATIONS,
@@ -147,6 +148,24 @@ def test_the_comparison_refuses_a_density_of_other_than_unit_mass():
         with pytest.raises(ValueError, match="total mass 1"):
             ensemble_vs_vlasov(GaussianDensity(mass=mass), ProblemSpec(), grid, 0.1, [100],
                                EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
+
+
+def test_sampling_refuses_a_density_of_other_than_unit_mass(monkeypatch):
+    # a histogram of the samples has mass 1 whatever the density's mass
+    for density in (GaussianDensity(mass=2.0), GaussianMixture(
+            components=(GaussianDensity(mass=0.5), GaussianDensity(mass=0.5)),
+            weights=(1.0, 1.0 - 1e-9))):
+        with pytest.raises(ValueError, match="total mass 1"):
+            sample_initial(density, 100, seed=0)
+    sample_initial(GaussianDensity(mass=1.0 + 1e-13), 10, seed=0)
+    # the comparison refuses before its Vlasov solve
+    def solve(*args, **kwargs):
+        raise AssertionError("the Vlasov solve ran")
+    monkeypatch.setattr(ensemble, "vlasov_solve", solve)
+    with pytest.raises(ValueError, match="total mass 1"):
+        ensemble_vs_vlasov(GaussianDensity(mass=2.0), ProblemSpec(),
+                           PhaseGrid(-6, 6, -6, 6, 16, 16), 0.1, [100],
+                           EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
 
 
 def test_histogram_point_mass_and_empty():

@@ -1,11 +1,13 @@
+import hashlib
 import os
 import struct
+import sys
 import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from kvnsim.densities import GaussianDensity
 from kvnsim.fileio import (
@@ -223,6 +225,28 @@ def test_manifest_round_trip_and_checksums(tmp_path):
     assert back.seeds == [3]
     assert back.files[0]["path"] == "data.csv"
     assert back.files[0]["sha256"] == sha256_of(art)
+
+
+@settings(max_examples=40, deadline=None)
+@example(head=b"", filler=0, seed=0)
+@given(head=st.binary(max_size=64),
+       filler=st.sampled_from([0, (1 << 20) - 32, 1 << 20, (2 << 20) + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sha256_of_is_hashlib_sha256(head, filler, seed):
+    # the files reach up to 32 bytes either side of the 1 MiB read chunk, and past two
+    data = head + np.random.default_rng(seed).bytes(filler)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blob")
+        atomic_write_bytes(path, data)
+        assert sha256_of(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_of_falls_back_to_hashlib(tmp_path, monkeypatch):
+    data = bytes(range(256)) * 4097  # crosses the 1 MiB read chunk
+    (tmp_path / "blob").write_bytes(data)
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # the import raises ImportError
+    assert sha256_of(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
 
 
 def _valid_files(tmp_path):
