@@ -11,6 +11,7 @@ file excluded from that promise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -116,27 +117,41 @@ def _run_flow(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     return [path], [], []
 
 
+def _snapshot_names(k: int) -> tuple[str, str]:
+    return f"field_{k:04d}.kvnf", f"marginal_{k:04d}.csv"
+
+
 def _run_vlasov(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     init = density_from_function(cfg.grid, cfg.density)
-    snaps = vlasov_solve(init, cfg.t_final, cfg.spec, cfg.settings,
-                         snapshot_times=list(cfg.snapshots))
-    files = []
-    for k, snap in enumerate(snaps):
-        files += _write_field_pair(out_dir, snap, f"field_{k:04d}.kvnf", f"marginal_{k:04d}.csv")
-    last = max(snaps, key=lambda snap: snap.time)  # snapshots may be listed in any order
-    drift = abs(last.mass - init.mass) / max(abs(init.mass), 1e-300)
+    files = [None] * len(cfg.snapshots)
+    latest = {}
+
+    def write(k, snap):
+        files[k] = _write_field_pair(out_dir, snap, *_snapshot_names(k))
+        latest.update(mass=snap.mass, clip_count=snap.clip_count)  # the last is the latest
+
+    try:
+        vlasov_solve(init, cfg.t_final, cfg.spec, cfg.settings,
+                     snapshot_times=list(cfg.snapshots), sink=write)
+    except BaseException:
+        for k in range(len(files)):  # a failed run leaves no field or marginal behind
+            for name in _snapshot_names(k):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(os.path.join(out_dir, name))
+        raise
+    drift = abs(latest["mass"] - init.mass) / max(abs(init.mass), 1e-300)
     checks = [
         _check("vlasov_mass_drift_rel", drift, None, 1e-6),
-        _check("vlasov_clip_count", last.clip_count, None, None),
+        _check("vlasov_clip_count", latest["clip_count"], None, None),
     ]
-    return files, checks, []
+    return [path for pair in files for path in pair], checks, []
 
 
 def _run_perturbation(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     files = []
     for k, t in enumerate(cfg.snapshots):
         field = perturbative_density(cfg.grid, t, cfg.density, cfg.spec, cfg.settings)
-        files += _write_field_pair(out_dir, field, f"field_{k:04d}.kvnf", f"marginal_{k:04d}.csv")
+        files += _write_field_pair(out_dir, field, *_snapshot_names(k))
     return files, [], []
 
 

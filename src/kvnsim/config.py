@@ -183,7 +183,9 @@ def _parse_external(v: _Validator, path: str, d: dict):
     if kind == "harmonic":
         v.check_unknown(path, d, {"type", "omega"})
         omega = v.get_number(path, d, "omega", required=True, minimum=0.0, strict_min=True)
-        return HarmonicPotential(omega=omega) if omega else FreePotential()
+        if not omega:
+            return FreePotential()
+        return v.build(f"{path}.omega", HarmonicPotential, omega=omega) or FreePotential()
     if kind == "quartic":
         v.check_unknown(path, d, {"type", "a", "b"})
         a = v.get_number(path, d, "a", default=0.0)
@@ -385,6 +387,9 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict,
         v.error(f"{path}.targets",
                 'must be ["perturbation", "vlasov"] or ["ensemble", "vlasov"]')
         return None
+    if cfg.t_final == 0:
+        v.error("times.t_final", "a comparison needs t_final > 0: at t = 0 it has nothing to "
+                "compare")
     side = targets[0]
     sweep_key = "strengths" if side == "perturbation" else "n_list"
     v.check_unknown(path, d, {"targets", sweep_key, side, "vlasov"})

@@ -116,12 +116,17 @@ def _check_modes(path, n_modes: int, grid: PhaseGrid) -> None:
                          f"{grid.n_q} x {grid.n_p} grid's {grid.n_q * grid.n_p} cells")
 
 
+def _raw(values: np.ndarray, dtype) -> np.ndarray:
+    """The bytes of values stored as dtype in C order, one byte per element:
+    a view when they are already so stored, so a write copies nothing."""
+    return np.ascontiguousarray(values, dtype=dtype).reshape(-1).view(np.uint8)
+
+
 def write_field(path, density: DensityField) -> None:
     grid = density.grid
     t = np.nan if density.time is None else float(density.time)
     header = _FIELD_HEADER.pack(_FIELD_MAGIC, _VERSION, *_grid_tuple(grid), t)
-    payload = np.ascontiguousarray(density.values, dtype="<f8")
-    atomic_write_bytes(path, b"".join((header, payload)))  # one copy of the payload
+    atomic_write_bytes(path, _raw(density.values, "<f8"), header=header)
 
 
 def read_field(path) -> DensityField:
@@ -138,8 +143,7 @@ def write_fock_state(path, state: FockState, grid: PhaseGrid) -> None:
     _check_modes(path, basis.n_modes, grid)
     header = _FOCK_HEADER.pack(_STATE_MAGIC, _VERSION, basis.n_particles,
                                basis.n_modes, basis.dimension, 0, *_grid_tuple(grid))
-    payload = np.ascontiguousarray(state.amplitudes, dtype="<c16")
-    atomic_write_bytes(path, b"".join((header, payload)))
+    atomic_write_bytes(path, _raw(state.amplitudes, "<c16"), header=header)
 
 
 def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
@@ -161,7 +165,7 @@ def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
     records = np.zeros(len(val), dtype=_OP_RECORD)
     records["row"], records["col"] = row, col
     records["value"].imag = val
-    atomic_write_bytes(path, b"".join((header, records)))
+    atomic_write_bytes(path, _raw(records, _OP_RECORD), header=header)
 
 
 def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
@@ -279,13 +283,16 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a uniquely named temp file beside ``path``, then rename it."""
+def atomic_write_bytes(path, data, header: bytes = b"") -> None:
+    """Write header, then data (bytes or any buffer), via a uniquely named
+    temp file beside ``path``, then rename it; the two are written one after
+    the other, never joined into one copy."""
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
+            fh.write(header)
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())

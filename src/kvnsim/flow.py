@@ -38,6 +38,8 @@ def _split_steps(t: float, dt: float) -> tuple[int, float, float]:
     sign = 1.0 if t >= 0 else -1.0
     at = abs(t)
     n_exact = at / dt
+    if not np.isfinite(n_exact):
+        raise ValueError(f"|t| / dt = {at:g} / {dt:g} is not a finite step count")
     n = int(round(n_exact))
     if abs(n_exact - n) < 1e-9:
         return n, 0.0, sign

@@ -58,6 +58,9 @@ HERMITICITY_TOL = 1e-12
 DIMENSION_CAP = 200_000
 # source states per hop-kernel pass and entries per transpose-check pass: bounds their work
 _HOP_BLOCK = 1 << 10
+# bytes of x one matvec tile gathers (4096 rows of 8 doubles); 64 KiB tiles
+# made a 25x25, N = 2 propagation about 10% slower through per-tile overhead
+_MATVEC_TILE_BYTES = 1 << 18
 # propagation over R|t| above this many Chebyshev terms (one matvec each) is refused
 _MAX_SERIES_TERMS = 10**7
 
@@ -118,7 +121,14 @@ class EllMatrix:
         return row, self.idx[stored], self.val[stored]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.val, x[self.idx])
+        """K x, row tile by row tile: each tile gathers about _MATVEC_TILE_BYTES
+        of x, so no dim x width gather forms; rows sum as in one einsum."""
+        out = np.empty(len(self.val), dtype=np.result_type(self.val, x))
+        rows = max(1, _MATVEC_TILE_BYTES // max(self.idx.shape[1] * x.itemsize, 1))
+        for a in range(0, len(out), rows):
+            np.einsum("ij,ij->i", self.val[a:a + rows], x[self.idx[a:a + rows]],
+                      out=out[a:a + rows])
+        return out
 
 
 def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:

@@ -63,6 +63,8 @@ class HarmonicPotential:
     def __post_init__(self):
         if not self.omega > 0:
             raise ValueError("omega must be > 0")
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"omega = {self.omega:g} overflows omega**2")
 
     def value(self, q, mass: float = 1.0):
         q = np.asarray(q, dtype=float)

@@ -13,12 +13,16 @@ taps on prefiltered coefficients (Sonnendrücker et al., J. Comput. Phys.
 149, 1999).
 
 A solve runs on one workspace (`_Stepper`), allocated once, holding the
-field p-major, shape (n_p, n_q), swept in place.  A periodic q-drift is one
-rfft/irfft pair along the contiguous axis (Unser, Aldroubi & Eden, IEEE
-Trans. Signal Process. 41, 1993).  An open sweep applies the banded cubic
-prefilter 6 tridiag(1, 4, 1)^-1 into a persistent coefficient buffer, then
-sums the taps by one einsum over a strided window view of that buffer:
-while the lines' window starts lie within a few cells no window is gathered.
+field p-major, shape (n_p, n_q), swept in place; it is copied in once per
+solve, and each snapshot is copied out when the solve reaches it and
+handed to the caller's sink (a `kvnsim run` writes it there), so a solve
+holds one snapshot at a time, however many are requested.  A periodic
+q-drift is one rfft/irfft pair along the contiguous axis (Unser, Aldroubi &
+Eden, IEEE Trans. Signal Process. 41, 1993).  An open sweep applies the
+banded cubic prefilter 6 tridiag(1, 4, 1)^-1 into a persistent coefficient
+buffer, then sums the taps by one einsum over a strided window view of that
+buffer: while the lines' window starts lie within a few cells no window is
+gathered.
 """
 
 from __future__ import annotations
@@ -131,8 +135,13 @@ class _PeriodicAxis:
         start, weights = _stencil(s, self.cubic)
         roots = np.exp(2j * np.pi / n * np.arange(n))  # exp(i theta_1 r), r = 0 .. n-1
         f = np.arange(n // 2 + 1)
-        transfer = sum(np.outer(w, roots[f * t % n]) for t, w in enumerate(weights))
-        transfer *= roots[np.outer(start, f) % n]
+        transfer = np.zeros((len(s), f.size), dtype=complex)
+        term = np.empty_like(transfer)
+        for t, w in enumerate(weights):  # from zero: starting at tap 0 would keep its signed zeros
+            transfer += np.outer(w, roots[f * t % n], out=term)
+        phase = np.outer(start, f)
+        phase %= n
+        transfer *= np.take(roots, phase, out=term)
         if self.cubic:
             transfer /= (4.0 + 2.0 * roots[f].real) / 6.0
         return transfer.T
@@ -225,12 +234,13 @@ class _OpenAxis:
 
 
 class _Stepper:
-    """The workspace of one solve, allocated once: the field `f`, p-major, the
-    q-drift's axis and half and full plans, the p-kick's axis, the clip mask.
+    """The workspace of one solve, allocated once: the field `f`, p-major,
+    copied in from the initial density once, the q-drift's axis and half and
+    full plans, the p-kick's axis, the clip mask, and the clip count so far.
     Raises CFLViolation when the full q-drift exceeds the q-domain length."""
 
-    def __init__(self, grid: PhaseGrid, spec: ProblemSpec, settings: VlasovSettings):
-        dt, mass = settings.dt, spec.mass
+    def __init__(self, rho: DensityField, spec: ProblemSpec, settings: VlasovSettings):
+        grid, dt, mass = rho.grid, settings.dt, spec.mass
         max_speed = max(abs(grid.p_min), abs(grid.p_max)) / mass
         if dt * max_speed >= grid.q_length:
             raise CFLViolation(
@@ -238,8 +248,9 @@ class _Stepper:
                 f"{grid.q_length:g}; reduce dt or enlarge the domain"
             )
         cubic = settings.interpolation == "cubic-spline"
-        self.grid, self.spec, self.dt = grid, spec, dt
-        self.f = np.empty((grid.n_p, grid.n_q))
+        self.rho, self.grid, self.spec, self.dt = rho, grid, spec, dt
+        self.f = rho.values.T.copy()
+        self.clip_count = rho.clip_count
         self.mask = np.empty(self.f.shape, dtype=bool)
         self.kick = _OpenAxis(grid.n_p, grid.n_q, cubic)
         self.drift = (_PeriodicAxis if grid.periodic_q else _OpenAxis)(grid.n_q, grid.n_p, cubic)
@@ -282,24 +293,30 @@ class _Stepper:
                 np.maximum(f, floor, out=f)
         return n_clipped
 
-    def run(self, rho: DensityField, n_steps: int, time: float | None) -> DensityField:
-        """n_steps >= 1 Strang steps from rho, Q(dt/2) [P(dt) Q(dt)]^(n_steps-1)
-        P(dt) Q(dt/2), clipping after each full and the final half drift; the
-        field is transposed in and out once, the result stamped `time`."""
-        np.copyto(self.f, rho.values.T)
+    def run(self, n_steps: int, time: float | None) -> DensityField:
+        """n_steps >= 1 Strang steps of the field in place, Q(dt/2) [P(dt)
+        Q(dt)]^(n_steps-1) P(dt) Q(dt/2), clipping after each full and the
+        final half drift; the result is the field transposed out in one copy,
+        stamped `time` and the clip count so far."""
         self.q_drift(False)
-        clipped = 0
         for left in range(n_steps - 1, -1, -1):
             self.p_kick()
             self.q_drift(left > 0)
-            clipped += self.clip()
-        return rho.copy_with(self.f.T.copy(), clip_count=rho.clip_count + clipped, time=time)
+            self.clip_count += self.clip()
+        return self.rho.copy_with(self.f.T.copy(), clip_count=self.clip_count, time=time)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,
-                 snapshot_times=None) -> list[DensityField]:
+                 snapshot_times=None, sink=None) -> list[DensityField] | None:
     """Repeated stepping to the last requested snapshot; snapshots at the
     nearest whole step.
+
+    Each snapshot is handed to ``sink(i, field)`` as soon as the solve
+    reaches its step, in step order; requests i that share a step get the
+    same field, in index order.  The solve keeps no snapshot it has handed
+    over, so a sink that writes each one out bounds the solve's memory by one
+    field beside its workspace.  Without a sink the snapshots are returned as
+    a list in request order.
 
     The steps between snapshots run fused (`_Stepper.run`) on one workspace
     for the whole solve; each snapshot ends on a half-drift and a clip, as a
@@ -325,12 +342,18 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
             "two p-rows (> 1e-8); enlarge the p-domain"
         )
     snap_steps = [int(round(t / settings.dt)) for t in snapshot_times]
+    snapshots = None
+    if sink is None:
+        snapshots = [None] * len(snap_steps)
+        sink = snapshots.__setitem__
 
     rho = rho0 if rho0.time is not None else rho0.copy_with(rho0.values, time=0.0)
-    t0 = rho.time
-    snapshots = {0: rho}
-    ends = sorted(set(snap_steps) - {0})
-    stepper = _Stepper(rho.grid, spec, settings) if ends else None
-    for done, k in zip([0] + ends, ends):
-        snapshots[k] = stepper.run(snapshots[done], k - done, t0 + k * settings.dt)
-    return [snapshots[k] for k in snap_steps]
+    t0, done = rho.time, 0
+    stepper = _Stepper(rho, spec, settings) if max(snap_steps, default=0) > 0 else None
+    for i in sorted(range(len(snap_steps)), key=snap_steps.__getitem__):
+        k = snap_steps[i]
+        if k > done:
+            rho = None  # the snapshot handed over is not held while stepping
+            rho, done = stepper.run(k - done, t0 + k * settings.dt), k
+        sink(i, rho)
+    return snapshots

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -661,6 +662,49 @@ def test_vlasov_checks_read_the_latest_snapshot_in_any_listed_order(tmp_path):
     assert {c["name"]: c["value"] for c in checks[0]}["vlasov_clip_count"] > 0
 
 
+def test_a_vlasov_run_holds_one_snapshot_however_many_it_writes(tmp_path):
+    n = 128
+    grid = dict(MINIMAL_VLASOV["grid"], n_q=n, n_p=n)
+
+    def run(tag, count):
+        times = {"t_final": 0.08, "snapshots": [0.08 * k / (count - 1) for k in range(count)]}
+        cfg = parse_config(json.dumps(dict(MINIMAL_VLASOV, grid=grid, times=times)))
+        assert run_config(cfg, str(tmp_path / tag)) == 0
+
+    run("warm-up", 2)  # fills the solver's caches before anything is traced
+    peaks = []
+    for count in (2, 9):
+        tracemalloc.start()
+        try:
+            run(f"out{count}", count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 8 * n * n  # less than one field
+
+
+def test_a_vlasov_run_that_fails_mid_solve_leaves_no_field_behind(tmp_path, monkeypatch):
+    from kvnsim.vlasov import CFLViolation, _Stepper
+
+    out, kicks = tmp_path / "out", []
+    p_kick = _Stepper.p_kick
+
+    def kick(self):
+        if len(kicks) == 3:  # the snapshots at steps 0 and 2 are on disk by now
+            assert (out / "field_0001.kvnf").exists() and (out / "marginal_0001.csv").exists()
+            raise CFLViolation("dt*max|F| exceeds the p-domain length")
+        kicks.append(1)
+        p_kick(self)
+
+    monkeypatch.setattr(_Stepper, "p_kick", kick)
+    payload = dict(MINIMAL_VLASOV, output_dir=str(out),
+                   times={"t_final": 0.1, "snapshots": [0.0, 0.02, 0.1]})
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "CFLViolation" and record["method"] == "vlasov"
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "error.json"]
+
+
 PERTURBATION_COMPARE = dict(
     MINIMAL_VLASOV, method="compare",
     problem={"pair_potential": {"type": "gaussian", "strength": 0.1, "width": 1}},
@@ -682,6 +726,26 @@ def test_validate_and_run_refuse_a_vlasov_t_final_off_the_dt_grid(tmp_path, caps
     assert not (tmp_path / "out").exists()
     # one step more or less is a whole number again
     parse_config(json.dumps(dict(payload, times={"t_final": 0.02})))
+
+
+def test_validate_and_run_refuse_a_comparison_at_t_final_zero(tmp_path, capsys):
+    payload = dict(PERTURBATION_COMPARE, times={"t_final": 0.0}, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    assert main(["validate", "--config", cfg]) == 1
+    assert "times.t_final: a comparison needs t_final > 0" in capsys.readouterr().err
+    assert main(["run", "--config", cfg]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_harmonic_omega_whose_square_overflows_is_refused_at_its_path():
+    with pytest.raises(ValueError, match="overflows omega"):
+        HarmonicPotential(omega=1e300)
+    payload = dict(MINIMAL_VLASOV,
+                   problem={"external_potential": {"type": "harmonic", "omega": 1e300}})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.errors == ["problem.external_potential.omega: omega = 1e+300 overflows "
+                                "omega**2"]
 
 
 def test_validate_and_run_agree_on_a_strength_without_a_pair(tmp_path, capsys):

@@ -198,3 +198,12 @@ def test_rejects_points_that_are_not_q_p_pairs(consumer, shape):
 def test_flow_refuses_non_finite_points(bad):
     with pytest.raises(ValueError, match="finite points"):
         flow_map_points(np.array([[0.0, 1.0], [bad, 0.1]]), 1.0, HARMONIC, DT3)
+
+
+def test_a_step_count_that_overflows_a_float_is_a_named_value_error():
+    from kvnsim.flow import _split_steps
+
+    with pytest.raises(ValueError, match="not a finite step count"):
+        _split_steps(1e306, 1e-3)
+    with pytest.raises(ValueError, match="not a finite step count"):
+        flow_map_points(np.array([0.0, 1.0]), 1e306, HARMONIC, FlowSettings(dt=1e-3))

@@ -220,6 +220,22 @@ def test_ell_builder_widens_for_a_later_wider_block():
     assert stacked.nnz == np.count_nonzero(want) == 6
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_ell_matvec_over_several_tiles_equals_the_untiled_product(dtype):
+    # 8-wide rows of doubles tile 4096 rows at a time, and complex ones 2048,
+    # so 10000 rows span three and five tiles, the last one short
+    rng = np.random.default_rng(4)
+    n, width = 10_000, 8
+    row = np.repeat(np.arange(n), width)
+    matrix = EllMatrix.from_coo(row, rng.integers(0, n, row.size), rng.normal(size=row.size), n)
+    x = rng.normal(size=n) + (1j * rng.normal(size=n) if dtype is complex else 0)
+    rows = fock._MATVEC_TILE_BYTES // (matrix.idx.shape[1] * x.itemsize)
+    assert matrix.idx.shape[1] == width and 2 * rows < n
+    result = matrix @ x
+    assert result.dtype == x.dtype
+    assert np.array_equal(result, np.einsum("ij,ij->i", matrix.val, x[matrix.idx]))
+
+
 def test_fock_basis_dimensions_and_index():
     basis = FockBasis(n_modes=5, n_particles=3)
     assert basis.dimension == FockBasis.sector_dimension(5, 3) == 35

@@ -39,7 +39,7 @@ STANDARD_GAUSSIAN = GaussianDensity(0.0, 0.0, 1.0, 1.0)
 def one_step(rho, spec, settings):
     """One Strang step of size dt: half-drift in q, kick in p, half-drift in q, clip."""
     t = None if rho.time is None else rho.time + settings.dt
-    return _Stepper(rho.grid, spec, settings).run(rho, 1, t)
+    return _Stepper(rho, spec, settings).run(1, t)
 
 
 def wide_grid(n):
@@ -183,6 +183,22 @@ def test_solve_stops_at_the_last_snapshot(monkeypatch):
     assert [snap.time for snap in snaps] == [0.25, 0.1, 0.0]
 
 
+def test_the_sink_gets_each_snapshot_when_the_solve_reaches_its_step(monkeypatch):
+    f0, spec = _periodic_pair_case()
+    settings, times = VlasovSettings(dt=0.05), [0.25, 0.1, 0.0, 0.1]
+    snaps = vlasov_solve(f0, 1.0, spec, settings, times)
+    kicks, seen = [], []
+    p_kick = _Stepper.p_kick
+    monkeypatch.setattr(_Stepper, "p_kick", lambda self: kicks.append(1) or p_kick(self))
+    assert vlasov_solve(f0, 1.0, spec, settings, times,
+                        sink=lambda i, field: seen.append((i, len(kicks), field))) is None
+    assert [(i, steps) for i, steps, _ in seen] == [(2, 0), (1, 2), (3, 2), (0, 5)]
+    assert seen[1][2] is seen[2][2]  # requests that share a step share its field
+    for i, _, field in seen:
+        assert np.array_equal(field.values, snaps[i].values)
+        assert (field.time, field.clip_count) == (snaps[i].time, snaps[i].clip_count)
+
+
 def test_periodic_self_consistent_mass_conservation_1000_steps():
     grid = PhaseGrid(-np.pi, np.pi, -5, 5, 32, 32, periodic_q=True)
     dens = GaussianDensity(0.0, 0.0, 0.7, 0.7)
@@ -244,9 +260,8 @@ def test_steps_after_the_first_allocate_nothing_grid_sized(periodic):
         grid = wide_grid(n)
         spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
                            pair=GaussianPair(strength=0.1, width=0.8))
-    stepper = _Stepper(grid, spec, VlasovSettings(dt=0.05))
-    stepper.f[...] = density_from_function(grid, GaussianDensity(0.5, 0.0, 0.4, 0.5),
-                                           warn=False).values.T
+    stepper = _Stepper(density_from_function(grid, GaussianDensity(0.5, 0.0, 0.4, 0.5),
+                                             warn=False), spec, VlasovSettings(dt=0.05))
     stepper.f[3 * n // 4, n // 4] += 1.0  # a moving cell-scale spike undershoots: the clip rescales
 
     def step():
