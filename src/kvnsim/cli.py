@@ -44,7 +44,6 @@ from .fileio import (
     read_table_csv,
     sha256_of,
     write_field,
-    write_fock_operator,
     write_fock_state,
     write_json,
     write_marginal_csv,
@@ -66,9 +65,6 @@ from .vlasov import vlasov_solve
 
 _RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError, MemoryError,
                    ArithmeticError, Warning)
-# Fock runs write the Liouvillian only up to this sector dimension, because a
-# .kvno file holds one 32-byte record per nonzero entry.
-OPERATOR_WRITE_MAX_DIM = 2000
 
 
 def _in_window(value, low, high) -> bool:
@@ -177,10 +173,6 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     state_path = os.path.join(out_dir, "state_final.kvnq")
     write_fock_state(state_path, state1, grid)
     files = [state_path, *_write_field_pair(out_dir, dens, "density.kvnf", "marginal.csv")]
-    if basis.dimension <= OPERATOR_WRITE_MAX_DIM:
-        op_path = os.path.join(out_dir, "liouvillian.kvno")
-        write_fock_operator(op_path, op, grid)
-        files.append(op_path)
     checks = [
         _check("fock_norm_drift", abs(state1.norm() - state0.norm()), None, 1e-10),
         _check("fock_hermiticity", op.hermiticity_deviation(), None, 1e-12),
@@ -189,8 +181,8 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
 
 
 def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
-    settings = cfg.settings
-    points = sample_initial(cfg.density, settings.n_particles, settings.seed)
+    settings, n_particles = cfg.settings
+    points = sample_initial(cfg.density, n_particles, settings.seed)
     moved = integrate_nbody(points, cfg.t_final, cfg.spec, settings)
     hist = histogram_density(moved, cfg.grid)
     hist.time = cfg.t_final
@@ -199,7 +191,7 @@ def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     write_points_csv(pts_path, moved)
     files = [pts_path, *_write_field_pair(out_dir, hist, "histogram.kvnf", "marginal.csv")]
     meta_path = os.path.join(out_dir, "ensemble_meta.json")
-    _write_rng_sidecar(meta_path, cfg.seed, n_particles=settings.n_particles,
+    _write_rng_sidecar(meta_path, cfg.seed, n_particles=n_particles,
                        coupling_scaling=settings.coupling_scaling,
                        note="mean-field scaling divides pair forces by (n_particles - 1)")
     files.append(meta_path)

@@ -83,7 +83,7 @@ class ScenarioConfig:
     density: GaussianDensity | GaussianMixture | None
     t_final: float
     snapshots: tuple[float, ...]
-    settings: Any  # the method's settings object; the particle count for fock
+    settings: Any  # the method's settings; fock's particle count; (settings, n) for ensemble
     raw: dict = field(repr=False, default_factory=dict)
 
 
@@ -353,7 +353,7 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
     settings = None
     if dt is not None and None not in sizes.values():
         settings = v.build(path, EnsembleSettings, dt=dt, seed=cfg.seed,
-                           coupling_scaling=scaling, **sizes)
+                           coupling_scaling=scaling)
     grid = cfg.grid
     if grid is not None and grid.periodic_q and not pair_is_periodic(cfg.spec.pair,
                                                                      grid.q_length):
@@ -370,12 +370,13 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
 
 
 def _parse_ensemble_run(v: _Validator, path: str, d: dict,
-                        cfg: ScenarioConfig) -> EnsembleSettings | None:
+                        cfg: ScenarioConfig) -> tuple[EnsembleSettings | None, int | None]:
+    """The ensemble settings and, beside them, the run's sample size ``n_particles``."""
     n = v.get_int(path, d, "n_particles", required=True, minimum=1)
     if n == 1 and not isinstance(cfg.spec.pair, NoPair):
         v.error(f"{path}.n_particles", ONE_INTERACTING)
         n = None
-    return _parse_ensemble_settings(v, path, d, cfg, n_particles=n)
+    return _parse_ensemble_settings(v, path, d, cfg, n_particles=n), n
 
 
 def _parse_compare_settings(v: _Validator, path: str, d: dict,

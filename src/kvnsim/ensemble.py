@@ -54,15 +54,12 @@ class EnsembleSettings:
     dt: float
     seed: int
     coupling_scaling: str = "mean-field"
-    n_particles: int = 2
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if self.coupling_scaling not in ("mean-field", "bare"):
             raise ValueError(f"unknown coupling scaling {self.coupling_scaling!r}")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
 
 
 def require_unit_mass(density) -> None:

@@ -1,5 +1,5 @@
 """The one writer and one reader of every run record: binary fields and Fock
-files, CSV artifacts and tables, canonical JSON, checksums and the manifest.
+states, CSV artifacts and tables, canonical JSON, checksums and the manifest.
 
 Density-field binary format (extension ``.kvnf``), little-endian throughout:
 
@@ -16,17 +16,13 @@ Density-field binary format (extension ``.kvnf``), little-endian throughout:
     60      4     zero padding (header is exactly 64 bytes)
     64      -     values, n_q * n_p float64, row-major (q-major)
 
-Fock binary format (``.kvnq`` states, ``.kvno`` operators): a 76-byte header
+Fock-state binary format (extension ``.kvnq``): a 76-byte header
 
-    magic b"KVNQ" / b"KVNO", version (uint32), n_particles (uint32),
-    n_modes (uint32), dimension (uint64), nnz (uint64; 0 for states),
+    magic b"KVNQ", version (uint32), n_particles (uint32), n_modes (uint32),
+    dimension (uint64), reserved (uint64; always 0),
     grid descriptor as above (n_q, n_p, flags, padding, bounds)
 
-followed by float64 (re, im) pairs per amplitude for states, or nnz records
-of (row uint64, col uint64, re float64, im float64) for operators.  An
-operator file holds a Liouvillian L = iK with K real, so every record's real
-part is +0.0 and its imaginary part is the entry of K; the records are in
-row-major order, and each (row, col) appears once.  A Fock file's mode count
+followed by float64 (re, im) pairs, one per amplitude.  The file's mode count
 is the n_q * n_p of its grid descriptor.
 """
 
@@ -40,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .flow import _point_rows
-from .fock import EllMatrix, FockBasis, FockOperator, FockState
+from .fock import FockBasis, FockState
 from .phase_space import DensityField, PhaseGrid, spatial_density
 
 __all__ = [
@@ -48,8 +44,6 @@ __all__ = [
     "read_field",
     "write_fock_state",
     "read_fock_state",
-    "write_fock_operator",
-    "read_fock_operator",
     "write_points_csv",
     "read_points_csv",
     "write_trajectory_csv",
@@ -66,12 +60,10 @@ __all__ = [
 
 _FIELD_MAGIC = b"KVNF"
 _STATE_MAGIC = b"KVNQ"
-_OP_MAGIC = b"KVNO"
 _VERSION = 1
 
 _FIELD_HEADER = struct.Struct("<4sI" + "IIBBxx4d" + "d4x")  # 64 bytes
 _FOCK_HEADER = struct.Struct("<4sIIIQQ" + "IIBBxx4d")       # 76 bytes
-_OP_RECORD = np.dtype([("row", "<u8"), ("col", "<u8"), ("value", "<c16")])
 _MAX_BASIS_ENTRIES = 1 << 24
 
 
@@ -98,16 +90,6 @@ def _read(path, header: struct.Struct, magic: bytes, what: str, payload_bytes):
         raise ValueError(f"{path}: {len(payload)} payload bytes, "
                          f"the header implies {payload_bytes(*fields)}")
     return fields, payload
-
-
-def _fock_basis(path, n_particles: int, n_modes: int, dim: int) -> FockBasis:
-    """The header's sector, refused unless consistent and under _MAX_BASIS_ENTRIES integers."""
-    if not (n_modes >= 1 and n_particles >= 1
-            and (dim + n_modes) * n_particles <= _MAX_BASIS_ENTRIES
-            and dim == FockBasis.sector_dimension(n_modes, n_particles)):
-        raise ValueError(f"{path}: header dimension {dim} with {n_particles} particles in "
-                         f"{n_modes} modes is not a sector, or too large to read")
-    return FockBasis(n_modes=n_modes, n_particles=n_particles)
 
 
 def _check_modes(path, n_modes: int, grid: PhaseGrid) -> None:
@@ -147,47 +129,22 @@ def write_fock_state(path, state: FockState, grid: PhaseGrid) -> None:
 
 
 def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
-    (n_particles, n_modes, dim, _, *g), payload = _read(
+    """Refuses a nonzero reserved field, a header dimension that is not the
+    sector's or whose basis would exceed _MAX_BASIS_ENTRIES integers, and a
+    mode count that is not the grid's."""
+    (n_particles, n_modes, dim, reserved, *g), payload = _read(
         path, _FOCK_HEADER, _STATE_MAGIC, "state", lambda n, m, dim, *_: 16 * dim)
+    if reserved:
+        raise ValueError(f"{path}: the reserved header field holds {reserved}, not 0")
     grid = _grid_from_tuple(g)
-    basis = _fock_basis(path, n_particles, n_modes, dim)
+    if not (n_modes >= 1 and n_particles >= 1
+            and (dim + n_modes) * n_particles <= _MAX_BASIS_ENTRIES
+            and dim == FockBasis.sector_dimension(n_modes, n_particles)):
+        raise ValueError(f"{path}: header dimension {dim} with {n_particles} particles in "
+                         f"{n_modes} modes is not a sector, or too large to read")
     _check_modes(path, n_modes, grid)
+    basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
     return FockState(basis, np.frombuffer(payload, dtype="<c16").copy()), grid
-
-
-def write_fock_operator(path, op: FockOperator, grid: PhaseGrid) -> None:
-    """The Liouvillian L = iK as row-major records (row, col, +0.0, K[row, col])."""
-    basis = op.basis
-    _check_modes(path, basis.n_modes, grid)
-    row, col, val = op.matrix.entries()
-    header = _FOCK_HEADER.pack(_OP_MAGIC, _VERSION, basis.n_particles, basis.n_modes,
-                               basis.dimension, len(val), *_grid_tuple(grid))
-    records = np.zeros(len(val), dtype=_OP_RECORD)
-    records["row"], records["col"] = row, col
-    records["value"].imag = val
-    atomic_write_bytes(path, _raw(records, _OP_RECORD), header=header)
-
-
-def read_fock_operator(path) -> tuple[FockOperator, PhaseGrid]:
-    """Refuses records outside the operator, a nonzero real part (L must be i
-    times a real matrix), a repeated (row, col), and rows too wide to pad."""
-    (n_particles, n_modes, dim, _, *g), payload = _read(
-        path, _FOCK_HEADER, _OP_MAGIC, "operator", lambda n, m, d, nnz, *_: 32 * nnz)
-    grid = _grid_from_tuple(g)
-    basis = _fock_basis(path, n_particles, n_modes, dim)
-    records = np.frombuffer(payload, dtype=_OP_RECORD)
-    row, col, value = records["row"], records["col"], records["value"]
-    if np.any(row >= dim) or np.any(col >= dim):
-        raise ValueError(f"{path}: a record lies outside the {dim} x {dim} operator")
-    if np.any(value.real != 0):
-        raise ValueError(f"{path}: the operator is not i times a real matrix")
-    row, col = row.astype(np.int64), col.astype(np.int64)
-    if np.any(np.diff(np.sort(row * dim + col)) == 0):
-        raise ValueError(f"{path}: a (row, col) entry is recorded twice")
-    if dim * np.bincount(row, minlength=dim).max(initial=0) > _MAX_BASIS_ENTRIES:
-        raise ValueError(f"{path}: rows too wide to read")
-    _check_modes(path, n_modes, grid)
-    return FockOperator(basis, EllMatrix.from_coo(row, col, value.imag, dim)), grid
 
 
 # --------------------------------------------------------------------------

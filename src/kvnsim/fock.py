@@ -42,8 +42,6 @@ __all__ = [
     "FockBasis",
     "FockState",
     "FockOperator",
-    "build_one_body",
-    "build_two_body",
     "assemble_liouvillian",
     "embed_product_state",
     "propagate",
@@ -174,13 +172,6 @@ def _kron(a, b, n_b: int):
             (va[:, None] * vb).ravel())
 
 
-def _require_antisymmetric(matrix: EllMatrix, what: str) -> EllMatrix:
-    dev = _transpose_deviation(matrix)
-    if not dev <= HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian: deviation {dev:.3e}")
-    return matrix
-
-
 def _require_matching_grid(grid: PhaseGrid, basis: FockBasis):
     if grid.n_q * grid.n_p != basis.n_modes:
         raise ValueError(f"grid has {grid.n_q * grid.n_p} cells, basis has {basis.n_modes} modes")
@@ -198,35 +189,6 @@ def _drift(grid: PhaseGrid, spec: ProblemSpec):
     """-(p/m) d/dq on the cell-indicator modes as (row, col, value) triplets."""
     return _kron(_centered_difference(grid.n_q, grid.dq, grid.periodic_q),
                  _diagonal(-grid.p_centers / spec.mass), grid.n_p)
-
-
-def build_one_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
-    """-(p/m) d/dq + grad U(q) d/dp on the cell-indicator modes: the real
-    generator k = -ih of the one-body Liouvillian h = (p/m) (1/i) d/dq -
-    grad U(q) (1/i) d/dp, antisymmetric (h Hermitian) to 1e-12 or this raises."""
-    n_p = grid.n_p
-    kick = _kron(_diagonal(spec.external_gradient(grid.q_centers)),
-                 _centered_difference(n_p, grid.dp, grid.periodic_p), n_p)
-    row, col, val = (np.concatenate(part) for part in zip(_drift(grid, spec), kick))
-    return _require_antisymmetric(EllMatrix.from_coo(row, col, val, grid.n_q * n_p),
-                                  "one-body matrix")
-
-
-def build_two_body(grid: PhaseGrid, spec: ProblemSpec) -> EllMatrix:
-    """grad v(q - q') d/dp on the unprimed argument: -i times the first-quantized
-    reference G, with G[(i*M + j), (k*M + l)] the coefficient of a+_i a+_j a_l a_k.
-    Assembly never forms it; it is the reference the tests hold assembly to.
-    Antisymmetric to 1e-12 or this raises, and that carries over to the
-    exchange-symmetrized two-particle operator."""
-    M = grid.n_q * grid.n_p
-    if isinstance(spec.pair, NoPair):
-        return EllMatrix.from_coo([], [], [], M * M)
-    gradv_q = pair_gradient_table(grid, spec.pair)
-    iq = np.repeat(np.arange(grid.n_q), grid.n_p)
-    weights = -gradv_q[iq[:, None], iq[None, :]].ravel()
-    row, col, val = _kron(_momentum_stencil(grid).entries(), _diagonal(np.ones(M)), M)
-    matrix = EllMatrix.from_coo(row, col, weights[row] * val, M * M)
-    return _require_antisymmetric(matrix, "two-body tensor")
 
 
 @dataclass(frozen=True)
@@ -271,14 +233,6 @@ class FockBasis:
         size = np.arange(self.n_particles, 0, -1)
         # tuples that agree before slot j and hold a mode in [below_j, modes_j) there
         return (self._multisets[below, size] - self._multisets[modes, size]).sum(axis=-1)
-
-    def index_of(self, occupation) -> int:
-        occ = np.asarray(occupation)
-        M, N = self.n_modes, self.n_particles
-        if occ.shape != (M,) or occ.dtype.kind not in "iuf" \
-                or not np.all((occ >= 0) & (occ <= N) & (occ == np.floor(occ))) or occ.sum() != N:
-            raise ValueError(f"expected {M} non-negative integer occupations summing to {N}")
-        return int(self._rank(np.repeat(np.arange(M), occ.astype(np.int64))))
 
     @staticmethod
     def sector_dimension(n_modes: int, n_particles: int) -> int:
@@ -393,9 +347,9 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     kicked by one force, as in the quantum Vlasov equation: row s holds the
     hops of the drift stencil -(p/m) d/dq and of d F_s, d = -d/dp the momentum
     stencil and F_s(a) = -grad U(q_a) - sum_a' grad v(q_a - q_a') n_s(a') the
-    force of the state s on a particle in q-column a.  Neither ``build_one_body``
-    nor the G of ``build_two_body`` is formed.  Total occupation is conserved
-    hop by hop, so [L, N] = 0 exactly.
+    force of the state s on a particle in q-column a.  Neither the one-body
+    matrix nor the first-quantized pair tensor is formed.  Total occupation is
+    conserved hop by hop, so [L, N] = 0 exactly.
     """
     _require_matching_grid(grid, basis)
     matrix = EllMatrix._from_rows(_sector_rows(grid, spec, basis), basis.dimension)

@@ -8,6 +8,7 @@ a batch of points an (n, 2) array.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -435,7 +436,9 @@ def _pair_sum_path(targets: np.ndarray, sources: np.ndarray, pair: PairPotential
     if isinstance(pair, GaussianPair) and open_q and targets.size and sources.size:
         span = float(targets.max() - targets.min())
         panels, k = _proxy_plan(targets.size, sources.size, span, pair.width)
-        if (panels * sources.size + targets.size) * k < targets.size * sources.size:
+        # on a span below the smallest normal float, 1 / span and 1 / (t - node) overflow
+        if span >= sys.float_info.min and \
+                (panels * sources.size + targets.size) * k < targets.size * sources.size:
             return "proxy", panels, k
     return "direct", 0, 0
 
@@ -482,7 +485,7 @@ def _chebyshev_proxy_sum(targets, sources, weights, pair, panels: int, k: int) -
     per_width = panels / (hi - lo)
     out = np.empty(targets.size)
     rows = max(1, _PAIR_TILE // k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, targets.size, rows):
             t = targets[start:start + rows]
             # target i takes panel floor((t_i - lo) / h), the top edge the last one
@@ -512,12 +515,12 @@ def pair_force_sum(targets, sources, weights, pair: PairPotentialSpec,
     - cosine pair, wherever the wrap changes nothing (open axis, or a whole
       number of periods over the q-length): the exact angle-difference
       factorization, O(N + S);
-    - gaussian pair on an open axis, when the plan of ``_proxy_plan`` (P
-      panels of k nodes) needs (P S + N) k < N S evaluations: the panelled
-      Chebyshev proxy of ``_chebyshev_proxy_sum``, a single level of the
-      black-box FMM (Fong & Darve, J. Comput. Phys. 228, 2009); it falls back
-      to the direct sum where its result would not be exact to rounding
-      (equal targets among them);
+    - gaussian pair on an open axis, when the targets span at least the
+      smallest normal float and the plan of ``_proxy_plan`` (P panels of k
+      nodes) needs (P S + N) k < N S evaluations: the panelled Chebyshev
+      proxy of ``_chebyshev_proxy_sum``, a single level of the black-box FMM
+      (Fong & Darve, J. Comput. Phys. 228, 2009); it falls back to the direct
+      sum where its result would not be exact to rounding;
     - everything else: the fixed-order direct sum, O(N S).
 
     Every reduction runs in a fixed order, so results repeat bit for bit, and

@@ -17,8 +17,6 @@ from kvnsim.fock import (
     FockBasis,
     FockState,
     assemble_liouvillian,
-    build_one_body,
-    build_two_body,
     embed_product_state,
     kernel_hermiticity_report,
     propagate,
@@ -36,6 +34,7 @@ from kvnsim.phase_space import (
     density_from_function,
 )
 from kvnsim.vlasov import VlasovSettings, vlasov_solve
+from oracle import build_one_body, build_two_body
 
 
 def report(criterion: str, passed: bool, detail: str):

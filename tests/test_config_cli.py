@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kvnsim.cli import main, run_config
 from kvnsim.config import ConfigError, parse_config
+from kvnsim.ensemble import EnsembleSettings
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
 from kvnsim.phase_space import GaussianPair, GridResolutionWarning, HarmonicPotential, NoPair
 
@@ -430,8 +431,11 @@ def test_a_comparison_ensemble_block_defaults_its_dt():
     absent = parse_config(json.dumps(compare)).settings.target
     partial = parse_config(json.dumps(dict(compare, settings=dict(
         compare["settings"], ensemble={"coupling_scaling": "bare"})))).settings.target
-    assert (absent.dt, absent.coupling_scaling) == (0.01, "mean-field")
-    assert (partial.dt, partial.coupling_scaling) == (0.01, "bare")
+    assert absent == EnsembleSettings(dt=0.01, seed=0)
+    assert partial == EnsembleSettings(dt=0.01, seed=0, coupling_scaling="bare")
+    # an ensemble run's sample size sits beside its settings, not in them
+    assert parse_config(json.dumps(ENSEMBLE_OPEN)).settings == (
+        EnsembleSettings(dt=0.01, seed=0), 2000)
     # an ensemble run names its dt
     assert config_errors(dict(ENSEMBLE_OPEN, settings={"n_particles": 20})) == [
         "settings.dt: missing required key"]

@@ -14,34 +14,17 @@ from kvnsim.fileio import (
     RunManifest,
     atomic_write_bytes,
     read_field,
-    read_fock_operator,
     read_fock_state,
     read_points_csv,
     sha256_of,
     write_field,
-    write_fock_operator,
     write_fock_state,
     write_points_csv,
     write_table_csv,
 )
-from kvnsim.fock import (
-    EllMatrix,
-    FockBasis,
-    FockOperator,
-    FockState,
-    assemble_liouvillian,
-    build_one_body,
-    build_two_body,
-)
+from kvnsim.fock import FockBasis, FockState
 from kvnsim.perturbation import ConvergenceTable
-from kvnsim.phase_space import (
-    DensityField,
-    GaussianPair,
-    HarmonicPotential,
-    PhaseGrid,
-    ProblemSpec,
-    density_from_function,
-)
+from kvnsim.phase_space import DensityField, PhaseGrid, density_from_function
 
 
 def test_field_round_trip_and_header_size(tmp_path):
@@ -100,47 +83,6 @@ def test_binary_writes_copy_no_payload(tmp_path):
         assert peak < 0.25 * payload_bytes
 
 
-def test_fock_operator_round_trip(tmp_path):
-    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 4, 4, periodic_q=True, periodic_p=True)
-    spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
-                       pair=GaussianPair(strength=0.2, width=0.9))
-    basis = FockBasis(n_modes=16, n_particles=2)
-    op = assemble_liouvillian(grid, spec, basis)
-    path = tmp_path / "op.kvno"
-    write_fock_operator(path, op, grid)
-    back, _ = read_fock_operator(path)
-    assert back.hermitian
-    assert np.array_equal(back.matrix.idx, op.matrix.idx)
-    assert np.array_equal(back.matrix.val, op.matrix.val)
-    # L = iK is stored as records (+0.0, K)
-    records = np.frombuffer(path.read_bytes()[76:], dtype=[("row", "<u8"), ("col", "<u8"),
-                                                          ("re", "<f8"), ("im", "<f8")])
-    assert records.tobytes() == np.sort(records, order=["row", "col"]).tobytes()
-    assert not np.any(np.signbit(records["re"])) and not np.any(records["re"])
-    assert len(records) == op.matrix.nnz
-
-
-def test_fock_operator_reader_refuses_what_is_not_i_times_a_real_matrix(tmp_path):
-    path = _valid_files(tmp_path)[read_fock_operator]
-    raw = path.read_bytes()
-    first, second = 76, 76 + 32          # the first two records
-    for offset, fmt, value, message in [
-        (first, "<Q", 136, "outside the 136 x 136 operator"),        # row == dim
-        (second + 8, "<Q", 2**64 - 1, "outside the 136 x 136 operator"),  # col >= dim
-        (second + 16, "<d", 0.5, "not i times a real matrix"),       # a real part
-        (second + 16, "<d", np.nan, "not i times a real matrix"),
-    ]:
-        path.write_bytes(_patched(raw, fmt, offset, value))
-        with pytest.raises(ValueError, match=message):
-            read_fock_operator(path)
-    # the second record repeats the (row, col) of the first
-    duplicate = bytearray(raw)
-    duplicate[second:second + 16] = raw[first:first + 16]
-    path.write_bytes(bytes(duplicate))
-    with pytest.raises(ValueError, match="recorded twice"):
-        read_fock_operator(path)
-
-
 def test_points_csv_round_trip(tmp_path):
     pts = np.array([[0.1, -0.2], [1.5, 2.5], [-3.25, 0.0]])
     path = tmp_path / "points.csv"
@@ -197,20 +139,15 @@ def test_fock_files_refuse_a_basis_that_is_not_one_mode_per_grid_cell(tmp_path):
     grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 5, 4, periodic_q=True, periodic_p=True)
     basis = FockBasis(n_modes=16, n_particles=2)
     state = FockState(basis, np.ones(basis.dimension, dtype=complex))
-    op = FockOperator(basis, EllMatrix.from_coo(np.array([0]), np.array([1]), np.array([1.0]),
-                                                basis.dimension))
     message = "16 modes does not match the 5 x 4 grid's 20 cells"
     with pytest.raises(ValueError, match=message):
         write_fock_state(tmp_path / "s.kvnq", state, grid)
-    with pytest.raises(ValueError, match=message):
-        write_fock_operator(tmp_path / "o.kvno", op, grid)
     assert not list(tmp_path.iterdir())
     # a 4 x 4 file whose header is patched to n_q = 5 is refused on reading
-    for reader, path in _valid_files(tmp_path).items():
-        if reader is not read_field:
-            path.write_bytes(_patched(path.read_bytes(), "<I", 32, 5))
-            with pytest.raises(ValueError, match=message):
-                reader(path)
+    path = _valid_files(tmp_path)[read_fock_state]
+    path.write_bytes(_patched(path.read_bytes(), "<I", 32, 5))
+    with pytest.raises(ValueError, match=message):
+        read_fock_state(path)
 
 
 def test_manifest_round_trip_and_checksums(tmp_path):
@@ -252,20 +189,15 @@ def test_sha256_of_falls_back_to_hashlib(tmp_path, monkeypatch):
 def _valid_files(tmp_path):
     """One small valid file per binary format, keyed by its reader."""
     grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 4, 4, periodic_q=True, periodic_p=True)
-    spec = ProblemSpec(external=HarmonicPotential(omega=1.0),
-                       pair=GaussianPair(strength=0.2, width=0.9))
     basis = FockBasis(n_modes=16, n_particles=2)
-    paths = {read_field: tmp_path / "f.kvnf", read_fock_state: tmp_path / "s.kvnq",
-             read_fock_operator: tmp_path / "o.kvno"}
+    paths = {read_field: tmp_path / "f.kvnf", read_fock_state: tmp_path / "s.kvnq"}
     write_field(paths[read_field],
                 density_from_function(grid, GaussianDensity(0, 0, 0.5, 0.4), warn=False))
     write_fock_state(paths[read_fock_state], FockState(basis, np.arange(136.0) + 1j), grid)
-    write_fock_operator(paths[read_fock_operator],
-                        assemble_liouvillian(grid, spec, basis), grid)
     return paths
 
 
-READERS = [read_field, read_fock_state, read_fock_operator]
+READERS = [read_field, read_fock_state]
 
 
 @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
@@ -308,31 +240,9 @@ def test_fock_state_reader_refuses_wrong_dimensions(tmp_path):
     path.write_bytes(_patched(huge, "<Q", 16, 1)[:76 + 16])
     with pytest.raises(ValueError, match="too large"):
         read_fock_state(path)
-
-
-def test_fock_operator_reader_refuses_wrong_dimensions(tmp_path):
-    path = _valid_files(tmp_path)[read_fock_operator]
-    raw = path.read_bytes()
-    path.write_bytes(_patched(raw, "<Q", 16, 135))
-    with pytest.raises(ValueError, match="dimension 135 with 2 particles"):
-        read_fock_operator(path)
-    # modes and particles far too large to enumerate, with a made-up dimension
-    huge = _patched(_patched(raw, "<I", 8, 2**31), "<I", 12, 2**31)
-    path.write_bytes(_patched(huge, "<Q", 16, 2**63))
-    with pytest.raises(ValueError, match="not a sector"):
-        read_fock_operator(path)
-
-
-def test_fock_operator_reader_refuses_rows_too_wide_to_pad(tmp_path):
-    # one full row of a 4097-state sector would pad the operator to 4097 x 4097 slots
-    path = _valid_files(tmp_path)[read_fock_operator]
-    header = bytearray(path.read_bytes()[:76])
-    struct.pack_into("<IIQQ", header, 8, 1, 4097, 4097, 4097)   # N, M, dim, nnz
-    records = np.zeros(4097, dtype=[("row", "<u8"), ("col", "<u8"), ("re", "<f8"), ("im", "<f8")])
-    records["col"], records["im"] = np.arange(4097), 1.0
-    path.write_bytes(bytes(header) + records.tobytes())
-    with pytest.raises(ValueError, match="too wide"):
-        read_fock_operator(path)
+    path.write_bytes(_patched(raw, "<Q", 24, 1))            # the reserved field
+    with pytest.raises(ValueError, match="reserved header field holds 1"):
+        read_fock_state(path)
 
 
 FINITE = st.floats(-1e3, 1e3, allow_nan=False)
@@ -360,31 +270,18 @@ def test_field_round_trip_property(grid, seed, time):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=grids(max_n=5), n_particles=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1), antisymmetric=st.booleans())
-def test_fock_state_and_operator_round_trip_property(grid, n_particles, seed, antisymmetric):
+@given(grid=grids(max_n=5), n_particles=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_fock_state_and_operator_round_trip_property(grid, n_particles, seed):
     n_modes = grid.n_q * grid.n_p
     assume(FockBasis.sector_dimension(n_modes, n_particles) <= 1000)
     basis = FockBasis(n_modes=n_modes, n_particles=n_particles)
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-    shape = (basis.dimension, basis.dimension)
-    dense = np.where(rng.random(shape) < 0.1, rng.normal(size=shape), 0.0)
-    if antisymmetric:
-        dense -= dense.T
-    row, col = np.nonzero(dense)
-    op = FockOperator(basis, EllMatrix.from_coo(row, col, dense[row, col], basis.dimension))
     with tempfile.TemporaryDirectory() as tmp:
         write_fock_state(os.path.join(tmp, "s.kvnq"), FockState(basis, amp), grid)
-        write_fock_operator(os.path.join(tmp, "o.kvno"), op, grid)
         state, state_grid = read_fock_state(os.path.join(tmp, "s.kvnq"))
-        back, op_grid = read_fock_operator(os.path.join(tmp, "o.kvno"))
-    assert state_grid == op_grid == grid
-    assert (state.basis, back.basis) == (basis, basis)
+    assert state_grid == grid and state.basis == basis
     assert state.amplitudes.tobytes() == amp.tobytes()
-    assert back.hermitian == op.hermitian == (antisymmetric or not dense.any())
-    for name in ("idx", "val"):
-        assert np.array_equal(getattr(back.matrix, name), getattr(op.matrix, name))
 
 
 @pytest.fixture(scope="module")

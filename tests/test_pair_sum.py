@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvnsim.phase_space import (
@@ -79,8 +79,24 @@ def pair_sums(draw):
     return targets, sources, weights, pair, grid
 
 
+def tiny_span(lo, hi, near_nodes=False):
+    """40 targets and sources spread over [lo, hi] with a gaussian pair on an
+    open axis; with ``near_nodes``, five targets one ulp above proxy nodes."""
+    pair = GaussianPair(1.0, 1.0)
+    targets = np.linspace(lo, hi, 40)
+    if near_nodes:
+        _, panels, k = _pair_sum_path(targets, targets, pair, None)
+        targets[5:10] = np.nextafter(_chebyshev_nodes(lo, hi, panels, k)[0].ravel()[:5], 1.0)
+    return targets, np.linspace(lo, hi, 40), np.ones(40), pair, None
+
+
 @settings(max_examples=40, deadline=None)
 @given(pair_sums())
+# spans below the smallest normal float: 1 / span and the barycentric weights overflow
+@example(tiny_span(0.0, 1e-320))
+@example(tiny_span(1e-310, 1.1e-308))
+# a normal span whose targets sit so near 0 that 1 / (t - node) overflows
+@example(tiny_span(1e-300, 2e-300, near_nodes=True))
 def test_kernel_matches_the_plain_direct_sum(case):
     assert_matches_plain(*case)
 

@@ -56,6 +56,19 @@ CONFIGS = {
                                       "ensemble": {"dt": 0.05}, "vlasov": {"dt": 0.05}}},
 }
 
+# the files each config's run writes beside config.json, checks.json and
+# manifest.json, as README's methods table lists them
+ARTIFACTS = {
+    "flow": ["trajectory.csv"],
+    "vlasov": ["field_0000.kvnf", "field_0001.kvnf", "marginal_0000.csv", "marginal_0001.csv"],
+    "perturbation": ["field_0000.kvnf", "marginal_0000.csv"],
+    "fock": ["density.kvnf", "marginal.csv", "state_final.kvnq"],
+    "ensemble": ["ensemble_meta.json", "histogram.kvnf", "marginal.csv",
+                 "particles_final.csv"],
+    "compare-perturbation": ["residual_table.csv"],
+    "compare-ensemble": ["convergence_meta.json", "convergence_table.csv"],
+}
+
 
 def _run(tmp_path, payload, out) -> str:
     cfg = tmp_path / "config.json"
@@ -69,7 +82,7 @@ def test_every_method_reruns_byte_identical_with_a_complete_manifest(tmp_path, n
     (tmp_path / "points.csv").write_text("q,p\n0.5,0.1\n-0.2,0.3\n")
     runs = [_run(tmp_path, CONFIGS[name], tmp_path / tag) for tag in ("a", "b")]
     a, b = (sorted(os.listdir(run)) for run in runs)
-    assert a == b
+    assert a == b == sorted(["checks.json", "config.json", "manifest.json", *ARTIFACTS[name]])
     for file in a:
         if file != "manifest.json":
             with open(os.path.join(runs[0], file), "rb") as fa, \
