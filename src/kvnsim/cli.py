@@ -53,6 +53,7 @@ from .fileio import (
 )
 from .flow import flow_trajectory
 from .fock import (
+    HERMITICITY_TOL,
     FockBasis,
     assemble_liouvillian,
     density_expectation,
@@ -87,20 +88,18 @@ def _write_rng_sidecar(path: str, seed: int, **fields) -> None:
                       **fields})
 
 
-def _write_field_pair(out_dir: str, field, field_name: str, marginal_name: str) -> list[str]:
-    """Write a density field and its marginal CSV; returns both paths, field first."""
-    field_path = os.path.join(out_dir, field_name)
-    write_field(field_path, field)
-    marg_path = os.path.join(out_dir, marginal_name)
-    write_marginal_csv(marg_path, field)
-    return [field_path, marg_path]
+def _write_field_pair(path, field, name: str, k: int | None = None) -> None:
+    """Write a density field to ``name.kvnf``, then ``marginal.csv``; snapshot k adds _kkkk."""
+    suffix = "" if k is None else f"_{k:04d}"
+    write_field(path(f"{name}{suffix}.kvnf"), field)
+    write_marginal_csv(path(f"marginal{suffix}.csv"), field)
 
 
 # --------------------------------------------------------------------------
 # method dispatch
 # --------------------------------------------------------------------------
 
-def _run_flow(cfg: ScenarioConfig, out_dir: str, base_dir: str):
+def _run_flow(cfg: ScenarioConfig, path, base_dir: str):
     settings: FlowRun = cfg.settings
     points_path = settings.points_csv
     if not os.path.isabs(points_path):
@@ -108,50 +107,36 @@ def _run_flow(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     points = read_points_csv(points_path)
     times = np.linspace(0.0, cfg.t_final, settings.n_snapshots)
     traj = flow_trajectory(points, times, cfg.spec, settings.flow)
-    path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(path, times, traj)
-    return [path], [], []
+    write_trajectory_csv(path("trajectory.csv"), times, traj)
+    return [], []
 
 
-def _snapshot_names(k: int) -> tuple[str, str]:
-    return f"field_{k:04d}.kvnf", f"marginal_{k:04d}.csv"
-
-
-def _run_vlasov(cfg: ScenarioConfig, out_dir: str, base_dir: str):
+def _run_vlasov(cfg: ScenarioConfig, path, base_dir: str):
     init = density_from_function(cfg.grid, cfg.density)
-    files = [None] * len(cfg.snapshots)
     latest = {}
 
     def write(k, snap):
-        files[k] = _write_field_pair(out_dir, snap, *_snapshot_names(k))
+        _write_field_pair(path, snap, "field", k)
         latest.update(mass=snap.mass, clip_count=snap.clip_count)  # the last is the latest
 
-    try:
-        vlasov_solve(init, cfg.t_final, cfg.spec, cfg.settings,
-                     snapshot_times=list(cfg.snapshots), sink=write)
-    except BaseException:
-        for k in range(len(files)):  # a failed run leaves no field or marginal behind
-            for name in _snapshot_names(k):
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(os.path.join(out_dir, name))
-        raise
+    vlasov_solve(init, cfg.t_final, cfg.spec, cfg.settings,
+                 snapshot_times=list(cfg.snapshots), sink=write)
     drift = abs(latest["mass"] - init.mass) / max(abs(init.mass), 1e-300)
     checks = [
         _check("vlasov_mass_drift_rel", drift, None, 1e-6),
         _check("vlasov_clip_count", latest["clip_count"], None, None),
     ]
-    return [path for pair in files for path in pair], checks, []
+    return checks, []
 
 
-def _run_perturbation(cfg: ScenarioConfig, out_dir: str, base_dir: str):
-    files = []
+def _run_perturbation(cfg: ScenarioConfig, path, base_dir: str):
     for k, t in enumerate(cfg.snapshots):
         field = perturbative_density(cfg.grid, t, cfg.density, cfg.spec, cfg.settings)
-        files += _write_field_pair(out_dir, field, *_snapshot_names(k))
-    return files, [], []
+        _write_field_pair(path, field, "field", k)
+    return [], []
 
 
-def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
+def _run_fock(cfg: ScenarioConfig, path, base_dir: str):
     n_particles: int = cfg.settings
     grid = cfg.grid
     # an over-cap sector is refused here, before its states are enumerated
@@ -170,66 +155,55 @@ def _run_fock(cfg: ScenarioConfig, out_dir: str, base_dir: str):
     dens = density_expectation(state1, grid)
     dens.time = cfg.t_final
 
-    state_path = os.path.join(out_dir, "state_final.kvnq")
-    write_fock_state(state_path, state1, grid)
-    files = [state_path, *_write_field_pair(out_dir, dens, "density.kvnf", "marginal.csv")]
+    write_fock_state(path("state_final.kvnq"), state1, grid)
+    _write_field_pair(path, dens, "density")
     checks = [
         _check("fock_norm_drift", abs(state1.norm() - state0.norm()), None, 1e-10),
-        _check("fock_hermiticity", op.hermiticity_deviation(), None, 1e-12),
+        _check("fock_hermiticity", op.hermiticity_deviation(), None, HERMITICITY_TOL),
     ]
-    return files, checks, []
+    return checks, []
 
 
-def _run_ensemble(cfg: ScenarioConfig, out_dir: str, base_dir: str):
+def _run_ensemble(cfg: ScenarioConfig, path, base_dir: str):
     settings, n_particles = cfg.settings
     points = sample_initial(cfg.density, n_particles, settings.seed)
     moved = integrate_nbody(points, cfg.t_final, cfg.spec, settings)
     hist = histogram_density(moved, cfg.grid)
     hist.time = cfg.t_final
 
-    pts_path = os.path.join(out_dir, "particles_final.csv")
-    write_points_csv(pts_path, moved)
-    files = [pts_path, *_write_field_pair(out_dir, hist, "histogram.kvnf", "marginal.csv")]
-    meta_path = os.path.join(out_dir, "ensemble_meta.json")
-    _write_rng_sidecar(meta_path, cfg.seed, n_particles=n_particles,
+    write_points_csv(path("particles_final.csv"), moved)
+    _write_field_pair(path, hist, "histogram")
+    _write_rng_sidecar(path("ensemble_meta.json"), cfg.seed, n_particles=n_particles,
                        coupling_scaling=settings.coupling_scaling,
                        note="mean-field scaling divides pair forces by (n_particles - 1)")
-    files.append(meta_path)
-    checks = [_check("histogram_mass", hist.mass, None, 1.0 + 1e-12)]
-    return files, checks, [cfg.seed]
+    return [_check("histogram_mass", hist.mass, None, 1.0 + 1e-12)], [cfg.seed]
 
 
-def _run_compare(cfg: ScenarioConfig, out_dir: str, base_dir: str):
+def _run_compare(cfg: ScenarioConfig, path, base_dir: str):
     settings: CompareRun = cfg.settings
-    files, checks, seeds = [], [], []
+    checks = []
     if settings.targets == ("perturbation", "vlasov"):
         table = residual_vs_vlasov(cfg.t_final, cfg.density, cfg.spec, list(settings.sweep),
                                    cfg.grid, settings.target, settings.vlasov)
-        path = os.path.join(out_dir, "residual_table.csv")
-        write_table_csv(path, table)
-        files.append(path)
+        write_table_csv(path("residual_table.csv"), table)
         ratios = table.ratios
         if len(ratios) >= 2:
             checks += [_check(f"strength_ratio_{i}", ratio, 3.0, 5.0)
                        for i, ratio in enumerate(ratios)]
             checks.append(_check("fitted_order", table.fitted_order, 1.7, 2.3))
-    else:
-        ens = settings.target
-        table = ensemble_vs_vlasov(cfg.density, cfg.spec, cfg.grid, cfg.t_final,
-                                   list(settings.sweep), ens, settings.vlasov)
-        path = os.path.join(out_dir, "convergence_table.csv")
-        write_table_csv(path, table)
-        meta_path = os.path.join(out_dir, "convergence_meta.json")
-        _write_rng_sidecar(meta_path, cfg.seed, n_list=list(settings.sweep), dt=ens.dt,
-                           coupling_scaling=ens.coupling_scaling,
-                           note="mean-field scaling divides pair forces by (n - 1)")
-        files += [path, meta_path]
-        seeds.append(cfg.seed)
-        n = [row[0] for row in table.rows]  # sample sizes >= 1, so ratios spans every row
-        for i, ratio in enumerate(table.ratios):
-            if abs(n[i + 1] / n[i] - 10.0) < 1e-9:  # per-decade window only for decade steps
-                checks.append(_check(f"decade_ratio_{i}", ratio, 2.5, 4.0))
-    return files, checks, seeds
+        return checks, []
+    ens = settings.target
+    table = ensemble_vs_vlasov(cfg.density, cfg.spec, cfg.grid, cfg.t_final,
+                               list(settings.sweep), ens, settings.vlasov)
+    write_table_csv(path("convergence_table.csv"), table)
+    _write_rng_sidecar(path("convergence_meta.json"), cfg.seed, n_list=list(settings.sweep),
+                       dt=ens.dt, coupling_scaling=ens.coupling_scaling,
+                       note="mean-field scaling divides pair forces by (n - 1)")
+    n = [row[0] for row in table.rows]  # sample sizes >= 1, so ratios spans every row
+    for i, ratio in enumerate(table.ratios):
+        if abs(n[i + 1] / n[i] - 10.0) < 1e-9:  # per-decade window only for decade steps
+            checks.append(_check(f"decade_ratio_{i}", ratio, 2.5, 4.0))
+    return checks, [cfg.seed]
 
 
 _DISPATCH = {
@@ -243,19 +217,31 @@ _DISPATCH = {
 
 
 def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a validated config; returns the process exit code.  The runner takes each
+    artifact's path from ``path(name)``, which records it for the manifest or for removal."""
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
+    for name in ("manifest.json", "checks.json", "error.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(out_dir, name))
     config_path = os.path.join(out_dir, "config.json")
     write_json(config_path, cfg.raw)
+    files = []
+
+    def path(name: str) -> str:
+        files.append(os.path.join(out_dir, name))
+        return files[-1]
+
     try:
-        files, checks, seeds = _DISPATCH[cfg.method](cfg, out_dir, base_dir)
-    except _RUNTIME_ERRORS as exc:
-        write_json(os.path.join(out_dir, "error.json"), {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "method": cfg.method,
-        })
+        checks, seeds = _DISPATCH[cfg.method](cfg, path, base_dir)
+    except BaseException as exc:
+        for file in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(file)
+        if not isinstance(exc, _RUNTIME_ERRORS):
+            raise
+        write_json(os.path.join(out_dir, "error.json"),
+                   {"error": type(exc).__name__, "message": str(exc), "method": cfg.method})
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     checks_path = os.path.join(out_dir, "checks.json")
@@ -266,8 +252,8 @@ def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
         wall_time_s=time.perf_counter() - started,
         seeds=seeds,
     )
-    for path in [config_path, *files, checks_path]:
-        manifest.add_file(out_dir, path)
+    for file in [config_path, *files, checks_path]:
+        manifest.add_file(out_dir, file)
     manifest.write(out_dir)
     for c in checks:
         status = "ok" if c["passed"] else "FAIL"
@@ -281,6 +267,17 @@ def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
 # report
 # --------------------------------------------------------------------------
 
+def _failure(run_dir) -> str | None:
+    """How the run in ``run_dir`` failed, from its error.json; None without one."""
+    try:
+        error = read_json(os.path.join(run_dir, "error.json"))
+        return f"the run failed: {error['error']}: {error['message']}"
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return "the run failed, and its error.json is damaged"
+
+
 def build_report(run_dirs) -> dict:
     """Aggregate manifests and checks from run directories."""
     report: dict = {"runs": [], "problems": [], "all_passed": True}
@@ -289,11 +286,12 @@ def build_report(run_dirs) -> dict:
         try:
             manifest = RunManifest.load(run_dir)
         except (OSError, ValueError) as exc:
-            report["problems"].append(f"{run_dir}: unreadable manifest ({exc})")
+            failure = isinstance(exc, FileNotFoundError) and _failure(run_dir)
+            report["problems"].append(f"{run_dir}: {failure or f'unreadable manifest ({exc})'}")
             entry["manifest"] = "missing-or-corrupt"
             report["runs"].append(entry)
-            # a directory without a manifest holds no run record; a damaged one fails
-            if not isinstance(exc, FileNotFoundError):
+            # a directory with neither a manifest nor error.json holds no run record
+            if failure or not isinstance(exc, FileNotFoundError):
                 report["all_passed"] = False
             continue
         entry["manifest"] = "ok"
@@ -333,7 +331,7 @@ def build_report(run_dirs) -> dict:
                     f"{run_dir}: check {c.get('name')} out of tolerance (value {c.get('value')})"
                 )
         tables = {}
-        for name in sorted(os.listdir(run_dir)):
+        for name in (rec["path"] for rec in manifest.files):
             if name.endswith("_table.csv"):
                 try:
                     tables[name] = read_table_csv(os.path.join(run_dir, name))

@@ -47,16 +47,25 @@ def _split_steps(t: float, dt: float) -> tuple[int, float, float]:
     return n, at - n * dt, sign
 
 
+def _require_finite(q: np.ndarray, p: np.ndarray, t: float, dt: float) -> None:
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError(f"the flow diverged: flowing over a time interval of {t:g} "
+                         f"with dt {dt:g} gave non-finite points")
+
+
 def _verlet_steps(q: np.ndarray, p: np.ndarray, n: int, dt: float, m: float, gradient):
-    """n kick-drift-kick steps of mass m under the potential gradient(q)."""
+    """n kick-drift-kick steps of mass m under gradient(q); an overflow raises ValueError."""
     if n <= 0:
         return q, p
-    g = gradient(q)
-    for _ in range(n):
-        p = p - 0.5 * dt * g
-        q = q + dt * p / m
+    with np.errstate(over="ignore", invalid="ignore"):
         g = gradient(q)
-        p = p - 0.5 * dt * g
+        for _ in range(n):
+            p = p - 0.5 * dt * g
+            q = q + dt * p / m
+            _require_finite(q, p, n * dt, dt)
+            g = gradient(q)
+            p = p - 0.5 * dt * g
+    _require_finite(q, p, n * dt, dt)
     return q, p
 
 
@@ -103,19 +112,16 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
     if not np.all(np.isfinite(pts)):
         raise ValueError("flows need finite points")
     q, p = np.atleast_2d(pts).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        if settings.exact_shortcut and isinstance(spec.external,
-                                                  (FreePotential, HarmonicPotential)):
+    if settings.exact_shortcut and isinstance(spec.external, (FreePotential, HarmonicPotential)):
+        with np.errstate(over="ignore", invalid="ignore"):
             q, p = _exact_flow(q, p, t, spec)
-        else:
-            n, rem, sign = _split_steps(t, settings.dt)
-            q, p = _verlet_steps(q, p, n, sign * settings.dt, spec.mass, spec.external_gradient)
-            if rem > 0.0:
-                q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
+        _require_finite(q, p, t, settings.dt)
+    else:
+        n, rem, sign = _split_steps(t, settings.dt)
+        q, p = _verlet_steps(q, p, n, sign * settings.dt, spec.mass, spec.external_gradient)
+        if rem > 0.0:
+            q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
     out = np.column_stack([q, p])
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"the flow diverged: flowing over a time interval of {t:g} "
-                         f"with dt {settings.dt:g} gave non-finite points")
     return out[0] if pts.ndim == 1 else out
 
 

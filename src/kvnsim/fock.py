@@ -130,9 +130,9 @@ class EllMatrix:
 
 
 def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:
-    """max |A - parity * A^T| exactly (parity -1 measures antisymmetry): each
-    stored A[r, c] meets A[c, r], gathered from row c (zero if not stored),
-    over about _HOP_BLOCK entries at a time."""
+    """max |A - parity * A^T| exactly (parity -1 measures antisymmetry), not
+    finite if an entry is not: each stored A[r, c] meets A[c, r], gathered
+    from row c (zero if not stored), over about _HOP_BLOCK entries at a time."""
     idx, val = matrix.idx, matrix.val
     step = max(1, _HOP_BLOCK // max(val.shape[1], 1))
     dev = 0.0
@@ -140,7 +140,8 @@ def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:
         col, v = idx[start:start + step], val[start:start + step]
         own = np.arange(start, start + len(col))[:, None, None]
         partner = np.where(idx[col] == own, val[col], 0.0).sum(axis=2)
-        dev = max(dev, float(np.abs(v - parity * partner)[v != 0].max(initial=0.0)))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            dev = float(np.maximum(dev, np.abs(v - parity * partner)[v != 0].max(initial=0.0)))
     return dev
 
 
@@ -353,7 +354,10 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     """
     _require_matching_grid(grid, basis)
     matrix = EllMatrix._from_rows(_sector_rows(grid, spec, basis), basis.dimension)
-    return FockOperator(basis, matrix)
+    op = FockOperator(basis, matrix)
+    if not math.isfinite(op.hermiticity_deviation()):
+        raise ValueError("the generator K overflowed: it has entries that are not finite")
+    return op
 
 
 def embed_product_state(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
@@ -419,6 +423,8 @@ def _chebyshev(matrix: EllMatrix, v: np.ndarray, t: float) -> np.ndarray:
     |K_ij|, x = R |t| and s = sign t, exp(Kt) v = J_0(x) w_0 + 2 sum_k J_k(x) w_k,
     where w_0 = v, w_1 = sKv / R and w_(k+1) = 2sKw_k / R + w_(k-1)."""
     radius = float(np.abs(matrix.val).sum(axis=1).max(initial=0.0))
+    if not math.isfinite(radius):
+        raise ValueError(f"the generator's Gershgorin bound R = {radius} is not finite")
     x = radius * abs(t)
     if x == 0.0:
         return v.copy()

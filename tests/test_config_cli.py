@@ -188,6 +188,67 @@ def test_cli_flow_names_a_diverging_flow(tmp_path):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("problem", [
+    {"pair_potential": {"type": "gaussian", "strength": 1e308, "width": 0.1}},
+    {"external_potential": {"type": "quartic", "a": 0.0, "b": 1e308}},
+    {"external_potential": {"type": "harmonic", "omega": 1.0}, "mass": 1e-320},
+], ids=["pair-strength", "quartic-b", "mass"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself, as in a plain run
+def test_cli_fock_refuses_a_generator_that_overflows(tmp_path, problem):
+    payload = {
+        "method": "fock",
+        "output_dir": str(tmp_path / "out"),
+        "problem": problem,
+        "grid": {"q_min": -3, "q_max": 3, "p_min": -3, "p_max": 3, "n_q": 4, "n_p": 4},
+        "initial_density": {"type": "gaussian", "q_sigma": 0.7, "p_sigma": 0.7},
+        "times": {"t_final": 0.5},
+        "settings": {"n_particles": 2},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "the generator K overflowed" in record["message"]
+
+
+@pytest.mark.parametrize("problem, t_final", [
+    ({"external_potential": {"type": "quartic", "a": 0.0, "b": 1e6}}, 0.5),
+    ({"external_potential": {"type": "harmonic", "omega": 1.0},
+      "pair_potential": {"type": "gaussian", "strength": 1e200, "width": 0.8}}, 0.1),
+], ids=["quartic", "pair"])
+def test_cli_ensemble_names_a_diverging_flow(tmp_path, problem, t_final):
+    payload = {
+        "method": "ensemble",
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+        "problem": problem,
+        "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6, "n_q": 16, "n_p": 16},
+        "initial_density": {"type": "gaussian", "q_sigma": 0.7, "p_sigma": 0.7},
+        "times": {"t_final": t_final},
+        "settings": {"dt": 0.01, "n_particles": 50},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "the flow diverged" in record["message"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.json", "error.json"]
+
+
+def test_cli_flow_names_a_diverging_exact_flow(tmp_path):
+    write_points_csv(tmp_path / "pts.csv", np.array([[0.0, 1.0]]))
+    payload = {
+        "method": "flow",
+        "output_dir": str(tmp_path / "out"),
+        "problem": {"mass": 1e-320},
+        "times": {"t_final": 1.0},
+        "settings": {"dt": 0.1, "exact_shortcut": True, "points_csv": "pts.csv",
+                     "n_snapshots": 3},
+    }
+    assert main(["run", "--config", write_config(tmp_path, payload), "--strict"]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "the flow diverged" in record["message"]
+
+
 def test_cli_fock_cap_refusal_distinct_from_crash(tmp_path):
     payload = {
         "method": "fock",
@@ -340,6 +401,21 @@ def test_cli_report_lists_missing_manifest_not_fatal(tmp_path):
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["runs"][0]["manifest"] == "missing-or-corrupt"
     assert any("unreadable" in p for p in summary["problems"])
+
+
+def test_cli_report_names_a_failed_run_and_exits_3(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "error.json").write_text(json.dumps(
+        {"error": "CostError", "message": "too many terms", "method": "fock"}))
+    (tmp_path / "damaged").mkdir()
+    (tmp_path / "damaged" / "error.json").write_text("[")
+    for run, problem in [(out, "the run failed: CostError: too many terms"),
+                         (tmp_path / "damaged", "the run failed, and its error.json is damaged")]:
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 3
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["problems"] == [f"{run}: {problem}"]
+        assert "SOME CHECKS FAILED" in (tmp_path / "rep" / "summary.txt").read_text()
 
 
 def test_cli_compare_emits_residual_table(tmp_path):

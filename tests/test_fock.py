@@ -442,6 +442,21 @@ def test_propagate_t0_identity_and_refusal():
             propagate(state, broken, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the row sum
+def test_a_non_finite_generator_is_not_hermitian_and_an_infinite_bound_is_refused():
+    basis = FockBasis(n_modes=2, n_particles=1)
+    nan = FockOperator(basis, EllMatrix.from_coo([0, 1], [1, 0], [np.nan, 1.0], 2))
+    assert np.isnan(fock._transpose_deviation(nan.matrix))
+    assert np.isnan(nan.hermiticity_deviation()) and not nan.hermitian
+    # antisymmetric, so Hermitian, but row 0 sums to 2e308 = inf
+    basis = FockBasis(n_modes=3, n_particles=1)
+    big = FockOperator(basis, EllMatrix.from_coo([0, 0, 1, 2], [1, 2, 0, 0],
+                                                 [1e308, 1e308, -1e308, -1e308], 3))
+    assert big.hermitian
+    with pytest.raises(ValueError, match="Gershgorin bound R = inf is not finite"):
+        propagate(FockState(basis, np.eye(3)[0]), big, 0.5)
+
+
 # 1e8 and 1e308 are finite, but their series would run to ~R|t| = 1.7e8 and 1.7e308 terms
 @pytest.mark.parametrize("t, message", [
     (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite"),

@@ -1,6 +1,7 @@
 """The records a run leaves: every method reruns byte for byte with a manifest
-that lists exactly its files, and ``kvnsim report`` survives any damaged
-manifest, checks file or table, listing the run as a problem (exit code 3)."""
+that lists exactly its files, a failed run leaves only its config and error
+record, and ``kvnsim report`` survives any damaged manifest, checks file or
+table, listing the run as a problem (exit code 3)."""
 
 import hashlib
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvnsim import cli
 from kvnsim.cli import build_report, main
 from kvnsim.fileio import RunManifest
 
@@ -70,11 +72,35 @@ ARTIFACTS = {
 }
 
 
-def _run(tmp_path, payload, out) -> str:
+# a writer of ``kvnsim.cli`` that each config calls; ``_fail_after`` makes it fail
+# once its own file is on disk
+LATER_WRITER = {
+    "flow": "write_trajectory_csv",
+    "vlasov": "write_marginal_csv",
+    "perturbation": "write_marginal_csv",
+    "fock": "write_marginal_csv",
+    "ensemble": "_write_rng_sidecar",
+    "compare-perturbation": "write_table_csv",
+    "compare-ensemble": "_write_rng_sidecar",
+}
+
+
+def _run(tmp_path, payload, out, code=0) -> str:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(payload))
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
     return str(out)
+
+
+def _fail_after(monkeypatch, writer: str) -> None:
+    """Make ``writer`` write its file, then fail as on a full disk."""
+    original = getattr(cli, writer)
+
+    def write_then_fail(*args, **kwargs):
+        original(*args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, write_then_fail)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -90,6 +116,41 @@ def test_every_method_reruns_byte_identical_with_a_complete_manifest(tmp_path, n
                 assert fa.read() == fb.read(), file
     listed = sorted(rec["path"] for rec in RunManifest.load(runs[0]).files)
     assert listed == [f for f in a if f != "manifest.json"]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_a_failed_run_leaves_only_its_config_and_error_record(tmp_path, monkeypatch, name):
+    (tmp_path / "points.csv").write_text("q,p\n0.5,0.1\n-0.2,0.3\n")
+    _fail_after(monkeypatch, LATER_WRITER[name])
+    run = _run(tmp_path, CONFIGS[name], tmp_path / "run", code=2)
+    assert sorted(os.listdir(run)) == ["config.json", "error.json"]
+    with open(os.path.join(run, "error.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["error"] == "OSError"
+
+
+def test_a_good_run_after_a_failed_one_leaves_no_error_record(tmp_path, monkeypatch):
+    with monkeypatch.context() as patch:
+        _fail_after(patch, "write_marginal_csv")
+        _run(tmp_path, CONFIGS["vlasov"], tmp_path / "run", code=2)
+    run = _run(tmp_path, CONFIGS["vlasov"], tmp_path / "run")
+    assert sorted(os.listdir(run)) == sorted(
+        ["checks.json", "config.json", "manifest.json", *ARTIFACTS["vlasov"]])
+    assert main(["report", run, "--out", str(tmp_path / "rep")]) == 0
+
+
+def test_a_failed_run_after_a_good_one_leaves_no_manifest_and_fails_the_report(
+        tmp_path, monkeypatch):
+    run = _run(tmp_path, CONFIGS["fock"], tmp_path / "run")
+    _fail_after(monkeypatch, "write_marginal_csv")
+    _run(tmp_path, CONFIGS["fock"], run, code=2)
+    assert sorted(os.listdir(run)) == ["config.json", "error.json"]
+    out = str(tmp_path / "rep")
+    assert main(["report", run, "--out", out]) == 3
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert not summary["all_passed"]
+    assert summary["problems"] == [
+        f"{run}: the run failed: OSError: [Errno 28] No space left on device"]
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +179,16 @@ def _rehash(run: str, name: str) -> None:
             rec["sha256"] = digest
     with open(os.path.join(run, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
+
+
+def _list(run: str, name: str) -> None:
+    """Add ``name`` to the manifest with the digest of its current bytes."""
+    with open(os.path.join(run, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["files"].append({"path": name, "sha256": "", "bytes": 0})
+    with open(os.path.join(run, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    _rehash(run, name)
 
 
 def _manifest_with(valid_run, **changes) -> str:
@@ -172,10 +243,21 @@ def test_report_shows_a_file_name_that_is_not_utf8_escaped(valid_run, tmp_path):
         run = _copy(valid_run, tmp_path / name.hex())
         shutil.copyfile(os.path.join(run, "residual_table.csv"),
                         os.path.join(os.fsencode(run), name))
+        _list(run, os.fsdecode(name))  # the report reads only the tables a manifest lists
         codes.append(main(["report", run, "--out", str(tmp_path / name.hex() / "rep")]))
     assert codes[1] == codes[0]
     summary = (tmp_path / "ff5f7461626c652e637376" / "rep" / "summary.txt").read_text("utf-8")
     assert "table \\udcff_table.csv:" in summary
+
+
+def test_report_reads_only_the_tables_the_manifest_lists(valid_run, tmp_path):
+    run = _copy(valid_run, tmp_path)
+    with open(os.path.join(run, "stray_table.csv"), "w", encoding="utf-8") as fh:
+        fh.write("not,a,table\n")
+    out = str(tmp_path / "rep")
+    assert main(["report", run, "--out", out]) == 0
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        assert list(json.load(fh)["runs"][0]["tables"]) == ["residual_table.csv"]
 
 
 JSON_VALUES = st.recursive(
