@@ -137,10 +137,9 @@ def _run_perturbation(cfg: ScenarioConfig, path, base_dir: str):
 
 
 def _run_fock(cfg: ScenarioConfig, path, base_dir: str):
-    n_particles: int = cfg.settings
     grid = cfg.grid
     # an over-cap sector is refused here, before its states are enumerated
-    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=n_particles)
+    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=cfg.settings)
     op = assemble_liouvillian(grid, cfg.spec, basis)
 
     Q, P = grid.meshgrid()
@@ -148,20 +147,15 @@ def _run_fock(cfg: ScenarioConfig, path, base_dir: str):
     norm = np.sqrt(np.sum(np.abs(orbital) ** 2) * grid.cell_volume)
     if norm <= 0:
         raise ValueError("initial density vanishes on the grid")
-    orbital = (orbital / norm).reshape(-1)
-    psi = orbital if n_particles == 1 else np.outer(orbital, orbital)
-    state0 = embed_product_state(psi, basis, grid)
+    state0 = embed_product_state(orbital / norm, basis, grid)
     state1 = propagate(state0, op, cfg.t_final)
     dens = density_expectation(state1, grid)
     dens.time = cfg.t_final
 
     write_fock_state(path("state_final.kvnq"), state1, grid)
     _write_field_pair(path, dens, "density")
-    checks = [
-        _check("fock_norm_drift", abs(state1.norm() - state0.norm()), None, 1e-10),
-        _check("fock_hermiticity", op.hermiticity_deviation(), None, HERMITICITY_TOL),
-    ]
-    return checks, []
+    return [_check("fock_norm_drift", abs(state1.norm() - state0.norm()), None, 1e-10),
+            _check("fock_hermiticity", op.hermiticity_deviation(), None, HERMITICITY_TOL)], []
 
 
 def _run_ensemble(cfg: ScenarioConfig, path, base_dir: str):

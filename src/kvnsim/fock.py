@@ -122,11 +122,14 @@ class EllMatrix:
         """K x, row tile by row tile: each tile gathers about _MATVEC_TILE_BYTES
         of x, so no dim x width gather forms; rows sum as in one einsum."""
         out = np.empty(len(self.val), dtype=np.result_type(self.val, x))
-        rows = max(1, _MATVEC_TILE_BYTES // max(self.idx.shape[1] * x.itemsize, 1))
-        for a in range(0, len(out), rows):
-            np.einsum("ij,ij->i", self.val[a:a + rows], x[self.idx[a:a + rows]],
-                      out=out[a:a + rows])
+        for tile in self._row_tiles(x.itemsize):
+            np.einsum("ij,ij->i", self.val[tile], x[self.idx[tile]], out=out[tile])
         return out
+
+    def _row_tiles(self, itemsize: int):
+        """Row slices that each gather about _MATVEC_TILE_BYTES of a vector."""
+        rows = max(1, _MATVEC_TILE_BYTES // max(self.idx.shape[1] * itemsize, 1))
+        return (slice(a, a + rows) for a in range(0, len(self.val), rows))
 
 
 def _transpose_deviation(matrix: EllMatrix, parity: int = -1) -> float:
@@ -321,20 +324,24 @@ def _hops(basis: FockBasis, modes: np.ndarray, stencil: EllMatrix):
 def _sector_rows(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis):
     """The rows of K, one ``EllMatrix._from_rows`` block per _HOP_BLOCK states
     s: the drift hops of s along q, then its kick hops along p, the momentum
-    stencil times the force F_s on the moving particle's q-column."""
+    stencil times the force F_s on the moving particle's q-column.  ``block``
+    builds each one, so its temporaries die before the yield."""
     n_p = grid.n_p
     drift = EllMatrix.from_coo(*_drift(grid, spec), basis.n_modes)
     momentum = _momentum_stencil(grid)
     gradv_q = pair_gradient_table(grid, spec.pair)
-    for start in range(0, basis.dimension, _HOP_BLOCK):
-        modes = basis.modes[start:start + _HOP_BLOCK]
+
+    def block(modes):
         # F_s(a) = -grad U(q_a) - sum_a' grad v(q_a - q_a') n_s(a'); the own term is grad v(0) = 0
         force = -spec.external_gradient(grid.q_centers) - gradv_q[:, modes // n_p].sum(axis=2).T
         source, target, _, value, factor = _hops(basis, modes, drift)
         kick_source, kick_target, i, d, kick_factor = _hops(basis, modes, momentum)
         kick = (d * force[kick_source, i // n_p]) * kick_factor
-        yield (np.concatenate([source, kick_source]), np.concatenate([target, kick_target]),
-               np.concatenate([value * factor, kick]), len(modes))
+        return (np.concatenate([source, kick_source]), np.concatenate([target, kick_target]),
+                np.concatenate([value * factor, kick]), len(modes))
+
+    for start in range(0, basis.dimension, _HOP_BLOCK):
+        yield block(basis.modes[start:start + _HOP_BLOCK])
 
 
 def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -> FockOperator:
@@ -360,35 +367,26 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     return op
 
 
-def embed_product_state(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
-    """Embed a symmetric N-particle grid function into the fixed-N sector.
-
-    Expanding the grid function in the orthonormal indicator modes and
-    applying the bosonic creation operators yields occupation amplitudes
-    c * sqrt(N! / prod n_i!); the embedding is an isometry, so a unit-norm
-    grid function gives a unit-norm state.  Supported for N = 1 (vector of
-    cell values, shape (M,) or (n_q, n_p)) and N = 2 (matrix of cell-pair
-    values, shape (M, M), symmetric to 1e-12).
-    """
+def embed_product_state(orbital: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
+    """The N-boson product state of one orbital phi (cell values, shape (M,) or
+    (n_q, n_p)), N <= 2, amplitudes c sqrt(N! / prod n!) over the indicator modes:
+    phi(a) sqrt(vol) for N = 1 and (phi(a) phi(b)) vol, times sqrt(2) when a != b,
+    for N = 2, read from each state's sorted modes.  No M x M array forms, and a
+    unit-norm phi gives a unit-norm state."""
     _require_matching_grid(grid, basis)
-    M = basis.n_modes
-    vol = grid.cell_volume
-    psi = np.asarray(psi, dtype=complex)
+    if np.shape(orbital) not in ((basis.n_modes,), (grid.n_q, grid.n_p)):
+        raise ValueError("the orbital must have M values")
+    phi = np.asarray(orbital, dtype=complex).reshape(-1)
     if basis.n_particles == 1:
-        flat = psi.reshape(M) if psi.shape == (grid.n_q, grid.n_p) else psi
-        if flat.shape != (M,):
-            raise ValueError("one-particle grid function must have M values")
-        return FockState(basis, flat * np.sqrt(vol))
+        return FockState(basis, phi * np.sqrt(grid.cell_volume))
     if basis.n_particles == 2:
-        if psi.shape != (M, M):
-            raise ValueError("two-particle grid function must be an (M, M) array")
-        scale = np.max(np.abs(psi))
-        if scale > 0 and np.max(np.abs(psi - psi.T)) > 1e-12 * scale:
-            raise ValueError("two-particle grid function must be exchange symmetric")
         a, b = basis.modes.T
-        coeff = (psi * vol)[a, b]
-        return FockState(basis, np.where(a == b, coeff, np.sqrt(2.0) * coeff))
-    raise NotImplementedError("grid-function embedding is implemented for N <= 2")
+        amp = phi[a]
+        amp *= phi[b]
+        amp *= grid.cell_volume
+        np.multiply(amp, np.sqrt(2.0), out=amp, where=a != b)
+        return FockState(basis, amp)
+    raise NotImplementedError("product-state embedding is implemented for N <= 2")
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -422,7 +420,9 @@ def _chebyshev(matrix: EllMatrix, v: np.ndarray, t: float) -> np.ndarray:
     J. Chem. Phys. 81, 3967, 1984): with R the Gershgorin bound max_i sum_j
     |K_ij|, x = R |t| and s = sign t, exp(Kt) v = J_0(x) w_0 + 2 sum_k J_k(x) w_k,
     where w_0 = v, w_1 = sKv / R and w_(k+1) = 2sKw_k / R + w_(k-1)."""
-    radius = float(np.abs(matrix.val).sum(axis=1).max(initial=0.0))
+    # R over the matvec's row tiles, so no |K|-sized temporary forms; np.max keeps a NaN
+    radius = float(np.max([np.abs(matrix.val[tile]).sum(axis=1).max(initial=0.0)
+                           for tile in matrix._row_tiles(v.itemsize)], initial=0.0))
     if not math.isfinite(radius):
         raise ValueError(f"the generator's Gershgorin bound R = {radius} is not finite")
     x = radius * abs(t)
@@ -458,8 +458,7 @@ def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
             f"operator is not Hermitian (deviation {op.hermiticity_deviation():.3e}); "
             "refusing to propagate"
         )
-    sector = (state.basis.n_modes, state.basis.n_particles)
-    if sector != (op.basis.n_modes, op.basis.n_particles):
+    if state.basis != op.basis:  # compares (n_modes, n_particles)
         raise ValueError("state and operator bases do not match")
     source = state.amplitudes
     amp = np.empty_like(source)

@@ -365,9 +365,12 @@ def spatial_density(density: DensityField) -> np.ndarray:
 def _pair_kernel(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
     """Read-only grad v(wrap(d dq)) for d = -(n_q - 1) ... n_q - 1: the 2 n_q - 1
     numbers that fix the pair operator on a uniform q-axis.  Exactly odd, since
-    the minimum-image wrap rounds symmetrically."""
+    the minimum-image wrap rounds symmetrically.  A grad v that overflows is refused."""
     d = np.arange(1 - grid.n_q, grid.n_q)
-    kernel = pair.gradient(grid.wrap_displacement(d * grid.dq))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kernel = pair.gradient(grid.wrap_displacement(d * grid.dq))
+    if not np.all(np.isfinite(kernel)):
+        raise ValueError(f"the pair gradient grad v of {pair} overflows on the grid")
     if grid.periodic_q:
         # cells n_q / 2 apart on a ring sit half a period apart both ways; the tie
         # takes the average of the two images, 0 for the odd grad v of every pair

@@ -264,17 +264,20 @@ class _Stepper:
     def p_kick(self) -> None:
         """The p-kick p -> p + F dt (p is open), the force frozen from the
         clipped-at-zero field, held in the kick's coefficient rows until the
-        sweep overwrites them.  Raises CFLViolation past the p-domain length."""
+        sweep overwrites them.  Raises CFLViolation past the p-domain length,
+        and ValueError when the kick is not finite."""
         grid, kick = self.grid, self.kick
         scratch = kick.coef[kick.lead + _GHOST:kick.lead + _GHOST + grid.n_p]
         np.maximum(self.f, 0.0, out=scratch)
-        force = mean_field_force(DensityField(grid, scratch.T), self.spec)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            force = mean_field_force(DensityField(grid, scratch.T), self.spec)
         max_kick = self.dt * float(np.max(np.abs(force)))
+        if not math.isfinite(max_kick):
+            raise ValueError(f"the p-kick dt*max|F| = {max_kick:g}: the force F overflowed")
         if max_kick >= grid.p_max - grid.p_min:
             raise CFLViolation(
                 f"dt*max|F| = {max_kick:g} exceeds the p-domain length "
-                f"{grid.p_max - grid.p_min:g}; reduce dt or enlarge the domain"
-            )
+                f"{grid.p_max - grid.p_min:g}; reduce dt or enlarge the domain")
         kick.sweep(self.f, kick.plan(force * self.dt / grid.dp))
 
     def clip(self) -> int:

@@ -34,7 +34,7 @@ from kvnsim.phase_space import (
     density_from_function,
 )
 from kvnsim.vlasov import VlasovSettings, vlasov_solve
-from oracle import build_one_body, build_two_body
+from oracle import build_one_body, build_two_body, embed_grid_function
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -121,9 +121,9 @@ def test_c2_first_second_quantization_equivalence():
     L2 = assemble_liouvillian(grid, spec, basis2)
     perm = np.arange(M * M).reshape(M, M).T.ravel()  # the exchange x <-> x'
     K2fq = np.kron(one, np.eye(M)) + np.kron(np.eye(M), one) + G + G[perm][:, perm]
-    second2 = propagate(embed_product_state(psi2, basis2, grid), L2, t)
+    second2 = propagate(embed_grid_function(psi2, basis2, grid), L2, t)
     psi2_t = (expm(K2fq * t) @ psi2.ravel()).reshape(M, M)
-    first2 = embed_product_state(psi2_t, basis2, grid)
+    first2 = embed_grid_function(psi2_t, basis2, grid)
     errors[2] = np.max(np.abs(second2.amplitudes - first2.amplitudes))
 
     elapsed = time.perf_counter() - started
@@ -142,7 +142,7 @@ def _quantum_vlasov_scenario():
     Q, P = grid.meshgrid()
     phi = 1.0 + 3e-3 * (np.cos(Q) + np.cos(P))
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, grid)
+    state = embed_product_state(phi, basis, grid)
     return state, L, grid, spec
 
 

@@ -131,6 +131,15 @@ def test_cli_vlasov_run_and_artifacts(tmp_path):
     assert any(c["name"] == "vlasov_mass_drift_rel" and c["passed"] for c in checks)
 
 
+def test_cli_vlasov_runs_a_mixture_density(tmp_path):
+    mixture = {"type": "mixture", "weights": [1, 2],
+               "components": [{"q_center": -1, "q_sigma": 0.8, "p_sigma": 0.8},
+                              {"q_center": 1.5, "q_sigma": 0.8, "p_sigma": 0.8}]}
+    payload = dict(MINIMAL_VLASOV, output_dir=str(tmp_path / "out"), initial_density=mixture)
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_cli_flow_batch_csv(tmp_path):
     pts_path = tmp_path / "pts.csv"
     write_points_csv(pts_path, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -188,13 +197,16 @@ def test_cli_flow_names_a_diverging_flow(tmp_path):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("problem", [
-    {"pair_potential": {"type": "gaussian", "strength": 1e308, "width": 0.1}},
-    {"external_potential": {"type": "quartic", "a": 0.0, "b": 1e308}},
-    {"external_potential": {"type": "harmonic", "omega": 1.0}, "mass": 1e-320},
+@pytest.mark.parametrize("problem, message", [
+    ({"pair_potential": {"type": "gaussian", "strength": 1e308, "width": 0.1}},
+     "the pair gradient grad v of GaussianPair(strength=1e+308, width=0.1) overflows"),
+    ({"external_potential": {"type": "quartic", "a": 0.0, "b": 1e308}},
+     "the generator K overflowed"),
+    ({"external_potential": {"type": "harmonic", "omega": 1.0}, "mass": 1e-320},
+     "the generator K overflowed"),
 ], ids=["pair-strength", "quartic-b", "mass"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself, as in a plain run
-def test_cli_fock_refuses_a_generator_that_overflows(tmp_path, problem):
+def test_cli_fock_refuses_a_generator_that_overflows(tmp_path, problem, message):
     payload = {
         "method": "fock",
         "output_dir": str(tmp_path / "out"),
@@ -207,7 +219,32 @@ def test_cli_fock_refuses_a_generator_that_overflows(tmp_path, problem):
     assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert record["error"] == "ValueError"
-    assert "the generator K overflowed" in record["message"]
+    assert message in record["message"]
+
+
+OVERFLOWING_PAIR = {"pair_potential": {"type": "gaussian", "strength": 1e308, "width": 0.1}}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("method, problem, message", [
+    ("fock", OVERFLOWING_PAIR, "the pair gradient grad v of GaussianPair(strength=1e+308, "
+                               "width=0.1) overflows"),
+    ("vlasov", OVERFLOWING_PAIR, "the pair gradient grad v of GaussianPair(strength=1e+308, "
+                                 "width=0.1) overflows"),
+    ("vlasov", {"external_potential": {"type": "quartic", "a": 1e308, "b": -1e308}},
+     "the p-kick dt*max|F| = nan: the force F overflowed"),
+], ids=["fock-pair", "vlasov-pair", "vlasov-quartic"])
+def test_cli_names_a_force_that_overflows(tmp_path, method, problem, message, strict):
+    payload = dict(MINIMAL_VLASOV, method=method, output_dir=str(tmp_path / "out"),
+                   problem=problem)
+    if method == "fock":
+        payload.update(grid=dict(MINIMAL_VLASOV["grid"], n_q=4, n_p=4), times={"t_final": 0.5},
+                       settings={"n_particles": 2})
+    strict_flag = ["--strict"] if strict else []
+    assert main(["run", "--config", write_config(tmp_path, payload), *strict_flag]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError" and record["method"] == method
+    assert message in record["message"]
 
 
 @pytest.mark.parametrize("problem, t_final", [
@@ -602,6 +639,37 @@ def config_errors(raw) -> list[str]:
 def test_non_object_potential_is_a_config_error(value):
     raw = dict(MINIMAL_VLASOV, problem={"external_potential": value})
     assert config_errors(raw) == ["problem.external_potential: expected an object"]
+
+
+GRID = MINIMAL_VLASOV["grid"]
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"problem": {"external_potential": {"type": "morse"}}},
+     "problem.external_potential.type: unknown potential type 'morse'"),
+    ({"problem": {"pair_potential": {"type": "yukawa"}}},
+     "problem.pair_potential.type: unknown pair potential type 'yukawa'"),
+    ({"initial_density": {"type": "uniform"}},
+     "initial_density.type: unknown density type 'uniform'"),
+    ({"grid": dict(GRID, q_max=-8)}, "grid.q_max: bounds must be ordered (q_max > q_min)"),
+    ({"grid": dict(GRID, p_max=-9)}, "grid.p_max: bounds must be ordered (p_max > p_min)"),
+    ({"initial_density": {"type": "mixture", "components": [{"type": "uniform"}],
+                          "weights": [1.0]}},
+     "initial_density.components[0].type: mixture components must be gaussian"),
+    ({"times": {"t_final": 0.1, "snapshots": [0.0, "end"]}},
+     "times.snapshots: must be a list of finite numbers"),
+    ({"times": {"t_final": 0.1, "snapshots": [0.0, 0.2]}},
+     "times.snapshots[1]: must lie in [0, t_final]"),
+    ({"problem": {"external_potential": {"type": "cosine", "wavenumber": 1.0,
+                                         "amplitude": 0.5}}},
+     "grid.periodic_q: cosine external potential requires a periodic q-domain"),
+    ({"problem": {"external_potential": {"type": "harmonic", "omega": 0}}},
+     "problem.external_potential.omega: must be > 0.0"),
+], ids=["external-type", "pair-type", "density-type", "q-bounds", "p-bounds",
+        "mixture-component", "snapshot-number", "snapshot-range", "cosine-open-q",
+        "strict-minimum"])
+def test_each_refusal_names_its_path(change, error):
+    assert config_errors(dict(MINIMAL_VLASOV, **change)) == [error]
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -39,7 +39,7 @@ from kvnsim.phase_space import (
     density_from_function,
     pair_gradient_table,
 )
-from oracle import build_one_body, build_two_body, index_of
+from oracle import build_one_body, build_two_body, embed_grid_function, index_of
 
 
 def periodic_grid(n_q, n_p, half=np.pi):
@@ -348,8 +348,8 @@ def test_grid_must_match_the_basis_modes():
     grid20, grid16 = periodic_grid(5, 4), periodic_grid(4, 4)
     basis16 = FockBasis(n_modes=16, n_particles=2)
     basis20 = FockBasis(n_modes=20, n_particles=2)
-    psi20 = np.ones((20, 20)) / (20 * grid20.cell_volume)
-    psi16 = np.ones((16, 16)) / (16 * grid16.cell_volume)
+    psi20 = np.ones(20) / np.sqrt(20 * grid20.cell_volume)
+    psi16 = np.ones(16) / np.sqrt(16 * grid16.cell_volume)
     more, fewer = "grid has 20 cells, basis has 16 modes", "grid has 16 cells, basis has 20 modes"
     with pytest.raises(ValueError, match=more):
         embed_product_state(psi20, basis16, grid20)
@@ -382,7 +382,7 @@ def test_embed_two_orthogonal_modes_unit_amplitude():
     i, j = 3, 11
     psi = np.zeros((16, 16))
     psi[i, j] = psi[j, i] = 1.0 / (np.sqrt(2) * vol)  # symmetrized, unit norm
-    state = embed_product_state(psi, basis, grid)
+    state = embed_grid_function(psi, basis, grid)
     occ = np.zeros(16, dtype=int)
     occ[i] = occ[j] = 1
     idx = index_of(basis, occ)
@@ -399,7 +399,7 @@ def test_embed_product_orbital_matches_coherent_sector_pattern():
     rng = np.random.default_rng(1)
     phi = rng.uniform(0.2, 1.0, size=16)
     phi /= np.sqrt(np.sum(phi**2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi, phi), basis, grid)
+    state = embed_product_state(phi, basis, grid)
     f = phi * np.sqrt(grid.cell_volume)  # orbital coefficients
     for s in range(basis.dimension):
         occ = occupations(basis)[s]
@@ -418,7 +418,45 @@ def test_embed_rejects_asymmetric_two_particle_function():
     psi = np.zeros((16, 16))
     psi[2, 5] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        embed_product_state(psi, basis, grid)
+        embed_grid_function(psi, basis, grid)
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+@pytest.mark.parametrize("grid", [periodic_grid(5, 4), PhaseGrid(-3, 3, -2, 2, 5, 4),
+                                  PhaseGrid(-np.pi, np.pi, -3, 3, 4, 5, periodic_q=True)],
+                         ids=["periodic", "open", "mixed"])
+def test_product_embedding_equals_the_grid_function_embedding_byte_for_byte(grid, n_particles):
+    # the orbital's amplitudes against the oracle's embedding of phi or phi (x) phi
+    basis = FockBasis(n_modes=20, n_particles=n_particles)
+    rng = np.random.default_rng(7)
+    for phi in (rng.uniform(0.0, 1.0, 20), rng.normal(size=20),
+                rng.normal(size=20) + 1j * rng.normal(size=20)):
+        psi = phi if n_particles == 1 else np.outer(phi, phi)
+        product = embed_product_state(phi.reshape(grid.n_q, grid.n_p), basis, grid)
+        oracle = embed_grid_function(psi, basis, grid)
+        assert product.amplitudes.tobytes() == oracle.amplitudes.tobytes()
+
+
+def test_product_embedding_peak_follows_the_state():
+    # M = 256, N = 2: the M x M product matrix alone, as complex, would be 1 MB
+    grid = periodic_grid(16, 16)
+    basis = FockBasis(n_modes=256, n_particles=2)
+    orbital = np.random.default_rng(8).uniform(0.0, 1.0, (16, 16))
+    tracemalloc.start()
+    try:
+        state = embed_product_state(orbital, basis, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * state.amplitudes.nbytes
+
+
+def test_product_embedding_refuses_a_wrong_orbital_and_three_particles():
+    grid = periodic_grid(4, 4)
+    with pytest.raises(ValueError, match="the orbital must have M values"):
+        embed_product_state(np.ones((16, 16)), FockBasis(n_modes=16, n_particles=2), grid)
+    with pytest.raises(NotImplementedError, match="N <= 2"):
+        embed_product_state(np.ones(16), FockBasis(n_modes=16, n_particles=3), grid)
 
 
 def test_propagate_t0_identity_and_refusal():
@@ -468,6 +506,20 @@ def test_propagate_refuses_non_finite_and_over_cap_times(t, message):
     state = FockState(basis, np.eye(16)[3])
     with pytest.raises(CostError if message == "above the cap" else ValueError, match=message):
         propagate(state, L, t)
+
+
+def test_chebyshev_bound_allocates_no_operator_sized_temporary():
+    # 4096 rows of 64 entries: val is 2 MB, each vector 32 KB; |val| whole would be 2 MB
+    rng = np.random.default_rng(9)
+    matrix = EllMatrix(rng.integers(0, 4096, (4096, 64)), rng.normal(size=(4096, 64)))
+    v = rng.normal(size=4096)
+    tracemalloc.start()
+    try:
+        fock._chebyshev(matrix, v, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.val.nbytes
 
 
 def test_propagate_single_particle_matches_matrix_exponential():
@@ -620,7 +672,7 @@ def test_assembly_peak_memory_follows_the_operator():
     finally:
         tracemalloc.stop()
     assert op.matrix.nnz == 82944 and op.hermiticity_deviation() == 0.0
-    assert peak <= 3 * (op.matrix.idx.nbytes + op.matrix.val.nbytes)
+    assert peak <= 2.5 * (op.matrix.idx.nbytes + op.matrix.val.nbytes)
 
 
 def test_quantum_vlasov_residual_matches_dense_tally_formula():
@@ -631,7 +683,7 @@ def test_quantum_vlasov_residual_matches_dense_tally_formula():
     Q, P = grid.meshgrid()
     phi = np.exp(-0.5 * ((Q - 0.4) ** 2 + P**2))
     phi /= np.sqrt(np.sum(phi**2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, grid)
+    state = embed_product_state(phi, basis, grid)
     res = quantum_vlasov_residual(state, L, grid, spec, t=0.3, dt_fd=1e-4)
 
     vol, shape = grid.cell_volume, (grid.n_q, grid.n_p)
@@ -667,8 +719,8 @@ def sector_equivalence_error(grid, spec, n_particles, t, seed=11):
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume**2)
         L2 = two_particle_generator(one, two, M)
         psi_t = (expm(L2 * t) @ psi.ravel()).reshape(M, M)
-    second = propagate(embed_product_state(psi, basis, grid), L, t)
-    first = embed_product_state(psi_t, basis, grid)
+    second = propagate(embed_grid_function(psi, basis, grid), L, t)
+    first = embed_grid_function(psi_t, basis, grid)
     return np.max(np.abs(second.amplitudes - first.amplitudes))
 
 
@@ -741,7 +793,7 @@ def test_two_particle_fock_converges_to_classical_two_body_transport():
         norm = weight.sum() * grid.cell_volume
         orbital = np.sqrt(weight / norm)
         basis = FockBasis(n_modes=n * n, n_particles=2)
-        state = propagate(embed_product_state(np.outer(orbital, orbital), basis, grid),
+        state = propagate(embed_product_state(orbital, basis, grid),
                           assemble_liouvillian(grid, spec, basis), 1.0)
         # every pair of cell centres (x1, x2) as rows 0 and 1, traced back to t = 0
         q = np.stack(np.broadcast_arrays(Q.ravel()[:, None], Q.ravel()[None, :]))
@@ -791,8 +843,7 @@ def test_transport_identity_converges_over_the_whole_grid(case):
         orbital = np.sqrt(identity_wrapped_gaussian(Q, P)).ravel()
         orbital /= np.sqrt(np.sum(orbital**2) * grid.cell_volume)
         basis = FockBasis(n_modes=n * n, n_particles=n_particles)
-        psi = orbital if n_particles == 1 else np.outer(orbital, orbital)
-        res = quantum_vlasov_residual(embed_product_state(psi, basis, grid),
+        res = quantum_vlasov_residual(embed_product_state(orbital, basis, grid),
                                       assemble_liouvillian(grid, spec, basis), grid, spec,
                                       t=0.3, dt_fd=1e-4)
         identity = (res.dt_term_exact + res.transport_term + res.force_external_term
@@ -824,7 +875,7 @@ def _modulated_pair_scenario():
     Q, P = grid.meshgrid()
     phi = 1.0 + 3e-3 * (np.cos(Q) + np.cos(P))
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-    state = embed_product_state(np.outer(phi.ravel(), phi.ravel()), basis, grid)
+    state = embed_product_state(phi, basis, grid)
     return state, L, grid, spec
 
 

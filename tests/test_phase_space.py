@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kvnsim.densities import GaussianDensity
+from kvnsim.densities import GaussianDensity, GaussianMixture
 from kvnsim.phase_space import (
     BoundaryMassWarning,
     CosinePair,
@@ -283,6 +283,17 @@ def test_density_from_function_mass_and_flags():
     with pytest.warns(GridResolutionWarning):
         under = density_from_function(grid, narrow)
     assert under.resolution_warning
+
+
+def test_a_mixture_samples_as_the_weighted_sum_of_its_components():
+    grid = PhaseGrid(-6, 6, -6, 6, 48, 48)
+    parts = (GaussianDensity(-1.0, 0.5, 0.7, 0.8), GaussianDensity(1.2, -0.3, 0.9, 0.6, 2.0),
+             GaussianDensity(0.0, 0.0, 1.1, 1.0))
+    mix = GaussianMixture(parts, (1.0, 3.0, 0.5))
+    w = mix.weights
+    a, b, c = (density_from_function(grid, part, warn=False).values for part in parts)
+    assert_array_equal(density_from_function(grid, mix, warn=False).values,
+                       w[0] * a + w[1] * b + w[2] * c)
 
 
 def test_density_from_function_boundary_mass_warning():
