@@ -60,7 +60,7 @@ from .fock import (
     embed_product_state,
     propagate,
 )
-from .perturbation import perturbative_density, residual_vs_vlasov
+from .perturbation import PerturbationSettings, perturbative_density, residual_vs_vlasov
 from .phase_space import density_from_function
 from .vlasov import vlasov_solve
 
@@ -81,11 +81,6 @@ def _check(name: str, value: float, low: float | None, high: float | None) -> di
     value = float(value)
     return {"name": name, "value": value, "low": low, "high": high,
             "passed": _in_window(value, low, high)}
-
-
-def _write_rng_sidecar(path: str, seed: int, **fields) -> None:
-    write_json(path, {"seed": seed, "rng": "numpy PCG64", "numpy_version": np.__version__,
-                      **fields})
 
 
 def _write_field_pair(path, field, name: str, k: int | None = None) -> None:
@@ -167,16 +162,13 @@ def _run_ensemble(cfg: ScenarioConfig, path, base_dir: str):
 
     write_points_csv(path("particles_final.csv"), moved)
     _write_field_pair(path, hist, "histogram")
-    _write_rng_sidecar(path("ensemble_meta.json"), cfg.seed, n_particles=n_particles,
-                       coupling_scaling=settings.coupling_scaling,
-                       note="mean-field scaling divides pair forces by (n_particles - 1)")
     return [_check("histogram_mass", hist.mass, None, 1.0 + 1e-12)], [cfg.seed]
 
 
 def _run_compare(cfg: ScenarioConfig, path, base_dir: str):
     settings: CompareRun = cfg.settings
     checks = []
-    if settings.targets == ("perturbation", "vlasov"):
+    if isinstance(settings.target, PerturbationSettings):
         table = residual_vs_vlasov(cfg.t_final, cfg.density, cfg.spec, list(settings.sweep),
                                    cfg.grid, settings.target, settings.vlasov)
         write_table_csv(path("residual_table.csv"), table)
@@ -186,13 +178,9 @@ def _run_compare(cfg: ScenarioConfig, path, base_dir: str):
                        for i, ratio in enumerate(ratios)]
             checks.append(_check("fitted_order", table.fitted_order, 1.7, 2.3))
         return checks, []
-    ens = settings.target
     table = ensemble_vs_vlasov(cfg.density, cfg.spec, cfg.grid, cfg.t_final,
-                               list(settings.sweep), ens, settings.vlasov)
+                               list(settings.sweep), settings.target, settings.vlasov)
     write_table_csv(path("convergence_table.csv"), table)
-    _write_rng_sidecar(path("convergence_meta.json"), cfg.seed, n_list=list(settings.sweep),
-                       dt=ens.dt, coupling_scaling=ens.coupling_scaling,
-                       note="mean-field scaling divides pair forces by (n - 1)")
     n = [row[0] for row in table.rows]  # sample sizes >= 1, so ratios spans every row
     for i, ratio in enumerate(table.ratios):
         if abs(n[i + 1] / n[i] - 10.0) < 1e-9:  # per-decade window only for decade steps
@@ -440,16 +428,13 @@ def main(argv=None) -> int:
                 return run_config(cfg, out_dir, base_dir)
         return run_config(cfg, out_dir, base_dir)
 
-    if args.command == "report":
-        report = build_report(args.run_dirs)
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "summary.json"), report)
-        text = _render_report(report)
-        atomic_write_bytes(os.path.join(args.out, "summary.txt"), text.encode("utf-8"))
-        print(text, end="")
-        return 0 if report["all_passed"] else 3
-
-    return 2
+    report = build_report(args.run_dirs)  # the one command left
+    os.makedirs(args.out, exist_ok=True)
+    write_json(os.path.join(args.out, "summary.json"), report)
+    text = _render_report(report)
+    atomic_write_bytes(os.path.join(args.out, "summary.txt"), text.encode("utf-8"))
+    print(text, end="")
+    return 0 if report["all_passed"] else 3
 
 
 if __name__ == "__main__":

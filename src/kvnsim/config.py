@@ -63,11 +63,10 @@ class FlowRun:
 
 @dataclass(frozen=True)
 class CompareRun:
-    """A comparison: its targets, the sweep of the first target (``strengths``
-    for perturbation, the sample sizes of ``n_list`` for ensemble) with that
-    target's settings, and the settings of the Vlasov reference."""
+    """A comparison: the sweep of its first target (``strengths`` for
+    perturbation, the sample sizes of ``n_list`` for ensemble), that target's
+    settings, whose type names it, and the settings of the Vlasov reference."""
 
-    targets: tuple[str, str]
     sweep: tuple[float, ...] | tuple[int, ...]
     target: PerturbationSettings | EnsembleSettings
     vlasov: VlasovSettings
@@ -427,7 +426,7 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict,
         v.error(f"{path}.vlasov", "solver settings are required for comparisons")
         return None
     vlasov = _parse_vlasov_settings(v, f"{path}.vlasov", vl_d, cfg)
-    return CompareRun(targets=targets, sweep=tuple(sweep), target=target, vlasov=vlasov)
+    return CompareRun(sweep=tuple(sweep), target=target, vlasov=vlasov)
 
 
 _SETTINGS_PARSERS = {

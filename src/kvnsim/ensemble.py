@@ -88,14 +88,6 @@ def sample_initial(density, n: int, seed: int) -> np.ndarray:
     return density.sample(n, rng)
 
 
-def _pair_forces(q: np.ndarray, spec: ProblemSpec, scale: float) -> np.ndarray:
-    """Scaled pair force on every particle, from the shared pair-sum kernel.
-
-    The parity of the pair potential makes the self term vanish identically.
-    """
-    return -scale * pair_force_sum(q, q, np.ones_like(q), spec.pair)
-
-
 def step_count(T: float, dt: float) -> int:
     """The number of dt steps that make up T; ValueError unless T is a whole
     multiple of dt to within 1e-9 max(1, |T|)."""
@@ -131,7 +123,8 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
             "use fewer particles or steps")
 
     def gradient(q):
-        return spec.external_gradient(q) - _pair_forces(q, spec, scale)
+        # grad U + s sum_j grad v(q_i - q_j); the parity of v makes the self term vanish
+        return spec.external_gradient(q) + scale * pair_force_sum(q, q, np.ones_like(q), spec.pair)
 
     q, p = _verlet_steps(pts[:, 0], pts[:, 1], n_steps, settings.dt, spec.mass,
                          gradient if interacting else spec.external_gradient)
@@ -141,8 +134,8 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
 def histogram_density(points: np.ndarray, grid: PhaseGrid) -> DensityField:
     """Counting histogram normalized to a density: counts / (n cell_volume).
 
-    Out-of-domain points are dropped (after `PhaseGrid.wrap_points`);
-    if more than 1% fall outside, the field's warning flag is set.
+    Out-of-domain points are dropped (after `PhaseGrid.wrap_points`), so the
+    field's mass is the share of points inside the domain.
     """
     pts = _point_rows(points)
     if pts.shape[0] == 0:
@@ -153,9 +146,7 @@ def histogram_density(points: np.ndarray, grid: PhaseGrid) -> DensityField:
         q, p, bins=(grid.n_q, grid.n_p),
         range=((grid.q_min, grid.q_max), (grid.p_min, grid.p_max)),
     )
-    inside = counts.sum()
-    flag = (n - inside) / n > 0.01
-    return DensityField(grid, counts / (n * grid.cell_volume), resolution_warning=flag)
+    return DensityField(grid, counts / (n * grid.cell_volume))
 
 
 def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGrid,

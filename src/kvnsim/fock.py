@@ -190,9 +190,12 @@ def _momentum_stencil(grid: PhaseGrid) -> EllMatrix:
 
 
 def _drift(grid: PhaseGrid, spec: ProblemSpec):
-    """-(p/m) d/dq on the cell-indicator modes as (row, col, value) triplets."""
+    """-(p/m) d/dq on the cell-indicator modes as (row, col, value) triplets;
+    a p/m that overflows gives inf, which assembly refuses."""
+    with np.errstate(over="ignore"):
+        velocity = -grid.p_centers / spec.mass
     return _kron(_centered_difference(grid.n_q, grid.dq, grid.periodic_q),
-                 _diagonal(-grid.p_centers / spec.mass), grid.n_p)
+                 _diagonal(velocity), grid.n_p)
 
 
 @dataclass(frozen=True)

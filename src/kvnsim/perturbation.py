@@ -113,14 +113,18 @@ def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: Pertur
 def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                               settings: PerturbationSettings, grid: PhaseGrid,
                               pair_integral=None) -> np.ndarray:
-    """Source values at a (2,) point or an (n, 2) array of points of ``grid``."""
+    """Source values at a (2,) point or an (n, 2) array of points of ``grid``;
+    a pair integral that overflows is refused, naming the pair."""
     pts = np.atleast_2d(_as_points(points))
     if isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
     if pair_integral is None:
         pair_integral = _pair_force_integral(t, rho_init, spec, settings)
-    grad_p = _momentum_gradient(pts, t, rho_init, spec, settings, grid)
-    return grad_p * pair_integral(pts[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        force = pair_integral(pts[:, 0])
+    if not np.all(np.isfinite(force)):
+        raise ValueError(f"the pair force integral of {spec.pair} overflows")
+    return _momentum_gradient(pts, t, rho_init, spec, settings, grid) * force
 
 
 def first_order_correction_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,

@@ -308,14 +308,11 @@ class DensityField:
     Values are densities per unit phase-space volume.  Interpolation is
     allowed to undershoot to -1e-12; anything more negative is rejected.
     ``clip_count`` accumulates the number of cells clipped back to the
-    tolerated floor by solver steps; ``resolution_warning`` marks fields
-    whose source may be under-resolved (or, for histograms, partly outside
-    the domain).
+    tolerated floor by solver steps.
     """
 
     grid: PhaseGrid
     values: np.ndarray
-    resolution_warning: bool = False
     clip_count: int = 0
     time: float | None = None
 
@@ -341,15 +338,6 @@ class DensityField:
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
-
-    def copy_with(self, values: np.ndarray, **kw) -> "DensityField":
-        merged = dict(
-            resolution_warning=self.resolution_warning,
-            clip_count=self.clip_count,
-            time=self.time,
-        )
-        merged.update(kw)
-        return DensityField(self.grid, values, **merged)
 
 
 # --------------------------------------------------------------------------
@@ -611,11 +599,12 @@ def density_from_function(grid: PhaseGrid, func, warn: bool = True) -> DensityFi
 
     ``func`` is called on the open grid, a q-column of shape (n_q, 1) and a
     p-row of shape (1, n_p), and must broadcast over them; a result of shape
-    (n_q, 1) or (1, n_p) is taken as constant along the other axis.  A
-    resolution warning flag is set when the midpoint mass at this resolution
-    disagrees with a 2x-refined sampling by more than 1e-3 relative (e.g.
-    features narrower than a cell).  On open domains, boundary-cell mass above
-    1e-8 of the total additionally triggers a BoundaryMassWarning.
+    (n_q, 1) or (1, n_p) is taken as constant along the other axis.  With
+    ``warn``, a GridResolutionWarning is raised when the midpoint mass at this
+    resolution disagrees with a 2x-refined sampling by more than 1e-3 relative
+    (e.g. features narrower than a cell), and on open domains a
+    BoundaryMassWarning when boundary-cell mass exceeds 1e-8 of the total.
+    Without it the refined sampling is skipped.
     """
     shape = (grid.n_q, grid.n_p)
     q, p = grid.q_centers[:, None], grid.p_centers[None, :]
@@ -630,16 +619,13 @@ def density_from_function(grid: PhaseGrid, func, warn: bool = True) -> DensityFi
     if values.min(initial=0.0) < 0.0:
         raise ValueError("initial density must be nonnegative")
 
-    mass = values.sum() * grid.cell_volume
-    # the 2x-refined cell centres are the coarse ones shifted by +-dq/4 and +-dp/4
-    mass_fine = sum(sample(sq, sp).sum() for sq in (-0.25, 0.25)
-                    for sp in (-0.25, 0.25)) * grid.cell_volume / 4
-    scale = max(abs(mass), abs(mass_fine), 1e-300)
-    under_resolved = abs(mass - mass_fine) / scale > 1e-3
-
-    out = DensityField(grid, values, resolution_warning=under_resolved)
+    out = DensityField(grid, values)
     if warn:
-        if under_resolved:
+        mass = values.sum() * grid.cell_volume
+        # the 2x-refined cell centres are the coarse ones shifted by +-dq/4 and +-dp/4
+        mass_fine = sum(sample(sq, sp).sum() for sq in (-0.25, 0.25)
+                        for sp in (-0.25, 0.25)) * grid.cell_volume / 4
+        if abs(mass - mass_fine) / max(abs(mass), abs(mass_fine), 1e-300) > 1e-3:
             warnings.warn(
                 "cell-center sampling disagrees with a refined sampling; "
                 "the density may be under-resolved on this grid",

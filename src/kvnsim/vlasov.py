@@ -28,7 +28,7 @@ gathered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -306,7 +306,7 @@ class _Stepper:
             self.p_kick()
             self.q_drift(left > 0)
             self.clip_count += self.clip()
-        return self.rho.copy_with(self.f.T.copy(), clip_count=self.clip_count, time=time)
+        return replace(self.rho, values=self.f.T.copy(), clip_count=self.clip_count, time=time)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,
@@ -350,7 +350,7 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
         snapshots = [None] * len(snap_steps)
         sink = snapshots.__setitem__
 
-    rho = rho0 if rho0.time is not None else rho0.copy_with(rho0.values, time=0.0)
+    rho = rho0 if rho0.time is not None else replace(rho0, time=0.0)
     t0, done = rho.time, 0
     stepper = _Stepper(rho, spec, settings) if max(snap_steps, default=0) > 0 else None
     for i in sorted(range(len(snap_steps)), key=snap_steps.__getitem__):

@@ -222,6 +222,16 @@ def test_cli_fock_refuses_a_generator_that_overflows(tmp_path, problem, message)
     assert message in record["message"]
 
 
+def test_cli_fock_refuses_a_density_that_vanishes_on_the_grid(tmp_path):
+    payload = dict(MINIMAL_VLASOV, method="fock", output_dir=str(tmp_path / "out"),
+                   grid=dict(MINIMAL_VLASOV["grid"], n_q=4, n_p=4), times={"t_final": 0.5},
+                   initial_density={"type": "gaussian", "mass": 0.0}, settings={})
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (record["error"], record["message"]) == (
+        "ValueError", "initial density vanishes on the grid")
+
+
 OVERFLOWING_PAIR = {"pair_potential": {"type": "gaussian", "strength": 1e308, "width": 0.1}}
 
 
@@ -233,13 +243,19 @@ OVERFLOWING_PAIR = {"pair_potential": {"type": "gaussian", "strength": 1e308, "w
                                  "width=0.1) overflows"),
     ("vlasov", {"external_potential": {"type": "quartic", "a": 1e308, "b": -1e308}},
      "the p-kick dt*max|F| = nan: the force F overflowed"),
-], ids=["fock-pair", "vlasov-pair", "vlasov-quartic"])
+    ("perturbation", OVERFLOWING_PAIR, "the pair force integral of GaussianPair("
+                                       "strength=1e+308, width=0.1) overflows"),
+    # p/m overflows the drift for a subnormal mass
+    ("fock", {"mass": 1e-320}, "the generator K overflowed"),
+], ids=["fock-pair", "vlasov-pair", "vlasov-quartic", "perturbation-pair", "fock-mass"])
 def test_cli_names_a_force_that_overflows(tmp_path, method, problem, message, strict):
     payload = dict(MINIMAL_VLASOV, method=method, output_dir=str(tmp_path / "out"),
                    problem=problem)
     if method == "fock":
         payload.update(grid=dict(MINIMAL_VLASOV["grid"], n_q=4, n_p=4), times={"t_final": 0.5},
                        settings={"n_particles": 2})
+    if method == "perturbation":
+        payload.update(settings={"n_s": 2})
     strict_flag = ["--strict"] if strict else []
     assert main(["run", "--config", write_config(tmp_path, payload), *strict_flag]) == 2
     record = json.loads((tmp_path / "out" / "error.json").read_text())
@@ -339,7 +355,7 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     for name in ("particles_final.csv", "histogram.kvnf", "marginal.csv",
-                 "config.json", "checks.json", "ensemble_meta.json"):
+                 "config.json", "checks.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -598,7 +614,7 @@ def test_an_empty_snapshot_list_is_refused(tmp_path):
         assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
 
 
-def test_cli_compare_ensemble_table_with_sidecar(tmp_path):
+def test_cli_compare_ensemble_table_and_its_seed(tmp_path):
     payload = {
         "method": "compare",
         "output_dir": str(tmp_path / "out"),
@@ -620,9 +636,7 @@ def test_cli_compare_ensemble_table_with_sidecar(tmp_path):
     out = tmp_path / "out"
     lines = (out / "convergence_table.csv").read_text().strip().splitlines()
     assert lines[0] == "n_samples,l1_distance"
-    meta = json.loads((out / "convergence_meta.json").read_text())
-    assert meta["seed"] == 5
-    assert meta["coupling_scaling"] == "mean-field"
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == [5]
 
 
 # --------------------------------------------------------------------------
@@ -665,9 +679,18 @@ GRID = MINIMAL_VLASOV["grid"]
      "grid.periodic_q: cosine external potential requires a periodic q-domain"),
     ({"problem": {"external_potential": {"type": "harmonic", "omega": 0}}},
      "problem.external_potential.omega: must be > 0.0"),
+    # a JSON integer beyond the largest float
+    ({"grid": dict(GRID, q_min=-10**400)}, "grid.q_min: expected a finite number"),
+    ({"initial_density": {"type": "mixture", "components": [{}], "weights": [1.0, 2.0]}},
+     "initial_density.weights: must match the number of components"),
+    ({"initial_density": {"type": "mixture", "components": [5], "weights": [1.0]}},
+     "initial_density.components[0]: expected an object"),
+    ({"method": "compare", "settings": {"targets": ["fock", "vlasov"]}},
+     'settings.targets: must be ["perturbation", "vlasov"] or ["ensemble", "vlasov"]'),
 ], ids=["external-type", "pair-type", "density-type", "q-bounds", "p-bounds",
         "mixture-component", "snapshot-number", "snapshot-range", "cosine-open-q",
-        "strict-minimum"])
+        "strict-minimum", "integer-overflow", "mixture-lengths", "mixture-not-object",
+        "targets"])
 def test_each_refusal_names_its_path(change, error):
     assert config_errors(dict(MINIMAL_VLASOV, **change)) == [error]
 

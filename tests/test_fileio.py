@@ -1,9 +1,11 @@
 import hashlib
 import os
+import re
 import struct
 import sys
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -184,6 +186,47 @@ def test_sha256_of_falls_back_to_hashlib(tmp_path, monkeypatch):
     for name in ("_sha2", "_sha256"):
         monkeypatch.setitem(sys.modules, name, None)  # the import raises ImportError
     assert sha256_of(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("stand_in", [True, False], ids=["stand-in", "real"])
+@pytest.mark.parametrize("taken, missing", [
+    ("_sha2", ()),
+    ("_sha256", ("_sha2",)),
+    ("hashlib", ("_sha2", "_sha256")),
+])
+def test_sha256_of_takes_the_first_module_it_can_import(tmp_path, monkeypatch, taken, missing,
+                                                        stand_in):
+    """_sha2, then _sha256, then hashlib, on any interpreter: the stand-in for
+    the module that should be taken is hashlib's sha256, counting its calls;
+    without stand-ins the interpreter's own modules give hashlib's digest."""
+    data = bytes(range(256)) * 4097  # crosses the 1 MiB read chunk
+    (tmp_path / "blob").write_bytes(data)
+    real, calls = hashlib.sha256, []
+
+    def counted(*args):
+        calls.append(taken)
+        return real(*args)
+
+    for name in missing:
+        monkeypatch.setitem(sys.modules, name, None)  # the import raises ImportError
+    if stand_in and taken == "hashlib":
+        monkeypatch.setattr(hashlib, "sha256", counted)
+    elif stand_in:
+        module = types.ModuleType(taken)
+        module.sha256 = counted
+        monkeypatch.setitem(sys.modules, taken, module)
+    assert sha256_of(tmp_path / "blob") == real(data).hexdigest()
+    assert calls == ([taken] if stand_in else [])
+
+
+def test_points_csv_skips_blank_lines_and_names_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("q,p\n0,1\n\n2,3\n")
+    assert np.array_equal(read_points_csv(path), [[0.0, 1.0], [2.0, 3.0]])
+    path.write_text("q,p\n0,1\n\n0.5,x\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 4: expected two finite numbers q,p, got '0.5,x'")):
+        read_points_csv(path)
 
 
 def _valid_files(tmp_path):

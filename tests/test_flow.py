@@ -207,3 +207,22 @@ def test_a_step_count_that_overflows_a_float_is_a_named_value_error():
         _split_steps(1e306, 1e-3)
     with pytest.raises(ValueError, match="not a finite step count"):
         flow_map_points(np.array([0.0, 1.0]), 1e306, HARMONIC, FlowSettings(dt=1e-3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: flow_map_points(np.zeros(2), np.nan, ProblemSpec(), FlowSettings()),
+     "t must be finite"),
+    (lambda: flow_jacobian(np.zeros(2), 1.0, ProblemSpec(), FlowSettings(), h=0.0),
+     "fd step h must be > 0"),
+    (lambda: flow_trajectory(np.zeros((1, 2)), [], ProblemSpec(), FlowSettings()),
+     "times must be a non-empty 1-d array"),
+    (lambda: flow_trajectory(np.zeros((1, 2)), [[0.0, 0.1]], ProblemSpec(), FlowSettings()),
+     "times must be a non-empty 1-d array"),
+    (lambda: flow_trajectory(np.zeros((1, 2)), [0.2, 0.1], ProblemSpec(), FlowSettings()),
+     "times must be nondecreasing and nonnegative"),
+    (lambda: flow_trajectory(np.zeros((1, 2)), [-0.1, 0.1], ProblemSpec(), FlowSettings()),
+     "times must be nondecreasing and nonnegative"),
+], ids=["t", "fd-step", "no-times", "2-d-times", "decreasing", "negative"])
+def test_flow_functions_refuse_bad_times_and_steps(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

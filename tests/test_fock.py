@@ -558,7 +558,10 @@ def test_propagate_matches_dense_exponential():
     (2.404825557695773, 1e-15), (14.75, 1e-15), (32.1, 1e-15),
     # jv itself is off by 3e-15 at x = 100 and 1.2e-14 at x = 640 (against mpmath,
     # where the recurrence stays within 2e-16)
-    (100.0, 1e-14), (640.0, 3e-14)])
+    (100.0, 1e-14), (640.0, 3e-14),
+    # from about x = 1e4 the backward recurrence grows past 1e250 before it
+    # reaches order 0 and is rescaled on the way
+    (1.2e4, 1e-12), (3e4, 1e-12)])
 def test_miller_bessel_values_match_scipy(x, tol):
     values = _bessel_j(x)
     orders = np.arange(len(values))
@@ -938,3 +941,25 @@ def test_kernel_hermiticity_report():
 
     with pytest.raises(ValueError, match="grid"):
         kernel_hermiticity_report(periodic_grid(8, 6), spec, dens)
+
+
+BASIS_16 = FockBasis(16, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FockBasis(16, 0), "n_particles must be >= 1"),
+    (lambda: FockState(BASIS_16, np.zeros(15)),
+     "amplitude vector does not match the basis dimension"),
+    (lambda: FockState(BASIS_16, np.full(16, np.nan)), "amplitudes must be finite"),
+    (lambda: FockState(BASIS_16, np.full(16, 1j * np.inf)), "amplitudes must be finite"),
+    (lambda: FockOperator(BASIS_16, assemble_liouvillian(
+        PhaseGrid(-3, 3, -3, 3, 4, 5), ProblemSpec(), FockBasis(20, 1)).matrix),
+     "matrix shape does not match the basis dimension"),
+    (lambda: quantum_vlasov_residual(
+        FockState(BASIS_16, np.ones(16)), None, PhaseGrid(-3, 3, -3, 3, 4, 4), ProblemSpec(),
+        0.0, dt_fd=0.0),
+     "dt_fd must be > 0"),
+], ids=["particles", "state-shape", "state-nan", "state-inf", "operator-shape", "dt-fd"])
+def test_fock_types_refuse_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

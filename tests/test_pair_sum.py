@@ -179,6 +179,18 @@ def test_equal_targets_get_the_exact_sum():
     assert got[0] == pytest.approx(np.sum(pair.gradient(0.25 - sources)), rel=1e-13)
 
 
+def test_targets_one_ulp_apart_fall_back_to_the_direct_sum():
+    # a span of one ulp passes the proxy's span test, but its 17 nodes round to
+    # two values, so the barycentric formula has no distinct nodes to use
+    pair = GaussianPair(0.5, 0.3)
+    sources = np.random.default_rng(2).normal(0.0, 1.0, 3000)
+    targets = np.where(np.arange(3000) % 2, 0.25, np.nextafter(0.25, 1.0))
+    path, panels, k = _pair_sum_path(targets, sources, pair, None)
+    assert (path, panels, k) == ("proxy", 1, 17)
+    assert _chebyshev_proxy_sum(targets, sources, np.ones(3000), pair, panels, k) is None
+    assert_matches_plain(targets, sources, np.ones(3000), pair, None)
+
+
 def test_cosine_factorization_only_where_the_wrap_changes_nothing():
     q = np.random.default_rng(4).uniform(-3.0, 3.0, 500)
     whole = CosinePair(0.3, 2.0)  # two periods over [-pi, pi)

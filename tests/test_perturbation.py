@@ -252,3 +252,11 @@ def test_source_wraps_on_the_run_grid_not_on_an_open_aux_grid():
 
     assert np.array_equal(got, grad_p(grid))
     assert np.max(np.abs(got - grad_p(open_aux))) > 0.5 * np.max(np.abs(got))
+
+
+
+def test_perturbative_density_refuses_a_negative_time():
+    grid = PhaseGrid(-3, 3, -3, 3, 4, 4)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        perturbative_density(grid, -0.1, GaussianDensity(), ProblemSpec(),
+                             PerturbationSettings(aux_grid=grid))

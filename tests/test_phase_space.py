@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -271,7 +272,6 @@ def test_density_from_function_mass_and_flags():
     grid = PhaseGrid(-8, 8, -8, 8, 64, 64)
     f = density_from_function(grid, GaussianDensity(0, 0, 1, 1))
     assert abs(f.mass - 1.0) < 1e-6
-    assert not f.resolution_warning
 
     const = density_from_function(grid, lambda q, p: np.full_like(q, 0.3), warn=False)
     assert_allclose(const.mass, 0.3 * 16 * 16, rtol=1e-12)
@@ -281,8 +281,7 @@ def test_density_from_function_mass_and_flags():
 
     narrow = GaussianDensity(0, 0, 0.05, 0.05)  # sigma well below the cell size
     with pytest.warns(GridResolutionWarning):
-        under = density_from_function(grid, narrow)
-    assert under.resolution_warning
+        density_from_function(grid, narrow)
 
 
 def test_a_mixture_samples_as_the_weighted_sum_of_its_components():
@@ -313,3 +312,26 @@ def test_with_pair_strength():
     assert spec_c.with_pair_strength(0.3).pair.wavenumber == 2.0
     with pytest.raises(ValueError):
         ProblemSpec().with_pair_strength(0.1)
+
+
+GRID_4 = PhaseGrid(-3, 3, -3, 3, 4, 4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HarmonicPotential(0.0), "omega must be > 0"),
+    (lambda: HarmonicPotential(1e200), "omega = 1e+200 overflows omega**2"),
+    (lambda: CosinePotential(0.0, 1.0), "wavenumber must be > 0"),
+    (lambda: CosinePair(1.0, -1.0), "wavenumber must be > 0"),
+    (lambda: GaussianPair(1.0, 0.0), "width must be > 0"),
+    (lambda: ProblemSpec(mass=0.0), "mass must be > 0"),
+    (lambda: PhaseGrid(-np.inf, 1, 0, 1, 4, 4), "grid bounds must be finite"),
+    (lambda: PhaseGrid(0, 1, 0, np.inf, 4, 4), "grid bounds must be finite"),
+    (lambda: DensityField(GRID_4, np.zeros((3, 4))),
+     "values shape (3, 4) does not match grid (4, 4)"),
+    (lambda: density_from_function(GRID_4, lambda q, p: np.zeros(3)),
+     "density function must broadcast over coordinate arrays"),
+], ids=["omega", "omega-squared", "cosine-k", "cosine-pair-k", "pair-width", "mass",
+        "q-bound", "p-bound", "field-shape", "no-broadcast"])
+def test_phase_space_types_refuse_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -65,10 +65,9 @@ ARTIFACTS = {
     "vlasov": ["field_0000.kvnf", "field_0001.kvnf", "marginal_0000.csv", "marginal_0001.csv"],
     "perturbation": ["field_0000.kvnf", "marginal_0000.csv"],
     "fock": ["density.kvnf", "marginal.csv", "state_final.kvnq"],
-    "ensemble": ["ensemble_meta.json", "histogram.kvnf", "marginal.csv",
-                 "particles_final.csv"],
+    "ensemble": ["histogram.kvnf", "marginal.csv", "particles_final.csv"],
     "compare-perturbation": ["residual_table.csv"],
-    "compare-ensemble": ["convergence_meta.json", "convergence_table.csv"],
+    "compare-ensemble": ["convergence_table.csv"],
 }
 
 
@@ -79,9 +78,9 @@ LATER_WRITER = {
     "vlasov": "write_marginal_csv",
     "perturbation": "write_marginal_csv",
     "fock": "write_marginal_csv",
-    "ensemble": "_write_rng_sidecar",
+    "ensemble": "write_marginal_csv",
     "compare-perturbation": "write_table_csv",
-    "compare-ensemble": "_write_rng_sidecar",
+    "compare-ensemble": "write_table_csv",
 }
 
 
@@ -92,13 +91,13 @@ def _run(tmp_path, payload, out, code=0) -> str:
     return str(out)
 
 
-def _fail_after(monkeypatch, writer: str) -> None:
-    """Make ``writer`` write its file, then fail as on a full disk."""
+def _fail_after(monkeypatch, writer: str, error=None) -> None:
+    """Make ``writer`` write its file, then raise ``error``, by default as on a full disk."""
     original = getattr(cli, writer)
 
     def write_then_fail(*args, **kwargs):
         original(*args, **kwargs)
-        raise OSError(28, "No space left on device")
+        raise error or OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, writer, write_then_fail)
 
@@ -126,6 +125,14 @@ def test_a_failed_run_leaves_only_its_config_and_error_record(tmp_path, monkeypa
     assert sorted(os.listdir(run)) == ["config.json", "error.json"]
     with open(os.path.join(run, "error.json"), encoding="utf-8") as fh:
         assert json.load(fh)["error"] == "OSError"
+
+
+def test_an_interrupted_run_leaves_only_its_config_and_passes_the_interrupt_on(
+        tmp_path, monkeypatch):
+    _fail_after(monkeypatch, "write_marginal_csv", KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, CONFIGS["vlasov"], tmp_path / "run")
+    assert os.listdir(tmp_path / "run") == ["config.json"]
 
 
 def test_a_good_run_after_a_failed_one_leaves_no_error_record(tmp_path, monkeypatch):
@@ -235,6 +242,17 @@ def test_report_lists_a_damaged_record_and_exits_3(valid_run, tmp_path, case):
     else:
         assert "checks.json is unreadable or not a list" in problems
         assert "checksum" not in problems
+
+
+def test_report_marks_a_listed_file_it_cannot_open_as_tampered(valid_run, tmp_path):
+    run = _copy(valid_run, tmp_path)
+    os.unlink(os.path.join(run, "config.json"))
+    out = str(tmp_path / "rep")
+    assert main(["report", run, "--out", out]) == 3
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["runs"][0]["tampered_files"] == ["config.json"]
+    assert summary["problems"] == [f"{run}: checksum mismatch: config.json"]
 
 
 def test_report_shows_a_file_name_that_is_not_utf8_escaped(valid_run, tmp_path):
