@@ -133,15 +133,13 @@ def _run_perturbation(cfg: ScenarioConfig, path, base_dir: str):
 
 def _run_fock(cfg: ScenarioConfig, path, base_dir: str):
     grid = cfg.grid
-    # an over-cap sector is refused here, before its states are enumerated
-    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=cfg.settings)
-    op = assemble_liouvillian(grid, cfg.spec, basis)
-
-    Q, P = grid.meshgrid()
-    orbital = np.sqrt(np.asarray(cfg.density(Q, P), dtype=float))
+    orbital = np.sqrt(density_from_function(grid, cfg.density, warn=False).values)
     norm = np.sqrt(np.sum(np.abs(orbital) ** 2) * grid.cell_volume)
     if norm <= 0:
         raise ValueError("initial density vanishes on the grid")
+    # an over-cap sector is refused here, before its states are enumerated
+    basis = FockBasis(n_modes=grid.n_q * grid.n_p, n_particles=cfg.settings)
+    op = assemble_liouvillian(grid, cfg.spec, basis)
     state0 = embed_product_state(orbital / norm, basis, grid)
     state1 = propagate(state0, op, cfg.t_final)
     dens = density_expectation(state1, grid)
@@ -155,7 +153,7 @@ def _run_fock(cfg: ScenarioConfig, path, base_dir: str):
 
 def _run_ensemble(cfg: ScenarioConfig, path, base_dir: str):
     settings, n_particles = cfg.settings
-    points = sample_initial(cfg.density, n_particles, settings.seed)
+    points = sample_initial(cfg.density, n_particles, cfg.seed)
     moved = integrate_nbody(points, cfg.t_final, cfg.spec, settings)
     hist = histogram_density(moved, cfg.grid)
     hist.time = cfg.t_final
@@ -179,7 +177,7 @@ def _run_compare(cfg: ScenarioConfig, path, base_dir: str):
             checks.append(_check("fitted_order", table.fitted_order, 1.7, 2.3))
         return checks, []
     table = ensemble_vs_vlasov(cfg.density, cfg.spec, cfg.grid, cfg.t_final,
-                               list(settings.sweep), settings.target, settings.vlasov)
+                               list(settings.sweep), settings.target, settings.vlasov, cfg.seed)
     write_table_csv(path("convergence_table.csv"), table)
     n = [row[0] for row in table.rows]  # sample sizes >= 1, so ratios spans every row
     for i, ratio in enumerate(table.ratios):

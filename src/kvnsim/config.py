@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .densities import GaussianDensity, GaussianMixture
-from .ensemble import EnsembleSettings, require_unit_mass, step_count
+from .ensemble import (EnsembleSettings, require_particle_count, require_periodic_pair,
+                       require_unit_mass, step_count)
 from .flow import FlowSettings
 from .perturbation import PerturbationSettings
 from .phase_space import (
@@ -32,7 +33,7 @@ from .phase_space import (
     PhaseGrid,
     ProblemSpec,
     QuarticPotential,
-    pair_is_periodic,
+    whole_periods,
 )
 from .vlasov import VlasovSettings
 
@@ -40,8 +41,6 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config"]
 
 GRID_KEYS = {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "periodic_q", "periodic_p"}
 FLOW_KEYS = {"dt", "exact_shortcut"}
-# integrate_nbody refuses the same case at run time
-ONE_INTERACTING = "an interacting run needs at least two particles"
 
 
 class ConfigError(ValueError):
@@ -165,10 +164,10 @@ class _Validator:
             self.error("times.t_final",
                        f"must be a whole number of {dt_key} = {stepped.dt:g} steps")
 
-    def build(self, path: str, cls, **kwargs):
-        """Construct a library object; its ValueError becomes an error at ``path``."""
+    def build(self, path: str, make, **kwargs):
+        """``make(**kwargs)``, a library constructor or check; a ValueError is an error at path."""
         try:
-            return cls(**kwargs)
+            return make(**kwargs)
         except ValueError as exc:
             self.error(path, str(exc))
             return None
@@ -212,7 +211,7 @@ def _parse_pair(v: _Validator, path: str, d: dict):
         width = v.get_number(path, d, "width", required=True, minimum=0.0, strict_min=True)
         if strength is None or not width:
             return NoPair()
-        return GaussianPair(strength=strength, width=width)
+        return v.build(f"{path}.width", GaussianPair, strength=strength, width=width) or NoPair()
     if kind == "cosine":
         v.check_unknown(path, d, {"type", "strength", "wavenumber"})
         strength = v.get_number(path, d, "strength", required=True, minimum=0.0)
@@ -332,11 +331,17 @@ def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
     return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, n_s=n_s, h_p=h_p)
 
 
+def _check_nonzero_mass(v: _Validator, cfg: ScenarioConfig, run: str):
+    if cfg.density is not None and cfg.density.mass == 0:
+        v.error("initial_density", f"a {run} needs a density of nonzero total mass")
+
+
 def _parse_fock_settings(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> int:
     v.check_unknown(path, d, {"n_particles"})
     n = v.get_int(path, d, "n_particles", default=1)
     if n not in (1, 2):
         v.error(f"{path}.n_particles", "must be 1 or 2")
+    _check_nonzero_mass(v, cfg, "fock run")  # its orbital could not be normalized
     return n
 
 
@@ -351,19 +356,11 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
     scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
     settings = None
     if dt is not None and None not in sizes.values():
-        settings = v.build(path, EnsembleSettings, dt=dt, seed=cfg.seed,
-                           coupling_scaling=scaling)
-    grid = cfg.grid
-    if grid is not None and grid.periodic_q and not pair_is_periodic(cfg.spec.pair,
-                                                                     grid.q_length):
-        v.error("problem.pair_potential",
-                "on a periodic q-domain the ensemble needs no pair potential or a cosine pair "
-                "with a whole number of periods over the q-length")
+        settings = v.build(path, EnsembleSettings, dt=dt, coupling_scaling=scaling)
+    if cfg.grid is not None:
+        v.build("problem.pair_potential", require_periodic_pair, pair=cfg.spec.pair, grid=cfg.grid)
     if cfg.density is not None:
-        try:
-            require_unit_mass(cfg.density)
-        except ValueError as exc:
-            v.error("initial_density", str(exc))
+        v.build("initial_density", require_unit_mass, density=cfg.density)
     v.check_whole_steps(cfg.t_final, f"{path}.dt", settings)
     return settings
 
@@ -372,9 +369,7 @@ def _parse_ensemble_run(v: _Validator, path: str, d: dict,
                         cfg: ScenarioConfig) -> tuple[EnsembleSettings | None, int | None]:
     """The ensemble settings and, beside them, the run's sample size ``n_particles``."""
     n = v.get_int(path, d, "n_particles", required=True, minimum=1)
-    if n == 1 and not isinstance(cfg.spec.pair, NoPair):
-        v.error(f"{path}.n_particles", ONE_INTERACTING)
-        n = None
+    n = n and v.build(f"{path}.n_particles", require_particle_count, n=n, pair=cfg.spec.pair)
     return _parse_ensemble_settings(v, path, d, cfg, n_particles=n), n
 
 
@@ -403,19 +398,15 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict,
                 sweep.append(s)
         target = _parse_perturbation_settings(
             v, f"{path}.perturbation", v.get(path, d, "perturbation", dict, default={}), cfg)
-        if isinstance(cfg.spec.pair, NoPair) and any(sweep):
-            v.error(f"{path}.strengths",
-                    "a nonzero strength needs a gaussian or cosine problem.pair_potential")
-        if cfg.density is not None and cfg.density.mass == 0:
-            # every residual of the table would vanish, and so would its ratios
-            v.error("initial_density", "a comparison needs a density of nonzero total mass")
+        if sweep:
+            v.build(f"{path}.strengths", cfg.spec.with_pair_strength, strength=max(sweep))
+        # every residual of the table would vanish, and so would its ratios
+        _check_nonzero_mass(v, cfg, "comparison")
     else:
         for i, x in enumerate(v.get(path, d, "n_list", list, default=[])):
             if isinstance(x, bool) or not isinstance(x, int) or x < 1:
                 v.error(f"{path}.n_list[{i}]", "must be an integer >= 1")
-            elif x == 1 and not isinstance(cfg.spec.pair, NoPair):
-                v.error(f"{path}.n_list[{i}]", ONE_INTERACTING)
-            else:
+            elif v.build(f"{path}.n_list[{i}]", require_particle_count, n=x, pair=cfg.spec.pair):
                 sweep.append(x)
         target = _parse_ensemble_settings(
             v, f"{path}.ensemble", v.get(path, d, "ensemble", dict, default={}), cfg)
@@ -513,11 +504,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if grid is not None and isinstance(ext, CosinePotential):
         if not grid.periodic_q:
             v.error("grid.periodic_q", "cosine external potential requires a periodic q-domain")
-        else:
-            cycles = ext.wavenumber * grid.q_length / (2.0 * math.pi)
-            if not (math.isfinite(cycles) and abs(cycles - round(cycles)) <= 1e-9):
-                v.error("grid.q_max",
-                        "q-domain length must be a whole number of cosine periods")
+        elif not whole_periods(ext.wavenumber, grid.q_length):
+            v.error("grid.q_max", "q-domain length must be a whole number of cosine periods")
 
     cfg = ScenarioConfig(method=method, output_dir=output_dir or "kvnsim_run", seed=seed,
                          spec=spec, grid=grid, density=density, t_final=t_final,

@@ -37,6 +37,8 @@ from .perturbation import ConvergenceTable
 __all__ = [
     "EnsembleSettings",
     "require_unit_mass",
+    "require_particle_count",
+    "require_periodic_pair",
     "sample_initial",
     "integrate_nbody",
     "step_count",
@@ -52,7 +54,6 @@ MAX_PAIR_EVALUATIONS = 10**9
 @dataclass(frozen=True)
 class EnsembleSettings:
     dt: float
-    seed: int
     coupling_scaling: str = "mean-field"
 
     def __post_init__(self):
@@ -67,6 +68,21 @@ def require_unit_mass(density) -> None:
     if not abs(density.mass - 1.0) <= 1e-12:
         raise ValueError("the ensemble needs total mass 1 (its histogram and mean-field "
                          f"scaling are per unit mass), not {density.mass:.15g}")
+
+
+def require_particle_count(n: int, pair) -> int:
+    """n, or ValueError when an interacting run has fewer than two particles."""
+    if n < 2 and not isinstance(pair, NoPair):
+        raise ValueError("an interacting run needs at least two particles")
+    return n
+
+
+def require_periodic_pair(pair, grid: PhaseGrid) -> None:
+    """ValueError on a periodic q-domain unless ``pair_is_periodic``: particles
+    use raw q differences, the grid solver minimum-image ones."""
+    if grid.periodic_q and not pair_is_periodic(pair, grid.q_length):
+        raise ValueError("on a periodic q-domain the ensemble needs no pair potential or a "
+                         "cosine pair with a whole number of periods over the q-length")
 
 
 def sample_initial(density, n: int, seed: int) -> np.ndarray:
@@ -109,10 +125,8 @@ def integrate_nbody(points: np.ndarray, T: float, spec: ProblemSpec,
     MAX_PAIR_EVALUATIONS raise CostError before any step.
     """
     pts = _point_rows(points)
-    n = pts.shape[0]
+    n = require_particle_count(pts.shape[0], spec.pair)
     interacting = not isinstance(spec.pair, NoPair)
-    if interacting and n < 2:
-        raise ValueError("interacting runs need at least two particles")
     scale = 1.0 / (n - 1) if interacting and settings.coupling_scaling == "mean-field" else 1.0
     n_steps = step_count(T, settings.dt)
     planned = (n_steps + 1) * pair_sum_evaluations(pts[:, 0], pts[:, 0], spec.pair)
@@ -151,24 +165,21 @@ def histogram_density(points: np.ndarray, grid: PhaseGrid) -> DensityField:
 
 def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGrid,
                        T: float, n_list, ens_settings: EnsembleSettings,
-                       vlasov_settings: VlasovSettings) -> ConvergenceTable:
-    """L1 distance between the particle histogram and the grid solver at T.
+                       vlasov_settings: VlasovSettings, seed: int) -> ConvergenceTable:
+    """L1 distance between the particle histogram and the grid solver at T;
+    the k-th sample size draws its particles with seed ``seed + k``.
 
     The distance is dominated by sampling noise and shrinks like 1/sqrt(n);
     the fitted order is the slope of log(distance) against log(n), so -1/2
     is the expected value.
     """
-    if grid.periodic_q and not pair_is_periodic(spec.pair, grid.q_length):
-        raise ValueError(
-            "on a periodic q-domain the ensemble needs no pair potential or a cosine "
-            "pair with a whole number of periods over the q-length: particles use raw "
-            "q differences, the grid solver minimum-image ones")
+    require_periodic_pair(spec.pair, grid)
     require_unit_mass(density)
     init = density_from_function(grid, density, warn=False)
     reference = vlasov_solve(init, T, spec, vlasov_settings, snapshot_times=[T])[-1]
     rows = []
     for k, n in enumerate(n_list):
-        pts = sample_initial(density, int(n), ens_settings.seed + k)
+        pts = sample_initial(density, int(n), seed + k)
         moved = integrate_nbody(pts, T, spec, ens_settings)
         hist = histogram_density(moved, grid)
         dist = float(np.sum(np.abs(hist.values - reference.values)) * grid.cell_volume)

@@ -191,7 +191,7 @@ def _momentum_stencil(grid: PhaseGrid) -> EllMatrix:
 
 def _drift(grid: PhaseGrid, spec: ProblemSpec):
     """-(p/m) d/dq on the cell-indicator modes as (row, col, value) triplets;
-    a p/m that overflows gives inf, which assembly refuses."""
+    a p/m that overflows gives inf, which FockOperator refuses."""
     with np.errstate(over="ignore"):
         velocity = -grid.p_centers / spec.mass
     return _kron(_centered_difference(grid.n_q, grid.dq, grid.periodic_q),
@@ -267,21 +267,23 @@ class FockState:
 
 @dataclass
 class FockOperator:
-    """The Liouvillian L = iK on a FockBasis, held as its real generator K =
-    -iL (``matrix``), with a verified Hermitian flag: L is Hermitian exactly
-    when K is antisymmetric, and max |L - L^H| = max |K + K^T|, computed
-    exactly, block by block of rows (``_transpose_deviation``)."""
+    """The Liouvillian L = iK on a FockBasis, held as its real generator K = -iL
+    (``matrix``), built only when L is Hermitian: when max |L - L^H| = max |K + K^T|,
+    computed exactly, block by block of rows (``_transpose_deviation``), is finite
+    and at most HERMITICITY_TOL, so K is antisymmetric to that tolerance."""
 
     basis: FockBasis
     matrix: EllMatrix
-    hermitian: bool = field(init=False)
     _deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.matrix.val.shape[0] != self.basis.dimension:
             raise ValueError("matrix shape does not match the basis dimension")
         self._deviation = _transpose_deviation(self.matrix)
-        self.hermitian = self._deviation <= HERMITICITY_TOL
+        if not math.isfinite(self._deviation):
+            raise ValueError("the generator K overflowed: it has entries that are not finite")
+        if self._deviation > HERMITICITY_TOL:
+            raise ValueError(f"operator is not Hermitian (deviation {self._deviation:.3e})")
 
     def hermiticity_deviation(self) -> float:
         return self._deviation
@@ -364,10 +366,7 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
     """
     _require_matching_grid(grid, basis)
     matrix = EllMatrix._from_rows(_sector_rows(grid, spec, basis), basis.dimension)
-    op = FockOperator(basis, matrix)
-    if not math.isfinite(op.hermiticity_deviation()):
-        raise ValueError("the generator K overflowed: it has entries that are not finite")
-    return op
+    return FockOperator(basis, matrix)
 
 
 def embed_product_state(orbital: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
@@ -456,11 +455,6 @@ def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
     """
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    if not op.hermitian:
-        raise ValueError(
-            f"operator is not Hermitian (deviation {op.hermiticity_deviation():.3e}); "
-            "refusing to propagate"
-        )
     if state.basis != op.basis:  # compares (n_modes, n_particles)
         raise ValueError("state and operator bases do not match")
     source = state.amplitudes

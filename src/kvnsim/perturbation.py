@@ -155,7 +155,12 @@ def perturbative_density(grid: PhaseGrid, t: float, rho_init, spec: ProblemSpec,
     pts = np.column_stack([Q.ravel(), P.ravel()])
     vals = transported_density_points(pts, t, rho_init, spec, settings.flow, grid)
     vals = vals + first_order_correction_points(pts, t, rho_init, spec, settings, grid)
-    return DensityField(grid, vals.reshape(grid.n_q, grid.n_p), time=t)
+    try:
+        return DensityField(grid, vals.reshape(grid.n_q, grid.n_p), time=t)
+    except ValueError as exc:  # the first order, linear in the coupling, undershoots
+        if isinstance(spec.pair, NoPair):
+            raise
+        raise ValueError(f"the coupling of {spec.pair} is beyond first order: {exc}") from None
 
 
 @dataclass(frozen=True)

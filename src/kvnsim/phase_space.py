@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "spatial_density",
     "pair_gradient_table",
     "pair_is_periodic",
+    "whole_periods",
     "pair_force_sum",
     "pair_sum_evaluations",
     "mean_field_force",
@@ -144,6 +145,8 @@ class GaussianPair:
             raise ValueError("strength must be >= 0")
         if not self.width > 0:
             raise ValueError("width must be > 0")
+        if not math.isfinite(self.width * self.width):
+            raise ValueError(f"width = {self.width:g} overflows width**2")
 
     def value(self, q):
         q = np.asarray(q, dtype=float)
@@ -199,16 +202,13 @@ class ProblemSpec:
         return self.external.gradient(q, self.mass)
 
     def with_pair_strength(self, strength: float) -> "ProblemSpec":
-        """Copy of this spec with the pair-potential strength replaced."""
+        """Copy of this spec with the pair-potential strength replaced; the
+        pair's own constructor checks the strength."""
         if isinstance(self.pair, NoPair):
             if strength == 0.0:
                 return self
-            raise ValueError("cannot set a strength on a 'none' pair potential")
-        if isinstance(self.pair, GaussianPair):
-            pair = GaussianPair(strength=strength, width=self.pair.width)
-        else:
-            pair = CosinePair(strength=strength, wavenumber=self.pair.wavenumber)
-        return ProblemSpec(self.mass, self.external, pair)
+            raise ValueError("a nonzero strength needs a gaussian or cosine pair potential")
+        return ProblemSpec(self.mass, self.external, replace(self.pair, strength=strength))
 
 
 # --------------------------------------------------------------------------
@@ -375,16 +375,18 @@ def pair_gradient_table(grid: PhaseGrid, pair: PairPotentialSpec) -> np.ndarray:
     return _pair_kernel(grid, pair)[idx[:, None] - idx[None, :] + grid.n_q - 1]
 
 
+def whole_periods(wavenumber: float, length: float) -> bool:
+    """True when ``length`` spans n >= 1 periods 2 pi / wavenumber, to 1e-9 of a period."""
+    cycles = wavenumber * length / (2.0 * math.pi)
+    return math.isfinite(cycles) and round(cycles) >= 1 and abs(cycles - round(cycles)) <= 1e-9
+
+
 def pair_is_periodic(pair: PairPotentialSpec, length: float) -> bool:
     """True when grad v(q + length) = grad v(q) for every q: no pair, or a
     cosine pair with a whole number of periods over ``length``.  For such a
     pair the minimum-image wrap on a q-axis of that length changes nothing."""
-    if isinstance(pair, NoPair):
-        return True
-    if not isinstance(pair, CosinePair):
-        return False
-    cycles = pair.wavenumber * length / (2.0 * math.pi)
-    return math.isfinite(cycles) and round(cycles) >= 1 and abs(cycles - round(cycles)) <= 1e-9
+    return isinstance(pair, NoPair) or (isinstance(pair, CosinePair)
+                                        and whole_periods(pair.wavenumber, length))
 
 
 # Elements of one (targets x sources or nodes) temporary in the pair sums:

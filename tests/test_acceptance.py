@@ -242,8 +242,8 @@ def test_c7_ensemble_to_vlasov_convergence():
     dens = GaussianDensity(0.0, 0.0, 0.7, 0.7)
     spec = ProblemSpec(pair=CosinePair(strength=0.1, wavenumber=1.0))
     table = ensemble_vs_vlasov(dens, spec, grid, 0.5, [1000, 10_000, 100_000],
-                               EnsembleSettings(dt=0.05, seed=11),
-                               VlasovSettings(dt=0.02))
+                               EnsembleSettings(dt=0.05),
+                               VlasovSettings(dt=0.02), seed=11)
     ratios = table.ratios
     ok = all(2.5 <= r <= 4.0 for r in ratios)
     report("C7 ensemble-to-vlasov convergence", ok,

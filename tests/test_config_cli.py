@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvnsim import cli
 from kvnsim.cli import main, run_config
 from kvnsim.config import ConfigError, parse_config
-from kvnsim.ensemble import EnsembleSettings
+from kvnsim.densities import GaussianDensity
+from kvnsim.ensemble import (EnsembleSettings, ensemble_vs_vlasov, integrate_nbody,
+                             require_periodic_pair)
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
-from kvnsim.phase_space import GaussianPair, GridResolutionWarning, HarmonicPotential, NoPair
+from kvnsim.perturbation import PerturbationSettings, residual_vs_vlasov
+from kvnsim.phase_space import (CosinePair, GaussianPair, GridResolutionWarning,
+                                HarmonicPotential, NoPair, PhaseGrid, ProblemSpec,
+                                pair_is_periodic, whole_periods)
+from kvnsim.vlasov import VlasovSettings
 
 MINIMAL_VLASOV = {
     "method": "vlasov",
@@ -222,10 +229,19 @@ def test_cli_fock_refuses_a_generator_that_overflows(tmp_path, problem, message)
     assert message in record["message"]
 
 
-def test_cli_fock_refuses_a_density_that_vanishes_on_the_grid(tmp_path):
+def test_cli_fock_refuses_a_density_that_vanishes_on_the_grid(tmp_path, capsys, monkeypatch):
     payload = dict(MINIMAL_VLASOV, method="fock", output_dir=str(tmp_path / "out"),
                    grid=dict(MINIMAL_VLASOV["grid"], n_q=4, n_p=4), times={"t_final": 0.5},
                    initial_density={"type": "gaussian", "mass": 0.0}, settings={})
+    # a density of mass 0 is refused by validation
+    assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
+    assert ("initial_density: a fock run needs a density of nonzero total mass"
+            in capsys.readouterr().err)
+    # one whose values underflow on the grid is refused by the run, before the sector is built
+    def basis(*args, **kwargs):
+        raise AssertionError("the Fock basis was built")
+    monkeypatch.setattr(cli, "FockBasis", basis)
+    payload["initial_density"] = {"type": "gaussian", "q_center": 100.0}
     assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert (record["error"], record["message"]) == (
@@ -560,11 +576,11 @@ def test_a_comparison_ensemble_block_defaults_its_dt():
     absent = parse_config(json.dumps(compare)).settings.target
     partial = parse_config(json.dumps(dict(compare, settings=dict(
         compare["settings"], ensemble={"coupling_scaling": "bare"})))).settings.target
-    assert absent == EnsembleSettings(dt=0.01, seed=0)
-    assert partial == EnsembleSettings(dt=0.01, seed=0, coupling_scaling="bare")
+    assert absent == EnsembleSettings(dt=0.01)
+    assert partial == EnsembleSettings(dt=0.01, coupling_scaling="bare")
     # an ensemble run's sample size sits beside its settings, not in them
     assert parse_config(json.dumps(ENSEMBLE_OPEN)).settings == (
-        EnsembleSettings(dt=0.01, seed=0), 2000)
+        EnsembleSettings(dt=0.01), 2000)
     # an ensemble run names its dt
     assert config_errors(dict(ENSEMBLE_OPEN, settings={"n_particles": 20})) == [
         "settings.dt: missing required key"]
@@ -924,8 +940,7 @@ def test_validate_and_run_agree_on_a_strength_without_a_pair(tmp_path, capsys):
                    settings={"strengths": [0.1, 0.05], "perturbation": {"n_s": 8},
                              "vlasov": {"dt": 0.01}})
     cfg = write_config(tmp_path, payload)
-    message = ("settings.strengths: a nonzero strength needs a gaussian or cosine "
-               "problem.pair_potential")
+    message = "settings.strengths: a nonzero strength needs a gaussian or cosine pair potential"
     assert main(["validate", "--config", cfg]) == 1
     assert message in capsys.readouterr().err
     assert main(["run", "--config", cfg]) == 1
@@ -1055,3 +1070,93 @@ def test_cli_fock_runs_on_an_open_grid(tmp_path):
     checks = {c["name"]: c for c in json.loads((tmp_path / "out" / "checks.json").read_text())}
     assert checks["fock_norm_drift"]["passed"] and checks["fock_hermiticity"]["value"] == 0.0
     assert main(["report", str(tmp_path / "out"), "--out", str(tmp_path / "rep")]) == 0
+
+
+def test_a_gaussian_width_whose_square_overflows_is_refused_at_its_path():
+    with pytest.raises(ValueError, match="overflows width"):
+        GaussianPair(strength=0.1, width=1e300)
+    payload = dict(OPEN_FOCK, problem=dict(OPEN_FOCK["problem"], pair_potential={
+        "type": "gaussian", "strength": 0.1, "width": 1e300}))
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.errors == ["problem.pair_potential.width: width = 1e+300 overflows "
+                                "width**2"]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("payload, pair", [
+    (dict(MINIMAL_VLASOV, method="perturbation", settings={"n_s": 2},
+          problem={"pair_potential": {"type": "gaussian", "strength": 1e300, "width": 0.5}}),
+     "GaussianPair(strength=1e+300, width=0.5)"),
+    (dict(PERTURBATION_COMPARE, settings=dict(PERTURBATION_COMPARE["settings"],
+                                              strengths=[100.0, 0.05])),
+     "GaussianPair(strength=100.0, width=1.0)"),
+], ids=["perturbation", "compare"])
+def test_a_coupling_beyond_first_order_is_named(tmp_path, payload, pair, strict):
+    cfg = write_config(tmp_path, dict(payload, output_dir=str(tmp_path / "out")))
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg, *(["--strict"] if strict else [])]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(
+        f"the coupling of {pair} is beyond first order: density values below the tolerated "
+        "undershoot (")
+
+
+@pytest.mark.parametrize("cycles, whole", [
+    (1e-10, False), (0.5, False), (1.0, True), (2.0 + 1e-12, True), (2.0 + 1e-6, False),
+    (3.0, True)])
+def test_one_predicate_decides_whole_cosine_periods(cycles, whole):
+    # k = cycles periods over the q-length 2 pi; a small fraction of one period is not whole
+    assert whole_periods(cycles, 2 * np.pi) == whole
+    assert pair_is_periodic(CosinePair(strength=0.1, wavenumber=cycles), 2 * np.pi) == whole
+    raw = dict(MINIMAL_VLASOV, grid=dict(MINIMAL_VLASOV["grid"], q_min=-np.pi, q_max=np.pi,
+                                         periodic_q=True),
+               problem={"external_potential": {"type": "cosine", "wavenumber": cycles,
+                                                "amplitude": 0.5}})
+    if whole:
+        parse_config(json.dumps(raw))
+    else:
+        assert config_errors(raw) == [
+            "grid.q_max: q-domain length must be a whole number of cosine periods"]
+
+
+PERIODIC_Q = dict(ENSEMBLE_OPEN["grid"], q_min=-np.pi, q_max=np.pi, periodic_q=True)
+PERIODIC_ENSEMBLE = dict(ENSEMBLE_OPEN, grid=PERIODIC_Q, times={"t_final": 0.1}, problem={
+    "pair_potential": {"type": "gaussian", "strength": 0.5, "width": 0.5}})
+ENSEMBLE_COMPARE = {"targets": ["ensemble", "vlasov"], "n_list": [10, 100],
+                    "vlasov": {"dt": 0.02}}
+OPEN_PAIR = ProblemSpec(pair=GaussianPair(strength=0.1, width=0.8))
+ONE_PARTICLE = (np.zeros((1, 2)), 0.1, OPEN_PAIR, EnsembleSettings(dt=0.01))
+OPEN_GRID = PhaseGrid(-8, 8, -8, 8, 32, 32)
+
+
+@pytest.mark.parametrize("payload, path, refuse", [
+    (PERIODIC_ENSEMBLE, "problem.pair_potential",
+     lambda: require_periodic_pair(GaussianPair(strength=0.5, width=0.5),
+                                   PhaseGrid(-np.pi, np.pi, -6, 6, 16, 16, periodic_q=True))),
+    (dict(PERIODIC_ENSEMBLE, method="compare", settings=ENSEMBLE_COMPARE),
+     "problem.pair_potential",
+     lambda: ensemble_vs_vlasov(
+         GaussianDensity(q_sigma=0.7, p_sigma=0.7),
+         ProblemSpec(pair=GaussianPair(strength=0.5, width=0.5)),
+         PhaseGrid(-np.pi, np.pi, -6, 6, 16, 16, periodic_q=True), 0.1, [10, 100],
+         EnsembleSettings(dt=0.01), VlasovSettings(dt=0.02), seed=0)),
+    (dict(ENSEMBLE_OPEN, times={"t_final": 0.1}, settings={"dt": 0.01, "n_particles": 1}),
+     "settings.n_particles", lambda: integrate_nbody(*ONE_PARTICLE)),
+    (dict(ENSEMBLE_OPEN, method="compare", times={"t_final": 0.1},
+          settings=dict(ENSEMBLE_COMPARE, n_list=[10, 1])),
+     "settings.n_list[1]", lambda: integrate_nbody(*ONE_PARTICLE)),
+    (dict(PERTURBATION_COMPARE, problem={}), "settings.strengths",
+     lambda: residual_vs_vlasov(0.1, GaussianDensity(q_sigma=0.8, p_sigma=0.8), ProblemSpec(),
+                                [0.1, 0.05], OPEN_GRID, PerturbationSettings(aux_grid=OPEN_GRID),
+                                VlasovSettings(dt=0.01))),
+    (dict(OPEN_FOCK, problem={"pair_potential": {"type": "gaussian", "strength": 0.1,
+                                                 "width": 1e300}}),
+     "problem.pair_potential.width", lambda: GaussianPair(strength=0.1, width=1e300)),
+], ids=["periodic-pair-run", "periodic-pair-compare", "two-particles-run",
+        "two-particles-compare", "strength-without-pair", "gaussian-width"])
+def test_validate_reports_the_library_refusal_at_its_path(payload, path, refuse):
+    with pytest.raises(ValueError) as exc:
+        refuse()
+    assert config_errors(payload) == [f"{path}: {exc.value}"]

@@ -62,7 +62,7 @@ def test_sampler_refuses_non_catalog_density():
 def test_noninteracting_transport_matches_flow_bitwise():
     spec = ProblemSpec(external=QuarticPotential(a=0.3, b=0.5))
     pts = sample_initial(UNIT, 200, seed=1)
-    settings = EnsembleSettings(dt=1e-3, seed=1)
+    settings = EnsembleSettings(dt=1e-3)
     moved = integrate_nbody(pts, 1.0, spec, settings)
     reference = flow_map_points(pts, 1.0, spec, FlowSettings(dt=1e-3))
     assert np.array_equal(moved, reference)
@@ -79,7 +79,7 @@ def test_two_body_energy_conservation_bare_coupling():
         return np.sum(p**2 / 2 + spec.external.value(q, spec.mass)) + pair
 
     pts = np.array([[0.8, 0.3], [-0.5, -0.2]])
-    settings = EnsembleSettings(dt=1e-3, seed=0, coupling_scaling="bare")
+    settings = EnsembleSettings(dt=1e-3, coupling_scaling="bare")
     out = integrate_nbody(pts, 10.0, spec, settings)
     assert abs(energy(out) - energy(pts)) / abs(energy(pts)) < 1e-4
 
@@ -87,7 +87,7 @@ def test_two_body_energy_conservation_bare_coupling():
 def test_momentum_conservation_pair_forces_only():
     spec = ProblemSpec(pair=GaussianPair(strength=0.5, width=0.7))
     pts = sample_initial(UNIT, 100, seed=3)
-    settings = EnsembleSettings(dt=1e-2, seed=0, coupling_scaling="bare")
+    settings = EnsembleSettings(dt=1e-2, coupling_scaling="bare")
     out = integrate_nbody(pts, 2.0, spec, settings)
     assert abs(out[:, 1].sum() - pts[:, 1].sum()) < 1e-10
 
@@ -104,7 +104,7 @@ def test_interacting_runs_need_two_particles():
     spec = ProblemSpec(pair=GaussianPair(strength=0.1, width=1.0))
     with pytest.raises(ValueError, match="two"):
         integrate_nbody(np.array([[0.0, 0.0]]), 0.1, spec,
-                        EnsembleSettings(dt=0.01, seed=0))
+                        EnsembleSettings(dt=0.01))
 
 
 def test_cost_guard_refuses_before_integrating():
@@ -114,7 +114,7 @@ def test_cost_guard_refuses_before_integrating():
     # exceed the cap, so the refusal comes at once instead of after hours
     assert 10**5 * 1.6e5 > MAX_PAIR_EVALUATIONS
     with pytest.raises(CostError, match="pair-kernel evaluations"):
-        integrate_nbody(pts, 1000.0, spec, EnsembleSettings(dt=0.01, seed=0))
+        integrate_nbody(pts, 1000.0, spec, EnsembleSettings(dt=0.01))
     assert issubclass(CostError, ValueError)
 
 
@@ -131,12 +131,12 @@ def test_periodic_ensemble_refuses_pairs_the_wrap_would_change():
     grid = PhaseGrid(-np.pi, np.pi, -5, 5, 16, 16, periodic_q=True)
     spec = ProblemSpec(pair=GaussianPair(strength=1.0, width=0.5))
     with pytest.raises(ValueError, match="periodic q-domain"):
-        ensemble_vs_vlasov(UNIT, spec, grid, 0.1, [100], EnsembleSettings(dt=0.05, seed=1),
-                           VlasovSettings(dt=0.02))
+        ensemble_vs_vlasov(UNIT, spec, grid, 0.1, [100], EnsembleSettings(dt=0.05),
+                           VlasovSettings(dt=0.02), seed=1)
     off_period = ProblemSpec(pair=CosinePair(strength=0.1, wavenumber=1.5))
     with pytest.raises(ValueError, match="periodic q-domain"):
         ensemble_vs_vlasov(UNIT, off_period, grid, 0.1, [100],
-                           EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
+                           EnsembleSettings(dt=0.05), VlasovSettings(dt=0.02), seed=1)
 
 
 def test_the_comparison_refuses_a_density_of_other_than_unit_mass():
@@ -146,7 +146,7 @@ def test_the_comparison_refuses_a_density_of_other_than_unit_mass():
     for mass in (2.0, 0.0, 1.0 + 1e-9):
         with pytest.raises(ValueError, match="total mass 1"):
             ensemble_vs_vlasov(GaussianDensity(mass=mass), ProblemSpec(), grid, 0.1, [100],
-                               EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
+                               EnsembleSettings(dt=0.05), VlasovSettings(dt=0.02), seed=1)
 
 
 def test_sampling_refuses_a_density_of_other_than_unit_mass(monkeypatch):
@@ -164,7 +164,7 @@ def test_sampling_refuses_a_density_of_other_than_unit_mass(monkeypatch):
     with pytest.raises(ValueError, match="total mass 1"):
         ensemble_vs_vlasov(GaussianDensity(mass=2.0), ProblemSpec(),
                            PhaseGrid(-6, 6, -6, 6, 16, 16), 0.1, [100],
-                           EnsembleSettings(dt=0.05, seed=1), VlasovSettings(dt=0.02))
+                           EnsembleSettings(dt=0.05), VlasovSettings(dt=0.02), seed=1)
 
 
 def test_histogram_point_mass_and_empty():
@@ -217,8 +217,8 @@ def test_noninteracting_convergence_one_over_sqrt_n():
     spec = ProblemSpec()
     table = ensemble_vs_vlasov(
         PERIODIC_SCENARIO["dens"], spec, PERIODIC_SCENARIO["grid"], 0.5,
-        [1000, 10_000, 100_000], EnsembleSettings(dt=0.05, seed=11),
-        PERIODIC_SCENARIO["vlasov"])
+        [1000, 10_000, 100_000], EnsembleSettings(dt=0.05),
+        PERIODIC_SCENARIO["vlasov"], seed=11)
     for ratio in table.ratios:
         assert 2.5 <= ratio <= 4.0
 
@@ -227,8 +227,8 @@ def test_interacting_convergence_monotone():
     spec = ProblemSpec(pair=CosinePair(strength=0.1, wavenumber=1.0))
     table = ensemble_vs_vlasov(
         PERIODIC_SCENARIO["dens"], spec, PERIODIC_SCENARIO["grid"], 0.5,
-        [1000, 10_000, 100_000], EnsembleSettings(dt=0.05, seed=12),
-        PERIODIC_SCENARIO["vlasov"])
+        [1000, 10_000, 100_000], EnsembleSettings(dt=0.05),
+        PERIODIC_SCENARIO["vlasov"], seed=12)
     errs = [e for _, e in table.rows]
     assert errs[0] > errs[1] > errs[2]
     assert -0.65 < table.fitted_order < -0.35
@@ -240,8 +240,8 @@ def test_convergence_seed_stability():
     for seed in (21, 22):
         table = ensemble_vs_vlasov(
             PERIODIC_SCENARIO["dens"], spec, PERIODIC_SCENARIO["grid"], 0.5,
-            [10_000], EnsembleSettings(dt=0.05, seed=seed),
-            PERIODIC_SCENARIO["vlasov"])
+            [10_000], EnsembleSettings(dt=0.05),
+            PERIODIC_SCENARIO["vlasov"], seed=seed)
         dists.append(table.rows[0][1])
     assert max(dists) / min(dists) < 3.0
 
@@ -263,8 +263,8 @@ def test_catalog_densities_refuse_bad_parameters(build, message):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: EnsembleSettings(dt=0.0, seed=0), "dt must be > 0"),
-    (lambda: EnsembleSettings(dt=0.1, seed=0, coupling_scaling="none"),
+    (lambda: EnsembleSettings(dt=0.0), "dt must be > 0"),
+    (lambda: EnsembleSettings(dt=0.1, coupling_scaling="none"),
      "unknown coupling scaling 'none'"),
     (lambda: sample_initial(UNIT, 0, seed=1), "n must be >= 1"),
 ], ids=["dt", "coupling-scaling", "sample-size"])

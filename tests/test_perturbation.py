@@ -209,7 +209,8 @@ def test_residual_sweep_without_a_pair():
     init = density_from_function(grid, RHO0, warn=False)
     solved = vlasov_solve(init, 0.3, HARMONIC, VlasovSettings(dt=0.01), [0.3])[-1].values
     assert table.rows == ((0.0, np.max(np.abs(pert - solved))),)
-    with pytest.raises(ValueError, match="'none' pair potential"):
+    with pytest.raises(ValueError, match="a nonzero strength needs a gaussian or cosine pair "
+                                         "potential"):
         residual_vs_vlasov(0.3, RHO0, HARMONIC, [0.0, 0.1], grid, SETTINGS,
                            VlasovSettings(dt=0.01))
 
