@@ -5,10 +5,13 @@ method, times, and method-specific settings.  ``parse_config`` reads the
 shared sections and hands ``settings`` to the method's own parser, which
 owns the method's keys and every rule that ties them to the shared sections;
 a comparison reads ``targets`` first and then only the keys of the target it
-names.  Parsing builds the library settings objects directly.  Validation
-collects every error (with a path to the offending key) instead of stopping
-at the first; unknown keys are rejected so typos cannot silently change a
-run.
+names.  Parsing reads the JSON shape alone: each block's keys, their JSON
+types and which are required.  It hands the keys a block sets to the library
+class it builds, so the class's defaults and refusals are the only ones; a
+refusal is reported at the key its message begins with, or else at the block.
+Validation collects every problem, the first per library object, each with
+the path of the offending key; unknown keys are rejected so typos cannot
+silently change a run.
 """
 
 from __future__ import annotations
@@ -39,8 +42,33 @@ from .vlasov import VlasovSettings
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config"]
 
-GRID_KEYS = {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "periodic_q", "periodic_p"}
-FLOW_KEYS = {"dt", "exact_shortcut"}
+# each block's keys and their JSON types (float: a finite number); the library
+# class a block builds holds its defaults and every rule on its values
+GRID_KEYS = {"q_min": float, "q_max": float, "p_min": float, "p_max": float, "n_q": int,
+             "n_p": int, "periodic_q": bool, "periodic_p": bool}
+GRID_REQUIRED = ("q_min", "q_max", "p_min", "p_max", "n_q", "n_p")
+GAUSSIAN_KEYS = dict.fromkeys(("q_center", "p_center", "q_sigma", "p_sigma", "mass"), float)
+FLOW_KEYS = {"dt": float, "exact_shortcut": bool}
+VLASOV_KEYS = {"dt": float, "interpolation": str}
+ENSEMBLE_KEYS = {"dt": float, "coupling_scaling": str}
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a finite number"}
+
+# each potential block's types, its default first: type -> (class, keys, required keys);
+# every key is a number
+_POTENTIALS = {
+    "external_potential": {
+        "free": (FreePotential, (), ()),
+        "harmonic": (HarmonicPotential, ("omega",), ("omega",)),
+        "quartic": (QuarticPotential, ("b", "a"), ("b",)),
+        "cosine": (CosinePotential, ("wavenumber", "amplitude"), ("wavenumber", "amplitude")),
+    },
+    "pair_potential": {
+        "none": (NoPair, (), ()),
+        "gaussian": (GaussianPair, ("strength", "width"), ("strength", "width")),
+        "cosine": (CosinePair, ("strength", "wavenumber"), ("strength", "wavenumber")),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -85,10 +113,6 @@ class ScenarioConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
-               int: "an integer"}
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -111,47 +135,45 @@ class _Validator:
     def error(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def check_unknown(self, path: str, d: dict, known: set[str]):
+    def check_unknown(self, path: str, d: dict, known):
         for key in d:
             if key not in known:
                 self.error(_join(path, key), "unknown key")
 
-    def get(self, path: str, d: dict, key: str, typ, default=None, required=False):
+    def get(self, path: str, d: dict, key: str, typ, default=None, required=False,
+            minimum=None):
+        """``d[key]`` if it has the JSON type ``typ`` (``float``: a finite number)
+        and is not below ``minimum``; otherwise an error at its path and ``default``."""
         if key not in d:
             if required:
                 self.error(_join(path, key), "missing required key")
             return default
-        value = d[key]
+        value = _as_number(d[key]) if typ is float else d[key]
         if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
             self.error(_join(path, key), f"expected {_TYPE_NAMES[typ]}")
             return default
-        return value
-
-    def get_number(self, path, d, key, default=None, required=False,
-                   minimum=None, strict_min=False):
-        if key not in d:
-            if required:
-                self.error(_join(path, key), "missing required key")
-            return default
-        value = _as_number(d[key])
-        if value is None:
-            self.error(_join(path, key), "expected a finite number")
-            return default
-        if minimum is not None:
-            if strict_min and not value > minimum:
-                self.error(_join(path, key), f"must be > {minimum}")
-                return default
-            if not strict_min and value < minimum:
-                self.error(_join(path, key), f"must be >= {minimum}")
-                return default
-        return value
-
-    def get_int(self, path, d, key, default=None, required=False, minimum=None):
-        value = self.get(path, d, key, int, default=default, required=required)
-        if value is not None and minimum is not None and value < minimum:
+        if minimum is not None and value < minimum:
             self.error(_join(path, key), f"must be >= {minimum}")
             return default
         return value
+
+    def read(self, path: str, d: dict, types: dict, required=()) -> dict:
+        """The keys of ``types`` that ``d`` holds with their JSON type; an error at
+        each other key of ``types`` it holds and at each ``required`` key it lacks."""
+        found = {}
+        for key, typ in types.items():
+            value = self.get(path, d, key, typ, required=key in required)
+            if value is not None:
+                found[key] = value
+        return found
+
+    def make(self, path: str, d: dict, cls, types: dict, required=(), **given):
+        """``cls(**given)`` with the keys that ``read`` finds; None when a required
+        one is not found or ``cls`` refuses."""
+        found = self.read(path, d, types, required)
+        if found.keys() >= set(required):
+            return self.build(path, cls, **given, **found)
+        return None
 
     def check_whole_steps(self, t_final: float, dt_key: str, stepped):
         """An error at ``times.t_final`` unless it is a whole number of
@@ -164,98 +186,49 @@ class _Validator:
             self.error("times.t_final",
                        f"must be a whole number of {dt_key} = {stepped.dt:g} steps")
 
-    def build(self, path: str, make, **kwargs):
-        """``make(**kwargs)``, a library constructor or check; a ValueError is an error at path."""
+    def build(self, path: str, make, *args, **keys):
+        """``make(*args, **keys)``, a library constructor or check.  A ValueError is
+        an error at ``path.<key>`` when its message begins with one of ``keys``, and
+        at ``path`` otherwise."""
         try:
-            return make(**kwargs)
+            return make(*args, **keys)
         except ValueError as exc:
-            self.error(path, str(exc))
+            key = str(exc).split(" ", 1)[0]
+            self.error(_join(path, key) if key in keys else path, str(exc))
             return None
 
 
-def _parse_external(v: _Validator, path: str, d: dict):
-    kind = v.get(path, d, "type", str, default="free")
-    if kind == "free":
-        v.check_unknown(path, d, {"type"})
-        return FreePotential()
-    if kind == "harmonic":
-        v.check_unknown(path, d, {"type", "omega"})
-        omega = v.get_number(path, d, "omega", required=True, minimum=0.0, strict_min=True)
-        if not omega:
-            return FreePotential()
-        return v.build(f"{path}.omega", HarmonicPotential, omega=omega) or FreePotential()
-    if kind == "quartic":
-        v.check_unknown(path, d, {"type", "a", "b"})
-        a = v.get_number(path, d, "a", default=0.0)
-        b = v.get_number(path, d, "b", required=True)
-        return QuarticPotential(a=a, b=b if b is not None else 0.0)
-    if kind == "cosine":
-        v.check_unknown(path, d, {"type", "wavenumber", "amplitude"})
-        k = v.get_number(path, d, "wavenumber", required=True, minimum=0.0, strict_min=True)
-        amp = v.get_number(path, d, "amplitude", required=True)
-        if k:
-            return CosinePotential(wavenumber=k, amplitude=amp if amp is not None else 0.0)
-        return FreePotential()
-    v.error(f"{path}.type", f"unknown potential type {kind!r}")
-    return FreePotential()
-
-
-def _parse_pair(v: _Validator, path: str, d: dict):
-    kind = v.get(path, d, "type", str, default="none")
-    if kind == "none":
-        v.check_unknown(path, d, {"type"})
-        return NoPair()
-    if kind == "gaussian":
-        v.check_unknown(path, d, {"type", "strength", "width"})
-        strength = v.get_number(path, d, "strength", required=True, minimum=0.0)
-        width = v.get_number(path, d, "width", required=True, minimum=0.0, strict_min=True)
-        if strength is None or not width:
-            return NoPair()
-        return v.build(f"{path}.width", GaussianPair, strength=strength, width=width) or NoPair()
-    if kind == "cosine":
-        v.check_unknown(path, d, {"type", "strength", "wavenumber"})
-        strength = v.get_number(path, d, "strength", required=True, minimum=0.0)
-        k = v.get_number(path, d, "wavenumber", required=True, minimum=0.0, strict_min=True)
-        if strength is None or not k:
-            return NoPair()
-        return CosinePair(strength=strength, wavenumber=k)
-    v.error(f"{path}.type", f"unknown pair potential type {kind!r}")
-    return NoPair()
+def _parse_potential(v: _Validator, problem: dict, key: str, noun: str):
+    """The potential of ``problem[key]``; its default type's potential stands in
+    when it does not parse."""
+    path, kinds = f"problem.{key}", _POTENTIALS[key]
+    d = v.get("problem", problem, key, dict, default={})
+    default = next(iter(kinds))
+    kind = v.get(path, d, "type", str, default=default)
+    if kind not in kinds:
+        v.error(f"{path}.type", f"unknown {noun} type {kind!r}")
+        return kinds[default][0]()
+    cls, keys, required = kinds[kind]
+    v.check_unknown(path, d, {"type", *keys})
+    found = v.read(path, d, dict.fromkeys(keys, float), required)
+    if cls is CosinePotential and "wavenumber" in found:
+        found.setdefault("amplitude", 0.0)  # a stand-in: the domain rules read k alone
+    return ((found.keys() >= set(required) and v.build(path, cls, **found))
+            or kinds[default][0]())
 
 
 def _parse_grid(v: _Validator, path: str, d: dict, wraps_p: bool = False) -> PhaseGrid | None:
     """A grid; ``periodic_p`` is refused unless ``wraps_p`` (only fock wraps the p-axis)."""
     v.check_unknown(path, d, GRID_KEYS)
-    q_min = v.get_number(path, d, "q_min", required=True)
-    q_max = v.get_number(path, d, "q_max", required=True)
-    p_min = v.get_number(path, d, "p_min", required=True)
-    p_max = v.get_number(path, d, "p_max", required=True)
-    n_q = v.get_int(path, d, "n_q", required=True, minimum=4)
-    n_p = v.get_int(path, d, "n_p", required=True, minimum=4)
-    periodic_q = v.get(path, d, "periodic_q", bool, default=False)
-    periodic_p = v.get(path, d, "periodic_p", bool, default=False)
-    if periodic_p and not wraps_p:
+    grid = v.make(path, d, PhaseGrid, GRID_KEYS, required=GRID_REQUIRED)
+    if d.get("periodic_p") is True and not wraps_p:
         v.error(f"{path}.periodic_p", "only the fock method wraps the p-axis")
-    if None in (q_min, q_max, p_min, p_max, n_q, n_p):
-        return None
-    if q_max <= q_min:
-        v.error(f"{path}.q_max", "bounds must be ordered (q_max > q_min)")
-        return None
-    if p_max <= p_min:
-        v.error(f"{path}.p_max", "bounds must be ordered (p_max > p_min)")
-        return None
-    return PhaseGrid(q_min, q_max, p_min, p_max, n_q, n_p, periodic_q, periodic_p)
+    return grid
 
 
 def _parse_gaussian(v: _Validator, path: str, d: dict) -> GaussianDensity | None:
-    known = {"type", "q_center", "p_center", "q_sigma", "p_sigma", "mass"}
-    v.check_unknown(path, d, known)
-    qc = v.get_number(path, d, "q_center", default=0.0)
-    pc = v.get_number(path, d, "p_center", default=0.0)
-    qs = v.get_number(path, d, "q_sigma", default=1.0, minimum=0.0, strict_min=True)
-    ps = v.get_number(path, d, "p_sigma", default=1.0, minimum=0.0, strict_min=True)
-    mass = v.get_number(path, d, "mass", default=1.0, minimum=0.0)
-    return GaussianDensity(qc, pc, qs, ps, mass)
+    v.check_unknown(path, d, {"type", *GAUSSIAN_KEYS})
+    return v.make(path, d, GaussianDensity, GAUSSIAN_KEYS)
 
 
 def _parse_density(v: _Validator, path: str, d: dict):
@@ -283,35 +256,26 @@ def _parse_density(v: _Validator, path: str, d: dict):
             if w is None or w < 0:
                 v.error(f"{path}.weights[{i}]", "must be a number >= 0")
                 return None
-        if not parsed or len(parsed) != len(weights):
+        if None in parsed or not parsed or len(parsed) != len(weights):
             return None
-        return v.build(path, GaussianMixture, components=tuple(parsed), weights=tuple(numbers))
+        # positional, so the mixture's refusals are reported at the block
+        return v.build(path, GaussianMixture, tuple(parsed), tuple(numbers))
     v.error(f"{path}.type", f"unknown density type {kind!r}")
     return None
 
 
-def _parse_flow_settings(v: _Validator, path: str, d: dict) -> FlowSettings:
-    dt = v.get_number(path, d, "dt", default=1e-3, minimum=0.0, strict_min=True)
-    shortcut = v.get(path, d, "exact_shortcut", bool, default=False)
-    return FlowSettings(dt=dt, exact_shortcut=shortcut)
-
-
 def _parse_flow_run(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> FlowRun:
-    v.check_unknown(path, d, FLOW_KEYS | {"points_csv", "n_snapshots"})
-    flow = _parse_flow_settings(v, path, d)
+    v.check_unknown(path, d, {*FLOW_KEYS, "points_csv", "n_snapshots"})
+    flow = v.make(path, d, FlowSettings, FLOW_KEYS)
     points = v.get(path, d, "points_csv", str, required=True) or ""
-    n_snap = v.get_int(path, d, "n_snapshots", default=11, minimum=2)
+    n_snap = v.get(path, d, "n_snapshots", int, default=11, minimum=2)
     return FlowRun(flow=flow, points_csv=points, n_snapshots=n_snap)
 
 
 def _parse_vlasov_settings(v: _Validator, path: str, d: dict,
                            cfg: ScenarioConfig) -> VlasovSettings | None:
-    v.check_unknown(path, d, {"dt", "interpolation"})
-    dt = v.get_number(path, d, "dt", required=True, minimum=0.0, strict_min=True)
-    interp = v.get(path, d, "interpolation", str, default="cubic-spline")
-    if dt is None:
-        return None
-    settings = v.build(path, VlasovSettings, dt=dt, interpolation=interp)
+    v.check_unknown(path, d, VLASOV_KEYS)
+    settings = v.make(path, d, VlasovSettings, VLASOV_KEYS, required=("dt",))
     v.check_whole_steps(cfg.t_final, f"{path}.dt", settings)
     return settings
 
@@ -319,16 +283,15 @@ def _parse_vlasov_settings(v: _Validator, path: str, d: dict,
 def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
                                  cfg: ScenarioConfig) -> PerturbationSettings | None:
     v.check_unknown(path, d, {"n_s", "h_p", "flow", "aux_grid"})
-    n_s = v.get_int(path, d, "n_s", default=16, minimum=2)
-    h_p = v.get_number(path, d, "h_p", default=1e-4, minimum=0.0, strict_min=True)
     flow_d = v.get(path, d, "flow", dict, default={})
     v.check_unknown(f"{path}.flow", flow_d, FLOW_KEYS)
-    flow = _parse_flow_settings(v, f"{path}.flow", flow_d)
+    flow = v.make(f"{path}.flow", flow_d, FlowSettings, FLOW_KEYS)
     aux = cfg.grid
     aux_d = v.get(path, d, "aux_grid", dict)
     if aux_d is not None:
         aux = _parse_grid(v, f"{path}.aux_grid", aux_d)
-    return v.build(path, PerturbationSettings, aux_grid=aux, flow=flow, n_s=n_s, h_p=h_p)
+    return v.make(path, d, PerturbationSettings, {"n_s": int, "h_p": float}, aux_grid=aux,
+                  flow=flow)
 
 
 def _check_nonzero_mass(v: _Validator, cfg: ScenarioConfig, run: str):
@@ -338,7 +301,7 @@ def _check_nonzero_mass(v: _Validator, cfg: ScenarioConfig, run: str):
 
 def _parse_fock_settings(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> int:
     v.check_unknown(path, d, {"n_particles"})
-    n = v.get_int(path, d, "n_particles", default=1)
+    n = v.get(path, d, "n_particles", int, default=1)
     if n not in (1, 2):
         v.error(f"{path}.n_particles", "must be 1 or 2")
     _check_nonzero_mass(v, cfg, "fock run")  # its orbital could not be normalized
@@ -350,13 +313,12 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
     """Ensemble settings and the rules every ensemble keeps; ``sizes`` holds an
     ensemble run's parsed ``n_particles`` and is empty for a comparison, which
     samples the sizes of its ``n_list`` instead and whose ``dt`` defaults to 0.01."""
-    v.check_unknown(path, d, {"dt", "coupling_scaling", *sizes})
-    dt = v.get_number(path, d, "dt", default=None if sizes else 0.01, required=bool(sizes),
-                      minimum=0.0, strict_min=True)
-    scaling = v.get(path, d, "coupling_scaling", str, default="mean-field")
+    v.check_unknown(path, d, {*ENSEMBLE_KEYS, *sizes})
+    keys = {} if sizes else {"dt": 0.01}
+    keys.update(v.read(path, d, ENSEMBLE_KEYS, required=("dt",) if sizes else ()))
     settings = None
-    if dt is not None and None not in sizes.values():
-        settings = v.build(path, EnsembleSettings, dt=dt, coupling_scaling=scaling)
+    if "dt" in keys and None not in sizes.values():
+        settings = v.build(path, EnsembleSettings, **keys)
     if cfg.grid is not None:
         v.build("problem.pair_potential", require_periodic_pair, pair=cfg.spec.pair, grid=cfg.grid)
     if cfg.density is not None:
@@ -368,7 +330,7 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
 def _parse_ensemble_run(v: _Validator, path: str, d: dict,
                         cfg: ScenarioConfig) -> tuple[EnsembleSettings | None, int | None]:
     """The ensemble settings and, beside them, the run's sample size ``n_particles``."""
-    n = v.get_int(path, d, "n_particles", required=True, minimum=1)
+    n = v.get(path, d, "n_particles", int, required=True, minimum=1)
     n = n and v.build(f"{path}.n_particles", require_particle_count, n=n, pair=cfg.spec.pair)
     return _parse_ensemble_settings(v, path, d, cfg, n_particles=n), n
 
@@ -399,7 +361,7 @@ def _parse_compare_settings(v: _Validator, path: str, d: dict,
         target = _parse_perturbation_settings(
             v, f"{path}.perturbation", v.get(path, d, "perturbation", dict, default={}), cfg)
         if sweep:
-            v.build(f"{path}.strengths", cfg.spec.with_pair_strength, strength=max(sweep))
+            v.build(f"{path}.strengths", cfg.spec.with_pair_strength, max(sweep))
         # every residual of the table would vanish, and so would its ratios
         _check_nonzero_mass(v, cfg, "comparison")
     else:
@@ -455,16 +417,14 @@ def parse_config(text: str) -> ScenarioConfig:
         method = None
 
     output_dir = v.get("", raw, "output_dir", str, default="kvnsim_run")
-    seed = v.get_int("", raw, "seed", default=0, minimum=0)
+    seed = v.get("", raw, "seed", int, default=0, minimum=0)
 
     problem = v.get("", raw, "problem", dict, default={})
-    v.check_unknown("problem", problem, {"mass", "external_potential", "pair_potential"})
-    mass = v.get_number("problem", problem, "mass", default=1.0, minimum=0.0, strict_min=True)
-    ext = _parse_external(v, "problem.external_potential",
-                          v.get("problem", problem, "external_potential", dict, default={}))
-    pair = _parse_pair(v, "problem.pair_potential",
-                       v.get("problem", problem, "pair_potential", dict, default={}))
-    spec = ProblemSpec(mass=mass, external=ext, pair=pair)
+    v.check_unknown("problem", problem, {"mass", *_POTENTIALS})
+    ext = _parse_potential(v, problem, "external_potential", "potential")
+    pair = _parse_potential(v, problem, "pair_potential", "pair potential")
+    spec = (v.make("problem", problem, ProblemSpec, {"mass": float}, external=ext, pair=pair)
+            or ProblemSpec(external=ext, pair=pair))
 
     grid = density = None
     if method == "flow":
@@ -483,9 +443,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     times = v.get("", raw, "times", dict, default={}) or {"t_final": 0.0}
     v.check_unknown("times", times, {"t_final", "snapshots"})
-    t_final = v.get_number("times", times, "t_final", required=True, minimum=0.0)
-    if t_final is None:
-        t_final = 0.0
+    t_final = v.get("times", times, "t_final", float, default=0.0, required=True, minimum=0.0)
     snaps = times.get("snapshots")
     numbers = [_as_number(x) for x in snaps] if isinstance(snaps, list) else [None]
     snapshots = (t_final,)

@@ -28,8 +28,10 @@ class GaussianDensity:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.q_sigma > 0 and self.p_sigma > 0):
-            raise ValueError("sigmas must be > 0")
+        if not self.q_sigma > 0:
+            raise ValueError("q_sigma must be > 0")
+        if not self.p_sigma > 0:
+            raise ValueError("p_sigma must be > 0")
         if self.mass < 0:
             raise ValueError("mass must be >= 0")
 

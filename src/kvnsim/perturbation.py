@@ -57,7 +57,7 @@ class PerturbationSettings:
     """
 
     aux_grid: PhaseGrid
-    flow: FlowSettings = field(default_factory=lambda: FlowSettings(dt=1e-3))
+    flow: FlowSettings = field(default_factory=FlowSettings)
     n_s: int = 16
     h_p: float = 1e-4
 

@@ -81,8 +81,8 @@ class HarmonicPotential:
 class QuarticPotential:
     """U = a q^2 + b q^4."""
 
-    a: float
     b: float
+    a: float = 0.0
 
     def value(self, q, mass: float = 1.0):
         q = np.asarray(q, dtype=float)
@@ -147,6 +147,8 @@ class GaussianPair:
             raise ValueError("width must be > 0")
         if not math.isfinite(self.width * self.width):
             raise ValueError(f"width = {self.width:g} overflows width**2")
+        if self.width * self.width < sys.float_info.min:
+            raise ValueError(f"width = {self.width:g} underflows width**2")
 
     def value(self, q):
         q = np.asarray(q, dtype=float)
@@ -248,10 +250,14 @@ class PhaseGrid:
     periodic_p: bool = False
 
     def __post_init__(self):
-        if self.n_q < 4 or self.n_p < 4:
-            raise ValueError("n_q and n_p must be >= 4")
-        if not (self.q_max > self.q_min and self.p_max > self.p_min):
-            raise ValueError("grid bounds must be ordered")
+        if self.n_q < 4:
+            raise ValueError("n_q must be >= 4")
+        if self.n_p < 4:
+            raise ValueError("n_p must be >= 4")
+        if not self.q_max > self.q_min:
+            raise ValueError("q_max must be > q_min")
+        if not self.p_max > self.p_min:
+            raise ValueError("p_max must be > p_min")
         for b in (self.q_min, self.q_max, self.p_min, self.p_max):
             if not np.isfinite(b):
                 raise ValueError("grid bounds must be finite")

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,11 @@ from kvnsim.densities import GaussianDensity
 from kvnsim.ensemble import (EnsembleSettings, ensemble_vs_vlasov, integrate_nbody,
                              require_periodic_pair)
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
+from kvnsim.flow import FlowSettings
 from kvnsim.perturbation import PerturbationSettings, residual_vs_vlasov
-from kvnsim.phase_space import (CosinePair, GaussianPair, GridResolutionWarning,
-                                HarmonicPotential, NoPair, PhaseGrid, ProblemSpec,
-                                pair_is_periodic, whole_periods)
+from kvnsim.phase_space import (CosinePair, CosinePotential, FreePotential, GaussianPair,
+                                GridResolutionWarning, HarmonicPotential, NoPair, PhaseGrid,
+                                ProblemSpec, pair_is_periodic, whole_periods)
 from kvnsim.vlasov import VlasovSettings
 
 MINIMAL_VLASOV = {
@@ -35,10 +38,38 @@ def test_minimal_config_fills_defaults():
     assert cfg.method == "vlasov"
     assert cfg.seed == 0
     assert cfg.spec.mass == 1.0
-    assert isinstance(cfg.spec.external, type(cfg.spec.external))
+    assert cfg.spec.external == FreePotential()
     assert isinstance(cfg.spec.pair, NoPair)
     assert cfg.snapshots == (0.1,)
     assert cfg.settings.interpolation == "cubic-spline"
+    # each default is the library's own: the object built with its required arguments only
+    assert cfg.spec == ProblemSpec()
+    assert cfg.settings == VlasovSettings(dt=0.01)
+    assert parse_config(json.dumps(dict(MINIMAL_VLASOV, initial_density={}))).density == \
+        GaussianDensity()
+    cfg = parse_config(json.dumps(dict(MINIMAL_VLASOV, method="perturbation", settings={})))
+    assert cfg.settings == PerturbationSettings(aux_grid=cfg.grid)
+    assert cfg.settings.flow == FlowSettings()
+    cfg = parse_config(json.dumps({"method": "flow", "times": {"t_final": 1.0},
+                                   "settings": {"points_csv": "pts.csv"}}))
+    assert cfg.settings.flow == FlowSettings()
+    cfg = parse_config(json.dumps(dict(MINIMAL_VLASOV, method="ensemble",
+                                       settings={"dt": 0.01, "n_particles": 10})))
+    assert cfg.settings == (EnsembleSettings(dt=0.01), 10)
+
+
+def test_every_benchmark_workload_config_parses():
+    # the benchmark's configs, at full and tiny size; a refusal there would show
+    # only as a failed benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        for seed in range(1, 6):
+            for tiny in (False, True):
+                raw = workloads.make_config(name, seed, tiny=tiny)
+                assert parse_config(json.dumps(raw)).method == raw["method"]
 
 
 def test_config_error_collection_with_paths():
@@ -681,8 +712,8 @@ GRID = MINIMAL_VLASOV["grid"]
      "problem.pair_potential.type: unknown pair potential type 'yukawa'"),
     ({"initial_density": {"type": "uniform"}},
      "initial_density.type: unknown density type 'uniform'"),
-    ({"grid": dict(GRID, q_max=-8)}, "grid.q_max: bounds must be ordered (q_max > q_min)"),
-    ({"grid": dict(GRID, p_max=-9)}, "grid.p_max: bounds must be ordered (p_max > p_min)"),
+    ({"grid": dict(GRID, q_max=-8)}, "grid.q_max: q_max must be > q_min"),
+    ({"grid": dict(GRID, p_max=-9)}, "grid.p_max: p_max must be > p_min"),
     ({"initial_density": {"type": "mixture", "components": [{"type": "uniform"}],
                           "weights": [1.0]}},
      "initial_density.components[0].type: mixture components must be gaussian"),
@@ -694,7 +725,7 @@ GRID = MINIMAL_VLASOV["grid"]
                                          "amplitude": 0.5}}},
      "grid.periodic_q: cosine external potential requires a periodic q-domain"),
     ({"problem": {"external_potential": {"type": "harmonic", "omega": 0}}},
-     "problem.external_potential.omega: must be > 0.0"),
+     "problem.external_potential.omega: omega must be > 0"),
     # a JSON integer beyond the largest float
     ({"grid": dict(GRID, q_min=-10**400)}, "grid.q_min: expected a finite number"),
     ({"initial_density": {"type": "mixture", "components": [{}], "weights": [1.0, 2.0]}},
@@ -1154,8 +1185,44 @@ OPEN_GRID = PhaseGrid(-8, 8, -8, 8, 32, 32)
     (dict(OPEN_FOCK, problem={"pair_potential": {"type": "gaussian", "strength": 0.1,
                                                  "width": 1e300}}),
      "problem.pair_potential.width", lambda: GaussianPair(strength=0.1, width=1e300)),
+    (dict(OPEN_FOCK, problem={"pair_potential": {"type": "gaussian", "strength": 0.1,
+                                                 "width": 1e-200}}),
+     "problem.pair_potential.width", lambda: GaussianPair(strength=0.1, width=1e-200)),
+    (dict(MINIMAL_VLASOV, settings={"dt": 0}), "settings.dt", lambda: VlasovSettings(dt=0.0)),
+    ({"method": "flow", "times": {"t_final": 1.0},
+      "settings": {"points_csv": "pts.csv", "dt": -0.1}},
+     "settings.dt", lambda: FlowSettings(dt=-0.1)),
+    (dict(MINIMAL_VLASOV, method="perturbation", settings={"flow": {"dt": 0}}),
+     "settings.flow.dt", lambda: FlowSettings(dt=0.0)),
+    (dict(ENSEMBLE_OPEN, settings={"dt": 0, "n_particles": 50}), "settings.dt",
+     lambda: EnsembleSettings(dt=0.0)),
+    (dict(MINIMAL_VLASOV, method="perturbation", settings={"n_s": 1}), "settings.n_s",
+     lambda: PerturbationSettings(aux_grid=OPEN_GRID, n_s=1)),
+    (dict(MINIMAL_VLASOV, method="perturbation", settings={"h_p": 0}), "settings.h_p",
+     lambda: PerturbationSettings(aux_grid=OPEN_GRID, h_p=0.0)),
+    (dict(MINIMAL_VLASOV, initial_density={"q_sigma": 0}), "initial_density.q_sigma",
+     lambda: GaussianDensity(q_sigma=0.0)),
+    (dict(MINIMAL_VLASOV, initial_density={"mass": -1}), "initial_density.mass",
+     lambda: GaussianDensity(mass=-1.0)),
+    (dict(MINIMAL_VLASOV, grid=dict(GRID, n_q=3)), "grid.n_q",
+     lambda: PhaseGrid(-8, 8, -8, 8, 3, 32)),
+    (dict(MINIMAL_VLASOV, grid=dict(GRID, p_max=-9)), "grid.p_max",
+     lambda: PhaseGrid(-8, 8, -8, -9, 32, 32)),
+    (dict(MINIMAL_VLASOV, problem={"external_potential": {"type": "harmonic", "omega": 0}}),
+     "problem.external_potential.omega", lambda: HarmonicPotential(omega=0.0)),
+    (dict(MINIMAL_VLASOV, problem={"external_potential": {"type": "cosine", "wavenumber": 0,
+                                                          "amplitude": 0.5}}),
+     "problem.external_potential.wavenumber",
+     lambda: CosinePotential(wavenumber=0.0, amplitude=0.5)),
+    (dict(MINIMAL_VLASOV, problem={"pair_potential": {"type": "gaussian", "strength": -0.1,
+                                                      "width": 0.5}}),
+     "problem.pair_potential.strength", lambda: GaussianPair(strength=-0.1, width=0.5)),
+    (dict(MINIMAL_VLASOV, problem={"mass": 0}), "problem.mass", lambda: ProblemSpec(mass=0.0)),
 ], ids=["periodic-pair-run", "periodic-pair-compare", "two-particles-run",
-        "two-particles-compare", "strength-without-pair", "gaussian-width"])
+        "two-particles-compare", "strength-without-pair", "gaussian-width",
+        "gaussian-width-underflow", "vlasov-dt", "flow-dt", "perturbation-flow-dt",
+        "ensemble-dt", "n-s", "h-p", "q-sigma", "density-mass", "n-q", "p-bounds", "omega",
+        "cosine-wavenumber", "pair-strength", "problem-mass"])
 def test_validate_reports_the_library_refusal_at_its_path(payload, path, refuse):
     with pytest.raises(ValueError) as exc:
         refuse()

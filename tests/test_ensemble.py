@@ -247,8 +247,8 @@ def test_convergence_seed_stability():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: GaussianDensity(q_sigma=0.0), "sigmas must be > 0"),
-    (lambda: GaussianDensity(p_sigma=-1.0), "sigmas must be > 0"),
+    (lambda: GaussianDensity(q_sigma=0.0), "q_sigma must be > 0"),
+    (lambda: GaussianDensity(p_sigma=-1.0), "p_sigma must be > 0"),
     (lambda: GaussianDensity(mass=-1.0), "mass must be >= 0"),
     (lambda: GaussianMixture((), ()), "components and weights must be non-empty and equal"),
     (lambda: GaussianMixture((UNIT,), (1.0, 2.0)),
