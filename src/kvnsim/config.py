@@ -188,13 +188,13 @@ class _Validator:
 
     def build(self, path: str, make, *args, **keys):
         """``make(*args, **keys)``, a library constructor or check.  A ValueError is
-        an error at ``path.<key>`` when its message begins with one of ``keys``, and
-        at ``path`` otherwise."""
+        an error at ``path.<key>`` when its message begins with one of ``keys``, or
+        with an entry ``<key>[i]`` of one, and at ``path`` otherwise."""
         try:
             return make(*args, **keys)
         except ValueError as exc:
             key = str(exc).split(" ", 1)[0]
-            self.error(_join(path, key) if key in keys else path, str(exc))
+            self.error(_join(path, key) if key.split("[")[0] in keys else path, str(exc))
             return None
 
 
@@ -252,14 +252,13 @@ def _parse_density(v: _Validator, path: str, d: dict):
                 continue
             parsed.append(_parse_gaussian(v, f"{path}.components[{i}]", comp))
         numbers = [_as_number(w) for w in weights]
-        for i, w in enumerate(numbers):
-            if w is None or w < 0:
-                v.error(f"{path}.weights[{i}]", "must be a number >= 0")
-                return None
+        if None in numbers:
+            v.error(f"{path}.weights[{numbers.index(None)}]", "expected a finite number")
+            return None
         if None in parsed or not parsed or len(parsed) != len(weights):
             return None
-        # positional, so the mixture's refusals are reported at the block
-        return v.build(path, GaussianMixture, tuple(parsed), tuple(numbers))
+        # the components positional, so only refusals of the weights name a key
+        return v.build(path, GaussianMixture, tuple(parsed), weights=tuple(numbers))
     v.error(f"{path}.type", f"unknown density type {kind!r}")
     return None
 
@@ -441,7 +440,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if dens_d is not None:
             density = _parse_density(v, "initial_density", dens_d)
 
-    times = v.get("", raw, "times", dict, default={}) or {"t_final": 0.0}
+    times = v.get("", raw, "times", dict, default={})
     v.check_unknown("times", times, {"t_final", "snapshots"})
     t_final = v.get("times", times, "t_final", float, default=0.0, required=True, minimum=0.0)
     snaps = times.get("snapshots")

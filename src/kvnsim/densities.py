@@ -61,8 +61,9 @@ class GaussianMixture:
     def __post_init__(self):
         if len(self.components) != len(self.weights) or not self.components:
             raise ValueError("components and weights must be non-empty and equal length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be >= 0")
+        for i, w in enumerate(self.weights):
+            if w < 0:
+                raise ValueError(f"weights[{i}] must be >= 0")
         total = sum(self.weights)
         if total <= 0:
             raise ValueError("weights must not all vanish")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .flow import _point_rows
 from .fock import FockBasis, FockState
-from .phase_space import DensityField, PhaseGrid, spatial_density
+from .phase_space import DensityField, PhaseGrid
 
 __all__ = [
     "write_field",
@@ -65,6 +65,7 @@ _VERSION = 1
 _FIELD_HEADER = struct.Struct("<4sI" + "IIBBxx4d" + "d4x")  # 64 bytes
 _FOCK_HEADER = struct.Struct("<4sIIIQQ" + "IIBBxx4d")       # 76 bytes
 _MAX_BASIS_ENTRIES = 1 << 24
+_BLOCK_BYTES = 1 << 16  # the most of a field that a write copies at once
 
 
 def _grid_tuple(grid: PhaseGrid):
@@ -98,17 +99,29 @@ def _check_modes(path, n_modes: int, grid: PhaseGrid) -> None:
                          f"{grid.n_q} x {grid.n_p} grid's {grid.n_q * grid.n_p} cells")
 
 
-def _raw(values: np.ndarray, dtype) -> np.ndarray:
-    """The bytes of values stored as dtype in C order, one byte per element:
-    a view when they are already so stored, so a write copies nothing."""
-    return np.ascontiguousarray(values, dtype=dtype).reshape(-1).view(np.uint8)
+class _RowBlocks:
+    """values stored as dtype in C order, in blocks of whole rows of at most
+    _BLOCK_BYTES: views when already so stored, else one block copy at a time,
+    so the solver's transposed workspace needs no field-sized copy.  len() is
+    the byte count, as a buffer's would be."""
+
+    def __init__(self, values: np.ndarray, dtype="<f8"):
+        self.values, self.dtype = values, dtype
+        self.rows = max(1, _BLOCK_BYTES // values[:1].nbytes)
+
+    def __len__(self) -> int:
+        return self.values.nbytes
+
+    def __iter__(self):
+        for r in range(0, len(self.values), self.rows):
+            yield np.ascontiguousarray(self.values[r:r + self.rows], dtype=self.dtype)
 
 
 def write_field(path, density: DensityField) -> None:
     grid = density.grid
     t = np.nan if density.time is None else float(density.time)
     header = _FIELD_HEADER.pack(_FIELD_MAGIC, _VERSION, *_grid_tuple(grid), t)
-    atomic_write_bytes(path, _raw(density.values, "<f8"), header=header)
+    atomic_write_bytes(path, _RowBlocks(density.values), header=header)
 
 
 def read_field(path) -> DensityField:
@@ -125,7 +138,7 @@ def write_fock_state(path, state: FockState, grid: PhaseGrid) -> None:
     _check_modes(path, basis.n_modes, grid)
     header = _FOCK_HEADER.pack(_STATE_MAGIC, _VERSION, basis.n_particles,
                                basis.n_modes, basis.dimension, 0, *_grid_tuple(grid))
-    atomic_write_bytes(path, _raw(state.amplitudes, "<c16"), header=header)
+    atomic_write_bytes(path, _RowBlocks(state.amplitudes, "<c16"), header=header)
 
 
 def read_fock_state(path) -> tuple[FockState, PhaseGrid]:
@@ -196,7 +209,9 @@ def write_trajectory_csv(path, times: np.ndarray, trajectory: np.ndarray) -> Non
 
 
 def write_marginal_csv(path, density: DensityField) -> None:
-    _write_csv(path, "q,n", zip(density.grid.q_centers, spatial_density(density)))
+    # `spatial_density` of a C-ordered copy; it sums a transposed field strided, as the kick needs
+    n = np.concatenate([block.sum(axis=1) for block in _RowBlocks(density.values)])
+    _write_csv(path, "q,n", zip(density.grid.q_centers, n * density.grid.dp))
 
 
 def write_table_csv(path, table) -> None:
@@ -241,16 +256,16 @@ def sha256_of(path) -> str:
 
 
 def atomic_write_bytes(path, data, header: bytes = b"") -> None:
-    """Write header, then data (bytes or any buffer), via a uniquely named
-    temp file beside ``path``, then rename it; the two are written one after
-    the other, never joined into one copy."""
+    """Write header, then data (bytes, any buffer, or a `_RowBlocks`), via a
+    uniquely named temp file beside ``path``, then rename it; the parts are
+    written one after the other, never joined into one copy."""
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(header)
-            fh.write(data)
+            fh.write(header)  # writelines drops each block before it takes the next
+            fh.writelines(data if isinstance(data, _RowBlocks) else (data,))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

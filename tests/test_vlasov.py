@@ -39,7 +39,7 @@ STANDARD_GAUSSIAN = GaussianDensity(0.0, 0.0, 1.0, 1.0)
 def one_step(rho, spec, settings):
     """One Strang step of size dt: half-drift in q, kick in p, half-drift in q, clip."""
     t = None if rho.time is None else rho.time + settings.dt
-    return _Stepper(rho, spec, settings).run(1, t)
+    return _Stepper(rho, spec, settings).run(1, t, copy=True)
 
 
 def wide_grid(n):
@@ -190,13 +190,32 @@ def test_the_sink_gets_each_snapshot_when_the_solve_reaches_its_step(monkeypatch
     kicks, seen = [], []
     p_kick = _Stepper.p_kick
     monkeypatch.setattr(_Stepper, "p_kick", lambda self: kicks.append(1) or p_kick(self))
-    assert vlasov_solve(f0, 1.0, spec, settings, times,
-                        sink=lambda i, field: seen.append((i, len(kicks), field))) is None
-    assert [(i, steps) for i, steps, _ in seen] == [(2, 0), (1, 2), (3, 2), (0, 5)]
+    # the field is lent for the call only, so the sink keeps a copy of its values
+    assert vlasov_solve(f0, 1.0, spec, settings, times, sink=lambda i, field: seen.append(
+        (i, len(kicks), field, field.values.copy()))) is None
+    assert [(i, steps) for i, steps, _, _ in seen] == [(2, 0), (1, 2), (3, 2), (0, 5)]
     assert seen[1][2] is seen[2][2]  # requests that share a step share its field
-    for i, _, field in seen:
-        assert np.array_equal(field.values, snaps[i].values)
+    for i, _, field, values in seen:
+        assert np.array_equal(values, snaps[i].values)
         assert (field.time, field.clip_count) == (snaps[i].time, snaps[i].clip_count)
+
+
+def test_a_sink_borrows_the_workspace_and_the_returned_snapshots_own_their_values(monkeypatch):
+    f0, spec = _periodic_pair_case()
+    settings, times = VlasovSettings(dt=0.05), [0.1, 0.25, 0.25]
+    steppers, shared = [], []
+    p_kick = _Stepper.p_kick
+    monkeypatch.setattr(_Stepper, "p_kick", lambda self: steppers.append(self) or p_kick(self))
+    vlasov_solve(f0, 1.0, spec, settings, times, sink=lambda i, field: shared.append(
+        np.shares_memory(field.values, steppers[-1].f)))
+    assert shared == [True, True, True]
+    snaps = vlasov_solve(f0, 1.0, spec, settings, times)
+    for snap in snaps:
+        assert snap.values.flags.c_contiguous and snap.values.flags.owndata
+        assert not np.shares_memory(snap.values, steppers[-1].f)
+        assert not np.shares_memory(snap.values, f0.values)
+    assert not np.shares_memory(snaps[0].values, snaps[1].values)
+    assert snaps[1] is snaps[2]  # requests that share a step share its field
 
 
 def test_periodic_self_consistent_mass_conservation_1000_steps():
