@@ -1,8 +1,8 @@
 """Scenario runner and comparison harness.
 
 Subcommands: ``validate``, ``run``, ``report``, ``version``.  Exit codes:
-0 ok, 1 validation failure, 2 runtime refusal (with a machine-readable
-error record in the output directory), 3 tolerance failure in ``report``.
+0 ok, 1 validation failure or unreadable config, 2 runtime refusal (with an error
+record in the output directory, if it can be made), 3 tolerance failure in ``report``.
 Identical config and seed reproduce byte-identical CSV and binary
 artifacts; the manifest additionally records wall time, so it is the one
 file excluded from that promise.
@@ -83,6 +83,16 @@ def _check(name: str, value: float, low: float | None, high: float | None) -> di
             "passed": _in_window(value, low, high)}
 
 
+def _make_output_dir(path: str) -> bool:
+    """Create the output directory ``path``; False, and the reason on stderr, if it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {path!r}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _write_field_pair(path, field, name: str, k: int | None = None) -> None:
     """Write a density field to ``name.kvnf``, then ``marginal.csv``; snapshot k adds _kkkk."""
     suffix = "" if k is None else f"_{k:04d}"
@@ -108,20 +118,15 @@ def _run_flow(cfg: ScenarioConfig, path, base_dir: str):
 
 def _run_vlasov(cfg: ScenarioConfig, path, base_dir: str):
     init = [density_from_function(cfg.grid, cfg.density)]
-    mass0, latest = init[0].mass, {}
-
-    def write(k, snap):
-        _write_field_pair(path, snap, "field", k)
-        latest.update(mass=snap.mass, clip_count=snap.clip_count)  # the last is the latest
-
-    vlasov_solve(init.pop(), cfg.t_final, cfg.spec, cfg.settings,  # hands over its only reference
-                 snapshot_times=list(cfg.snapshots), sink=write)
-    drift = abs(latest["mass"] - mass0) / max(abs(mass0), 1e-300)
-    checks = [
-        _check("vlasov_mass_drift_rel", drift, None, 1e-6),
-        _check("vlasov_clip_count", latest["clip_count"], None, None),
-    ]
-    return checks, []
+    mass0 = init[0].mass
+    # the solve steps to the last snapshot and returns its state; init.pop()
+    # hands over the only reference to the initial field
+    end = vlasov_solve(init.pop(), max(cfg.snapshots), cfg.spec, cfg.settings,
+                       snapshot_times=cfg.snapshots,
+                       sink=lambda k, snap: _write_field_pair(path, snap, "field", k))
+    drift = abs(end.mass - mass0) / max(abs(mass0), 1e-300)
+    return [_check("vlasov_mass_drift_rel", drift, None, 1e-6),
+            _check("vlasov_clip_count", end.clip_count, None, None)], []
 
 
 def _run_perturbation(cfg: ScenarioConfig, path, base_dir: str):
@@ -199,7 +204,8 @@ _DISPATCH = {
 def run_config(cfg: ScenarioConfig, out_dir: str, base_dir: str = ".") -> int:
     """Execute a validated config; returns the process exit code.  The runner takes each
     artifact's path from ``path(name)``, which records it for the manifest or for removal."""
-    os.makedirs(out_dir, exist_ok=True)
+    if not _make_output_dir(out_dir):
+        return 2
     started = time.perf_counter()
     for name in ("manifest.json", "checks.json", "error.json"):
         with contextlib.suppress(FileNotFoundError):
@@ -266,7 +272,8 @@ def build_report(run_dirs) -> dict:
         try:
             manifest = RunManifest.load(run_dir)
         except (OSError, ValueError) as exc:
-            failure = isinstance(exc, FileNotFoundError) and _failure(run_dir)
+            failure = ("not a directory" if not os.path.isdir(run_dir)
+                       else isinstance(exc, FileNotFoundError) and _failure(run_dir))
             report["problems"].append(f"{run_dir}: {failure or f'unreadable manifest ({exc})'}")
             entry["manifest"] = "missing-or-corrupt"
             report["runs"].append(entry)
@@ -409,7 +416,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(str(exc), file=sys.stderr)
             return 1
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 1
 
@@ -427,7 +434,8 @@ def main(argv=None) -> int:
         return run_config(cfg, out_dir, base_dir)
 
     report = build_report(args.run_dirs)  # the one command left
-    os.makedirs(args.out, exist_ok=True)
+    if not _make_output_dir(args.out):
+        return 2
     write_json(os.path.join(args.out, "summary.json"), report)
     text = _render_report(report)
     atomic_write_bytes(os.path.join(args.out, "summary.txt"), text.encode("utf-8"))

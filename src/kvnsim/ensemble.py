@@ -176,7 +176,7 @@ def ensemble_vs_vlasov(density: CatalogDensity, spec: ProblemSpec, grid: PhaseGr
     require_periodic_pair(spec.pair, grid)
     require_unit_mass(density)
     init = density_from_function(grid, density, warn=False)
-    reference = vlasov_solve(init, T, spec, vlasov_settings, snapshot_times=[T])[-1]
+    reference = vlasov_solve(init, T, spec, vlasov_settings)
     rows = []
     for k, n in enumerate(n_list):
         pts = sample_initial(density, int(n), seed + k)

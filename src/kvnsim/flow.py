@@ -3,7 +3,8 @@
 The flow integrates xdot = V(x) with V(x) = (p/m, -grad U(q)) by velocity
 Verlet (kick-drift-kick), which is symplectic and time-reversible: backward
 flow is forward stepping with -dt.  Closed forms are available for the free
-and harmonic potentials behind the ``exact_shortcut`` flag.
+and harmonic potentials behind the ``exact_shortcut`` flag.  Points travel as
+(n, 2) arrays of (q, p) rows, and every function returns one result per row.
 """
 
 from __future__ import annotations
@@ -78,14 +79,6 @@ def _exact_flow(q: np.ndarray, p: np.ndarray, t: float, spec: ProblemSpec):
     return q * c + p * (s / (m * w)), p * c - q * (m * w * s)
 
 
-def _as_points(points) -> np.ndarray:
-    """A (2,) point or an (n, 2) array of points as floats; other shapes raise."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):
-        raise ValueError(f"points must be a (2,) or (n, 2) array of (q, p), got shape {pts.shape}")
-    return pts
-
-
 def _point_rows(points) -> np.ndarray:
     """An (n, 2) array of points as floats; every other shape raises."""
     pts = np.asarray(points, dtype=float)
@@ -96,20 +89,20 @@ def _point_rows(points) -> np.ndarray:
 
 def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
                     settings: FlowSettings) -> np.ndarray:
-    """Flow a (2,) point or an (n, 2) array of (q, p) points by a signed time t.
+    """Flow an (n, 2) array of (q, p) points by a signed time t; shape (n, 2).
 
-    The result has the shape of ``points``.  |t| that is not a multiple of dt
-    is handled by a final partial step; group-property tests should use
-    aligned times, for which composed and direct step sequences are identical.
-    A flow that diverges (an overflow in the steps) raises ValueError naming
-    t and dt, rather than returning non-finite points.
+    |t| that is not a multiple of dt is handled by a final partial step;
+    group-property tests should use aligned times, for which composed and
+    direct step sequences are identical.  A flow that diverges (an overflow
+    in the steps) raises ValueError naming t and dt, rather than returning
+    non-finite points.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    pts = _as_points(points)
+    pts = _point_rows(points)
     if not np.all(np.isfinite(pts)):
         raise ValueError("flows need finite points")
-    q, p = np.atleast_2d(pts).T
+    q, p = pts.T
     if settings.exact_shortcut and isinstance(spec.external, (FreePotential, HarmonicPotential)):
         with np.errstate(over="ignore", invalid="ignore"):
             q, p = _exact_flow(q, p, t, spec)
@@ -119,40 +112,34 @@ def flow_map_points(points: np.ndarray, t: float, spec: ProblemSpec,
         q, p = _verlet_steps(q, p, n, sign * settings.dt, spec.mass, spec.external_gradient)
         if rem > 0.0:
             q, p = _verlet_steps(q, p, 1, sign * rem, spec.mass, spec.external_gradient)
-    out = np.column_stack([q, p])
-    return out[0] if pts.ndim == 1 else out
+    return np.column_stack([q, p])
 
 
-def flow_jacobian(x: np.ndarray, t: float, spec: ProblemSpec, settings: FlowSettings,
+def flow_jacobian(points: np.ndarray, t: float, spec: ProblemSpec, settings: FlowSettings,
                   h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference Jacobian D Phi_t(x) at a (2,) point x = (q, p)."""
+    """Central finite-difference Jacobians D Phi_t(x), shape (n, 2, 2), at the
+    rows x = (q, p) of an (n, 2) array of points, all probes flowed at once."""
     if not h > 0:
         raise ValueError("fd step h must be > 0")
-    base = np.asarray(x, dtype=float)
-    if base.shape != (2,):
-        raise ValueError(f"x must be a (2,) point (q, p), got shape {base.shape}")
-    probes = np.vstack([
-        base + [h, 0], base - [h, 0],
-        base + [0, h], base - [0, h],
-    ])
-    flowed = flow_map_points(probes, t, spec, settings)
-    jac = np.empty((2, 2))
-    jac[:, 0] = (flowed[0] - flowed[1]) / (2 * h)
-    jac[:, 1] = (flowed[2] - flowed[3]) / (2 * h)
-    return jac
+    pts = _point_rows(points)
+    probes = np.concatenate([pts + [h, 0], pts - [h, 0], pts + [0, h], pts - [0, h]])
+    flowed = flow_map_points(probes, t, spec, settings).reshape(4, len(pts), 2)
+    return np.stack([flowed[0] - flowed[1], flowed[2] - flowed[3]], axis=-1) / (2 * h)
 
 
-def group_property_residual(x: np.ndarray, s: float, t: float, spec: ProblemSpec,
-                            settings: FlowSettings) -> float:
-    """|| Phi_t(Phi_s(x)) - Phi_{t+s}(x) ||_2 at a (2,) point x = (q, p)."""
-    composed = flow_map_points(flow_map_points(x, s, spec, settings), t, spec, settings)
-    direct = flow_map_points(x, t + s, spec, settings)
-    return float(np.linalg.norm(composed - direct))
+def group_property_residual(points: np.ndarray, s: float, t: float, spec: ProblemSpec,
+                            settings: FlowSettings) -> np.ndarray:
+    """|| Phi_t(Phi_s(x)) - Phi_{t+s}(x) ||_2, shape (n,), at the rows x = (q, p)
+    of an (n, 2) array of points."""
+    composed = flow_map_points(flow_map_points(points, s, spec, settings), t, spec, settings)
+    direct = flow_map_points(points, t + s, spec, settings)
+    return np.linalg.norm(composed - direct, axis=1)
 
 
 def flow_trajectory(points: np.ndarray, times: np.ndarray, spec: ProblemSpec,
                     settings: FlowSettings) -> np.ndarray:
-    """Trajectories through increasing times >= 0; shape (n_times, n_points, 2).
+    """Trajectories of an (n, 2) array of points through increasing times >= 0;
+    shape (n_times, n, 2).
 
     Each interval is integrated by continuing from the previous snapshot, so
     aligned times reproduce a single uninterrupted step sequence.
@@ -162,12 +149,8 @@ def flow_trajectory(points: np.ndarray, times: np.ndarray, spec: ProblemSpec,
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times must be nondecreasing and nonnegative")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((times.size, pts.shape[0], 2))
-    current = pts
-    prev_t = 0.0
-    for i, t in enumerate(times):
-        current = flow_map_points(current, t - prev_t, spec, settings)
-        out[i] = current
-        prev_t = t
+    pts = _point_rows(points)
+    out = np.empty((times.size, *pts.shape))
+    for i, step in enumerate(np.diff(times, prepend=0.0)):
+        out[i] = pts = flow_map_points(pts, step, spec, settings)
     return out

@@ -11,7 +11,8 @@ force of its spatial marginal:
 
 The initial density stays an analytic callable throughout: flows compose
 inside function arguments, so no interpolation error enters the quantities
-this module exists to cross-check.
+this module exists to cross-check.  The point functions take (n, 2) arrays of
+(q, p) rows and return one value per row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .flow import FlowSettings, _as_points, flow_map_points
+from .flow import FlowSettings, _point_rows, flow_map_points
 from .phase_space import (
     DensityField,
     NoPair,
@@ -70,11 +71,11 @@ class PerturbationSettings:
 
 def transported_density_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                                flow_settings: FlowSettings, grid: PhaseGrid) -> np.ndarray:
-    """Zeroth-order density rho_init(Phi_{-t}(x)) at a (2,) point or an (n, 2)
-    array of points of ``grid``, as a 1-d array of one value per point.  On a
-    periodic-q grid the back-traced points are wrapped into its domain first
-    (`PhaseGrid.wrap_points`), where rho_init is the initial field."""
-    back = grid.wrap_points(np.atleast_2d(flow_map_points(points, -t, spec, flow_settings)))
+    """Zeroth-order density rho_init(Phi_{-t}(x)) at an (n, 2) array of points
+    of ``grid``, shape (n,).  On a periodic-q grid the back-traced points are
+    wrapped into its domain first (`PhaseGrid.wrap_points`), where rho_init is
+    the initial field."""
+    back = grid.wrap_points(flow_map_points(points, -t, spec, flow_settings))
     return np.asarray(rho_init(back[:, 0], back[:, 1]), dtype=float)
 
 
@@ -113,9 +114,9 @@ def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: Pertur
 def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                               settings: PerturbationSettings, grid: PhaseGrid,
                               pair_integral=None) -> np.ndarray:
-    """Source values at a (2,) point or an (n, 2) array of points of ``grid``;
-    a pair integral that overflows is refused, naming the pair."""
-    pts = np.atleast_2d(_as_points(points))
+    """Source values at an (n, 2) array of points of ``grid``, shape (n,); a
+    pair integral that overflows is refused, naming the pair."""
+    pts = _point_rows(points)
     if isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
     if pair_integral is None:
@@ -130,16 +131,16 @@ def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: Prob
 def first_order_correction_points(points: np.ndarray, t: float, rho_init, spec: ProblemSpec,
                                   settings: PerturbationSettings,
                                   grid: PhaseGrid) -> np.ndarray:
-    """First-order density correction at a (2,) point or an (n, 2) array of points
-    of ``grid``: the source integrated along each backward characteristic by
+    """First-order density correction at an (n, 2) array of points of ``grid``,
+    shape (n,): the source integrated along each backward characteristic by
     Gauss-Legendre."""
-    pts = np.atleast_2d(_as_points(points))
+    pts = _point_rows(points)
     if t == 0.0 or isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
     nodes, weights = np.polynomial.legendre.leggauss(settings.n_s)
     out = np.zeros(pts.shape[0])
     for s, w in zip(0.5 * t * (nodes + 1.0), 0.5 * t * weights):
-        traced = np.atleast_2d(flow_map_points(pts, s - t, spec, settings.flow))
+        traced = flow_map_points(pts, s - t, spec, settings.flow)
         pair_integral = _pair_force_integral(s, rho_init, spec, settings)
         out += w * interaction_source_points(traced, s, rho_init, spec, settings, grid,
                                              pair_integral=pair_integral)
@@ -223,7 +224,7 @@ def residual_vs_vlasov(t: float, rho_init, spec: ProblemSpec, eps_list,
     for eps, spec_eps in zip(eps_list, specs):
         w = eps / top if top > 0 else 0.0
         pert = (1.0 - w) * zeroth + w * full
-        solved = vlasov_solve(init, t, spec_eps, vlasov_settings, snapshot_times=[t])[-1]
+        solved = vlasov_solve(init, t, spec_eps, vlasov_settings)
         linf = float(np.max(np.abs(pert - solved.values)))
         rows.append((float(eps), linf))
     rows.sort(key=lambda r: -r[0])

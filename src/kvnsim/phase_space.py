@@ -1,8 +1,8 @@
 """Phase-space types: potentials, grids, density fields, mean-field force.
 
 Everything here is dimensionless (code units, m=1 by default) and the
-phase space is two-dimensional, x = (q, p); a point is a length-2 array and
-a batch of points an (n, 2) array.
+phase space is two-dimensional, x = (q, p); points travel as (n, 2) arrays
+of (q, p) rows, a single point as a batch of one.
 """
 
 from __future__ import annotations

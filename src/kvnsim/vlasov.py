@@ -14,9 +14,10 @@ taps on prefiltered coefficients (Sonnendrücker et al., J. Comput. Phys.
 
 A solve runs on one workspace (`_Stepper`), allocated once, holding the
 field p-major, shape (n_p, n_q), swept in place; it is copied in once per
-solve, the initial field is dropped before the first step, and each later
+solve, the initial field is dropped before the first step, each later
 snapshot is lent to the caller's sink as a view of the workspace (a `kvnsim
-run` writes it there), so a stepping solve holds no other field.  A periodic
+run` writes it there), so a stepping solve holds no other field, and the end
+state is returned as a view of the workspace it releases.  A periodic
 q-drift is one rfft/irfft pair along the contiguous axis (Unser, Aldroubi &
 Eden, IEEE Trans. Signal Process. 41, 1993).  An open sweep applies the
 banded cubic prefilter 6 tridiag(1, 4, 1)^-1 into a persistent coefficient
@@ -296,31 +297,32 @@ class _Stepper:
                 np.maximum(f, floor, out=f)
         return n_clipped
 
-    def run(self, n_steps: int, time: float | None, copy: bool) -> DensityField:
+    def run(self, n_steps: int, time: float | None) -> DensityField:
         """n_steps >= 1 Strang steps of the field in place, Q(dt/2) [P(dt)
         Q(dt)]^(n_steps-1) P(dt) Q(dt/2), clipping after each full and the
         final half drift; the result is the field stamped `time` and the clip
-        count so far, transposed out in one copy or else lent as a view of f."""
+        count so far, lent as a q-major view of f."""
         self.q_drift(False)
         for left in range(n_steps - 1, -1, -1):
             self.p_kick()
             self.q_drift(left > 0)
             self.clip_count += self.clip()
-        return DensityField(self.grid, self.f.T.copy() if copy else self.f.T, self.clip_count, time)
+        return DensityField(self.grid, self.f.T, self.clip_count, time)
 
 
 def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: VlasovSettings,
-                 snapshot_times=None, sink=None) -> list[DensityField] | None:
-    """Repeated stepping to the last requested snapshot; snapshots at the
-    nearest whole step.
+                 snapshot_times=(), sink=None) -> DensityField:
+    """Repeated stepping to T, at the nearest whole step; returns the state
+    there, past step 0 a q-major view of the workspace, which the solve
+    releases to it (no copy).
 
-    Each snapshot is handed to ``sink(i, field)`` as soon as the solve
-    reaches its step, in step order; requests i that share a step get the
-    same field, in index order, lent for the call only: past step 0 its
-    values are a view of the workspace, which the next step overwrites.  The
-    solve drops ``rho0`` before its first step, freeing it unless a caller
-    holds it, as CPython 3.10 does until the call returns.  Without a sink
-    they are returned in request order, each stepped one a C-ordered copy.
+    Each requested snapshot is handed to ``sink(i, field)`` as soon as the
+    solve reaches its step, in step order; requests i that share a step get
+    the same field, in index order, lent for the call only: past step 0 its
+    values are a view of the workspace, which the next step overwrites.
+    Snapshots without a sink are refused.  The solve drops ``rho0`` before
+    its first step, freeing it unless a caller holds it, as CPython 3.10 does
+    until the call returns.
 
     The steps between snapshots run fused (`_Stepper.run`) on one workspace
     for the whole solve; each snapshot ends on a half-drift and a clip, as a
@@ -333,11 +335,11 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
     """
     if not (math.isfinite(T) and T >= 0 and math.isfinite(T / settings.dt)):
         raise ValueError("T must be finite and >= 0, and T / dt a finite step count")
-    if snapshot_times is None:
-        snapshot_times = [T]
     for i, t in enumerate(snapshot_times):
         if not (math.isfinite(t) and 0 <= t <= T):
             raise ValueError(f"snapshot_times[{i}] = {t!r} must lie in [0, T]")
+    if sink is None and len(snapshot_times):
+        raise ValueError("snapshot_times need a sink to lend the snapshots to")
     outer = rho0.values[:, :2].sum() + rho0.values[:, -2:].sum()
     total = rho0.values.sum()
     if total > 0 and outer / total > 1e-8:
@@ -345,18 +347,17 @@ def vlasov_solve(rho0: DensityField, T: float, spec: ProblemSpec, settings: Vlas
             f"{outer / total:.2e} of the initial mass sits in the outermost "
             "two p-rows (> 1e-8); enlarge the p-domain"
         )
-    snap_steps = [int(round(t / settings.dt)) for t in snapshot_times]
-    snapshots = [None] * len(snap_steps) if sink is None else None
-    sink = snapshots.__setitem__ if sink is None else sink
+    n_steps = int(round(T / settings.dt))
+    requests = sorted((int(round(t / settings.dt)), i) for i, t in enumerate(snapshot_times))
 
     rho = rho0 if rho0.time is not None else replace(rho0, time=0.0)
     t0, done = rho.time, 0
-    stepper = _Stepper(rho, spec, settings) if max(snap_steps, default=0) > 0 else None
+    stepper = _Stepper(rho, spec, settings) if n_steps > 0 else None
     del rho0  # the initial field is held as `rho` alone, until the first step
-    for i in sorted(range(len(snap_steps)), key=snap_steps.__getitem__):
-        k = snap_steps[i]
+    for k, i in [*requests, (n_steps, None)]:
         if k > done:
             rho = None  # nothing but the workspace is held while stepping
-            rho, done = stepper.run(k - done, t0 + k * settings.dt, snapshots is not None), k
-        sink(i, rho)
-    return snapshots
+            rho, done = stepper.run(k - done, t0 + k * settings.dt), k
+        if i is not None:
+            sink(i, rho)
+    return rho

@@ -506,6 +506,43 @@ def test_cli_report_lists_missing_manifest_not_fatal(tmp_path):
     assert any("unreadable" in p for p in summary["problems"])
 
 
+def test_cli_report_fails_on_a_path_that_is_not_a_directory(tmp_path):
+    (tmp_path / "file").write_text("")
+    for run in (tmp_path / "no" / "such" / "dir", tmp_path / "file"):
+        assert main(["report", str(run), "--out", str(tmp_path / "rep")]) == 3
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["problems"] == [f"{run}: not a directory"]
+        assert summary["runs"][0]["manifest"] == "missing-or-corrupt"
+        assert "SOME CHECKS FAILED" in (tmp_path / "rep" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_that_is_not_utf8_cannot_be_read(tmp_path, capsys, command):
+    text = json.dumps(dict(MINIMAL_VLASOV, output_dir=str(tmp_path / "out")))
+    config = tmp_path / "config.json"
+    config.write_bytes(text.encode().replace(b'out"', b'out\xff"'))
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: 'utf-8' codec can't decode byte 0xff")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("through", [False, True], ids=["a-file", "through-a-file"])
+def test_an_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys, command, through):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "sub" if through else blocker
+    if command == "run":
+        argv = ["run", "--config", write_config(tmp_path, MINIMAL_VLASOV), "--out", str(out)]
+    else:
+        (tmp_path / "run").mkdir()
+        argv = ["report", str(tmp_path / "run"), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"cannot create output directory {str(out)!r}: ")
+    assert blocker.read_text() == "kept"
+
+
 def test_cli_report_names_a_failed_run_and_exits_3(tmp_path):
     out = tmp_path / "out"
     out.mkdir()

@@ -33,7 +33,8 @@ SETTINGS = PerturbationSettings(aux_grid=AUX, flow=FLOW_EXACT, n_s=16, h_p=1e-4)
 
 
 def point(q, p):
-    return np.array([float(q), float(p)])
+    """A batch of one point."""
+    return np.array([[float(q), float(p)]])
 
 
 def test_settings_validation():
@@ -171,7 +172,7 @@ def test_solver_matches_transported_density_without_coupling():
     grid = PhaseGrid(-8, 8, -8, 8, 128, 128)
     dens = GaussianDensity(0.0, 0.0, 1.0, 1.0)
     f0 = density_from_function(grid, dens)
-    snap = vlasov_solve(f0, 2.0, HARMONIC, VlasovSettings(dt=0.02), [2.0])[-1]
+    snap = vlasov_solve(f0, 2.0, HARMONIC, VlasovSettings(dt=0.02))
     Q, P = grid.meshgrid()
     pts = np.column_stack([Q.ravel(), P.ravel()])
     rho0_vals = transported_density_points(pts, 2.0, dens, HARMONIC, FLOW_EXACT, grid)
@@ -197,7 +198,7 @@ def test_residual_sweep_matches_one_expansion_per_strength():
     for eps, err in table.rows:
         spec = INTERACTING.with_pair_strength(eps)
         pert = perturbative_density(grid, 0.3, RHO0, spec, SETTINGS).values
-        solved = vlasov_solve(init, 0.3, spec, vlasov, [0.3])[-1].values
+        solved = vlasov_solve(init, 0.3, spec, vlasov).values
         assert abs(err - np.max(np.abs(pert - solved))) <= 1e-12 * np.max(pert)
 
 
@@ -207,7 +208,7 @@ def test_residual_sweep_without_a_pair():
                                VlasovSettings(dt=0.01))
     pert = perturbative_density(grid, 0.3, RHO0, HARMONIC, SETTINGS).values
     init = density_from_function(grid, RHO0, warn=False)
-    solved = vlasov_solve(init, 0.3, HARMONIC, VlasovSettings(dt=0.01), [0.3])[-1].values
+    solved = vlasov_solve(init, 0.3, HARMONIC, VlasovSettings(dt=0.01)).values
     assert table.rows == ((0.0, np.max(np.abs(pert - solved))),)
     with pytest.raises(ValueError, match="a nonzero strength needs a gaussian or cosine pair "
                                          "potential"):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -39,7 +40,18 @@ STANDARD_GAUSSIAN = GaussianDensity(0.0, 0.0, 1.0, 1.0)
 def one_step(rho, spec, settings):
     """One Strang step of size dt: half-drift in q, kick in p, half-drift in q, clip."""
     t = None if rho.time is None else rho.time + settings.dt
-    return _Stepper(rho, spec, settings).run(1, t, copy=True)
+    return _Stepper(rho, spec, settings).run(1, t)
+
+
+def kept_snapshots(rho0, T, spec, settings, times):
+    """The snapshots a solve lends at ``times``, in request order, each kept as a copy."""
+    kept = [None] * len(times)
+
+    def keep(i, field):
+        kept[i] = DensityField(field.grid, field.values.copy(), field.clip_count, field.time)
+
+    vlasov_solve(rho0, T, spec, settings, times, sink=keep)
+    return kept
 
 
 def wide_grid(n):
@@ -70,11 +82,17 @@ def test_solve_refuses_non_finite_times_and_snapshots_outside_0_T(T, snapshots, 
         vlasov_solve(f0, T, FREE, VlasovSettings(dt=0.1), snapshots)
 
 
+def test_snapshots_without_a_sink_are_refused():
+    f0 = density_from_function(wide_grid(16), GaussianDensity(0, 0, 0.8, 0.8), warn=False)
+    with pytest.raises(ValueError, match="need a sink"):
+        vlasov_solve(f0, 1.0, FREE, VlasovSettings(dt=0.1), [0.5])
+
+
 def test_free_streaming_matches_analytic_shift():
     grid = wide_grid(128)
     f0 = density_from_function(grid, STANDARD_GAUSSIAN)
     settings = VlasovSettings(dt=1 / 64)
-    snap = vlasov_solve(f0, 1.0, FREE, settings, [1.0])[-1]
+    snap = vlasov_solve(f0, 1.0, FREE, settings)
     Q, P = grid.meshgrid()
     exact = STANDARD_GAUSSIAN(Q - P, P)
     assert np.max(np.abs(snap.values - exact)) < 1e-3
@@ -85,7 +103,7 @@ def test_harmonic_isotropic_gaussian_is_stationary():
     grid = wide_grid(128)
     f0 = density_from_function(grid, STANDARD_GAUSSIAN)
     spec = ProblemSpec(external=HarmonicPotential(omega=1.0))
-    snap = vlasov_solve(f0, 2 * np.pi, spec, VlasovSettings(dt=0.02), [2 * np.pi])[-1]
+    snap = vlasov_solve(f0, 2 * np.pi, spec, VlasovSettings(dt=0.02))
     assert np.max(np.abs(snap.values - f0.values)) < 1e-3
     assert snap.clip_count == 0
 
@@ -105,15 +123,15 @@ def test_mass_conservation_per_step():
 def test_solve_t0_returns_initial():
     grid = wide_grid(32)
     f0 = density_from_function(grid, GaussianDensity(0, 0, 0.8, 0.8), warn=False)
-    out = vlasov_solve(f0, 0.0, FREE, VlasovSettings(dt=0.01), [0.0])
-    assert len(out) == 1
-    assert np.array_equal(out[0].values, f0.values)
+    out = vlasov_solve(f0, 0.0, FREE, VlasovSettings(dt=0.01))
+    assert out.time == 0.0
+    assert np.array_equal(out.values, f0.values)
 
 
 def test_free_streaming_snapshots():
     grid = wide_grid(128)
     f0 = density_from_function(grid, STANDARD_GAUSSIAN)
-    snaps = vlasov_solve(f0, 1.0, FREE, VlasovSettings(dt=1 / 64), [0.5, 1.0])
+    snaps = kept_snapshots(f0, 1.0, FREE, VlasovSettings(dt=1 / 64), [0.5, 1.0])
     Q, P = grid.meshgrid()
     for t, snap in zip([0.5, 1.0], snaps):
         exact = STANDARD_GAUSSIAN(Q - P * t, P)
@@ -125,8 +143,9 @@ def test_snapshot_times_are_whole_multiples_of_dt():
     # a running sum of dt would give 2.0000000000000013 after 100 steps of 0.02
     f0 = density_from_function(wide_grid(16), GaussianDensity(0, 0, 0.8, 0.8), warn=False)
     dt = 0.02
-    snaps = vlasov_solve(f0, 100 * dt, FREE, VlasovSettings(dt=dt), [50 * dt, 100 * dt])
+    snaps = kept_snapshots(f0, 100 * dt, FREE, VlasovSettings(dt=dt), [50 * dt, 100 * dt])
     assert [snap.time for snap in snaps] == [50 * dt, 100 * dt]
+    assert vlasov_solve(f0, 100 * dt, FREE, VlasovSettings(dt=dt)).time == 100 * dt
 
 
 def _spike_field():
@@ -148,7 +167,7 @@ def _periodic_pair_case():
 def test_snapshot_every_step_is_bit_identical_to_chained_steps(case, interpolation):
     f0, spec = _periodic_pair_case() if case == "periodic-pair" else (_spike_field(), FREE)
     settings = VlasovSettings(dt=0.05, interpolation=interpolation)
-    snaps = vlasov_solve(f0, 0.4, spec, settings, [0.05 * k for k in range(1, 9)])
+    snaps = kept_snapshots(f0, 0.4, spec, settings, [0.05 * k for k in range(1, 9)])
     rho = f0
     for snap in snaps:
         rho = one_step(rho, spec, settings)
@@ -170,52 +189,57 @@ def test_fused_solve_makes_n_plus_one_q_drifts_n_p_kicks_and_n_clips(monkeypatch
         method = getattr(_Stepper, name)
         monkeypatch.setattr(_Stepper, name, lambda self, *args, _m=method, _t=tag: (
             calls.append(_t) or _m(self, *args)))
-    vlasov_solve(f0, 0.5, spec, VlasovSettings(dt=0.05), [0.5])
+    vlasov_solve(f0, 0.5, spec, VlasovSettings(dt=0.05))
     assert calls == ["q"] + ["p", "q", "clip"] * 10
 
 
-def test_solve_stops_at_the_last_snapshot(monkeypatch):
+def test_solve_steps_to_T_whatever_snapshots_it_lends(monkeypatch):
     f0, spec = _periodic_pair_case()
     kicks = []
     monkeypatch.setattr(_Stepper, "p_kick", lambda self: kicks.append(1))
-    snaps = vlasov_solve(f0, 1.0, spec, VlasovSettings(dt=0.05), [0.25, 0.1, 0.0])
-    assert len(kicks) == 5
-    assert [snap.time for snap in snaps] == [0.25, 0.1, 0.0]
+    for times in ([0.1, 0.0], []):
+        kicks.clear()
+        end = vlasov_solve(f0, 0.25, spec, VlasovSettings(dt=0.05), times,
+                           sink=lambda i, field: None)
+        assert len(kicks) == 5
+        assert end.time == 0.25
 
 
 def test_the_sink_gets_each_snapshot_when_the_solve_reaches_its_step(monkeypatch):
     f0, spec = _periodic_pair_case()
     settings, times = VlasovSettings(dt=0.05), [0.25, 0.1, 0.0, 0.1]
-    snaps = vlasov_solve(f0, 1.0, spec, settings, times)
+    # the first two steps run as one fused run from the initial field, as in a
+    # solve to 0.1, whose end state owns its released workspace
+    at_01 = vlasov_solve(f0, 0.1, spec, settings)
     kicks, seen = [], []
     p_kick = _Stepper.p_kick
     monkeypatch.setattr(_Stepper, "p_kick", lambda self: kicks.append(1) or p_kick(self))
     # the field is lent for the call only, so the sink keeps a copy of its values
-    assert vlasov_solve(f0, 1.0, spec, settings, times, sink=lambda i, field: seen.append(
-        (i, len(kicks), field, field.values.copy()))) is None
+    end = vlasov_solve(f0, 0.25, spec, settings, times, sink=lambda i, field: seen.append(
+        (i, len(kicks), field, field.values.copy())))
     assert [(i, steps) for i, steps, _, _ in seen] == [(2, 0), (1, 2), (3, 2), (0, 5)]
     assert seen[1][2] is seen[2][2]  # requests that share a step share its field
+    assert seen[3][2] is end
     for i, _, field, values in seen:
-        assert np.array_equal(values, snaps[i].values)
-        assert (field.time, field.clip_count) == (snaps[i].time, snaps[i].clip_count)
+        expected = {0.0: f0, 0.1: at_01, 0.25: end}[times[i]]
+        assert np.array_equal(values, expected.values)
+        assert (field.time, field.clip_count) == (times[i], expected.clip_count)
 
 
-def test_a_sink_borrows_the_workspace_and_the_returned_snapshots_own_their_values(monkeypatch):
+def test_a_sink_and_the_end_state_borrow_the_workspace_which_the_solve_releases(monkeypatch):
     f0, spec = _periodic_pair_case()
     settings, times = VlasovSettings(dt=0.05), [0.1, 0.25, 0.25]
-    steppers, shared = [], []
+    steppers, shared, fields = [], [], []
     p_kick = _Stepper.p_kick
-    monkeypatch.setattr(_Stepper, "p_kick", lambda self: steppers.append(self) or p_kick(self))
-    vlasov_solve(f0, 1.0, spec, settings, times, sink=lambda i, field: shared.append(
-        np.shares_memory(field.values, steppers[-1].f)))
+    monkeypatch.setattr(_Stepper, "p_kick",
+                        lambda self: steppers.append(weakref.ref(self)) or p_kick(self))
+    end = vlasov_solve(f0, 0.25, spec, settings, times, sink=lambda i, field: (
+        shared.append(np.shares_memory(field.values, steppers[-1]().f)), fields.append(field)))
     assert shared == [True, True, True]
-    snaps = vlasov_solve(f0, 1.0, spec, settings, times)
-    for snap in snaps:
-        assert snap.values.flags.c_contiguous and snap.values.flags.owndata
-        assert not np.shares_memory(snap.values, steppers[-1].f)
-        assert not np.shares_memory(snap.values, f0.values)
-    assert not np.shares_memory(snaps[0].values, snaps[1].values)
-    assert snaps[1] is snaps[2]  # requests that share a step share its field
+    assert fields[1] is fields[2] is end  # requests that share a step share its field
+    assert steppers[-1]() is None  # the workspace outlives the solve as the end state alone
+    assert end.values.base.flags.c_contiguous and end.values.base.shape == (24, 32)
+    assert not np.shares_memory(end.values, f0.values)
 
 
 def test_periodic_self_consistent_mass_conservation_1000_steps():
@@ -223,7 +247,7 @@ def test_periodic_self_consistent_mass_conservation_1000_steps():
     dens = GaussianDensity(0.0, 0.0, 0.7, 0.7)
     f0 = density_from_function(grid, dens, warn=False)
     spec = ProblemSpec(pair=CosinePair(strength=0.1, wavenumber=1.0))
-    snap = vlasov_solve(f0, 2.0, spec, VlasovSettings(dt=0.002), [2.0])[-1]
+    snap = vlasov_solve(f0, 2.0, spec, VlasovSettings(dt=0.002))
     assert abs(snap.mass - f0.mass) / f0.mass < 1e-6
 
 
@@ -231,7 +255,7 @@ def test_convergence_refinement_free_streaming():
     def linf_error(n, dt):
         grid = wide_grid(n)
         f0 = density_from_function(grid, STANDARD_GAUSSIAN)
-        snap = vlasov_solve(f0, 0.5, FREE, VlasovSettings(dt=dt), [0.5])[-1]
+        snap = vlasov_solve(f0, 0.5, FREE, VlasovSettings(dt=dt))
         Q, P = grid.meshgrid()
         return np.max(np.abs(snap.values - STANDARD_GAUSSIAN(Q - 0.5 * P, P)))
 
@@ -258,7 +282,7 @@ def test_strang_order_against_exact_transport(case):
     points = np.column_stack([Q.ravel(), P.ravel()])
     exact = transported_density_points(points, 1.0, dens, spec, flow, grid).reshape(Q.shape)
     f0 = density_from_function(grid, dens, warn=False)
-    errors = [np.abs(vlasov_solve(f0, 1.0, spec, VlasovSettings(dt=dt))[-1].values - exact).sum()
+    errors = [np.abs(vlasov_solve(f0, 1.0, spec, VlasovSettings(dt=dt)).values - exact).sum()
               * grid.cell_volume
               for dt in dts]
     for coarse, fine in zip(errors, errors[1:]):
@@ -324,14 +348,14 @@ def test_refuses_momentum_boundary_mass():
     grid = PhaseGrid(-8, 8, -3, 3, 32, 32)  # p-domain too tight for sigma_p=1
     f0 = density_from_function(grid, STANDARD_GAUSSIAN, warn=False)
     with pytest.raises(ValueError, match="outermost"):
-        vlasov_solve(f0, 0.1, FREE, VlasovSettings(dt=0.01), [0.1])
+        vlasov_solve(f0, 0.1, FREE, VlasovSettings(dt=0.01))
 
 
 def test_linear_interpolation_is_positivity_safe():
     grid = wide_grid(64)
     f0 = density_from_function(grid, STANDARD_GAUSSIAN)
     settings = VlasovSettings(dt=1 / 32, interpolation="linear")
-    snap = vlasov_solve(f0, 1.0, FREE, settings, [1.0])[-1]
+    snap = vlasov_solve(f0, 1.0, FREE, settings)
     assert snap.values.min() >= 0.0
     assert snap.clip_count == 0
     Q, P = grid.meshgrid()
@@ -355,7 +379,7 @@ def test_clipping_keeps_open_boundary_outflow_out():
     f0 = density_from_function(grid, GaussianDensity(1.5, 2.0, 0.3, 0.5), warn=False)
     # q(1) = q0 + p ~ N(3.5, 0.3^2 + 0.5^2); the mass left is P(q(1) < 3)
     exact = 0.5 * (1.0 + math.erf((3.0 - 3.5) / math.sqrt(2.0 * 0.34)))
-    snap = vlasov_solve(f0, 1.0, FREE, VlasovSettings(dt=0.02), [1.0])[-1]
+    snap = vlasov_solve(f0, 1.0, FREE, VlasovSettings(dt=0.02))
     assert snap.clip_count > 0
     assert abs(snap.mass / f0.mass - exact) < 0.05
 
