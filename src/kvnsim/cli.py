@@ -64,8 +64,7 @@ from .perturbation import PerturbationSettings, perturbative_density, residual_v
 from .phase_space import density_from_function
 from .vlasov import vlasov_solve
 
-_RUNTIME_ERRORS = (ValueError, TypeError, NotImplementedError, OSError, KeyError, MemoryError,
-                   ArithmeticError, Warning)
+_RUNTIME_ERRORS = (ValueError, TypeError, OSError, KeyError, MemoryError, ArithmeticError, Warning)
 
 
 def _in_window(value, low, high) -> bool:

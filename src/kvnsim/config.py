@@ -300,9 +300,7 @@ def _check_nonzero_mass(v: _Validator, cfg: ScenarioConfig, run: str):
 
 def _parse_fock_settings(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> int:
     v.check_unknown(path, d, {"n_particles"})
-    n = v.get(path, d, "n_particles", int, default=1)
-    if n not in (1, 2):
-        v.error(f"{path}.n_particles", "must be 1 or 2")
+    n = v.get(path, d, "n_particles", int, default=1, minimum=1)
     _check_nonzero_mass(v, cfg, "fock run")  # its orbital could not be normalized
     return n
 

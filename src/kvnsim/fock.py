@@ -14,6 +14,8 @@ purely imaginary, and everything here stores and applies the real generator
 K = -iL, in row-padded ELL form, with numpy alone.  Its rows are built state
 by state, as the quantum Vlasov equation reads: each particle of a state s
 drifts with p/m along q and is kicked along p by the force of s itself.
+Every particle number N takes one path: one embedding formula, and one
+Chebyshev series that keeps a real state real and a complex one complex.
 
 Bose statistics only.
 """
@@ -248,16 +250,20 @@ class FockBasis:
 
 @dataclass
 class FockState:
-    """Complex amplitude vector over a FockBasis."""
+    """Amplitude vector over a FockBasis, real or complex as given (integers
+    become floats): K is real, so a real state propagates as a real one."""
 
     basis: FockBasis
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amp = np.asarray(self.amplitudes)
+        if amp.dtype.kind not in "biufc":
+            raise ValueError(f"amplitudes must be real or complex numbers, not {amp.dtype}")
+        amp = np.ascontiguousarray(amp, dtype=np.result_type(amp, float))
         if amp.shape != (self.basis.dimension,):
             raise ValueError("amplitude vector does not match the basis dimension")
-        if not (np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
+        if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
         self.amplitudes = amp
 
@@ -371,24 +377,28 @@ def assemble_liouvillian(grid: PhaseGrid, spec: ProblemSpec, basis: FockBasis) -
 
 def embed_product_state(orbital: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
     """The N-boson product state of one orbital phi (cell values, shape (M,) or
-    (n_q, n_p)), N <= 2, amplitudes c sqrt(N! / prod n!) over the indicator modes:
-    phi(a) sqrt(vol) for N = 1 and (phi(a) phi(b)) vol, times sqrt(2) when a != b,
-    for N = 2, read from each state's sorted modes.  No M x M array forms, and a
+    (n_q, n_p)) in phi's own dtype, _HOP_BLOCK states at a time: the state with
+    sorted modes a_k has amplitude prod_k phi(a_k) vol^(N/2) sqrt(N! / prod_i n_i!),
+    with prod_i n_i! = prod_k #{j <= k: a_j = a_k}.  No M^N array forms, and a
     unit-norm phi gives a unit-norm state."""
     _require_matching_grid(grid, basis)
     if np.shape(orbital) not in ((basis.n_modes,), (grid.n_q, grid.n_p)):
         raise ValueError("the orbital must have M values")
-    phi = np.asarray(orbital, dtype=complex).reshape(-1)
-    if basis.n_particles == 1:
-        return FockState(basis, phi * np.sqrt(grid.cell_volume))
-    if basis.n_particles == 2:
-        a, b = basis.modes.T
-        amp = phi[a]
-        amp *= phi[b]
-        amp *= grid.cell_volume
-        np.multiply(amp, np.sqrt(2.0), out=amp, where=a != b)
-        return FockState(basis, amp)
-    raise NotImplementedError("product-state embedding is implemented for N <= 2")
+    phi = np.asarray(orbital).reshape(-1)
+    N, vol = basis.n_particles, grid.cell_volume
+    # vol ** (N // 2) and not vol ** 0.5, which may differ from sqrt(vol) in the last bit
+    scale = vol ** (N // 2) * (math.sqrt(vol) if N % 2 else 1.0)
+    amp = np.empty(basis.dimension, dtype=np.result_type(phi, float))
+    for start in range(0, basis.dimension, _HOP_BLOCK):
+        modes = basis.modes[start:start + _HOP_BLOCK]
+        factorials = np.tril(modes[:, :, None] == modes[:, None, :]).sum(axis=2).prod(axis=1)
+        out = amp[start:start + len(modes)]
+        out[:] = phi[modes[:, 0]]
+        for slot in modes.T[1:]:  # slot by slot, as np.prod may round a complex product otherwise
+            out *= phi[slot]
+        out *= scale
+        out *= np.sqrt(math.factorial(N) / factorials)
+    return FockState(basis, amp)
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -418,7 +428,7 @@ def _bessel_j(x: float) -> np.ndarray:
 
 
 def _chebyshev(matrix: EllMatrix, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(Kt) v for a real antisymmetric K and a real v (Tal-Ezer & Kosloff,
+    """exp(Kt) v for a real antisymmetric K and a real or complex v (Tal-Ezer & Kosloff,
     J. Chem. Phys. 81, 3967, 1984): with R the Gershgorin bound max_i sum_j
     |K_ij|, x = R |t| and s = sign t, exp(Kt) v = J_0(x) w_0 + 2 sum_k J_k(x) w_k,
     where w_0 = v, w_1 = sKv / R and w_(k+1) = 2sKw_k / R + w_(k-1)."""
@@ -447,22 +457,13 @@ def _chebyshev(matrix: EllMatrix, v: np.ndarray, t: float) -> np.ndarray:
 
 
 def propagate(state: FockState, op: FockOperator, t: float) -> FockState:
-    """exp(-i L t) = exp(K t) applied to the state.
-
-    The real generator K is applied in real arithmetic through its Chebyshev
-    expansion (``_chebyshev``), to the real and imaginary parts of the
-    amplitudes separately; an imaginary part that is all zero stays zero.
-    """
+    """exp(-i L t) = exp(K t) applied to the state, through one Chebyshev
+    series in the real generator K (``_chebyshev``), so a real state stays real."""
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     if state.basis != op.basis:  # compares (n_modes, n_particles)
         raise ValueError("state and operator bases do not match")
-    source = state.amplitudes
-    amp = np.empty_like(source)
-    amp.real = _chebyshev(op.matrix, np.ascontiguousarray(source.real), t)
-    amp.imag = _chebyshev(op.matrix, np.ascontiguousarray(source.imag), t) \
-        if source.imag.any() else 0.0
-    return FockState(state.basis, amp)
+    return FockState(state.basis, _chebyshev(op.matrix, state.amplitudes, t))
 
 
 def density_expectation(state: FockState, grid: PhaseGrid) -> DensityField:
@@ -526,8 +527,7 @@ def quantum_vlasov_residual(state: FockState, op: FockOperator, grid: PhaseGrid,
     # exact d/dt via the commutator: d<n_i>/dt = -2 Im <L a, n_i a> = 2 Re <K a, n_i a>
     amp = at.amplitudes
     w = op.matrix @ amp
-    z_real = _slot_sum(at.basis.modes, w.real * amp.real + w.imag * amp.imag,
-                       at.basis.n_modes)
+    z_real = _slot_sum(at.basis.modes, np.real(np.conj(w) * amp), at.basis.n_modes)
     dt_exact_term = (2.0 * z_real / vol).reshape(shape)
 
     d_q = _difference_matrix(grid.n_q, grid.dq, grid.periodic_q)

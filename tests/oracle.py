@@ -5,12 +5,17 @@ to (C2, C6).
 first-quantized pair tensor, both on the cell-indicator modes of a grid and
 both built from the stencil helpers of ``kvnsim.fock``, read through the
 module so that a test which patches a helper reaches both.  Assembly never
-forms either matrix.  ``embed_grid_function`` embeds any exchange-symmetric
-two-particle grid function, such as an entangled or first-quantized
-propagated state, through its M x M matrix of cell-pair values; a run starts
-from one orbital, which ``kvnsim.fock.embed_product_state`` embeds with no
-such matrix.
+forms either matrix.  ``first_quantized_generator`` applies the N-particle
+generator the two build, and ``embed_grid_function`` embeds any
+exchange-symmetric N-particle grid function, such as an entangled or
+first-quantized propagated state, through its M^N tensor of cell values; a
+run starts from one orbital, which ``kvnsim.fock.embed_product_state`` embeds
+with no such tensor.
 """
+
+import math
+from collections import Counter
+from itertools import permutations
 
 import numpy as np
 
@@ -61,32 +66,55 @@ def index_of(basis: fock.FockBasis, occupation) -> int:
     return int(basis._rank(modes))
 
 
+def dense(matrix: EllMatrix) -> np.ndarray:
+    """An EllMatrix as a dense array."""
+    row, col, val = matrix.entries()
+    out = np.zeros((len(matrix.val),) * 2)
+    out[row, col] = val
+    return out
+
+
+def first_quantized_generator(grid: PhaseGrid, spec: ProblemSpec, n_particles: int):
+    """psi -> K psi for the real N-particle generator K = -iH on (M,) * N tensors
+    of cell values: the one-body generator on each argument, and the pair
+    tensor on each ordered pair of arguments (a, b), a != b.  For N = 2 that is
+    h(x) + h(x') + g(x,x') + g(x',x)."""
+    M = grid.n_q * grid.n_p
+    one = dense(build_one_body(grid, spec))
+    two = dense(build_two_body(grid, spec)).reshape(M, M, M, M)
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(psi), dtype=np.result_type(psi, float))
+        for a in range(n_particles):
+            out += np.moveaxis(np.tensordot(one, psi, axes=(1, a)), 0, a)
+        for a, b in permutations(range(n_particles), 2):
+            out += np.moveaxis(np.tensordot(two, psi, axes=((2, 3), (a, b))), (0, 1), (a, b))
+        return out
+
+    return apply
+
+
 def embed_grid_function(psi: np.ndarray, basis: FockBasis, grid: PhaseGrid) -> FockState:
     """Embed a symmetric N-particle grid function into the fixed-N sector.
 
-    Expanding the grid function in the orthonormal indicator modes and
-    applying the bosonic creation operators yields occupation amplitudes
-    c * sqrt(N! / prod n_i!); the embedding is an isometry, so a unit-norm
-    grid function gives a unit-norm state.  Supported for N = 1 (vector of
-    cell values, shape (M,) or (n_q, n_p)) and N = 2 (matrix of cell-pair
-    values, shape (M, M), symmetric to 1e-12).
+    ``psi`` holds the cell values, shape (M,) * N, and is symmetric under every
+    exchange of two arguments to 1e-12.  Expanding it in the orthonormal
+    indicator modes and applying the bosonic creation operators yields, for the
+    state with sorted modes a, the amplitude psi[a] vol^(N/2) sqrt(N! / prod n_i!);
+    the embedding is an isometry, so a unit-norm grid function gives a
+    unit-norm state.
     """
     fock._require_matching_grid(grid, basis)
-    M = basis.n_modes
+    M, N = basis.n_modes, basis.n_particles
     vol = grid.cell_volume
     psi = np.asarray(psi, dtype=complex)
-    if basis.n_particles == 1:
-        flat = psi.reshape(M) if psi.shape == (grid.n_q, grid.n_p) else psi
-        if flat.shape != (M,):
-            raise ValueError("one-particle grid function must have M values")
-        return FockState(basis, flat * np.sqrt(vol))
-    if basis.n_particles == 2:
-        if psi.shape != (M, M):
-            raise ValueError("two-particle grid function must be an (M, M) array")
-        scale = np.max(np.abs(psi))
-        if scale > 0 and np.max(np.abs(psi - psi.T)) > 1e-12 * scale:
-            raise ValueError("two-particle grid function must be exchange symmetric")
-        a, b = basis.modes.T
-        coeff = (psi * vol)[a, b]
-        return FockState(basis, np.where(a == b, coeff, np.sqrt(2.0) * coeff))
-    raise NotImplementedError("grid-function embedding is implemented for N <= 2")
+    if psi.shape != (M,) * N:
+        raise ValueError(f"an {N}-particle grid function must be an {(M,) * N} array")
+    scale = np.max(np.abs(psi), initial=0.0)
+    for a in range(N - 1):
+        if np.max(np.abs(psi - psi.swapaxes(a, a + 1))) > 1e-12 * scale:
+            raise ValueError(f"{N}-particle grid function must be exchange symmetric")
+    weights = [math.factorial(N) / math.prod(map(math.factorial, Counter(modes).values()))
+               for modes in basis.modes.tolist()]
+    coeff = psi[tuple(basis.modes.T)] * (vol ** (N // 2) * math.sqrt(vol) ** (N % 2))
+    return FockState(basis, coeff * np.sqrt(weights))

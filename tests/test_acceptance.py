@@ -34,7 +34,7 @@ from kvnsim.phase_space import (
     density_from_function,
 )
 from kvnsim.vlasov import VlasovSettings, vlasov_solve
-from oracle import build_one_body, build_two_body, embed_grid_function
+from oracle import build_one_body, build_two_body, dense, embed_grid_function
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -47,14 +47,6 @@ def occupations(basis):
     occ = np.zeros((basis.dimension, basis.n_modes), dtype=np.int64)
     np.add.at(occ, (np.arange(basis.dimension)[:, None], basis.modes), 1)
     return occ
-
-
-def dense(matrix):
-    """An EllMatrix as a dense array."""
-    row, col, val = matrix.entries()
-    out = np.zeros((len(matrix.val),) * 2)
-    out[row, col] = val
-    return out
 
 
 def periodic_grid(n_q, n_p):

@@ -816,17 +816,29 @@ def test_compare_sweep_entries_are_checked_one_by_one():
                                   for i in (1, 2, 3, 4)]
 
 
-def test_cli_validate_refuses_unsupported_fock_particle_number(tmp_path, capsys):
-    payload = {
-        "method": "fock",
-        "grid": {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
-                 "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True},
-        "initial_density": {"type": "gaussian"},
-        "times": {"t_final": 0.1},
-        "settings": {"n_particles": 3},
-    }
+FOCK_4X4 = {
+    "method": "fock",
+    "problem": {"pair_potential": {"type": "gaussian", "strength": 0.15, "width": 1.0}},
+    "grid": {"q_min": -np.pi, "q_max": np.pi, "p_min": -np.pi, "p_max": np.pi,
+             "n_q": 4, "n_p": 4, "periodic_q": True, "periodic_p": True},
+    "initial_density": {"type": "gaussian"},
+    "times": {"t_final": 0.1},
+}
+
+
+def test_cli_validate_refuses_a_fock_run_without_particles(tmp_path, capsys):
+    payload = dict(FOCK_4X4, settings={"n_particles": 0})
     assert main(["validate", "--config", write_config(tmp_path, payload)]) == 1
-    assert "settings.n_particles: must be 1 or 2" in capsys.readouterr().err
+    assert "settings.n_particles: must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_validates_and_runs_three_fock_particles(tmp_path):
+    # the sector dimension is the only bound on N: C(18, 3) = 816 states here
+    payload = dict(FOCK_4X4, settings={"n_particles": 3}, output_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path, payload)
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg]) == 0
+    assert abs(read_field(tmp_path / "out" / "density.kvnf").mass - 3.0) < 1e-12
 
 
 def test_validate_refuses_a_dimension_cap_above_the_default(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -39,7 +40,14 @@ from kvnsim.phase_space import (
     density_from_function,
     pair_gradient_table,
 )
-from oracle import build_one_body, build_two_body, embed_grid_function, index_of
+from oracle import (
+    build_one_body,
+    build_two_body,
+    dense,
+    embed_grid_function,
+    first_quantized_generator,
+    index_of,
+)
 
 
 def periodic_grid(n_q, n_p, half=np.pi):
@@ -52,14 +60,6 @@ def occupations(basis):
     occ = np.zeros((basis.dimension, basis.n_modes), dtype=np.int64)
     np.add.at(occ, (np.arange(basis.dimension)[:, None], basis.modes), 1)
     return occ
-
-
-def dense(matrix):
-    """An EllMatrix as a dense array."""
-    row, col, val = matrix.entries()
-    out = np.zeros((len(matrix.val),) * 2)
-    out[row, col] = val
-    return out
 
 
 def exchange(M):
@@ -419,20 +419,35 @@ def test_embed_rejects_asymmetric_two_particle_function():
         embed_grid_function(psi, basis, grid)
 
 
-@pytest.mark.parametrize("n_particles", [1, 2])
-@pytest.mark.parametrize("grid", [periodic_grid(5, 4), PhaseGrid(-3, 3, -2, 2, 5, 4),
-                                  PhaseGrid(-np.pi, np.pi, -3, 3, 4, 5, periodic_q=True)],
-                         ids=["periodic", "open", "mixed"])
+GRIDS_20 = [periodic_grid(5, 4), PhaseGrid(-3, 3, -2, 2, 5, 4),
+            PhaseGrid(-np.pi, np.pi, -3, 3, 4, 5, periodic_q=True)]
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3])
+@pytest.mark.parametrize("grid", GRIDS_20, ids=["periodic", "open", "mixed"])
 def test_product_embedding_equals_the_grid_function_embedding_byte_for_byte(grid, n_particles):
-    # the orbital's amplitudes against the oracle's embedding of phi or phi (x) phi
+    # the orbital's amplitudes against the oracle's embedding of phi (x) ... (x) phi;
+    # the oracle's state is complex, a real orbital's is real
     basis = FockBasis(n_modes=20, n_particles=n_particles)
     rng = np.random.default_rng(7)
     for phi in (rng.uniform(0.0, 1.0, 20), rng.normal(size=20),
                 rng.normal(size=20) + 1j * rng.normal(size=20)):
-        psi = phi if n_particles == 1 else np.outer(phi, phi)
+        psi = reduce(np.multiply.outer, [phi] * n_particles)
         product = embed_product_state(phi.reshape(grid.n_q, grid.n_p), basis, grid)
         oracle = embed_grid_function(psi, basis, grid)
-        assert product.amplitudes.tobytes() == oracle.amplitudes.tobytes()
+        assert product.amplitudes.dtype == phi.dtype
+        assert product.amplitudes.astype(complex).tobytes() == oracle.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n_particles", [3, 4])
+@pytest.mark.parametrize("grid", GRIDS_20, ids=["periodic", "open", "mixed"])
+def test_product_embedding_has_unit_norm_for_more_particles(grid, n_particles):
+    basis = FockBasis(n_modes=20, n_particles=n_particles)
+    rng = np.random.default_rng(9)
+    for phi in (rng.uniform(0.0, 1.0, 20), rng.normal(size=20) + 1j * rng.normal(size=20)):
+        phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
+        state = embed_product_state(phi, basis, grid)
+        assert abs(state.norm() - 1.0) < 1e-13
 
 
 def test_product_embedding_peak_follows_the_state():
@@ -449,12 +464,10 @@ def test_product_embedding_peak_follows_the_state():
     assert peak < 3 * state.amplitudes.nbytes
 
 
-def test_product_embedding_refuses_a_wrong_orbital_and_three_particles():
+def test_product_embedding_refuses_a_wrong_orbital():
     grid = periodic_grid(4, 4)
     with pytest.raises(ValueError, match="the orbital must have M values"):
         embed_product_state(np.ones((16, 16)), FockBasis(n_modes=16, n_particles=2), grid)
-    with pytest.raises(NotImplementedError, match="N <= 2"):
-        embed_product_state(np.ones(16), FockBasis(n_modes=16, n_particles=3), grid)
 
 
 def test_propagate_t0_identity_and_refusal():
@@ -547,8 +560,8 @@ def test_propagate_matches_dense_exponential():
         for t in (-0.7, -1e-12, 0.0, 0.3, 1.0, 4.0):
             out = propagate(FockState(basis, amp), L, t).amplitudes
             assert np.max(np.abs(expm(t * K) @ amp - out)) < 1e-13
-            if not np.any(amp.imag):  # exp(-iLt) = exp(Kt) is real, so a real state stays real
-                assert not np.any(out.imag)
+            # exp(-iLt) = exp(Kt) is real, so a real state stays real
+            assert out.dtype == amp.dtype
 
 
 @pytest.mark.parametrize("x, tol", [
@@ -731,6 +744,37 @@ def test_sector_equivalence_with_first_quantized_oracle(n_particles):
                        (PhaseGrid(-np.pi, np.pi, -3, 3, 4, 4, periodic_q=True), INTERACTING),
                        (PhaseGrid(-3, 3, -3, 3, 4, 4), OPEN_INTERACTING)]:
         assert sector_equivalence_error(grid, spec, n_particles, t=1.0) < 1e-8
+
+
+def symmetric_tensor(rng, M, n_particles, vol):
+    """A random complex grid function of N arguments, exchange symmetric and of unit norm."""
+    A = rng.normal(size=(M,) * n_particles) + 1j * rng.normal(size=(M,) * n_particles)
+    psi = sum(A.transpose(order) for order in permutations(range(n_particles)))
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * vol**n_particles)
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (periodic_grid(4, 4), INTERACTING),
+    (PhaseGrid(-np.pi, np.pi, -3, 3, 4, 4, periodic_q=True), INTERACTING),
+    (PhaseGrid(-3, 3, -3, 3, 4, 4), OPEN_INTERACTING)], ids=["periodic", "mixed", "open"])
+def test_three_particle_sector_matches_the_first_quantized_generator(grid, spec):
+    # M = 16: the first-quantized N = 3 space has 4 096 dimensions
+    basis = FockBasis(n_modes=16, n_particles=3)
+    op = assemble_liouvillian(grid, spec, basis)
+    generator = first_quantized_generator(grid, spec, 3)
+    psi = symmetric_tensor(np.random.default_rng(13), 16, 3, grid.cell_volume)
+    state = embed_grid_function(psi, basis, grid)
+    # the generator identity E K_first = K_sector E
+    lifted = embed_grid_function(generator(psi), basis, grid)
+    assert np.max(np.abs(lifted.amplitudes - op.matrix @ state.amplitudes)) < 1e-12
+    # propagated states: exp(K_first t) as a Taylor series, t = 1
+    term, psi_t = psi, psi.copy()
+    for n in range(1, 80):
+        term = generator(term) / n
+        psi_t += term
+    assert np.max(np.abs(term)) < 1e-30
+    first = embed_grid_function(psi_t, basis, grid)
+    assert np.max(np.abs(propagate(state, op, 1.0).amplitudes - first.amplitudes)) < 1e-12
 
 
 COSINE = ProblemSpec(external=CosinePotential(wavenumber=1.0, amplitude=0.5))
@@ -950,6 +994,11 @@ BASIS_16 = FockBasis(16, 1)
      "amplitude vector does not match the basis dimension"),
     (lambda: FockState(BASIS_16, np.full(16, np.nan)), "amplitudes must be finite"),
     (lambda: FockState(BASIS_16, np.full(16, 1j * np.inf)), "amplitudes must be finite"),
+    (lambda: FockState(BASIS_16, np.full(16, 1.0, dtype=object)),
+     "amplitudes must be real or complex numbers, not object"),
+    (lambda: FockState(BASIS_16, np.full(16, "1")),
+     "amplitudes must be real or complex numbers, not <U1"),
+    (lambda: FockState(BASIS_16, None), "amplitudes must be real or complex numbers, not object"),
     (lambda: FockOperator(BASIS_16, assemble_liouvillian(
         PhaseGrid(-3, 3, -3, 3, 4, 5), ProblemSpec(), FockBasis(20, 1)).matrix),
      "matrix shape does not match the basis dimension"),
@@ -957,7 +1006,8 @@ BASIS_16 = FockBasis(16, 1)
         FockState(BASIS_16, np.ones(16)), None, PhaseGrid(-3, 3, -3, 3, 4, 4), ProblemSpec(),
         0.0, dt_fd=0.0),
      "dt_fd must be > 0"),
-], ids=["particles", "state-shape", "state-nan", "state-inf", "operator-shape", "dt-fd"])
+], ids=["particles", "state-shape", "state-nan", "state-inf", "state-object", "state-string",
+        "state-none", "operator-shape", "dt-fd"])
 def test_fock_types_refuse_bad_inputs(build, message):
     with pytest.raises(ValueError, match=message):
         build()

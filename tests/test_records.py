@@ -47,6 +47,11 @@ CONFIGS = {
                       "periodic_q": True, "periodic_p": True},
              "initial_density": DENSITY, "times": {"t_final": 0.5},
              "settings": {"n_particles": 2}},
+    "fock-3": {"method": "fock", "problem": PAIR,
+               "grid": {"q_min": -3, "q_max": 3, "p_min": -3, "p_max": 3, "n_q": 4, "n_p": 4,
+                        "periodic_q": True, "periodic_p": True},
+               "initial_density": DENSITY, "times": {"t_final": 0.5},
+               "settings": {"n_particles": 3}},
     "ensemble": {"method": "ensemble", "seed": 4, "problem": PAIR, "grid": GRID,
                  "initial_density": DENSITY, "times": {"t_final": 0.05},
                  "settings": {"dt": 0.01, "n_particles": 20}},
@@ -65,6 +70,7 @@ ARTIFACTS = {
     "vlasov": ["field_0000.kvnf", "field_0001.kvnf", "marginal_0000.csv", "marginal_0001.csv"],
     "perturbation": ["field_0000.kvnf", "marginal_0000.csv"],
     "fock": ["density.kvnf", "marginal.csv", "state_final.kvnq"],
+    "fock-3": ["density.kvnf", "marginal.csv", "state_final.kvnq"],
     "ensemble": ["histogram.kvnf", "marginal.csv", "particles_final.csv"],
     "compare-perturbation": ["residual_table.csv"],
     "compare-ensemble": ["convergence_table.csv"],
@@ -78,6 +84,7 @@ LATER_WRITER = {
     "vlasov": "write_marginal_csv",
     "perturbation": "write_marginal_csv",
     "fock": "write_marginal_csv",
+    "fock-3": "write_marginal_csv",
     "ensemble": "write_marginal_csv",
     "compare-perturbation": "write_table_csv",
     "compare-ensemble": "write_table_csv",
