@@ -5,10 +5,12 @@ method, times, and method-specific settings.  ``parse_config`` reads the
 shared sections and hands ``settings`` to the method's own parser, which
 owns the method's keys and every rule that ties them to the shared sections;
 a comparison reads ``targets`` first and then only the keys of the target it
-names.  Parsing reads the JSON shape alone: each block's keys, their JSON
-types and which are required.  It hands the keys a block sets to the library
-class it builds, so the class's defaults and refusals are the only ones; a
-refusal is reported at the key its message begins with, or else at the block.
+names.  A block that builds a library class takes that class's fields as
+its keys: each has the JSON type its annotation names and is required when
+it has no default.  Parsing reads that JSON shape alone and hands the keys a
+block sets to the class, so the class's defaults and refusals are the only
+ones; a refusal is reported at the key its message begins with, or else at
+the block.
 Validation collects every problem, the first per library object, each with
 the path of the offending key; unknown keys are rejected so typos cannot
 silently change a run.
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from .densities import GaussianDensity, GaussianMixture
 from .ensemble import (EnsembleSettings, require_particle_count, require_periodic_pair,
                        require_unit_mass, step_count)
 from .flow import FlowSettings
+from .fock import FockBasis
 from .perturbation import PerturbationSettings
 from .phase_space import (
     CosinePair,
@@ -38,36 +41,19 @@ from .phase_space import (
     QuarticPotential,
     whole_periods,
 )
-from .vlasov import VlasovSettings
+from .vlasov import VlasovSettings, require_q_cfl
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config"]
 
-# each block's keys and their JSON types (float: a finite number); the library
-# class a block builds holds its defaults and every rule on its values
-GRID_KEYS = {"q_min": float, "q_max": float, "p_min": float, "p_max": float, "n_q": int,
-             "n_p": int, "periodic_q": bool, "periodic_p": bool}
-GRID_REQUIRED = ("q_min", "q_max", "p_min", "p_max", "n_q", "n_p")
-GAUSSIAN_KEYS = dict.fromkeys(("q_center", "p_center", "q_sigma", "p_sigma", "mass"), float)
-FLOW_KEYS = {"dt": float, "exact_shortcut": bool}
-VLASOV_KEYS = {"dt": float, "interpolation": str}
-ENSEMBLE_KEYS = {"dt": float, "coupling_scaling": str}
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
                int: "an integer", float: "a finite number"}
+_JSON_TYPES = {t.__name__: t for t in (float, int, bool, str)}  # by annotation name
 
-# each potential block's types, its default first: type -> (class, keys, required keys);
-# every key is a number
+# each potential block's types and the class each builds, its default first
 _POTENTIALS = {
-    "external_potential": {
-        "free": (FreePotential, (), ()),
-        "harmonic": (HarmonicPotential, ("omega",), ("omega",)),
-        "quartic": (QuarticPotential, ("b", "a"), ("b",)),
-        "cosine": (CosinePotential, ("wavenumber", "amplitude"), ("wavenumber", "amplitude")),
-    },
-    "pair_potential": {
-        "none": (NoPair, (), ()),
-        "gaussian": (GaussianPair, ("strength", "width"), ("strength", "width")),
-        "cosine": (CosinePair, ("strength", "wavenumber"), ("strength", "wavenumber")),
-    },
+    "external_potential": {"free": FreePotential, "harmonic": HarmonicPotential,
+                           "quartic": QuarticPotential, "cosine": CosinePotential},
+    "pair_potential": {"none": NoPair, "gaussian": GaussianPair, "cosine": CosinePair},
 }
 
 
@@ -111,6 +97,16 @@ class ScenarioConfig:
     snapshots: tuple[float, ...]
     settings: Any  # the method's settings; fock's particle count; (settings, n) for ensemble
     raw: dict = field(repr=False, default_factory=dict)
+
+
+def _json_fields(cls, given=()) -> tuple[dict, set]:
+    """The keys of a block that builds the library class ``cls``: each of its
+    fields but those in ``given``, which the parser builds itself, with the JSON
+    type its annotation names (float: a finite number); and the required ones,
+    the fields without a default."""
+    keys = [f for f in fields(cls) if f.init and f.name not in given]
+    return ({f.name: _JSON_TYPES[f.type] for f in keys},
+            {f.name for f in keys if f.default is MISSING and f.default_factory is MISSING})
 
 
 def _join(path: str, key: str) -> str:
@@ -157,34 +153,40 @@ class _Validator:
             return default
         return value
 
-    def read(self, path: str, d: dict, types: dict, required=()) -> dict:
-        """The keys of ``types`` that ``d`` holds with their JSON type; an error at
-        each other key of ``types`` it holds and at each ``required`` key it lacks."""
-        found = {}
+    def read(self, path: str, d: dict, cls, extra=(), defaults={}, given=()) -> dict:
+        """``defaults`` updated with the keys of ``cls`` (`_json_fields`) that ``d``
+        holds with their JSON type; an error at each key of ``d`` that is neither
+        one of them nor in ``extra``, at each of them it holds with another type,
+        and at each required one that it lacks and ``defaults`` does not hold."""
+        types, required = _json_fields(cls, given)
+        self.check_unknown(path, d, {*types, *extra})
+        found = dict(defaults)
         for key, typ in types.items():
-            value = self.get(path, d, key, typ, required=key in required)
+            value = self.get(path, d, key, typ, required=key in required - defaults.keys())
             if value is not None:
                 found[key] = value
         return found
 
-    def make(self, path: str, d: dict, cls, types: dict, required=(), **given):
+    def make(self, path: str, d: dict, cls, extra=(), **given):
         """``cls(**given)`` with the keys that ``read`` finds; None when a required
         one is not found or ``cls`` refuses."""
-        found = self.read(path, d, types, required)
-        if found.keys() >= set(required):
+        found = self.read(path, d, cls, extra, given=given)
+        if found.keys() >= _json_fields(cls, given)[1]:
             return self.build(path, cls, **given, **found)
         return None
 
-    def check_whole_steps(self, t_final: float, dt_key: str, stepped):
-        """An error at ``times.t_final`` unless it is a whole number of
-        ``stepped.dt`` steps; nothing when the stepped settings did not parse."""
+    def check_whole_steps(self, t_final: float, dt_key: str, stepped) -> int | None:
+        """The number of ``stepped.dt`` steps that make up ``t_final``; an error at
+        ``times.t_final`` and None unless it is whole, and None when the stepped
+        settings did not parse."""
         if stepped is None:
-            return
+            return None
         try:
-            step_count(t_final, stepped.dt)
+            return step_count(t_final, stepped.dt)
         except ValueError:
             self.error("times.t_final",
                        f"must be a whole number of {dt_key} = {stepped.dt:g} steps")
+            return None
 
     def build(self, path: str, make, *args, **keys):
         """``make(*args, **keys)``, a library constructor or check.  A ValueError is
@@ -207,34 +209,27 @@ def _parse_potential(v: _Validator, problem: dict, key: str, noun: str):
     kind = v.get(path, d, "type", str, default=default)
     if kind not in kinds:
         v.error(f"{path}.type", f"unknown {noun} type {kind!r}")
-        return kinds[default][0]()
-    cls, keys, required = kinds[kind]
-    v.check_unknown(path, d, {"type", *keys})
-    found = v.read(path, d, dict.fromkeys(keys, float), required)
+        return kinds[default]()
+    cls = kinds[kind]
+    found = v.read(path, d, cls, ("type",))
     if cls is CosinePotential and "wavenumber" in found:
         found.setdefault("amplitude", 0.0)  # a stand-in: the domain rules read k alone
-    return ((found.keys() >= set(required) and v.build(path, cls, **found))
-            or kinds[default][0]())
+    return ((found.keys() >= _json_fields(cls)[1] and v.build(path, cls, **found))
+            or kinds[default]())
 
 
 def _parse_grid(v: _Validator, path: str, d: dict, wraps_p: bool = False) -> PhaseGrid | None:
     """A grid; ``periodic_p`` is refused unless ``wraps_p`` (only fock wraps the p-axis)."""
-    v.check_unknown(path, d, GRID_KEYS)
-    grid = v.make(path, d, PhaseGrid, GRID_KEYS, required=GRID_REQUIRED)
+    grid = v.make(path, d, PhaseGrid)
     if d.get("periodic_p") is True and not wraps_p:
         v.error(f"{path}.periodic_p", "only the fock method wraps the p-axis")
     return grid
 
 
-def _parse_gaussian(v: _Validator, path: str, d: dict) -> GaussianDensity | None:
-    v.check_unknown(path, d, {"type", *GAUSSIAN_KEYS})
-    return v.make(path, d, GaussianDensity, GAUSSIAN_KEYS)
-
-
 def _parse_density(v: _Validator, path: str, d: dict):
     kind = v.get(path, d, "type", str, default="gaussian")
     if kind == "gaussian":
-        return _parse_gaussian(v, path, d)
+        return v.make(path, d, GaussianDensity, ("type",))
     if kind == "mixture":
         v.check_unknown(path, d, {"type", "components", "weights"})
         comps = v.get(path, d, "components", list, required=True) or []
@@ -250,7 +245,7 @@ def _parse_density(v: _Validator, path: str, d: dict):
             if comp.get("type", "gaussian") != "gaussian":
                 v.error(f"{path}.components[{i}].type", "mixture components must be gaussian")
                 continue
-            parsed.append(_parse_gaussian(v, f"{path}.components[{i}]", comp))
+            parsed.append(v.make(f"{path}.components[{i}]", comp, GaussianDensity, ("type",)))
         numbers = [_as_number(w) for w in weights]
         if None in numbers:
             v.error(f"{path}.weights[{numbers.index(None)}]", "expected a finite number")
@@ -264,8 +259,7 @@ def _parse_density(v: _Validator, path: str, d: dict):
 
 
 def _parse_flow_run(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> FlowRun:
-    v.check_unknown(path, d, {*FLOW_KEYS, "points_csv", "n_snapshots"})
-    flow = v.make(path, d, FlowSettings, FLOW_KEYS)
+    flow = v.make(path, d, FlowSettings, ("points_csv", "n_snapshots"))
     points = v.get(path, d, "points_csv", str, required=True) or ""
     n_snap = v.get(path, d, "n_snapshots", int, default=11, minimum=2)
     return FlowRun(flow=flow, points_csv=points, n_snapshots=n_snap)
@@ -273,24 +267,20 @@ def _parse_flow_run(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> F
 
 def _parse_vlasov_settings(v: _Validator, path: str, d: dict,
                            cfg: ScenarioConfig) -> VlasovSettings | None:
-    v.check_unknown(path, d, VLASOV_KEYS)
-    settings = v.make(path, d, VlasovSettings, VLASOV_KEYS, required=("dt",))
-    v.check_whole_steps(cfg.t_final, f"{path}.dt", settings)
+    settings = v.make(path, d, VlasovSettings)
+    if v.check_whole_steps(cfg.t_final, f"{path}.dt", settings) and cfg.grid is not None:
+        v.build(f"{path}.dt", require_q_cfl, cfg.grid, cfg.spec.mass, settings.dt)
     return settings
 
 
 def _parse_perturbation_settings(v: _Validator, path: str, d: dict,
                                  cfg: ScenarioConfig) -> PerturbationSettings | None:
-    v.check_unknown(path, d, {"n_s", "h_p", "flow", "aux_grid"})
-    flow_d = v.get(path, d, "flow", dict, default={})
-    v.check_unknown(f"{path}.flow", flow_d, FLOW_KEYS)
-    flow = v.make(f"{path}.flow", flow_d, FlowSettings, FLOW_KEYS)
+    flow = v.make(f"{path}.flow", v.get(path, d, "flow", dict, default={}), FlowSettings)
     aux = cfg.grid
     aux_d = v.get(path, d, "aux_grid", dict)
     if aux_d is not None:
         aux = _parse_grid(v, f"{path}.aux_grid", aux_d)
-    return v.make(path, d, PerturbationSettings, {"n_s": int, "h_p": float}, aux_grid=aux,
-                  flow=flow)
+    return v.make(path, d, PerturbationSettings, ("flow", "aux_grid"), aux_grid=aux, flow=flow)
 
 
 def _check_nonzero_mass(v: _Validator, cfg: ScenarioConfig, run: str):
@@ -301,6 +291,9 @@ def _check_nonzero_mass(v: _Validator, cfg: ScenarioConfig, run: str):
 def _parse_fock_settings(v: _Validator, path: str, d: dict, cfg: ScenarioConfig) -> int:
     v.check_unknown(path, d, {"n_particles"})
     n = v.get(path, d, "n_particles", int, default=1, minimum=1)
+    if n is not None and cfg.grid is not None:
+        v.build(f"{path}.n_particles", FockBasis.require_within_cap,
+                n_modes=cfg.grid.n_q * cfg.grid.n_p, n_particles=n)
     _check_nonzero_mass(v, cfg, "fock run")  # its orbital could not be normalized
     return n
 
@@ -310,9 +303,7 @@ def _parse_ensemble_settings(v: _Validator, path: str, d: dict, cfg: ScenarioCon
     """Ensemble settings and the rules every ensemble keeps; ``sizes`` holds an
     ensemble run's parsed ``n_particles`` and is empty for a comparison, which
     samples the sizes of its ``n_list`` instead and whose ``dt`` defaults to 0.01."""
-    v.check_unknown(path, d, {*ENSEMBLE_KEYS, *sizes})
-    keys = {} if sizes else {"dt": 0.01}
-    keys.update(v.read(path, d, ENSEMBLE_KEYS, required=("dt",) if sizes else ()))
+    keys = v.read(path, d, EnsembleSettings, sizes, defaults={} if sizes else {"dt": 0.01})
     settings = None
     if "dt" in keys and None not in sizes.values():
         settings = v.build(path, EnsembleSettings, **keys)
@@ -417,10 +408,9 @@ def parse_config(text: str) -> ScenarioConfig:
     seed = v.get("", raw, "seed", int, default=0, minimum=0)
 
     problem = v.get("", raw, "problem", dict, default={})
-    v.check_unknown("problem", problem, {"mass", *_POTENTIALS})
     ext = _parse_potential(v, problem, "external_potential", "potential")
     pair = _parse_potential(v, problem, "pair_potential", "pair potential")
-    spec = (v.make("problem", problem, ProblemSpec, {"mass": float}, external=ext, pair=pair)
+    spec = (v.make("problem", problem, ProblemSpec, _POTENTIALS, external=ext, pair=pair)
             or ProblemSpec(external=ext, pair=pair))
 
     grid = density = None

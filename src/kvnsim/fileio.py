@@ -101,16 +101,18 @@ def _check_modes(path, n_modes: int, grid: PhaseGrid) -> None:
 
 class _RowBlocks:
     """values stored as dtype in C order, in blocks of whole rows of at most
-    _BLOCK_BYTES: views when already so stored, else one block copy at a time,
-    so the solver's transposed workspace needs no field-sized copy.  len() is
-    the byte count, as a buffer's would be."""
+    _BLOCK_BYTES, as read or as written, whichever item is larger: views when
+    already so stored, else one block copy at a time, so the solver's
+    transposed workspace needs no field-sized copy.  len() is the byte count
+    written, as a buffer's would be."""
 
     def __init__(self, values: np.ndarray, dtype="<f8"):
-        self.values, self.dtype = values, dtype
-        self.rows = max(1, _BLOCK_BYTES // values[:1].nbytes)
+        self.values, self.dtype = values, np.dtype(dtype)
+        item = max(values.itemsize, self.dtype.itemsize)
+        self.rows = max(1, _BLOCK_BYTES // (values[:1].size * item))
 
     def __len__(self) -> int:
-        return self.values.nbytes
+        return self.values.size * self.dtype.itemsize
 
     def __iter__(self):
         for r in range(0, len(self.values), self.rows):

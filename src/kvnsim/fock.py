@@ -220,10 +220,7 @@ class FockBasis:
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         M, N = self.n_modes, self.n_particles
-        dim = self.sector_dimension(M, N)
-        if dim > DIMENSION_CAP:
-            raise CostError(
-                f"sector dimension {dim} (M={M}, N={N}) exceeds the cap {DIMENSION_CAP}")
+        self.require_within_cap(M, N)
         flat = chain.from_iterable(combinations_with_replacement(range(M), N))
         object.__setattr__(self, "modes", np.fromiter(flat, np.int64).reshape(-1, N))
         # multisets[c, r]: size-r multisets of the modes c..M-1, C(M - c + r - 1, r)
@@ -247,6 +244,27 @@ class FockBasis:
     def sector_dimension(n_modes: int, n_particles: int) -> int:
         return comb(n_modes + n_particles - 1, n_particles)
 
+    @staticmethod
+    def require_within_cap(n_modes: int, n_particles: int) -> None:
+        """Raises CostError when the sector of N >= 1 bosons in M >= 1 modes has
+        more than DIMENSION_CAP states.  Its dimension C(n, r), n = M + N - 1 and
+        r = min(N, M - 1), is at least C(2r, r) >= 2^r, so it is counted only while
+        r is below log2 of the cap and it could still fit: the refusal costs
+        microseconds at any M and N, where the count grows without bound in r."""
+        n, r = n_modes + n_particles - 1, min(n_particles, n_modes - 1)
+        dim = comb(n, r) if r < DIMENSION_CAP.bit_length() else f"C({n}, {r})"
+        if isinstance(dim, str) or dim > DIMENSION_CAP:
+            raise CostError(f"sector dimension {dim} (M={n_modes}, N={n_particles}) exceeds "
+                            f"the cap {DIMENSION_CAP}")
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as an array, refused unless its items are real or complex numbers."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be real or complex numbers, not {values.dtype}")
+    return values
+
 
 @dataclass
 class FockState:
@@ -257,9 +275,7 @@ class FockState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes)
-        if amp.dtype.kind not in "biufc":
-            raise ValueError(f"amplitudes must be real or complex numbers, not {amp.dtype}")
+        amp = _numbers(self.amplitudes, "amplitudes")
         amp = np.ascontiguousarray(amp, dtype=np.result_type(amp, float))
         if amp.shape != (self.basis.dimension,):
             raise ValueError("amplitude vector does not match the basis dimension")
@@ -384,7 +400,7 @@ def embed_product_state(orbital: np.ndarray, basis: FockBasis, grid: PhaseGrid) 
     _require_matching_grid(grid, basis)
     if np.shape(orbital) not in ((basis.n_modes,), (grid.n_q, grid.n_p)):
         raise ValueError("the orbital must have M values")
-    phi = np.asarray(orbital).reshape(-1)
+    phi = _numbers(orbital, "the orbital").reshape(-1)
     N, vol = basis.n_particles, grid.cell_volume
     # vol ** (N // 2) and not vol ** 0.5, which may differ from sqrt(vol) in the last bit
     scale = vol ** (N // 2) * (math.sqrt(vol) if N % 2 else 1.0)

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .phase_space import DensityField, PhaseGrid, ProblemSpec, mean_field_force
 
-__all__ = ["VlasovSettings", "CFLViolation", "vlasov_solve"]
+__all__ = ["VlasovSettings", "CFLViolation", "require_q_cfl", "vlasov_solve"]
 
 
 class CFLViolation(ValueError):
@@ -54,6 +54,18 @@ class VlasovSettings:
             raise ValueError("dt must be finite and > 0")
         if self.interpolation not in ("cubic-spline", "linear"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
+
+
+def require_q_cfl(grid: PhaseGrid, mass: float, dt: float) -> None:
+    """Raises CFLViolation when the full q-drift of a step, dt*max|p|/m, reaches
+    the q-domain length.  The p-kick's bound depends on the force, so a step
+    checks it as it runs (`_Stepper.p_kick`)."""
+    max_speed = max(abs(grid.p_min), abs(grid.p_max)) / mass
+    if dt * max_speed >= grid.q_length:
+        raise CFLViolation(
+            f"dt*max|p|/m = {dt * max_speed:g} exceeds the q-domain length "
+            f"{grid.q_length:g}; reduce dt or enlarge the domain"
+        )
 
 
 _GHOST = 3  # zero ghost rows padded onto each end of an open column
@@ -242,12 +254,7 @@ class _Stepper:
 
     def __init__(self, rho: DensityField, spec: ProblemSpec, settings: VlasovSettings):
         grid, dt, mass = rho.grid, settings.dt, spec.mass
-        max_speed = max(abs(grid.p_min), abs(grid.p_max)) / mass
-        if dt * max_speed >= grid.q_length:
-            raise CFLViolation(
-                f"dt*max|p|/m = {dt * max_speed:g} exceeds the q-domain length "
-                f"{grid.q_length:g}; reduce dt or enlarge the domain"
-            )
+        require_q_cfl(grid, mass, dt)
         cubic = settings.interpolation == "cubic-spline"
         self.grid, self.spec, self.dt = grid, spec, dt
         self.f = rho.values.T.copy()

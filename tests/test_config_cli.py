@@ -21,11 +21,13 @@ from kvnsim.ensemble import (EnsembleSettings, ensemble_vs_vlasov, integrate_nbo
                              require_periodic_pair)
 from kvnsim.fileio import read_field, read_points_csv, write_points_csv
 from kvnsim.flow import FlowSettings
+from kvnsim.fock import FockBasis
 from kvnsim.perturbation import PerturbationSettings, residual_vs_vlasov
 from kvnsim.phase_space import (CosinePair, CosinePotential, FreePotential, GaussianPair,
                                 GridResolutionWarning, HarmonicPotential, NoPair, PhaseGrid,
-                                ProblemSpec, pair_is_periodic, whole_periods)
-from kvnsim.vlasov import VlasovSettings
+                                ProblemSpec, QuarticPotential, density_from_function,
+                                pair_is_periodic, whole_periods)
+from kvnsim.vlasov import VlasovSettings, vlasov_solve
 
 MINIMAL_VLASOV = {
     "method": "vlasov",
@@ -363,9 +365,9 @@ def test_cli_fock_cap_refusal_distinct_from_crash(tmp_path):
         "settings": {"n_particles": 2},
     }
     cfg = write_config(tmp_path, payload)
-    assert main(["run", "--config", cfg]) == 2
-    record = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert record["error"] == "CostError"
+    # an over-cap sector is a config error: refused at parse, before a run directory exists
+    assert main(["run", "--config", cfg]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_turns_memory_error_into_exit_2_with_error_record(tmp_path, monkeypatch):
@@ -1335,3 +1337,121 @@ def test_a_negative_mixture_weight_is_the_library_refusal_at_its_entry(tmp_path)
     # config keeps only the JSON type of each entry
     payload["initial_density"]["weights"] = [1, "2"]
     assert config_errors(payload) == ["initial_density.weights[1]: expected a finite number"]
+
+
+# the two refusals that need the grid: a Fock sector over the cap, a q-drift over the domain
+OVER_CAP_FOCK = dict(OPEN_FOCK, grid=dict(OPEN_FOCK["grid"], n_q=4, n_p=4),
+                     settings={"n_particles": 8})
+Q_CFL_GRID = {"q_min": -4, "q_max": 4, "p_min": -6, "p_max": 6, "n_q": 16, "n_p": 16}
+Q_CFL_VLASOV = dict(MINIMAL_VLASOV, grid=Q_CFL_GRID, initial_density={"q_sigma": 0.7,
+                    "p_sigma": 0.7}, times={"t_final": 4.0}, settings={"dt": 2.0})
+Q_CFL_COMPARE = dict(Q_CFL_VLASOV, method="compare", problem=OPEN_FOCK["problem"],
+                     settings={"strengths": [0.1, 0.05], "vlasov": {"dt": 2.0}})
+
+
+def _q_cfl_solve():
+    grid = PhaseGrid(-4, 4, -6, 6, 16, 16)
+    rho = density_from_function(grid, GaussianDensity(q_sigma=0.7, p_sigma=0.7), warn=False)
+    vlasov_solve(rho, 4.0, ProblemSpec(), VlasovSettings(dt=2.0))
+
+
+@pytest.mark.parametrize("payload, path, refuse", [
+    (OVER_CAP_FOCK, "settings.n_particles", lambda: FockBasis(n_modes=16, n_particles=8)),
+    (Q_CFL_VLASOV, "settings.dt", _q_cfl_solve),
+    (Q_CFL_COMPARE, "settings.vlasov.dt", _q_cfl_solve),
+], ids=["fock-over-cap", "vlasov-q-cfl", "compare-q-cfl"])
+def test_validate_and_run_refuse_what_only_the_run_refused(tmp_path, payload, path, refuse):
+    with pytest.raises(ValueError) as exc:
+        refuse()
+    assert config_errors(payload) == [f"{path}: {exc.value}"]
+    cfg = write_config(tmp_path, dict(payload, output_dir=str(tmp_path / "out")))
+    assert main(["validate", "--config", cfg]) == 1
+    assert main(["run", "--config", cfg]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_q_cfl_refusal_needs_a_step():
+    # at t_final = 0 the solve takes no step, so no q-drift can overrun the domain
+    assert parse_config(json.dumps(dict(Q_CFL_VLASOV, times={"t_final": 0.0}))).settings == \
+        VlasovSettings(dt=2.0)
+
+
+def test_an_over_cap_count_stays_cheap():
+    # C(1099999, 100000) has about 145 500 digits; the refusal never counts them
+    errors = config_errors(dict(OVER_CAP_FOCK, grid=dict(
+        OVER_CAP_FOCK["grid"], n_q=1000, n_p=1000), settings={"n_particles": 100_000}))
+    assert errors == ["settings.n_particles: sector dimension C(1099999, 100000) "
+                      "(M=1000000, N=100000) exceeds the cap 200000"]
+
+
+# every block that builds a library class: a config holding it, its path, the
+# object it builds, the class, and the fields the parser builds itself
+COSINE_PROBLEM = {"external_potential": {"type": "cosine", "wavenumber": 1.0, "amplitude": 0.5},
+                  "pair_potential": {"type": "cosine", "strength": 0.1, "wavenumber": 1.0}}
+COSINE_VLASOV = dict(MINIMAL_VLASOV, grid=PERIODIC_VLASOV_GRID, problem=COSINE_PROBLEM)
+QUARTIC_VLASOV = dict(MINIMAL_VLASOV, problem={
+    "external_potential": {"type": "quartic", "b": 1.0, "a": 0.5},
+    "pair_potential": {"type": "gaussian", "strength": 0.1, "width": 0.8}})
+MIXTURE_VLASOV = dict(MINIMAL_VLASOV, initial_density={
+    "type": "mixture", "weights": [1.0], "components": [{"q_sigma": 0.8, "p_sigma": 0.8}]})
+PERTURBATION = dict(MINIMAL_VLASOV, method="perturbation", settings={
+    "flow": {"dt": 0.01}, "aux_grid": MINIMAL_VLASOV["grid"]})
+COMPARE = dict(Q_CFL_COMPARE, settings={"strengths": [0.1], "vlasov": {"dt": 0.5}})
+FLOW = {"method": "flow", "times": {"t_final": 1.0}, "settings": {"points_csv": "pts.csv"}}
+LIBRARY_BLOCKS = [
+    (MINIMAL_VLASOV, "problem", lambda c: c.spec, ProblemSpec, ("external", "pair")),
+    (MINIMAL_VLASOV, "problem.external_potential", lambda c: c.spec.external, FreePotential, ()),
+    (MINIMAL_VLASOV, "problem.pair_potential", lambda c: c.spec.pair, NoPair, ()),
+    (OPEN_FOCK, "problem.external_potential", lambda c: c.spec.external, HarmonicPotential,
+     ()),
+    (QUARTIC_VLASOV, "problem.external_potential", lambda c: c.spec.external,
+     QuarticPotential, ()),
+    (QUARTIC_VLASOV, "problem.pair_potential", lambda c: c.spec.pair, GaussianPair, ()),
+    (COSINE_VLASOV, "problem.external_potential", lambda c: c.spec.external, CosinePotential,
+     ()),
+    (COSINE_VLASOV, "problem.pair_potential", lambda c: c.spec.pair, CosinePair, ()),
+    (MINIMAL_VLASOV, "grid", lambda c: c.grid, PhaseGrid, ()),
+    (MINIMAL_VLASOV, "initial_density", lambda c: c.density, GaussianDensity, ()),
+    (MIXTURE_VLASOV, "initial_density.components[0]", lambda c: c.density.components[0],
+     GaussianDensity, ()),
+    (MINIMAL_VLASOV, "settings", lambda c: c.settings, VlasovSettings, ()),
+    (FLOW, "settings", lambda c: c.settings.flow, FlowSettings, ()),
+    (PERTURBATION, "settings", lambda c: c.settings, PerturbationSettings,
+     ("aux_grid", "flow")),
+    (PERTURBATION, "settings.flow", lambda c: c.settings.flow, FlowSettings, ()),
+    (PERTURBATION, "settings.aux_grid", lambda c: c.settings.aux_grid, PhaseGrid, ()),
+    (ENSEMBLE_OPEN, "settings", lambda c: c.settings[0], EnsembleSettings, ()),
+    (COMPARE, "settings.perturbation", lambda c: c.settings.target, PerturbationSettings,
+     ("aux_grid", "flow")),
+    (COMPARE, "settings.vlasov", lambda c: c.settings.vlasov, VlasovSettings, ()),
+    (dict(ENSEMBLE_OPEN, method="compare", times={"t_final": 0.1}, settings=ENSEMBLE_COMPARE),
+     "settings.ensemble", lambda c: c.settings.target, EnsembleSettings, ()),
+]
+
+
+def _block(raw: dict, path: str) -> dict:
+    """The block of ``raw`` at ``path``, made when absent."""
+    for part in path.split("."):
+        key, _, index = part.partition("[")
+        raw = raw.setdefault(key, {})
+        if index:
+            raw = raw[int(index[:-1])]
+    return raw
+
+
+@pytest.mark.parametrize("payload, path, built, cls, given", LIBRARY_BLOCKS,
+                         ids=[f"{cls.__name__}@{path}" for _, path, _, cls, _ in LIBRARY_BLOCKS])
+def test_a_block_takes_exactly_the_fields_of_its_library_class(payload, path, built, cls,
+                                                               given):
+    # each field a config sets is annotated with a JSON type, so a bad value is a
+    # ConfigError, never an exception of the library class
+    keys = [f for f in dataclasses.fields(cls) if f.init and f.name not in given]
+    assert [f.name for f in keys if f.type not in ("float", "int", "bool", "str")] == []
+    raw = json.loads(json.dumps(payload))
+    # a block naming every field, at the value the parser gave it, builds the same object
+    obj = built(parse_config(json.dumps(raw)))
+    _block(raw, path).update({f.name: getattr(obj, f.name) for f in keys})
+    assert built(parse_config(json.dumps(raw))) == obj
+    # and one key beyond them is refused at its path
+    _block(raw, path)["spare"] = 1
+    assert config_errors(raw) == [f"{path}.spare: unknown key"]

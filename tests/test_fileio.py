@@ -13,7 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from kvnsim.densities import GaussianDensity
 from kvnsim.fileio import (
+    _BLOCK_BYTES,
     RunManifest,
+    _RowBlocks,
     atomic_write_bytes,
     read_field,
     read_fock_state,
@@ -374,3 +376,12 @@ def test_binary_readers_raise_only_value_error_on_damaged_files(valid_bytes, dat
             reader(path)
         except ValueError:
             pass
+
+
+def test_row_blocks_stay_within_the_block_bytes_as_written():
+    # a real Fock state is written as complex: each block is twice its source bytes
+    values = np.arange(195_625, dtype=float)
+    blocks = _RowBlocks(values, "<c16")
+    assert max(block.nbytes for block in blocks) <= _BLOCK_BYTES
+    assert len(blocks) == 16 * len(values) == sum(block.nbytes for block in blocks)
+    assert b"".join(blocks) == values.astype("<c16").tobytes()

@@ -470,6 +470,12 @@ def test_product_embedding_refuses_a_wrong_orbital():
         embed_product_state(np.ones((16, 16)), FockBasis(n_modes=16, n_particles=2), grid)
 
 
+def test_product_embedding_refuses_an_orbital_that_is_not_numbers():
+    grid, basis = periodic_grid(4, 4), FockBasis(n_modes=16, n_particles=2)
+    with pytest.raises(ValueError, match="the orbital must be real or complex numbers, not <U1"):
+        embed_product_state(np.array(list("abcdefghijklmnop")), basis, grid)
+
+
 def test_propagate_t0_identity_and_refusal():
     grid = periodic_grid(4, 4)
     basis = FockBasis(n_modes=16, n_particles=1)
