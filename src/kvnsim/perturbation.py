@@ -79,26 +79,30 @@ def transported_density_points(points: np.ndarray, t: float, rho_init, spec: Pro
     return np.asarray(rho_init(back[:, 0], back[:, 1]), dtype=float)
 
 
+def _cell_points(grid: PhaseGrid) -> np.ndarray:
+    """The cell centres of ``grid`` as one (n_q n_p, 2) batch of (q, p) rows,
+    q-major; the meshgrid pair dies on return."""
+    Q, P = grid.meshgrid()
+    return np.column_stack([Q.ravel(), P.ravel()])
+
+
 def _momentum_gradient(points: np.ndarray, t: float, rho_init, spec, settings,
                        grid: PhaseGrid) -> np.ndarray:
     h = settings.h_p
-    up = points + np.array([0.0, h])
-    dn = points - np.array([0.0, h])
-    fu = transported_density_points(up, t, rho_init, spec, settings.flow, grid)
-    fd = transported_density_points(dn, t, rho_init, spec, settings.flow, grid)
+    fu = transported_density_points(points + [0.0, h], t, rho_init, spec, settings.flow, grid)
+    fd = transported_density_points(points - [0.0, h], t, rho_init, spec, settings.flow, grid)
     return (fu - fd) / (2.0 * h)
 
 
-def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: PerturbationSettings):
+def _pair_force_integral(t: float, rho_init, spec: ProblemSpec, settings: PerturbationSettings,
+                         aux_points: np.ndarray):
     """Return I(q) = sum_k n0(q_k, t) grad v(q - q_k) dq over the aux grid's
     q-centers, as the shared pair-sum kernel bound to those sources.
 
     The marginal n0 is built by pushing the analytic initial density backward
-    onto the dedicated auxiliary grid (midpoint quadrature in p)."""
+    onto ``aux_points``, the aux grid's cell centres (midpoint quadrature in p)."""
     aux = settings.aux_grid
-    Qa, Pa = aux.meshgrid()
-    pts = np.column_stack([Qa.ravel(), Pa.ravel()])
-    vals = transported_density_points(pts, t, rho_init, spec, settings.flow, aux)
+    vals = transported_density_points(aux_points, t, rho_init, spec, settings.flow, aux)
     marginal = vals.reshape(aux.n_q, aux.n_p).sum(axis=1) * aux.dp
     mass = marginal.sum() * aux.dq
     ref = getattr(rho_init, "mass", None)
@@ -120,7 +124,8 @@ def interaction_source_points(points: np.ndarray, t: float, rho_init, spec: Prob
     if isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
     if pair_integral is None:
-        pair_integral = _pair_force_integral(t, rho_init, spec, settings)
+        pair_integral = _pair_force_integral(t, rho_init, spec, settings,
+                                             _cell_points(settings.aux_grid))
     with np.errstate(over="ignore", invalid="ignore"):
         force = pair_integral(pts[:, 0])
     if not np.all(np.isfinite(force)):
@@ -133,15 +138,16 @@ def first_order_correction_points(points: np.ndarray, t: float, rho_init, spec: 
                                   grid: PhaseGrid) -> np.ndarray:
     """First-order density correction at an (n, 2) array of points of ``grid``,
     shape (n,): the source integrated along each backward characteristic by
-    Gauss-Legendre."""
+    Gauss-Legendre.  The aux grid's points are built once, not once per node."""
     pts = _point_rows(points)
     if t == 0.0 or isinstance(spec.pair, NoPair):
         return np.zeros(pts.shape[0])
     nodes, weights = np.polynomial.legendre.leggauss(settings.n_s)
+    aux_points = _cell_points(settings.aux_grid)
     out = np.zeros(pts.shape[0])
     for s, w in zip(0.5 * t * (nodes + 1.0), 0.5 * t * weights):
         traced = flow_map_points(pts, s - t, spec, settings.flow)
-        pair_integral = _pair_force_integral(s, rho_init, spec, settings)
+        pair_integral = _pair_force_integral(s, rho_init, spec, settings, aux_points)
         out += w * interaction_source_points(traced, s, rho_init, spec, settings, grid,
                                              pair_integral=pair_integral)
     return out
@@ -152,8 +158,7 @@ def perturbative_density(grid: PhaseGrid, t: float, rho_init, spec: ProblemSpec,
     """Zeroth plus first order evaluated at every cell center."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    Q, P = grid.meshgrid()
-    pts = np.column_stack([Q.ravel(), P.ravel()])
+    pts = _cell_points(grid)
     vals = transported_density_points(pts, t, rho_init, spec, settings.flow, grid)
     vals = vals + first_order_correction_points(pts, t, rho_init, spec, settings, grid)
     try:
@@ -206,19 +211,22 @@ def residual_vs_vlasov(t: float, rho_init, spec: ProblemSpec, eps_list,
 
     The zeroth order does not depend on the strength and the first-order
     correction is linear in it, so the expansion is made once, at the largest
-    strength eps_max, and a row at eps interpolates between the zeroth order
-    and that expansion with weight eps / eps_max.  (At unit strength the
-    expanded density could go negative, which DensityField refuses.)
+    strength eps_max, before any field of this function's own is held; a row
+    at eps interpolates between the zeroth order and that expansion with
+    weight eps / eps_max.  (At unit strength the expanded density could go
+    negative, which DensityField refuses.)
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     specs = [spec.with_pair_strength(eps) for eps in eps_list]  # refuse before expanding
     top = max(eps_list, default=0.0)
-    Q, P = grid.meshgrid()
-    pts = np.column_stack([Q.ravel(), P.ravel()])
-    zeroth = transported_density_points(pts, t, rho_init, spec, settings.flow, grid)
-    zeroth = full = zeroth.reshape(grid.n_q, grid.n_p)
+    full = None
     if top > 0:
         full = perturbative_density(grid, t, rho_init, spec.with_pair_strength(top),
                                     settings).values
+    zeroth = transported_density_points(_cell_points(grid), t, rho_init, spec, settings.flow,
+                                        grid).reshape(grid.n_q, grid.n_p)
+    full = zeroth if full is None else full
     rows = []
     init = density_from_function(grid, rho_init, warn=False)
     for eps, spec_eps in zip(eps_list, specs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kvnsim import perturbation
 from kvnsim.densities import GaussianDensity
 from kvnsim.flow import FlowSettings
 from kvnsim.perturbation import (
@@ -22,6 +23,7 @@ from kvnsim.phase_space import (
     density_from_function,
 )
 from kvnsim.vlasov import VlasovSettings, vlasov_solve
+from peak_memory import traced_peak
 
 RHO0 = GaussianDensity(0.6, 0.0, 0.7, 0.7)
 HARMONIC = ProblemSpec(external=HarmonicPotential(omega=1.0))
@@ -256,9 +258,64 @@ def test_source_wraps_on_the_run_grid_not_on_an_open_aux_grid():
     assert np.max(np.abs(got - grad_p(open_aux))) > 0.5 * np.max(np.abs(got))
 
 
-
 def test_perturbative_density_refuses_a_negative_time():
     grid = PhaseGrid(-3, 3, -3, 3, 4, 4)
     with pytest.raises(ValueError, match="t must be >= 0"):
         perturbative_density(grid, -0.1, GaussianDensity(), ProblemSpec(),
                              PerturbationSettings(aux_grid=grid))
+
+
+def test_residual_refuses_a_negative_time_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the comparison worked before checking t")
+
+    for name in ("perturbative_density", "transported_density_points",
+                 "density_from_function", "vlasov_solve"):
+        monkeypatch.setattr(perturbation, name, no_work)
+    grid = PhaseGrid(-6, 6, -6, 6, 32, 32)
+    for strengths in ([0.0], [0.1, 0.0]):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            residual_vs_vlasov(-0.1, RHO0, INTERACTING, strengths, grid, SETTINGS,
+                               VlasovSettings(dt=0.01))
+
+
+def test_residual_rows_are_bit_identical_to_their_parts():
+    # one expansion at the top strength, the zeroth order, their (1 - w, w)
+    # blend and one grid solve per strength rebuild every row exactly
+    grid = PhaseGrid(-6, 6, -6, 6, 24, 24)
+    vlasov = VlasovSettings(dt=0.01)
+    table = residual_vs_vlasov(0.3, RHO0, INTERACTING, [0.2, 0.1, 0.0], grid, SETTINGS,
+                               vlasov)
+    full = perturbative_density(grid, 0.3, RHO0, INTERACTING.with_pair_strength(0.2),
+                                SETTINGS).values
+    Q, P = grid.meshgrid()
+    zeroth = transported_density_points(np.column_stack([Q.ravel(), P.ravel()]), 0.3, RHO0,
+                                        INTERACTING, FLOW_EXACT, grid).reshape(24, 24)
+    init = density_from_function(grid, RHO0, warn=False)
+    rows = []
+    for eps in (0.2, 0.1, 0.0):
+        w = eps / 0.2
+        pert = (1.0 - w) * zeroth + w * full
+        solved = vlasov_solve(init, 0.3, INTERACTING.with_pair_strength(eps), vlasov).values
+        rows.append((eps, float(np.max(np.abs(pert - solved)))))
+    assert table.rows == tuple(rows)
+
+
+def test_the_comparison_holds_little_beyond_its_first_order():
+    # the comparison expands before it holds a grid-sized array of its own,
+    # so its peak is the first order's plus the expansion's cell points and
+    # zeroth order (24 B per cell); one that also held a meshgrid pair, its
+    # own points and its own zeroth order through the expansion reads +81
+    grid = PhaseGrid(-6, 6, -6, 6, 64, 64)
+    settings = PerturbationSettings(aux_grid=grid, flow=FLOW_EXACT, n_s=4)
+    vlasov = VlasovSettings(dt=0.01)
+
+    def compare():
+        residual_vs_vlasov(0.3, RHO0, INTERACTING, [0.2, 0.1], grid, settings, vlasov)
+
+    compare()  # fills the solver's cached prefilter tiles and pair kernels first
+    Q, P = grid.meshgrid()
+    pts = np.column_stack([Q.ravel(), P.ravel()])
+    first = traced_peak(lambda: first_order_correction_points(
+        pts, 0.3, RHO0, INTERACTING.with_pair_strength(0.2), settings, grid))
+    assert traced_peak(compare) - first <= 48 * grid.n_q * grid.n_p

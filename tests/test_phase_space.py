@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from kvnsim.phase_space import (
     pair_gradient_table,
     spatial_density,
 )
+from peak_memory import traced_peak
 
 ALL_POTENTIALS = [
     FreePotential(),
@@ -187,18 +187,6 @@ def test_mean_field_force_rejects_truncating_grid():
     spec = ProblemSpec(pair=GaussianPair(strength=0.5, width=0.9))
     with pytest.raises(ValueError, match="4 pair-potential widths"):
         mean_field_force(f, spec)
-
-
-def traced_peak(call) -> int:
-    """Bytes ``call()`` holds at its peak above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 def dense_table(grid, pair):
