@@ -284,7 +284,10 @@ class FockState:
         self.amplitudes = amp
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm, its squares summed in numpy's fixed order: BLAS's dot
+        product rounds differently under different thread counts."""
+        parts = self.amplitudes.view(self.amplitudes.real.dtype)  # re, im pairs when complex
+        return math.sqrt(np.einsum("i,i->", parts, parts))
 
 
 @dataclass

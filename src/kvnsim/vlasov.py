@@ -18,8 +18,12 @@ solve, the initial field is dropped before the first step, each later
 snapshot is lent to the caller's sink as a view of the workspace (a `kvnsim
 run` writes it there), so a stepping solve holds no other field, and the end
 state is returned as a view of the workspace it releases.  A periodic
-q-drift is one rfft/irfft pair along the contiguous axis (Unser, Aldroubi &
-Eden, IEEE Trans. Signal Process. 41, 1993).  An open sweep applies the
+q-drift is one rfft/irfft pair per line along the contiguous axis (Unser,
+Aldroubi & Eden, IEEE Trans. Signal Process. 41, 1993), run in blocks of
+lines through one block-sized spectrum buffer: a periodic solve holds the
+field, the full drift's transfer function, built block by block, and the
+kick's coefficient slab, and the half drift rebuilds its transfer function
+block by block from its O(n_p) stencil.  An open sweep applies the
 banded cubic prefilter 6 tridiag(1, 4, 1)^-1 into a persistent coefficient
 buffer, then sums the taps by one einsum over a strided window view of that
 buffer: while the lines' window starts lie within a few cells no window is
@@ -72,6 +76,7 @@ _GHOST = 3  # zero ghost rows padded onto each end of an open column
 _TILE = 64  # coefficient rows per product of the banded prefilter
 _HALO = 32  # data rows a tile reads past its ends: (2 - sqrt(3))^33 < 2e-19
 _SPREAD = 4  # spread of window starts one einsum reads past the taps; wider is gathered
+_BLOCK_BYTES = 1 << 16  # the most a periodic sweep buffers per block: under the mmap threshold
 
 
 @lru_cache(maxsize=8)
@@ -132,38 +137,63 @@ def _stencil(s: np.ndarray, cubic: bool):
 
 class _PeriodicAxis:
     """Sweeps along a periodic axis of n rows for m lines (the columns of the
-    values): one rfft/irfft pair through a spectrum buffer allocated once."""
+    values) in blocks of `lines` lines, each block's buffers at most
+    _BLOCK_BYTES: a line's rfft, its product with its transfer function and
+    its irfft run through one block-sized spectrum buffer, allocated once.
+    A held plan keeps the transfer functions of all lines; any other plan
+    keeps only its stencil and is rebuilt per block at each sweep."""
 
     def __init__(self, n: int, m: int, cubic: bool):
-        self.n, self.cubic = n, cubic
-        self.spectrum = np.empty((m, n // 2 + 1), dtype=complex).T
+        self.n, self.m, self.cubic = n, m, cubic
+        self.f = np.arange(n // 2 + 1)
+        self.lines = min(m, max(1, _BLOCK_BYTES // (16 * self.f.size)))
+        self.roots = np.exp(2j * np.pi / n * np.arange(n))  # exp(i theta_1 r), r = 0 .. n-1
+        self.spectrum = np.empty((self.lines, self.f.size), dtype=complex)
 
-    def plan(self, s: np.ndarray) -> np.ndarray:
-        """Transfer function H, shape (n//2 + 1, m), of the backward trace by
-        s[j] cells: H[f, j] = sum_t weights[t][j] exp(i theta_f (start[j] +
-        t)) / beta(theta_f), theta_f = 2 pi f / n, beta = (4 + 2 cos theta) / 6
-        when cubic and 1 when linear, with phases reduced modulo n in integers
-        so shifts of many cells lose no accuracy."""
-        n = self.n
-        start, weights = _stencil(s, self.cubic)
-        roots = np.exp(2j * np.pi / n * np.arange(n))  # exp(i theta_1 r), r = 0 .. n-1
-        f = np.arange(n // 2 + 1)
-        transfer = np.zeros((len(s), f.size), dtype=complex)
-        term = np.empty_like(transfer)
-        for t, w in enumerate(weights):  # from zero: starting at tap 0 would keep its signed zeros
-            transfer += np.outer(w, roots[f * t % n], out=term)
-        phase = np.outer(start, f)
+    def plan(self, s: np.ndarray, held: bool = False):
+        """The plan (stencil, transfer) of the backward trace by s[j] cells.
+        Its transfer function H, shape (m, n//2 + 1), is built block by block
+        when held; otherwise transfer is None and each sweep rebuilds H block
+        by block from the O(m) stencil."""
+        stencil = _stencil(s, self.cubic)
+        if not held:
+            return stencil, None
+        transfer = np.empty((self.m, self.f.size), dtype=complex)
+        for a in range(0, self.m, self.lines):
+            self._transfer(stencil, a, transfer[a:a + self.lines])
+        return stencil, transfer
+
+    def _transfer(self, stencil, a: int, out: np.ndarray) -> np.ndarray:
+        """H of lines a .. a + len(out) - 1 into out: H[j, f] = sum_t
+        weights[t][j] exp(i theta_f (start[j] + t)) / beta(theta_f), theta_f
+        = 2 pi f / n, beta = (4 + 2 cos theta) / 6 when cubic and 1 when
+        linear, with phases reduced modulo n in integers so shifts of many
+        cells lose no accuracy.  The spectrum buffer is its scratch."""
+        n, f, roots = self.n, self.f, self.roots
+        start, weights = stencil
+        k = len(out)
+        term, phase = self.spectrum[:k], np.empty(out.shape, dtype=np.int64)
+        out[...] = 0.0  # from zero: starting at tap 0 would keep its signed zeros
+        for t, w in enumerate(weights):
+            out += np.outer(w[a:a + k], roots[f * t % n], out=term)
+        np.outer(start[a:a + k], f, out=phase)
         phase %= n
-        transfer *= np.take(roots, phase, out=term)
+        out *= np.take(roots, phase, out=term, mode="clip")  # in range: "clip" spares a copy
         if self.cubic:
-            transfer /= (4.0 + 2.0 * roots[f].real) / 6.0
-        return transfer.T
+            out /= (4.0 + 2.0 * roots[f].real) / 6.0
+        return out
 
-    def sweep(self, values: np.ndarray, transfer: np.ndarray) -> None:
+    def sweep(self, values: np.ndarray, plan) -> None:
         """Overwrite values, shape (n, m), with their sweep."""
-        np.fft.rfft(values, axis=0, out=self.spectrum)
-        self.spectrum *= transfer
-        np.fft.irfft(self.spectrum, self.n, axis=0, out=values)
+        stencil, transfer = plan
+        for a in range(0, self.m, self.lines):
+            block = values[:, a:a + self.lines]
+            spectrum = self.spectrum[:block.shape[1]]
+            h = (transfer[a:a + len(spectrum)] if transfer is not None
+                 else self._transfer(stencil, a, np.empty_like(spectrum)))
+            np.fft.rfft(block, axis=0, out=spectrum.T)
+            spectrum *= h
+            np.fft.irfft(spectrum.T, self.n, axis=0, out=block)
 
 
 class _OpenAxis:
@@ -190,17 +220,17 @@ class _OpenAxis:
         self.window = sliding_window_view(self.coef, self.n, axis=0)
         self.lead, self.trail = lead, trail
 
-    def plan(self, s: np.ndarray):
+    def plan(self, s: np.ndarray, held: bool = False):
         """The plan (start, s0, weights, drops) of the backward trace by s[j]
-        cells along line j.  When the window starts lie within _SPREAD of
-        their least s0, every line sums the k = taps + spread window offsets
-        from s0 in one einsum, `weights` (offsets x lines) zero outside each
-        line's taps, and `start` is None; otherwise the sweep gathers each
-        line's window from its own `start` and sums the taps alone.  For each
-        (a, b, outside, bound) in `drops`, row i of line j in a:b is zeroed
-        where outside(i, bound[j]): its trace leaves the domain by more than
-        half a cell past the end the line is shifted from.  The margins grow
-        to what the windows read."""
+        cells along line j, O(m) and so held whatever `held`.  When the
+        window starts lie within _SPREAD of their least s0, every line sums
+        the k = taps + spread window offsets from s0 in one einsum, `weights`
+        (offsets x lines) zero outside each line's taps, and `start` is
+        None; otherwise the sweep gathers each line's window from its own
+        `start` and sums the taps alone.  For each (a, b, outside, bound) in
+        `drops`, row i of line j in a:b is zeroed where outside(i, bound[j]):
+        its trace leaves the domain by more than half a cell past the end the
+        line is shifted from.  The margins grow to what the windows read."""
         start, taps = _stencil(s, self.cubic)
         start += _GHOST
         s0, spread = int(start.min()), int(start.max() - start.min())
@@ -248,8 +278,9 @@ class _OpenAxis:
 
 class _Stepper:
     """The workspace of one solve, allocated once: the field `f`, p-major,
-    copied in from the initial density once, the q-drift's axis and half and
-    full plans, the p-kick's axis, the clip mask, and the clip count so far.
+    copied in from the initial density once, the q-drift's axis, its half
+    plan (not held: it runs twice per snapshot segment) and held full plan,
+    the p-kick's axis, the clip mask, and the clip count so far.
     Raises CFLViolation when the full q-drift exceeds the q-domain length."""
 
     def __init__(self, rho: DensityField, spec: ProblemSpec, settings: VlasovSettings):
@@ -262,7 +293,7 @@ class _Stepper:
         self.mask = np.empty(self.f.shape, dtype=bool)
         self.kick = _OpenAxis(grid.n_p, grid.n_q, cubic)
         self.drift = (_PeriodicAxis if grid.periodic_q else _OpenAxis)(grid.n_q, grid.n_p, cubic)
-        self.drifts = [self.drift.plan(grid.p_centers * (h * dt / mass) / grid.dq)
+        self.drifts = [self.drift.plan(grid.p_centers * (h * dt / mass) / grid.dq, held=h == 1.0)
                        for h in (0.5, 1.0)]
 
     def q_drift(self, full: bool) -> None:

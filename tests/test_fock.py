@@ -1,3 +1,7 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from itertools import combinations_with_replacement, permutations
@@ -608,6 +612,33 @@ def test_norm_preservation_36_modes_two_particles():
     state = FockState(basis, amp)
     out = propagate(state, L, 1.0)
     assert abs(out.norm() - 1.0) < 1e-10
+
+
+NORM_PROBE = """
+import numpy as np
+from kvnsim.fock import FockBasis, FockState
+basis = FockBasis(n_modes=144, n_particles=2)  # dimension 10440, as fock-pair-144's
+amp = np.random.default_rng(0).standard_normal(basis.dimension)
+print(repr(FockState(basis, amp).norm()), repr(FockState(basis, amp * (1 + 0.5j)).norm()))
+"""
+
+
+def test_norm_is_the_same_under_one_and_two_blas_threads():
+    # a threaded BLAS dot product sums in another order: np.linalg.norm of
+    # this vector differs in its last bit between one and two threads
+    src = os.path.dirname(os.path.dirname(fock.__file__))
+    norms = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", NORM_PROBE], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        norms.append(proc.stdout.split())
+    assert norms[0] == norms[1]
+    amp = np.random.default_rng(0).standard_normal(10440)
+    assert abs(float(norms[0][0]) - math.sqrt(math.fsum(amp * amp))) <= 1e-12
 
 
 def test_density_expectation_occupation_patterns():

@@ -321,10 +321,36 @@ def test_steps_after_the_first_allocate_nothing_grid_sized(periodic):
             base = tracemalloc.get_traced_memory()[0]
             clipped += step()
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.reset_peak()  # a half drift: periodic, it rebuilds its plan block by block
+        base = tracemalloc.get_traced_memory()[0]
+        stepper.q_drift(False)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
     assert clipped > 0
     assert max(peaks) < n * n // 2
+
+
+def test_a_periodic_stepper_is_built_without_grid_sized_transients():
+    # what construction keeps (the field, the clip mask, the kick's buffers
+    # and the full-drift plan) is built in place: the q-drift's plan block by
+    # block, so the traced peak exceeds what is kept by under a byte per cell
+    n = 1024
+    grid = PhaseGrid(-np.pi, np.pi, -6, 6, n, n, periodic_q=True)
+    rho = density_from_function(grid, GaussianDensity(0.5, 0.0, 0.4, 0.5), warn=False)
+    spec = ProblemSpec(pair=CosinePair(strength=0.2, wavenumber=1.0))
+    settings = VlasovSettings(dt=0.05)
+    _Stepper(rho, spec, settings)  # fills the cached prefilter tiles
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stepper = _Stepper(rho, spec, settings)
+        kept, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept >= 8 * n * n + 8 * n * (n // 2 + 1)  # the field and the full-drift plan
+    assert peak - kept < n * n
+    del stepper
 
 
 def test_cfl_violation_rejected():
@@ -389,6 +415,56 @@ def periodic_sweep(values, delta, shifts, cubic):
     out = values.copy()
     axis.sweep(out, axis.plan(shifts / delta))
     return out
+
+
+def one_shot_transfer(n, s, cubic):
+    """H, shape (m, n//2 + 1), of the backward trace by s[j] cells, built for
+    all lines at once in the order a blocked plan builds each block's rows."""
+    start, weights = vlasov._stencil(s, cubic)
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    f = np.arange(n // 2 + 1)
+    transfer = np.zeros((len(s), f.size), dtype=complex)
+    for t, w in enumerate(weights):
+        transfer += np.outer(w, roots[f * t % n])
+    transfer *= roots[np.outer(start, f) % n]
+    if cubic:
+        transfer /= (4.0 + 2.0 * roots[f].real) / 6.0
+    return transfer
+
+
+@pytest.mark.parametrize("cubic", [True, False])
+@pytest.mark.parametrize("lines", ["one", "fewer than a block", "ragged blocks"])
+def test_a_blocked_periodic_sweep_is_bit_identical_to_one_shot_transforms(lines, cubic):
+    # each line's rfft, product and irfft are the same whichever block holds
+    # the line, and a plan rebuilt per sweep is the plan held
+    n = 64
+    block = _PeriodicAxis(n, 1000, cubic).lines
+    m = {"one": 1, "fewer than a block": block - 3, "ragged blocks": 2 * block + 7}[lines]
+    rng = np.random.default_rng(m)
+    values = np.asfortranarray(rng.standard_normal((n, m)))
+    cells = rng.uniform(-1.5 * n, 1.5 * n, m)
+    transfer = one_shot_transfer(n, cells, cubic)
+    expected = np.fft.irfft(np.fft.rfft(values, axis=0) * transfer.T, n, axis=0)
+    axis = _PeriodicAxis(n, m, cubic)
+    held = axis.plan(cells, held=True)
+    assert held[1].tobytes() == transfer.tobytes()
+    for plan in (held, axis.plan(cells)):
+        got = values.copy(order="F")
+        axis.sweep(got, plan)
+        assert got.tobytes(order="F") == expected.tobytes(order="F")
+
+
+def test_a_rebuilt_half_drift_equals_one_through_a_held_plan():
+    # 70 p-lines of 256 q-cells: two whole blocks and a ragged one
+    grid = PhaseGrid(-np.pi, np.pi, -6, 6, 256, 70, periodic_q=True)
+    stepper = _Stepper(density_from_function(grid, GaussianDensity(0.5, 0.0, 0.8, 0.9),
+                                             warn=False), FREE, VlasovSettings(dt=0.02))
+    assert stepper.drifts[0][1] is None and stepper.drifts[1][1] is not None
+    held = stepper.drift.plan(grid.p_centers * (0.5 * 0.02 / FREE.mass) / grid.dq, held=True)
+    expected = stepper.f.copy()
+    stepper.drift.sweep(expected.T, held)
+    stepper.q_drift(False)
+    assert stepper.f.tobytes() == expected.tobytes()
 
 
 def open_sweep(values, delta, shifts, cubic):
